@@ -82,7 +82,16 @@ func main() {
 func repl(cl *client.Client) {
 	ctx := context.Background()
 	scanner := bufio.NewScanner(os.Stdin)
-	inTx := false
+	inTx, announced := false, false
+	// announce prints an interactive transaction's id and snapshot once, after
+	// the operation that started it at the coordinator has returned them;
+	// begin itself is local and has neither.
+	announce := func() {
+		if inTx && !announced && cl.TxID() != 0 {
+			fmt.Printf("tx %v snapshot=%v\n", cl.TxID(), cl.Snapshot())
+			announced = true
+		}
+	}
 	fmt.Print("> ")
 	for scanner.Scan() {
 		fields := strings.Fields(scanner.Text())
@@ -102,8 +111,8 @@ func repl(cl *client.Client) {
 			if err := cl.Start(ctx); err != nil {
 				fmt.Println("error:", err)
 			} else {
-				inTx = true
-				fmt.Printf("tx %v snapshot=%v\n", cl.TxID(), cl.Snapshot())
+				inTx, announced = true, false
+				fmt.Println("transaction open (its first get or commit assigns the id and snapshot)")
 			}
 		case "get":
 			if len(fields) < 2 {
@@ -121,6 +130,7 @@ func repl(cl *client.Client) {
 			if err != nil {
 				fmt.Println("error:", err)
 			} else {
+				announce()
 				for _, k := range fields[1:] {
 					if v, ok := vals[k]; ok {
 						fmt.Printf("%s = %q\n", k, v)
@@ -162,6 +172,7 @@ func repl(cl *client.Client) {
 			if err != nil {
 				fmt.Println("error:", err)
 			} else {
+				announce()
 				inTx = false
 				if ct == 0 {
 					fmt.Println("committed (read-only)")

@@ -219,6 +219,10 @@ func TestMonotonicSnapshots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The transaction's first read assigns the snapshot (Begin is local).
+		if _, err := tx.Read(ctx, "monotonic-probe"); err != nil {
+			t.Fatal(err)
+		}
 		snap := tx.Snapshot()
 		if _, err := tx.Commit(ctx); err != nil {
 			t.Fatal(err)

@@ -35,10 +35,8 @@ func (r *recordingSession) runPlan(ctx context.Context, plan workload.TxPlan) er
 		return err
 	}
 	rec := check.Tx{
-		Session:  r.id,
-		Seq:      r.seq,
-		Snapshot: r.s.Client().Snapshot(),
-		ID:       r.s.Client().TxID(),
+		Session: r.id,
+		Seq:     r.seq,
 	}
 	r.seq++
 	if len(plan.ReadKeys) > 0 {
@@ -64,9 +62,11 @@ func (r *recordingSession) runPlan(ctx context.Context, plan workload.TxPlan) er
 	if err != nil {
 		return err
 	}
-	rec.CommitTS = ct
-	if ct == 0 {
-		rec.ID = 0 // read-only: id not meaningful in the history
+	// The id and snapshot are assigned by the transaction's first read or,
+	// for one that only writes, by its commit: sample them now that both ran.
+	rec.CommitTS, rec.Snapshot = ct, r.s.Client().Snapshot()
+	if ct != 0 { // read-only: id not meaningful in the history
+		rec.ID = r.s.Client().TxID()
 	}
 	r.history.Add(rec)
 	return nil

@@ -42,7 +42,8 @@ type HotpathComparison struct {
 	// ReadSingleAllocs/ReadMultiAllocs/StartTxAllocs are allocs/op for one
 	// client-observed operation end-to-end over MemNet: a snapshot read of a
 	// 4-key single-partition set, the same spread over two partitions, and a
-	// start/finish pair.
+	// Begin→Commit with nothing in between (a start/finish round trip until
+	// transactions started with their first operation; local since).
 	ReadSingleAllocs float64
 	ReadMultiAllocs  float64
 	StartTxAllocs    float64

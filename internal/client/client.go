@@ -90,10 +90,12 @@ type Client struct {
 	cache map[string]wire.Item // WCc: own writes not yet in the stable snapshot
 
 	inTx     bool
-	txID     wire.TxID
-	snapshot hlc.Timestamp
-	ws       map[string][]byte    // WSc
-	rs       map[string]wire.Item // RSc
+	txID     wire.TxID     // zero until the coordinator starts the transaction
+	snapshot hlc.Timestamp // assigned together with txID
+	// WSc and RSc. The maps outlive the transaction: Start empties them in
+	// place, so the usual transaction allocates neither.
+	ws map[string][]byte
+	rs map[string]wire.Item
 
 	stats Stats
 }
@@ -141,19 +143,23 @@ func (c *Client) UST() hlc.Timestamp { return c.ust }
 // transaction (zero if none).
 func (c *Client) HWT() hlc.Timestamp { return c.hwt }
 
-// Snapshot returns the running transaction's snapshot timestamp.
+// Snapshot returns the running transaction's snapshot timestamp: zero until
+// the first Read or Commit that reaches the coordinator assigns it (Start is
+// local), then fixed. After the transaction ends it keeps describing that
+// transaction until the next Start.
 func (c *Client) Snapshot() hlc.Timestamp { return c.snapshot }
 
 // CacheSize returns the number of entries in the private write cache.
 func (c *Client) CacheSize() int { return len(c.cache) }
 
-// TxID returns the running transaction's identifier (zero outside a
-// transaction or before the coordinator assigns one).
+// TxID returns the running transaction's identifier: zero until the first
+// Read or Commit that reaches the coordinator assigns it, like Snapshot.
 func (c *Client) TxID() wire.TxID { return c.txID }
 
 // Observed returns the version metadata recorded in the read-set for key
 // during the running transaction; consistency-checking harnesses use it to
-// build verifiable histories.
+// build verifiable histories. Like Snapshot, the read-set stays readable after
+// the transaction ends, until the next Start.
 func (c *Client) Observed(key string) (wire.Item, bool) {
 	item, ok := c.rs[key]
 	return item, ok
@@ -222,39 +228,58 @@ func (c *Client) Import(h Handoff) error {
 	return nil
 }
 
-// Start begins a transaction (Alg. 1 lines 1–7): it sends the session's
-// highest observed stable time so the coordinator assigns a snapshot at
-// least that fresh, then prunes the write cache of entries the new snapshot
-// already covers.
-func (c *Client) Start(ctx context.Context) error {
+// Start begins a transaction locally; no message is sent. The coordinator
+// starts its side — snapshot, transaction id, context (Alg. 1 lines 1–7 /
+// Alg. 2 lines 1–5) — when the first Read or Commit reaches it, and that
+// operation's response carries both back, so a transaction costs no round
+// trip of its own. The context parameter is kept for callers written against
+// the start round trip.
+func (c *Client) Start(context.Context) error {
 	if c.inTx {
 		return ErrInTransaction
 	}
-	resp, err := c.call(ctx, wire.StartTxReq{ClientUST: c.ust})
-	if err != nil {
-		return err
-	}
-	m, ok := resp.(wire.StartTxResp)
-	if !ok {
-		return fmt.Errorf("client: unexpected start response %v", resp.Kind())
-	}
 	c.inTx = true
-	c.txID = m.TxID
-	c.snapshot = m.Snapshot
-	if m.Snapshot > c.ust {
-		c.ust = m.Snapshot
+	c.txID, c.snapshot = 0, 0
+	c.ws = resetSet(c.ws)
+	c.rs = resetSet(c.rs)
+	c.stats.TxStarted++
+	return nil
+}
+
+// maxKeptSet caps the write-set/read-set size a session carries over to its
+// next transaction: clear costs the map's capacity, so one huge transaction
+// must not tax every later one.
+const maxKeptSet = 1024
+
+// resetSet empties a write-set or read-set for the next transaction, keeping
+// its storage: a transaction of the usual shape then allocates neither map
+// nor the buckets it would regrow.
+func resetSet[V any](m map[string]V) map[string]V {
+	if m == nil || len(m) > maxKeptSet {
+		return make(map[string]V)
 	}
-	c.ws = make(map[string][]byte)
-	c.rs = make(map[string]wire.Item)
-	// Remove from WCc all items with commit timestamp up to ustc: they are
-	// inside the stable snapshot now and the store serves them.
+	clear(m)
+	return m
+}
+
+// adopt installs the transaction id and snapshot the coordinator assigned
+// with the transaction's first operation, then prunes the write cache of
+// entries the snapshot covers: they are inside the stable snapshot now and
+// the store serves them.
+func (c *Client) adopt(id wire.TxID, snapshot hlc.Timestamp) error {
+	if id == 0 {
+		return errors.New("client: coordinator did not start the transaction")
+	}
+	c.txID, c.snapshot = id, snapshot
+	if snapshot > c.ust {
+		c.ust = snapshot
+	}
 	for k, item := range c.cache {
 		if item.UT <= c.ust {
 			delete(c.cache, k)
 			c.stats.CachePruned++
 		}
 	}
-	c.stats.TxStarted++
 	return nil
 }
 
@@ -262,56 +287,117 @@ func (c *Client) Start(ctx context.Context) error {
 // 8–20). Keys with no visible version map to no entry. The write-set,
 // read-set and write cache are consulted first, in that order; remaining
 // keys are fetched from the coordinator in one parallel round.
+//
+// The write cache is consulted only under a known snapshot. When this Read is
+// the transaction's first operation the snapshot arrives with its response,
+// so keys the cache holds are withheld from the request and decided
+// afterwards: an entry that survived the pruning is the session's own write,
+// newer than the snapshot, and is served; an entry the snapshot covered is
+// gone, and its key is read in a second, ordinary request. Serving the entry
+// before knowing the snapshot could pair a stale own write with a newer
+// version of another key from the same foreign transaction.
 func (c *Client) Read(ctx context.Context, keys ...string) (map[string][]byte, error) {
 	if !c.inTx {
 		return nil, ErrNoTransaction
 	}
 	out := make(map[string][]byte, len(keys))
-	var remote []string
+	var remote, withheld []string
 	for _, k := range keys {
 		c.stats.KeysRead++
-		if c.cfg.CacheBypass != nil && c.cfg.CacheBypass(k) {
-			remote = append(remote, k)
-			continue
+		cached := false
+		if c.cfg.CacheBypass == nil || !c.cfg.CacheBypass(k) {
+			if v, ok := c.ws[k]; ok {
+				out[k] = v
+				c.stats.KeysFromWS++
+				continue
+			}
+			if item, ok := c.rs[k]; ok {
+				out[k] = item.Value
+				c.stats.KeysFromRS++
+				continue
+			}
+			_, hit := c.cache[k]
+			if cached = hit && !c.cfg.DisableCache; cached && c.txID != 0 {
+				c.readCached(k, out)
+				continue
+			}
 		}
-		if v, ok := c.ws[k]; ok {
-			out[k] = v
-			c.stats.KeysFromWS++
-			continue
-		}
-		if item, ok := c.rs[k]; ok {
-			out[k] = item.Value
+		// A placeholder marks the key as asked for, so a key named twice in
+		// one call is requested once (the repeat counts as a read-set hit);
+		// fetch removes the placeholders nothing answers.
+		if _, dup := out[k]; dup {
 			c.stats.KeysFromRS++
 			continue
 		}
-		if item, ok := c.cache[k]; ok && !c.cfg.DisableCache {
-			// The cached version is the session's own write, newer than
-			// anything in the stable snapshot: it must win or
-			// read-your-writes breaks.
-			out[k] = item.Value
-			c.rs[k] = item
-			c.stats.KeysFromWC++
-			continue
+		out[k] = nil
+		if cached {
+			withheld = append(withheld, k)
+		} else {
+			remote = append(remote, k)
 		}
-		remote = append(remote, k)
 	}
-	if len(remote) == 0 {
+	if len(remote) == 0 && len(withheld) == 0 {
 		return out, nil
 	}
-	resp, err := c.call(ctx, wire.ReadReq{TxID: c.txID, Keys: remote})
-	if err != nil {
+	if err := c.fetch(ctx, remote, out); err != nil {
 		return nil, err
+	}
+	var pruned []string
+	for _, k := range withheld {
+		if _, ok := c.cache[k]; ok {
+			c.readCached(k, out)
+		} else {
+			pruned = append(pruned, k)
+		}
+	}
+	if len(pruned) > 0 {
+		if err := c.fetch(ctx, pruned, out); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// readCached answers key from the write cache. The cached version is the
+// session's own write, newer than anything in the stable snapshot: it must
+// win or read-your-writes breaks.
+func (c *Client) readCached(key string, out map[string][]byte) {
+	item := c.cache[key]
+	out[key] = item.Value
+	c.rs[key] = item
+	c.stats.KeysFromWC++
+}
+
+// fetch reads keys at the coordinator into out and the read-set; the first
+// request of a transaction also starts it. keys may be empty when the
+// transaction has to start but every key is withheld.
+func (c *Client) fetch(ctx context.Context, keys []string, out map[string][]byte) error {
+	resp, err := c.call(ctx, wire.ReadReq{TxID: c.txID, ClientUST: c.ust, Keys: keys})
+	if err != nil {
+		return err
 	}
 	m, ok := resp.(wire.ReadResp)
 	if !ok {
-		return nil, fmt.Errorf("client: unexpected read response %v", resp.Kind())
+		return fmt.Errorf("client: unexpected read response %v", resp.Kind())
+	}
+	if c.txID == 0 {
+		if err := c.adopt(m.TxID, m.Snapshot); err != nil {
+			return err
+		}
 	}
 	for _, item := range m.Items {
 		out[item.Key] = item.Value
 		c.rs[item.Key] = item
 		c.stats.KeysFromSrvr++
 	}
-	return out, nil
+	if len(m.Items) < len(keys) {
+		for _, k := range keys {
+			if _, ok := c.rs[k]; !ok {
+				delete(out, k) // no visible version: drop the placeholder
+			}
+		}
+	}
+	return nil
 }
 
 // ReadOne reads a single key; ok reports whether a version was visible.
@@ -335,14 +421,15 @@ func (c *Client) Write(key string, value []byte) error {
 
 // Commit finalizes the transaction (Alg. 1 lines 26–32). For update
 // transactions it returns the commit timestamp; read-only transactions
-// finish locally after releasing the coordinator's context.
+// finish locally after releasing the coordinator's context. A failed commit
+// leaves the transaction open for Abandon, except when the commit was the
+// transaction's first operation (see below).
 func (c *Client) Commit(ctx context.Context) (hlc.Timestamp, error) {
 	if !c.inTx {
 		return 0, ErrNoTransaction
 	}
 	if len(c.ws) == 0 {
-		_ = c.peer.Cast(c.cfg.Coordinator, wire.FinishTx{TxID: c.txID})
-		c.endTx()
+		c.finish()
 		c.stats.TxReadOnly++
 		return 0, nil
 	}
@@ -351,13 +438,26 @@ func (c *Client) Commit(ctx context.Context) (hlc.Timestamp, error) {
 	for k, v := range c.ws {
 		writes = append(writes, wire.KV{Key: k, Value: v})
 	}
-	resp, err := c.call(ctx, wire.CommitReq{TxID: c.txID, HWT: c.hwt, Writes: writes})
+	resp, err := c.call(ctx, wire.CommitReq{TxID: c.txID, ClientUST: c.ust, HWT: c.hwt, Writes: writes})
 	if err != nil {
+		if c.txID == 0 {
+			// The commit was also the start and its outcome is unknown. With
+			// an id a retry is safe — the coordinator refuses a transaction it
+			// already decided — but without one a retry would start a second
+			// transaction and could commit the writes twice: the transaction
+			// ends here.
+			c.inTx = false
+		}
 		return 0, err
 	}
 	m, ok := resp.(wire.CommitResp)
 	if !ok {
 		return 0, fmt.Errorf("client: unexpected commit response %v", resp.Kind())
+	}
+	if c.txID == 0 { // a transaction that only wrote: the commit started it
+		if err := c.adopt(m.TxID, m.Snapshot); err != nil {
+			return 0, err
+		}
 	}
 
 	// hwtc ← ct; tag WSc entries with hwtc and move them to WCc. The cache
@@ -388,7 +488,7 @@ func (c *Client) Commit(ctx context.Context) (hlc.Timestamp, error) {
 		// is installed.
 		c.ust = m.CommitTS
 	}
-	c.endTx()
+	c.inTx = false
 	c.stats.TxCommitted++
 	return m.CommitTS, nil
 }
@@ -396,19 +496,19 @@ func (c *Client) Commit(ctx context.Context) (hlc.Timestamp, error) {
 // Abandon abandons the running transaction without committing its writes
 // and releases the coordinator's context.
 func (c *Client) Abandon() {
-	if !c.inTx {
-		return
+	if c.inTx {
+		c.finish()
 	}
-	_ = c.peer.Cast(c.cfg.Coordinator, wire.FinishTx{TxID: c.txID})
-	c.endTx()
 }
 
-func (c *Client) endTx() {
+// finish ends a transaction that commits nothing. The coordinator holds a
+// context only if an operation reached it; a transaction that never left the
+// client sends nothing.
+func (c *Client) finish() {
+	if c.txID != 0 {
+		_ = c.peer.Cast(c.cfg.Coordinator, wire.FinishTx{TxID: c.txID})
+	}
 	c.inTx = false
-	c.txID = 0
-	c.snapshot = 0
-	c.ws = nil
-	c.rs = nil
 }
 
 func (c *Client) call(ctx context.Context, req wire.Message) (wire.Message, error) {

@@ -19,39 +19,73 @@ type fakeCoordinator struct {
 	commitTS hlc.Timestamp
 	// store maps keys to items returned by reads.
 	store map[string]wire.Item
-	// log records requests for assertions.
-	starts   []wire.StartTxReq
+	// log records requests for assertions; starts holds the ClientUST of every
+	// request that started a transaction.
+	starts   []hlc.Timestamp
 	reads    []wire.ReadReq
 	commits  []wire.CommitReq
 	finishes []wire.FinishTx
 	txSeq    uint64
+	// live maps the transactions started and not yet ended to their snapshot.
+	live map[wire.TxID]hlc.Timestamp
+	// drop makes the coordinator serve that many requests without replying:
+	// the request lands, the response is lost.
+	drop int
+}
+
+// tx resolves the transaction of a read or commit the way the server does: a
+// zero id starts one at max(snapshot, clientUST).
+func (f *fakeCoordinator) tx(id wire.TxID, clientUST hlc.Timestamp) (wire.TxID, hlc.Timestamp, bool) {
+	if id != 0 {
+		snap, ok := f.live[id]
+		return id, snap, ok
+	}
+	f.starts = append(f.starts, clientUST)
+	f.txSeq++
+	id = wire.NewTxID(0, 0, f.txSeq)
+	if f.live == nil {
+		f.live = make(map[wire.TxID]hlc.Timestamp)
+	}
+	f.live[id] = hlc.Max(f.snapshot, clientUST)
+	return id, f.live[id], true
 }
 
 func (f *fakeCoordinator) HandleRequest(_ topology.NodeID, req wire.Message, reply func(wire.Message)) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	switch m := req.(type) {
-	case wire.StartTxReq:
-		f.starts = append(f.starts, m)
-		f.txSeq++
-		snap := f.snapshot
-		if m.ClientUST > snap {
-			snap = m.ClientUST
-		}
-		reply(wire.StartTxResp{TxID: wire.NewTxID(0, 0, f.txSeq), Snapshot: snap})
 	case wire.ReadReq:
 		f.reads = append(f.reads, m)
+		id, snap, ok := f.tx(m.TxID, m.ClientUST)
+		if !ok {
+			reply(wire.ErrorResp{Code: wire.CodeUnknownTx, Msg: "unknown transaction"})
+			return
+		}
+		if f.drop > 0 {
+			f.drop--
+			return
+		}
 		var items []wire.Item
 		for _, k := range m.Keys {
 			if item, ok := f.store[k]; ok {
 				items = append(items, item)
 			}
 		}
-		reply(wire.ReadResp{Items: items})
+		reply(wire.ReadResp{TxID: id, Snapshot: snap, Items: items})
 	case wire.CommitReq:
 		f.commits = append(f.commits, m)
-		reply(wire.CommitResp{CommitTS: f.commitTS})
-	default:
+		id, snap, ok := f.tx(m.TxID, m.ClientUST)
+		if !ok {
+			reply(wire.ErrorResp{Code: wire.CodeUnknownTx, Msg: "unknown transaction"})
+			return
+		}
+		delete(f.live, id)
+		if f.drop > 0 {
+			f.drop--
+			return
+		}
+		reply(wire.CommitResp{TxID: id, Snapshot: snap, CommitTS: f.commitTS})
+	default: // StartTxReq included: clients start with their first operation
 		reply(wire.ErrorResp{Msg: "unexpected"})
 	}
 }
@@ -61,6 +95,7 @@ func (f *fakeCoordinator) HandleCast(_ topology.NodeID, msg wire.Message) {
 	defer f.mu.Unlock()
 	if m, ok := msg.(wire.FinishTx); ok {
 		f.finishes = append(f.finishes, m)
+		delete(f.live, m.TxID)
 	}
 }
 
@@ -135,32 +170,285 @@ func TestDoubleStartRejected(t *testing.T) {
 	}
 }
 
-func TestStartSendsUSTAndAdoptsSnapshot(t *testing.T) {
+func TestFirstReadSendsUSTAndAdoptsSnapshot(t *testing.T) {
 	coord := &fakeCoordinator{snapshot: hlc.New(100, 0)}
 	c := newClientRig(t, Config{}, coord)
 	ctx := context.Background()
 	if err := c.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if c.Snapshot() != hlc.New(100, 0) {
-		t.Fatalf("snapshot %v", c.Snapshot())
+	// Start is local: nothing is assigned and nothing was sent.
+	if c.Snapshot() != 0 || c.TxID() != 0 {
+		t.Fatalf("before the first operation: tx %v snapshot %v, want zero", c.TxID(), c.Snapshot())
+	}
+	if _, err := c.Read(ctx, "k"); err != nil {
+		t.Fatal(err)
+	}
+	if c.Snapshot() != hlc.New(100, 0) || c.TxID() == 0 {
+		t.Fatalf("after the first read: tx %v snapshot %v", c.TxID(), c.Snapshot())
 	}
 	if c.UST() != hlc.New(100, 0) {
 		t.Fatalf("ustc %v not adopted", c.UST())
+	}
+	first := c.TxID()
+	if _, err := c.Read(ctx, "k2"); err != nil {
+		t.Fatal(err)
+	}
+	if c.TxID() != first {
+		t.Fatalf("second read changed the transaction: %v → %v", first, c.TxID())
 	}
 	if _, err := c.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
 
-	// The next start piggybacks the observed UST.
+	// The next transaction's first read piggybacks the observed UST.
 	if err := c.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := c.Read(ctx, "k"); err != nil {
+		t.Fatal(err)
+	}
 	coord.mu.Lock()
-	sent := coord.starts[1].ClientUST
+	defer coord.mu.Unlock()
+	if len(coord.starts) != 2 || coord.starts[1] != hlc.New(100, 0) {
+		t.Fatalf("transactions started with ustc %v, want [0 100.0]", coord.starts)
+	}
+	if len(coord.reads) != 3 || coord.reads[0].TxID != 0 || coord.reads[1].TxID != first || coord.reads[2].TxID != 0 {
+		t.Fatalf("reads %+v: only a transaction's first read may carry a zero id", coord.reads)
+	}
+}
+
+// TestLostFirstCommitResponseEndsTransaction: a commit that was also the
+// start has no id to retry under, so resending it could commit the writes
+// twice. The transaction ends with the error instead.
+func TestLostFirstCommitResponseEndsTransaction(t *testing.T) {
+	coord := &fakeCoordinator{drop: 1, commitTS: hlc.New(200, 0)}
+	c := newClientRig(t, Config{CallTimeout: 50 * time.Millisecond}, coord)
+	ctx := context.Background()
+	if err := c.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.Write("k", []byte("v"))
+	if _, err := c.Commit(ctx); err == nil {
+		t.Fatal("commit succeeded although its response was dropped")
+	}
+	if _, err := c.Commit(ctx); err != ErrNoTransaction {
+		t.Fatalf("second commit err = %v, want ErrNoTransaction", err)
+	}
+	c.Abandon() // what callers do after a failed commit: a no-op here
+	if err := c.Start(ctx); err != nil {
+		t.Fatalf("next transaction: %v", err)
+	}
+	coord.mu.Lock()
+	defer coord.mu.Unlock()
+	if len(coord.commits) != 1 {
+		t.Fatalf("%d commits reached the coordinator, want 1", len(coord.commits))
+	}
+}
+
+func TestEmptyTransactionSendsNothing(t *testing.T) {
+	coord := &fakeCoordinator{}
+	c := newClientRig(t, Config{}, coord)
+	ctx := context.Background()
+	for _, end := range []func(){
+		func() {
+			if ct, err := c.Commit(ctx); err != nil || ct != 0 {
+				t.Fatalf("empty commit = %v, %v", ct, err)
+			}
+		},
+		c.Abandon,
+	} {
+		if err := c.Start(ctx); err != nil {
+			t.Fatal(err)
+		}
+		end()
+	}
+	// A write-set hit needs no snapshot either.
+	if err := c.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.Write("k", []byte("v"))
+	if _, err := c.Read(ctx, "k"); err != nil {
+		t.Fatal(err)
+	}
+	c.Abandon()
+
+	// Casts are delivered asynchronously but in order: once this transaction's
+	// FinishTx has arrived, anything the empty ones sent would have too.
+	if err := c.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Read(ctx, "k"); err != nil {
+		t.Fatal(err)
+	}
+	c.Abandon()
+	waitCond(t, func() bool {
+		coord.mu.Lock()
+		defer coord.mu.Unlock()
+		return len(coord.finishes) > 0
+	})
+	coord.mu.Lock()
+	defer coord.mu.Unlock()
+	if len(coord.reads) != 1 || len(coord.commits) != 0 || len(coord.finishes) != 1 {
+		t.Fatalf("coordinator saw %d reads, %d commits, %d finishes; the empty transactions must add none",
+			len(coord.reads), len(coord.commits), len(coord.finishes))
+	}
+}
+
+func TestWriteOnlyTransactionIsOneRound(t *testing.T) {
+	coord := &fakeCoordinator{snapshot: hlc.New(100, 0), commitTS: hlc.New(200, 0)}
+	c := newClientRig(t, Config{}, coord)
+	ctx := context.Background()
+	if err := c.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.Write("k", []byte("v"))
+	if _, err := c.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	coord.mu.Lock()
+	if len(coord.commits) != 1 || coord.commits[0].TxID != 0 || len(coord.reads) != 0 {
+		t.Fatalf("commits %+v reads %+v: want one commit that starts the transaction", coord.commits, coord.reads)
+	}
 	coord.mu.Unlock()
-	if sent != hlc.New(100, 0) {
-		t.Fatalf("second start sent ustc %v", sent)
+	// The response's id and snapshot were adopted: the cached write is tagged
+	// with the transaction that wrote it and ustc advanced.
+	if c.TxID() == 0 || c.UST() != hlc.New(100, 0) {
+		t.Fatalf("tx %v ust %v after a fused commit", c.TxID(), c.UST())
+	}
+	want := c.TxID()
+	if err := c.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Read(ctx, "k"); err != nil {
+		t.Fatal(err)
+	}
+	if item, ok := c.Observed("k"); !ok || item.TxID != want || item.UT != hlc.New(200, 0) {
+		t.Fatalf("cached write observed as %+v, want tx %v at 200.0", item, want)
+	}
+}
+
+func TestReadRequestsEachKeyOnce(t *testing.T) {
+	coord := &fakeCoordinator{store: map[string]wire.Item{
+		"a": {Key: "a", Value: []byte("1"), UT: 1, TxID: 9},
+		"b": {Key: "b", Value: []byte("2"), UT: 1, TxID: 9},
+	}}
+	c := newClientRig(t, Config{}, coord)
+	ctx := context.Background()
+	if err := c.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	vals, err := c.Read(ctx, "a", "gone", "a", "b", "gone", "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vals) != 2 || string(vals["a"]) != "1" || string(vals["b"]) != "2" {
+		t.Fatalf("read %q, want a=1 b=2 and no entry for the missing key", vals)
+	}
+	coord.mu.Lock()
+	defer coord.mu.Unlock()
+	if len(coord.reads) != 1 || len(coord.reads[0].Keys) != 3 {
+		t.Fatalf("reads %+v, want one request for [a gone b]", coord.reads)
+	}
+}
+
+// TestCacheConsultedOnlyUnderKnownSnapshot: on a transaction's first read the
+// snapshot is not known yet, so a cached key is withheld from the request and
+// decided once the response brings the snapshot.
+func TestCacheConsultedOnlyUnderKnownSnapshot(t *testing.T) {
+	other := wire.NewTxID(1, 0, 7)
+	coord := &fakeCoordinator{
+		snapshot: hlc.New(100, 0),
+		commitTS: hlc.New(200, 0),
+		store: map[string]wire.Item{
+			"k":  {Key: "k", Value: []byte("theirs"), UT: hlc.New(250, 0), TxID: other},
+			"k2": {Key: "k2", Value: []byte("theirs"), UT: hlc.New(250, 0), TxID: other},
+		},
+	}
+	c := newClientRig(t, Config{}, coord)
+	ctx := context.Background()
+	if err := c.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.Write("k", []byte("mine"))
+	if _, err := c.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// Snapshot 100 < 200: the cached write survives and is served; only k2
+	// travels.
+	if err := c.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	vals, err := c.Read(ctx, "k", "k2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(vals["k"]) != "mine" {
+		t.Fatalf("read %q, want the session's own write", vals["k"])
+	}
+	coord.mu.Lock()
+	if len(coord.reads) != 1 || len(coord.reads[0].Keys) != 1 || coord.reads[0].Keys[0] != "k2" {
+		t.Fatalf("reads %+v, want one request for [k2]", coord.reads)
+	}
+	coord.reads = nil
+	// The stable snapshot now covers both the session's write and the other
+	// transaction's overwrite of k and k2.
+	coord.snapshot = hlc.New(300, 0)
+	coord.mu.Unlock()
+	c.Abandon()
+
+	if err := c.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	vals, err = c.Read(ctx, "k", "k2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(vals["k"]) != "theirs" || string(vals["k2"]) != "theirs" {
+		t.Fatalf("read k=%q k2=%q: a pruned own write was mixed with a newer snapshot", vals["k"], vals["k2"])
+	}
+	coord.mu.Lock()
+	defer coord.mu.Unlock()
+	if len(coord.reads) != 2 || coord.reads[0].TxID != 0 || coord.reads[1].TxID != c.TxID() ||
+		len(coord.reads[1].Keys) != 1 || coord.reads[1].Keys[0] != "k" {
+		t.Fatalf("reads %+v, want [k2] starting the transaction, then [k] inside it", coord.reads)
+	}
+	if c.Stats().KeysFromWC != 1 || c.CacheSize() != 0 {
+		t.Fatalf("stats %+v cache %d", c.Stats(), c.CacheSize())
+	}
+}
+
+// TestLostFirstResponseLeavesClientUnstarted: the request that starts the
+// transaction lands but its response is lost. The client learned no id, so it
+// is still unstarted and the retry starts a fresh transaction (the first
+// one's context is the coordinator's to expire).
+func TestLostFirstResponseLeavesClientUnstarted(t *testing.T) {
+	coord := &fakeCoordinator{drop: 1, store: map[string]wire.Item{
+		"k": {Key: "k", Value: []byte("v"), UT: 1, TxID: 9},
+	}}
+	c := newClientRig(t, Config{CallTimeout: 50 * time.Millisecond}, coord)
+	ctx := context.Background()
+	if err := c.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Read(ctx, "k"); err == nil {
+		t.Fatal("read succeeded although its response was dropped")
+	}
+	if c.TxID() != 0 || c.Snapshot() != 0 {
+		t.Fatalf("tx %v snapshot %v after a lost first response, want zero", c.TxID(), c.Snapshot())
+	}
+	vals, err := c.Read(ctx, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(vals["k"]) != "v" {
+		t.Fatalf("retry read %q", vals["k"])
+	}
+	coord.mu.Lock()
+	defer coord.mu.Unlock()
+	if len(coord.starts) != 2 || c.TxID() != wire.NewTxID(0, 0, 2) {
+		t.Fatalf("%d transactions started, client in %v: want the retry in a fresh second one", len(coord.starts), c.TxID())
 	}
 }
 
@@ -273,6 +561,9 @@ func TestCommitMovesWritesToCacheAndPrunes(t *testing.T) {
 	if err := c.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := c.Read(ctx, "other"); err != nil { // brings the snapshot
+		t.Fatal(err)
+	}
 	if c.CacheSize() != 0 {
 		t.Fatalf("cache not pruned: %d entries", c.CacheSize())
 	}
@@ -289,6 +580,9 @@ func TestReadOnlyCommitSendsFinish(t *testing.T) {
 	c := newClientRig(t, Config{}, coord)
 	ctx := context.Background()
 	if err := c.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Read(ctx, "k"); err != nil {
 		t.Fatal(err)
 	}
 	ct, err := c.Commit(ctx)
@@ -316,6 +610,9 @@ func TestAbandonReleasesContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = c.Write("k", []byte("v"))
+	if _, err := c.Read(ctx, "other"); err != nil {
+		t.Fatal(err)
+	}
 	c.Abandon()
 	waitCond(t, func() bool {
 		coord.mu.Lock()

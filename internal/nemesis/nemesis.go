@@ -532,10 +532,8 @@ func runRecorded(ctx context.Context, sess *paris.Session, session, seq int, pla
 		return check.Tx{}, err
 	}
 	rec := check.Tx{
-		Session:  session,
-		Seq:      seq,
-		Snapshot: sess.Client().Snapshot(),
-		ID:       sess.Client().TxID(),
+		Session: session,
+		Seq:     seq,
 	}
 	if len(plan.ReadKeys) > 0 {
 		if _, err := tx.Read(ctx, plan.ReadKeys...); err != nil {
@@ -558,9 +556,11 @@ func runRecorded(ctx context.Context, sess *paris.Session, session, seq int, pla
 	if err != nil {
 		return check.Tx{}, err
 	}
-	rec.CommitTS = ct
-	if ct == 0 {
-		rec.ID = 0 // read-only: id not meaningful in the history
+	// The id and snapshot are assigned by the transaction's first read or,
+	// for one that only writes, by its commit: sample them now that both ran.
+	rec.CommitTS, rec.Snapshot = ct, sess.Client().Snapshot()
+	if ct != 0 { // read-only: id not meaningful in the history
+		rec.ID = sess.Client().TxID()
 	}
 	return rec, nil
 }

@@ -21,22 +21,25 @@ import (
 // aborted on every cohort it touched (wire.AbortTx), so a failed peer costs
 // one transaction instead of freezing the UST system-wide.
 
-// handleStartTx implements Alg. 2 lines 1–5. It is lock-free apart from one
-// context-table shard visit: the snapshot comes from an atomic UST load, the
-// transaction id from an atomic sequence.
-func (s *Server) handleStartTx(req wire.StartTxReq) wire.Message {
+// startTx implements Alg. 2 lines 1–5: it assigns the snapshot and the
+// transaction id and installs the context. A transaction starts with its
+// first ReadReq or CommitReq (TxID zero), so this runs at the head of
+// handleRead/handleCommit rather than in a round trip of its own. It is
+// lock-free apart from one context-table shard visit: the snapshot comes from
+// an atomic UST load, the transaction id from an atomic sequence.
+func (s *Server) startTx(clientUST hlc.Timestamp) (wire.TxID, hlc.Timestamp) {
 	var snapshot hlc.Timestamp
 	if s.cfg.Mode == ModeBlocking {
 		// BPR: snapshot is the max of the client's highest snapshot and the
 		// coordinator's clock — fresher than the UST, but reads will block.
-		snapshot = hlc.Max(req.ClientUST, s.clock.Now())
+		snapshot = hlc.Max(clientUST, s.clock.Now())
 	} else {
 		// ust mn ← max{ust mn, ustc}: the client may have observed a fresher
 		// stable snapshot on another coordinator. (In BPR the client value is
 		// clock-derived and not evidence of universal stability.) Folding
 		// before loading keeps the session monotonic: the snapshot handed
 		// back is at least the client's own stable time.
-		s.observeUST(req.ClientUST)
+		s.observeUST(clientUST)
 		snapshot = s.ust.Load()
 	}
 	id := wire.NewTxID(s.self.DC, s.self.Partition(), s.txSeq.Add(1))
@@ -62,7 +65,26 @@ func (s *Server) handleStartTx(req wire.StartTxReq) wire.Message {
 		}
 	}
 	s.metrics.txStarted.Add(1)
+	return id, snapshot
+}
+
+// handleStartTx answers a bare StartTxReq. Clients never send one; it stays
+// for tools that drive a coordinator message by message.
+func (s *Server) handleStartTx(req wire.StartTxReq) wire.Message {
+	id, snapshot := s.startTx(req.ClientUST)
 	return wire.StartTxResp{TxID: id, Snapshot: snapshot}
+}
+
+// txSnapshot resolves the transaction a ReadReq or CommitReq belongs to: a
+// zero id starts one (the request is the transaction's first operation), any
+// other id must name a live context, whose activity clock is refreshed.
+func (s *Server) txSnapshot(id wire.TxID, clientUST hlc.Timestamp) (wire.TxID, hlc.Timestamp, bool) {
+	if id == 0 {
+		id, snapshot := s.startTx(clientUST)
+		return id, snapshot, true
+	}
+	ctx, ok := s.txCtx.touchGet(id)
+	return id, ctx.snapshot, ok
 }
 
 // handleFinishTx discards the context of a read-only transaction.
@@ -82,12 +104,12 @@ func (s *Server) handleFinishTx(m wire.FinishTx) {
 // the first partition on the calling goroutine, so a P-partition read costs
 // P−1 goroutines and no per-read map.
 func (s *Server) handleRead(req wire.ReadReq) wire.Message {
-	ctx, ok := s.txCtx.touchGet(req.TxID)
+	id, snapshot, ok := s.txSnapshot(req.TxID, req.ClientUST)
 	if !ok {
-		return wire.ErrorResp{Code: wire.CodeUnknownTx, Msg: "read: unknown transaction " + req.TxID.String()}
+		return wire.ErrorResp{Code: wire.CodeUnknownTx, Msg: "read: unknown transaction " + id.String()}
 	}
 	if len(req.Keys) == 0 {
-		return wire.ReadResp{}
+		return wire.ReadResp{TxID: id, Snapshot: snapshot}
 	}
 
 	// Detect the single-partition case and build the fan-out grouping in one
@@ -110,16 +132,16 @@ func (s *Server) handleRead(req wire.ReadReq) wire.Message {
 		f.add(p, k)
 	}
 	if f == nil {
-		items, err := s.readSliceAt(p0, req.Keys, ctx.snapshot)
+		items, err := s.readSliceAt(p0, req.Keys, snapshot)
+		if err != nil {
+			return s.readFailed(id, req.TxID == 0, err)
+		}
 		// Refresh the context: the slice may have waited on a remote replica
 		// for a sizeable fraction of the TTL, and the session's next
 		// operation must still find its context alive.
-		s.txCtx.touch(req.TxID)
-		if err != nil {
-			return readErrorResp(err)
-		}
+		s.txCtx.touch(id)
 		s.metrics.readsServed.Add(uint64(len(req.Keys)))
-		return wire.ReadResp{Items: items}
+		return wire.ReadResp{TxID: id, Snapshot: snapshot, Items: items}
 	}
 	// Rebind before the goroutine capture: closing over f itself would move
 	// the variable to the heap and charge the single-partition fast path —
@@ -130,21 +152,34 @@ func (s *Server) handleRead(req wire.ReadReq) wire.Message {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			g.items[i], g.errs[i] = s.readSliceAt(g.parts[i], g.keys[i], ctx.snapshot)
+			g.items[i], g.errs[i] = s.readSliceAt(g.parts[i], g.keys[i], snapshot)
 		}(i)
 	}
-	g.items[0], g.errs[0] = s.readSliceAt(g.parts[0], g.keys[0], ctx.snapshot)
+	g.items[0], g.errs[0] = s.readSliceAt(g.parts[0], g.keys[0], snapshot)
 	wg.Wait()
-	s.txCtx.touch(req.TxID)
 
 	if err := g.firstError(); err != nil {
 		putReadFanout(g)
-		return readErrorResp(err)
+		return s.readFailed(id, req.TxID == 0, err)
 	}
+	s.txCtx.touch(id)
 	items := g.mergeInOrder(req.Keys)
 	putReadFanout(g)
 	s.metrics.readsServed.Add(uint64(len(req.Keys)))
-	return wire.ReadResp{Items: items}
+	return wire.ReadResp{TxID: id, Snapshot: snapshot, Items: items}
+}
+
+// readFailed answers a read whose fan-out failed. When the request started
+// the transaction the client never learns its id, so nothing could ever
+// release the context: drop it here instead of letting it pin the GC
+// watermark until the TTL evicts it.
+func (s *Server) readFailed(id wire.TxID, started bool, err error) wire.Message {
+	if started {
+		s.txCtx.delete(id)
+	} else {
+		s.txCtx.touch(id)
+	}
+	return readErrorResp(err)
 }
 
 // readErrorResp converts a fan-out error into the client-facing response,
@@ -385,25 +420,25 @@ type prepareOutcome struct {
 // partition's alternates; if no replica of some partition acknowledges, the
 // transaction is aborted on every cohort a prepare was sent to.
 func (s *Server) handleCommit(req wire.CommitReq) wire.Message {
-	ctx, ok := s.txCtx.touchGet(req.TxID)
+	id, snapshot, ok := s.txSnapshot(req.TxID, req.ClientUST)
 	if !ok {
-		return wire.ErrorResp{Code: wire.CodeUnknownTx, Msg: "commit: unknown transaction " + req.TxID.String()}
+		return wire.ErrorResp{Code: wire.CodeUnknownTx, Msg: "commit: unknown transaction " + id.String()}
 	}
 	if len(req.Writes) == 0 {
-		s.handleFinishTx(wire.FinishTx{TxID: req.TxID})
-		return wire.CommitResp{}
+		s.handleFinishTx(wire.FinishTx{TxID: id})
+		return wire.CommitResp{TxID: id, Snapshot: snapshot}
 	}
 
 	// ht ← max{ust, hwt}: the highest timestamp the client has observed.
-	ht := hlc.Max(ctx.snapshot, req.HWT)
+	ht := hlc.Max(snapshot, req.HWT)
 
 	// Mark the 2PC in flight before any prepare can land anywhere: from this
 	// moment until a decision is recorded, cohort status queries must be
 	// answered "pending" — even if the transaction context is TTL-evicted
 	// while a long failover chain grinds on.
-	csh := s.twoPC.shard(req.TxID)
+	csh := s.twoPC.shard(id)
 	csh.mu.Lock()
-	csh.committing[req.TxID] = struct{}{}
+	csh.committing[id] = struct{}{}
 	csh.mu.Unlock()
 
 	byPartition := make(map[topology.PartitionID][]wire.KV)
@@ -426,7 +461,7 @@ func (s *Server) handleCommit(req wire.CommitReq) wire.Message {
 		go func(out *prepareOutcome, p topology.PartitionID, kvs []wire.KV) {
 			defer wg.Done()
 			s.preparePartition(out, wire.PrepareReq{
-				TxID: req.TxID, Snapshot: ctx.snapshot, HT: ht, Writes: kvs,
+				TxID: id, Snapshot: snapshot, HT: ht, Writes: kvs,
 			}, p)
 		}(&outcomes[i], p, kvs)
 		i++
@@ -455,11 +490,11 @@ func (s *Server) handleCommit(req wire.CommitReq) wire.Message {
 		// global minimum — in every data center. The local tombstone also
 		// answers cohort status queries with "aborted" if an abort cast is
 		// itself lost.
-		s.castAbort(req.TxID, outcomes, false)
-		s.handleAbortTx(wire.AbortTx{TxID: req.TxID})
-		s.txCtx.delete(req.TxID)
+		s.castAbort(id, outcomes, false)
+		s.handleAbortTx(wire.AbortTx{TxID: id})
+		s.txCtx.delete(id)
 		csh.mu.Lock()
-		delete(csh.committing, req.TxID) // the tombstone above now answers queries
+		delete(csh.committing, id) // the tombstone above now answers queries
 		csh.mu.Unlock()
 		s.metrics.txAborted.Add(1)
 		return wire.ErrorResp{Code: wire.CodeTxAborted, Msg: "commit aborted: " + firstErr.Error()}
@@ -470,7 +505,7 @@ func (s *Server) handleCommit(req wire.CommitReq) wire.Message {
 	// abort instead, so a prepare whose response (not request) was lost does
 	// not linger.
 	for _, out := range outcomes {
-		cc := wire.CohortCommit{TxID: req.TxID, CommitTS: commitTS}
+		cc := wire.CohortCommit{TxID: id, CommitTS: commitTS}
 		if out.acked == s.self {
 			s.handleCohortCommit(cc)
 		} else if err := s.peer.Cast(out.acked, cc); err != nil {
@@ -482,26 +517,26 @@ func (s *Server) handleCommit(req wire.CommitReq) wire.Message {
 			// would silently lose this partition's slice of the transaction.
 			node, writes := out.acked, out.writes
 			s.metrics.confirmStarted.Add(1)
-			s.spawn(func() { s.confirmCommit(node, req.TxID, commitTS, writes) })
+			s.spawn(func() { s.confirmCommit(node, id, commitTS, writes) })
 		}
 	}
-	s.castAbort(req.TxID, outcomes, true) // release non-acked attempts only
+	s.castAbort(id, outcomes, true) // release non-acked attempts only
 
 	acked := make([]topology.NodeID, 0, len(outcomes))
 	for _, out := range outcomes {
 		acked = append(acked, out.acked)
 	}
-	s.txCtx.delete(req.TxID)
+	s.txCtx.delete(id)
 	csh.mu.Lock()
 	// Remember the decision (bounded; pruned with the tombstones) so a
 	// cohort whose CohortCommit cast was lost recovers the commit through a
 	// status query instead of reaping an acknowledged transaction. The
 	// in-flight marker comes off only now that the decision is queryable.
-	csh.decided[req.TxID] = decidedTx{ct: commitTS, at: time.Now(), acked: acked}
-	delete(csh.committing, req.TxID)
+	csh.decided[id] = decidedTx{ct: commitTS, at: time.Now(), acked: acked}
+	delete(csh.committing, id)
 	csh.mu.Unlock()
 	s.metrics.txCommitted.Add(1)
-	return wire.CommitResp{CommitTS: commitTS}
+	return wire.CommitResp{TxID: id, Snapshot: snapshot, CommitTS: commitTS}
 }
 
 // handleTxStatus answers a cohort reaper's question about a transaction this

@@ -158,6 +158,51 @@ func TestStartTxSnapshotsMonotonicAndClientDriven(t *testing.T) {
 	}
 }
 
+// TestFirstOperationStartsTransaction: a ReadReq or CommitReq with a zero
+// TxID runs the start logic before it is served and reports the id and
+// snapshot back; with an id, ClientUST is ignored.
+func TestFirstOperationStartsTransaction(t *testing.T) {
+	rig := newTestRig(t, ModeNonBlocking, func(c *Config) { c.CallTimeout = 50 * time.Millisecond })
+	s := rig.srv
+	local := keyForPartition(t, rig.topo, 0)
+
+	first, ok := s.handleRead(wire.ReadReq{ClientUST: hlc.New(500, 0), Keys: []string{local}}).(wire.ReadResp)
+	if !ok || first.TxID == 0 || first.Snapshot != hlc.New(500, 0) || s.UST() != hlc.New(500, 0) {
+		t.Fatalf("first read %+v (ok=%v), server UST %v: want a new transaction at 500.0", first, ok, s.UST())
+	}
+	again, ok := s.handleRead(wire.ReadReq{TxID: first.TxID, ClientUST: hlc.New(900, 0)}).(wire.ReadResp)
+	if !ok || again.TxID != first.TxID || again.Snapshot != first.Snapshot || s.UST() != hlc.New(500, 0) {
+		t.Fatalf("second read %+v, server UST %v: want the same transaction and ClientUST ignored", again, s.UST())
+	}
+	if n := s.ActiveTxContexts(); n != 1 {
+		t.Fatalf("%d contexts, want 1", n)
+	}
+
+	commit, ok := s.handleCommit(wire.CommitReq{ClientUST: hlc.New(600, 0),
+		Writes: []wire.KV{{Key: local, Value: []byte("v")}}}).(wire.CommitResp)
+	if !ok || commit.TxID == 0 || commit.TxID == first.TxID || commit.Snapshot != hlc.New(600, 0) || commit.CommitTS <= commit.Snapshot {
+		t.Fatalf("commit %+v (ok=%v): want a second transaction at 600.0 committed above its snapshot", commit, ok)
+	}
+	if n := s.ActiveTxContexts(); n != 1 {
+		t.Fatalf("%d contexts after the commit, want only the open read's", n)
+	}
+
+	// A first read that fails never told the client its id: the context must
+	// not be left to pin the GC watermark until the TTL. (The rig's other
+	// nodes never answer, so a read of a partition this server does not
+	// replicate times out.)
+	remote := keyForPartition(t, rig.topo, 1)
+	if rig.topo.IsReplicatedAt(1, 0) {
+		t.Fatal("partition 1 is replicated in DC 0; pick another for the remote read")
+	}
+	if resp, ok := s.handleRead(wire.ReadReq{Keys: []string{remote}}).(wire.ErrorResp); !ok {
+		t.Fatalf("remote read answered %+v, want an error", resp)
+	}
+	if n := s.ActiveTxContexts(); n != 1 {
+		t.Fatalf("%d contexts after a failed first read, want its context dropped", n)
+	}
+}
+
 func TestStartTxBPRUsesClock(t *testing.T) {
 	rig := newTestRig(t, ModeBlocking)
 	r := rig.srv.handleStartTx(wire.StartTxReq{ClientUST: 0}).(wire.StartTxResp)

@@ -85,14 +85,20 @@ func AppendMessageV(buf []byte, msg Message, v Version) []byte {
 		e.ts(m.Snapshot)
 	case ReadReq:
 		e.id(m.TxID)
+		e.ts(m.ClientUST)
 		e.strings(m.Keys)
 	case ReadResp:
+		e.id(m.TxID)
+		e.ts(m.Snapshot)
 		e.items(m.Items)
 	case CommitReq:
 		e.id(m.TxID)
+		e.ts(m.ClientUST)
 		e.ts(m.HWT)
 		e.kvs(m.Writes)
 	case CommitResp:
+		e.id(m.TxID)
+		e.ts(m.Snapshot)
 		e.ts(m.CommitTS)
 	case FinishTx:
 		e.id(m.TxID)
@@ -228,13 +234,13 @@ func DecodeV(data []byte, v Version) (Message, error) {
 	case KindStartTxResp:
 		msg = StartTxResp{TxID: r.id(), Snapshot: r.ts()}
 	case KindReadReq:
-		msg = ReadReq{TxID: r.id(), Keys: r.strings()}
+		msg = ReadReq{TxID: r.id(), ClientUST: r.ts(), Keys: r.strings()}
 	case KindReadResp:
-		msg = ReadResp{Items: r.items()}
+		msg = ReadResp{TxID: r.id(), Snapshot: r.ts(), Items: r.items()}
 	case KindCommitReq:
-		msg = CommitReq{TxID: r.id(), HWT: r.ts(), Writes: r.kvs()}
+		msg = CommitReq{TxID: r.id(), ClientUST: r.ts(), HWT: r.ts(), Writes: r.kvs()}
 	case KindCommitResp:
-		msg = CommitResp{CommitTS: r.ts()}
+		msg = CommitResp{TxID: r.id(), Snapshot: r.ts(), CommitTS: r.ts()}
 	case KindFinishTx:
 		msg = FinishTx{TxID: r.id()}
 	case KindReadSliceReq:

@@ -20,14 +20,17 @@ func sampleMessages() []Message {
 		StartTxResp{TxID: NewTxID(3, 12, 99), Snapshot: hlc.New(88, 1)},
 		ReadReq{TxID: NewTxID(0, 0, 1), Keys: []string{"a", "bb", ""}},
 		ReadReq{TxID: NewTxID(1, 2, 3)},
+		ReadReq{ClientUST: hlc.New(654, 3), Keys: []string{"first"}}, // starts the transaction
 		ReadResp{},
-		ReadResp{Items: []Item{
+		ReadResp{TxID: NewTxID(2, 5, 77), Snapshot: hlc.New(700, 0), Items: []Item{
 			{Key: "x", Value: []byte{1, 2, 3}, UT: hlc.New(5, 0), TxID: 9, SrcDC: 2},
 			{Key: "", Value: nil, UT: 0, TxID: 0, SrcDC: 0},
 		}},
 		CommitReq{TxID: 7, HWT: hlc.New(4, 4), Writes: []KV{{Key: "k", Value: []byte("v")}}},
 		CommitReq{TxID: 8},
+		CommitReq{ClientUST: hlc.New(3, 9), HWT: hlc.New(4, 5), Writes: []KV{{Key: "only"}}}, // starts the transaction
 		CommitResp{CommitTS: hlc.New(1000, 65535)},
+		CommitResp{TxID: NewTxID(1, 1, 6), Snapshot: hlc.New(999, 0), CommitTS: hlc.New(1001, 2)},
 		FinishTx{TxID: NewTxID(9, 500, 1<<39)},
 		ReadSliceReq{Keys: []string{"p", "q"}, Snapshot: hlc.New(77, 3)},
 		ReadSliceResp{Items: []Item{{Key: "z", Value: []byte{}, UT: 1, TxID: 2, SrcDC: 1}}},
@@ -249,7 +252,8 @@ func TestDecodeRejectsEmpty(t *testing.T) {
 func TestDecodeRejectsHugeLengthPrefix(t *testing.T) {
 	// A ReadReq claiming 2^31 keys must fail fast, not allocate.
 	data := []byte{byte(KindReadReq)}
-	data = putU64(data, 1)
+	data = putU64(data, 1) // TxID
+	data = putU64(data, 0) // ClientUST
 	data = putU32(data, 1<<31-1)
 	if _, err := Decode(data); err == nil {
 		t.Fatal("Decode accepted absurd slice length")
@@ -276,7 +280,7 @@ func TestQuickRoundTripCommitReq(t *testing.T) {
 			}
 			writes = append(writes, KV{Key: k, Value: v})
 		}
-		msg := CommitReq{TxID: TxID(tx), HWT: hlc.Timestamp(hwt), Writes: writes}
+		msg := CommitReq{TxID: TxID(tx), ClientUST: hlc.Timestamp(tx ^ hwt), HWT: hlc.Timestamp(hwt), Writes: writes}
 		got, err := Decode(Encode(msg))
 		return err == nil && equalMessages(msg, got)
 	}

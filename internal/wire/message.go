@@ -209,8 +209,11 @@ type Message interface {
 	Kind() Kind
 }
 
-// StartTxReq starts a transaction; ClientUST is the freshest stable snapshot
-// the client has observed (ustc), which enforces session monotonicity.
+// StartTxReq starts a transaction on its own; ClientUST is the freshest
+// stable snapshot the client has observed (ustc), which enforces session
+// monotonicity. Clients no longer send it — a transaction starts with its
+// first ReadReq or CommitReq — but servers still answer it for tools that
+// drive a coordinator directly.
 type StartTxReq struct {
 	ClientUST hlc.Timestamp
 }
@@ -227,19 +230,26 @@ type StartTxResp struct {
 // Kind implements Message.
 func (StartTxResp) Kind() Kind { return KindStartTxResp }
 
-// ReadReq asks the coordinator to read Keys within transaction TxID.
+// ReadReq asks the coordinator to read Keys within transaction TxID. A zero
+// TxID makes it the transaction's first operation: the coordinator starts the
+// transaction with ClientUST (the role StartTxReq.ClientUST plays) before
+// serving the read. ClientUST is ignored otherwise.
 type ReadReq struct {
-	TxID TxID
-	Keys []string
+	TxID      TxID
+	ClientUST hlc.Timestamp
+	Keys      []string
 }
 
 // Kind implements Message.
 func (ReadReq) Kind() Kind { return KindReadReq }
 
-// ReadResp returns the versions visible to the transaction. Keys that have
-// never been written are absent from Items.
+// ReadResp returns the versions visible to the transaction, with the
+// transaction's id and snapshot (news to the client when the request started
+// the transaction). Keys that have never been written are absent from Items.
 type ReadResp struct {
-	Items []Item
+	TxID     TxID
+	Snapshot hlc.Timestamp
+	Items    []Item
 }
 
 // Kind implements Message.
@@ -247,18 +257,23 @@ func (ReadResp) Kind() Kind { return KindReadResp }
 
 // CommitReq finalizes a transaction with a non-empty write-set. HWT is the
 // client's highest prior commit timestamp (hwtc), threaded through 2PC so
-// commit timestamps reflect session order.
+// commit timestamps reflect session order. A zero TxID starts the transaction
+// first, exactly as in ReadReq: a transaction that only writes is one round.
 type CommitReq struct {
-	TxID   TxID
-	HWT    hlc.Timestamp
-	Writes []KV
+	TxID      TxID
+	ClientUST hlc.Timestamp
+	HWT       hlc.Timestamp
+	Writes    []KV
 }
 
 // Kind implements Message.
 func (CommitReq) Kind() Kind { return KindCommitReq }
 
-// CommitResp returns the transaction's commit timestamp.
+// CommitResp returns the transaction's commit timestamp, with its id and
+// snapshot as in ReadResp.
 type CommitResp struct {
+	TxID     TxID
+	Snapshot hlc.Timestamp
 	CommitTS hlc.Timestamp
 }
 

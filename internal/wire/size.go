@@ -51,15 +51,15 @@ func ApproxSize(msg Message) int {
 		}
 		return n
 	case ReadReq:
-		return 1 + 8 + 4 + keysSize(m.Keys)
+		return 1 + 8 + tsSize + 4 + keysSize(m.Keys)
 	case ReadResp:
-		return 1 + 4 + itemsSize(m.Items)
+		return 1 + 8 + tsSize + 4 + itemsSize(m.Items)
 	case ReadSliceReq:
 		return 1 + tsSize + 4 + keysSize(m.Keys)
 	case ReadSliceResp:
 		return 1 + 4 + itemsSize(m.Items)
 	case CommitReq:
-		return 1 + 8 + tsSize + 4 + kvsSize(m.Writes)
+		return 1 + 8 + tsSize + tsSize + 4 + kvsSize(m.Writes)
 	case GSTUp:
 		return 1 + 8 + 1 + tsSize + 4 + tsSize*len(m.Vec)
 	case GSTRoot:

@@ -27,6 +27,10 @@ func TestLemma1SnapshotBelowCommit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The transaction's first read assigns the snapshot (Begin is local).
+		if _, err := tx.Read(ctx, fmt.Sprintf("lemma1-%d", i)); err != nil {
+			t.Fatal(err)
+		}
 		snap := tx.Snapshot()
 		if err := tx.Write(fmt.Sprintf("lemma1-%d", i), []byte("v")); err != nil {
 			t.Fatal(err)

@@ -5,8 +5,12 @@ committed BENCH_*.json baseline and fail (exit 1) on a >20% regression.
 Absolute throughput is not comparable across machines, so the gate is built
 from metrics that are:
 
-  * per-op message counts per row (msgs_per_op, repl_msgs_per_op): more
-    messages for the same work is a protocol regression wherever it runs;
+  * message counts per row: msgs_per_op, because more messages for the
+    same work is a protocol regression wherever it runs, and replication
+    messages per *second* (repl_msgs_per_op x tx_per_sec) — the ΔR plane
+    sends one batch per round and destination however many transactions the
+    round carries, so its per-op count falls as the machine gets faster
+    while its rate stays put unless batching regresses;
   * summary per-op / byte / ratio metrics (allocs, codec bytes, reduction
     factors) shared by both reports;
   * throughput *shape*: each row's tx_per_sec relative to the first common
@@ -107,12 +111,16 @@ def main():
     frows, brows = rows_by_label(fresh), rows_by_label(base)
     common = sorted(set(frows) & set(brows))
 
+    def repl_per_sec(row):
+        return row.get("repl_msgs_per_op", 0) * row.get("tx_per_sec", 0)
+
     for label in common:
-        for key in ("msgs_per_op", "repl_msgs_per_op"):
-            fv, bv = frows[label].get(key), brows[label].get(key)
-            if fv is None or bv is None or bv <= 0:
-                continue
-            check(f"{label}.{key}", fv / bv - 1)
+        fv, bv = frows[label].get("msgs_per_op"), brows[label].get("msgs_per_op")
+        if fv is not None and bv:
+            check(f"{label}.msgs_per_op", fv / bv - 1)
+        if repl_per_sec(brows[label]) > 0:
+            check(f"{label}.repl_msgs_per_sec",
+                  repl_per_sec(frows[label]) / repl_per_sec(brows[label]) - 1)
 
     # Throughput shape: each common row relative to the first common row.
     ref = common[0] if common else None

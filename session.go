@@ -29,7 +29,10 @@ type Tx struct {
 	s *Session
 }
 
-// Begin starts an interactive transaction.
+// Begin starts an interactive transaction. It is local: the transaction's
+// first Read or Commit starts it at the coordinator, in the same round trip,
+// so Begin followed by Commit or Abandon with nothing in between sends
+// nothing.
 func (s *Session) Begin(ctx context.Context) (*Tx, error) {
 	if err := s.c.Start(ctx); err != nil {
 		return nil, err
@@ -52,7 +55,8 @@ func (t *Tx) Write(key string, value []byte) error {
 	return t.s.c.Write(key, value)
 }
 
-// Snapshot returns the transaction's snapshot timestamp.
+// Snapshot returns the transaction's snapshot timestamp: zero until the first
+// Read or Commit assigns it, fixed from then on.
 func (t *Tx) Snapshot() Timestamp { return t.s.c.Snapshot() }
 
 // Commit finalizes the transaction, returning the commit timestamp (zero
