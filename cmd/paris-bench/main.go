@@ -46,7 +46,7 @@ var experiments = []struct {
 	{"fig4", "update visibility latency CDF, PaRiS vs BPR (Fig. 4)", runFig4},
 	{"batching", "replication messages/op, batched vs unbatched pipeline", runBatching},
 	{"hotpath", "client-operation hot path: scaling with parallelism (memnet + tcp), allocs/op", runHotpath},
-	{"visibility", "commit→stable latency + stabilization-plane cost: delta vs static gossip, v2 codec, repair chunking", runVisibility},
+	{"visibility", "commit→stable latency, its attribution to the stabilization plane's stages, the plane's cost, v2 codec, repair chunking", runVisibility},
 	{"nemesis", "composed-fault scenario sweep with live consistency checking", runNemesis},
 	{"table1", "taxonomy of causally consistent systems (Table I)", runTable1},
 }

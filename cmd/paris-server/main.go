@@ -40,9 +40,9 @@ func main() {
 		listen     = flag.String("listen", ":7000", "listen address")
 		peersFile  = flag.String("peers", "peers.txt", "peer address file")
 		mode       = flag.String("mode", "paris", `visibility protocol: "paris" or "bpr"`)
-		applyInt   = flag.Duration("apply-interval", 5*time.Millisecond, "ΔR apply/replicate cadence")
-		gossipInt  = flag.Duration("gossip-interval", 5*time.Millisecond, "ΔG stabilization cadence")
-		ustInt     = flag.Duration("ust-interval", 5*time.Millisecond, "ΔU UST cadence")
+		applyInt   = flag.Duration("apply-interval", 5*time.Millisecond, "ΔR, the round: apply, replicate and start the stabilization push at its wall-clock multiples (whole milliseconds)")
+		gossipInt  = flag.Duration("gossip-interval", 5*time.Millisecond, "ΔG: push up the stabilization tree every ⌈ΔG/ΔR⌉-th round")
+		ustInt     = flag.Duration("ust-interval", 5*time.Millisecond, "ΔU: roots compute the UST every ⌈ΔU/ΔR⌉-th round")
 		gcInt      = flag.Duration("gc-interval", time.Second, "version GC cadence (0 disables)")
 		batchItems = flag.Int("batch-max-items", 0,
 			"max write items per replication batch (0 = default 1024, negative disables batching)")

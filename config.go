@@ -44,8 +44,10 @@ type Config struct {
 	// values. Default 0.05.
 	LatencyScale float64
 
-	// ApplyInterval is ΔR, the apply/replicate cadence. Default 5ms·scale
-	// floor 1ms.
+	// ApplyInterval is ΔR, the length of a round: every server applies,
+	// replicates, advances its version clock and starts its stabilization
+	// push at the wall-clock multiples of ΔR, so rounds begin together
+	// everywhere. Use whole milliseconds. Default 5ms·scale, floor 1ms.
 	ApplyInterval time.Duration
 	// BatchMaxItems caps the write items coalesced into one replication
 	// batch per destination per ΔR round. 0 selects the default (1024);
@@ -73,20 +75,18 @@ type Config struct {
 	// FlowLowWater is the queue depth below which a degraded destination
 	// resumes normal sends. 0 selects FlowHighWater/4.
 	FlowLowWater int
-	// GossipInterval is ΔG, the stabilization gossip cadence. Default
-	// like ApplyInterval.
+	// GossipInterval is ΔG, the spacing of a server's stabilization pushes
+	// up its DC's tree and between DC roots, rounded up to whole rounds (one
+	// push every ⌈ΔG/ΔR⌉-th round). Default like ApplyInterval: every round.
 	GossipInterval time.Duration
-	// USTInterval is ΔU, the UST computation cadence. Default like
-	// ApplyInterval.
+	// USTInterval is ΔU, the spacing of a root's UST computations, rounded
+	// up to whole rounds like GossipInterval. Default like ApplyInterval.
 	USTInterval time.Duration
-	// GossipIdleMax caps how far the adaptive stabilization loops back off
-	// on a quiescent cluster. 0 selects 32×GossipInterval; a value at or
-	// below GossipInterval pins the cadence (no backoff).
+	// GossipIdleMax spaces the stabilization pushes of a server that has
+	// seen no data activity for a while: one per GossipIdleMax instead of
+	// one per round, until the next write. 0 selects 32×GossipInterval; a
+	// value at or below GossipInterval means the plane never goes quiet.
 	GossipIdleMax time.Duration
-	// GossipStatic restores the fixed-cadence, full-push stabilization
-	// gossip (no delta suppression, no adaptive backoff) — the pre-delta
-	// wire behavior, kept as a measurement baseline.
-	GossipStatic bool
 	// GCInterval is the version garbage-collection cadence. 0 disables GC.
 	GCInterval time.Duration
 	// TxContextTTL bounds abandoned coordinator contexts, measured from the

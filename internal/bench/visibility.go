@@ -3,24 +3,30 @@ package bench
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sort"
 	"time"
 
 	"github.com/paris-kv/paris"
+	"github.com/paris-kv/paris/internal/server"
 	"github.com/paris-kv/paris/internal/transport"
 	"github.com/paris-kv/paris/internal/wire"
 )
 
-// The visibility experiment measures what the stabilization-plane overhaul
-// (delta/piggybacked gossip, adaptive ΔG/ΔU) buys and what it costs:
+// The visibility experiment measures what the stabilization plane delivers
+// and what it costs:
 //
 //   - commit→universally-stable latency (the window in which a committed
-//     write exists but no UST snapshot exposes it) under load, for the
-//     adaptive delta plane, the fixed-cadence full-push baseline
-//     (GossipStatic), and a loopback-TCP deployment;
+//     write exists but no UST snapshot exposes it) under load, on memnet and
+//     on a loopback-TCP deployment;
+//   - where that latency goes: for sampled commits, the time from the commit
+//     to its local apply, to the peer replica's version-vector advance, to
+//     the last DC aggregate at a root, to the UST at the last root, to the
+//     UST at the last server (attribution);
 //   - dedicated stabilization traffic (GSTUp/GSTRoot/USTDown envelopes) on
-//     an idle cluster, where the adaptive plane's suppression and backoff
-//     should collapse the rate, and under load, where it must not;
+//     an idle cluster, where the idle rule should collapse the rate to one
+//     push per GossipIdleMax and edge, and under load, where every edge
+//     carries one message per round;
 //   - the v1→v2 codec size on a busy replication round (varint lengths,
 //     delta-encoded timestamps);
 //   - the largest single ReplSyncResp frame served during a flow-controlled
@@ -45,19 +51,54 @@ func summarizeVis(samples []time.Duration) VisSummary {
 	return VisSummary{Samples: len(samples), P50: at(0.50), P95: at(0.95), P99: at(0.99)}
 }
 
+// VisAttribution splits commit→universally-visible into the stages a commit
+// passes on its way: each field is the median time from the commit's return
+// to the moment the stage was reached, so differences between neighbours are
+// the stages' own shares.
+type VisAttribution struct {
+	Samples int
+	// LocalApply: the origin replica's own version-vector entry covers the
+	// commit (the apply round that follows it has run).
+	LocalApply time.Duration
+	// PeerVV: the peer replica's entry for the origin DC covers it (the
+	// round's ReplicateBatch has arrived).
+	PeerVV time.Duration
+	// DCRoot: every DC root's aggregate of its own DC covers it (the GSTUp
+	// hops).
+	DCRoot time.Duration
+	// RootUST: every root's UST covers it (root exchange and UST
+	// computation).
+	RootUST time.Duration
+	// LastLeaf: every server's UST covers it (the USTDown hops).
+	LastLeaf time.Duration
+}
+
+// attributionBefore is the same attribution measured at the parent of the PR
+// that aligned the rounds (commit b1248b3: unsynchronized ΔR, ΔG and ΔU timers
+// of 5 ms each; same cluster, same sampler, the median of three passes of 200
+// commits), in microseconds — the "before" column of the README's table.
+var attributionBefore = map[string]float64{
+	"attr_before_local_apply_p50_us": 2361,
+	"attr_before_peer_vv_p50_us":     2369,
+	"attr_before_dc_root_p50_us":     14228,
+	"attr_before_root_ust_p50_us":    18850,
+	"attr_before_last_leaf_p50_us":   19134,
+}
+
 // VisibilityComparison is the outcome of the visibility experiment.
 type VisibilityComparison struct {
-	// Delta/Static are the loaded memnet arms (adaptive delta gossip vs the
-	// fixed-cadence full-push baseline); TCP is the loopback-TCP arm.
-	Delta, Static, TCP Result
+	// Delta is the loaded memnet arm, TCP the loopback-TCP arm.
+	Delta, TCP Result
 
-	VisDelta, VisStatic, VisTCP VisSummary
+	VisDelta, VisTCP VisSummary
+
+	// Attribution is measured on the memnet cluster after the loaded pass,
+	// one commit at a time.
+	Attribution VisAttribution
 
 	// Dedicated stabilization envelopes per second, summed over the cluster.
-	LoadedGossipDelta, LoadedGossipStatic float64
-	IdleGossipDelta, IdleGossipStatic     float64
-	// IdleReduction is static ÷ delta on the idle cluster — the headline.
-	IdleReduction float64
+	LoadedGossipDelta float64
+	IdleGossipDelta   float64
 
 	// CodecV1Bytes/CodecV2Bytes are the encoded sizes of the same hot-mix
 	// replication round (short keys, 8-byte counter values — the shape
@@ -84,7 +125,7 @@ type VisibilityComparison struct {
 // visibilityCluster is the memnet deployment the stabilization arms run on:
 // small and zero-latency, so the visibility numbers isolate the
 // stabilization cadence rather than simulated geography.
-func visibilityCluster(o Options, static bool) (*paris.Cluster, error) {
+func visibilityCluster(o Options) (*paris.Cluster, error) {
 	cfg := paris.DefaultConfig()
 	cfg.NumDCs = 3
 	cfg.NumPartitions = 6
@@ -94,7 +135,6 @@ func visibilityCluster(o Options, static bool) (*paris.Cluster, error) {
 	cfg.GossipInterval = 5 * time.Millisecond
 	cfg.USTInterval = 5 * time.Millisecond
 	cfg.VisibilitySample = 4
-	cfg.GossipStatic = static
 	cfg.BatchMaxItems = o.BatchMaxItems
 	cfg.BatchMaxBytes = o.BatchMaxBytes
 	return paris.NewCluster(cfg)
@@ -111,54 +151,13 @@ func Visibility(o Options) (VisibilityComparison, error) {
 	o = o.withDefaults()
 	var cmp VisibilityComparison
 
-	// Loaded + idle passes for each memnet gossip arm. The idle window
-	// starts after a settle period long enough for the Active-bit cascade
-	// to drain (tree depth × activity window) and the adaptive loops to
-	// walk the backoff ramp to their cap.
-	const idleSettle = time.Second
-	runArm := func(static bool) (res Result, vis VisSummary, loaded, idle float64, err error) {
-		cluster, err := visibilityCluster(o, static)
-		if err != nil {
-			return Result{}, VisSummary{}, 0, 0, err
-		}
-		defer cluster.Close()
-
-		g0 := gossipEnvelopes(cluster)
-		t0 := time.Now()
-		res, err = Run(RunConfig{
-			Cluster:      cluster,
-			Mix:          hotMix,
-			ThreadsPerDC: 2,
-			Duration:     o.Duration,
-			Warmup:       o.Warmup,
-		})
-		if err != nil {
-			return Result{}, VisSummary{}, 0, 0, err
-		}
-		loaded = float64(gossipEnvelopes(cluster)-g0) / time.Since(t0).Seconds()
-
-		time.Sleep(idleSettle) // let activity windows lapse and loops back off
-		g1 := gossipEnvelopes(cluster)
-		t1 := time.Now()
-		time.Sleep(o.Duration)
-		idle = float64(gossipEnvelopes(cluster)-g1) / time.Since(t1).Seconds()
-		return res, summarizeVis(res.Visibility), loaded, idle, nil
-	}
-
-	var err error
-	o.printf("visibility: memnet delta-gossip arm\n")
-	if cmp.Delta, cmp.VisDelta, cmp.LoadedGossipDelta, cmp.IdleGossipDelta, err = runArm(false); err != nil {
+	o.printf("visibility: memnet arm\n")
+	if err := cmp.memnetArm(o); err != nil {
 		return cmp, err
-	}
-	o.printf("visibility: memnet static-gossip baseline\n")
-	if cmp.Static, cmp.VisStatic, cmp.LoadedGossipStatic, cmp.IdleGossipStatic, err = runArm(true); err != nil {
-		return cmp, err
-	}
-	if cmp.IdleGossipDelta > 0 {
-		cmp.IdleReduction = cmp.IdleGossipStatic / cmp.IdleGossipDelta
 	}
 
 	o.printf("visibility: loopback TCP arm\n")
+	var err error
 	cmp.TCP, err = runTCPLoad(o, 2, 4)
 	if err != nil {
 		return cmp, err
@@ -206,6 +205,124 @@ func Visibility(o Options) (VisibilityComparison, error) {
 		cmp.ScalingRatio = cmp.ScalingN / cmp.Scaling1
 	}
 	return cmp, nil
+}
+
+// memnetArm runs the loaded pass, the attribution and the idle pass on one
+// memnet cluster. The idle window starts after a settle period long enough
+// for the Active-bit cascade to drain (tree depth × activity window) and every
+// node to fall back to one push per GossipIdleMax.
+func (cmp *VisibilityComparison) memnetArm(o Options) error {
+	const idleSettle = time.Second
+	cluster, err := visibilityCluster(o)
+	if err != nil {
+		return err
+	}
+	defer cluster.Close()
+
+	g0 := gossipEnvelopes(cluster)
+	t0 := time.Now()
+	cmp.Delta, err = Run(RunConfig{
+		Cluster:      cluster,
+		Mix:          hotMix,
+		ThreadsPerDC: 2,
+		Duration:     o.Duration,
+		Warmup:       o.Warmup,
+	})
+	if err != nil {
+		return err
+	}
+	cmp.LoadedGossipDelta = float64(gossipEnvelopes(cluster)-g0) / time.Since(t0).Seconds()
+	cmp.VisDelta = summarizeVis(cmp.Delta.Visibility)
+
+	o.printf("visibility: attribution of %d sampled commits\n", attributionSamples)
+	if cmp.Attribution, err = attributeVisibility(cluster, attributionSamples); err != nil {
+		return err
+	}
+
+	time.Sleep(idleSettle)
+	g1 := gossipEnvelopes(cluster)
+	t1 := time.Now()
+	time.Sleep(o.Duration)
+	cmp.IdleGossipDelta = float64(gossipEnvelopes(cluster)-g1) / time.Since(t1).Seconds()
+	return nil
+}
+
+// attributionSamples is how many commits the attribution pass follows.
+const attributionSamples = 200
+
+// attributeVisibility commits n writes one at a time through a session whose
+// coordinator replicates the key's partition, and follows each through the
+// stabilization plane by polling the servers' introspection accessors — no
+// instrumentation inside the protocol. The poller spins rather than sleeps or
+// yields: a sleep is a millisecond or more on a virtual machine, and a yield
+// returns only once the whole cascade has run, which is the very thing being
+// taken apart. It costs the cluster one core for a few milliseconds a sample.
+func attributeVisibility(cluster *paris.Cluster, n int) (VisAttribution, error) {
+	topo := cluster.Topology()
+	const originDC = paris.DCID(0)
+	p := topo.PartitionsAt(originDC)[0]
+	origin := cluster.Server(originDC, int(p))
+	peer := cluster.Server(topo.PeerReplicas(p, originDC)[0].DC, int(p))
+	var roots []*server.Server
+	for _, dc := range topo.AllDCs() {
+		if local := topo.PartitionsAt(dc); len(local) > 0 {
+			roots = append(roots, cluster.Server(dc, int(local[0])))
+		}
+	}
+	servers := cluster.Servers()
+	sess, err := cluster.NewSessionAt(originDC, int(p))
+	if err != nil {
+		return VisAttribution{}, err
+	}
+	defer sess.Close()
+	key := keysOnPartition(topo, p, 1)[0]
+
+	all := func(ss []*server.Server, reached func(*server.Server) bool) bool {
+		for _, s := range ss {
+			if !reached(s) {
+				return false
+			}
+		}
+		return true
+	}
+	var ct paris.Timestamp
+	stages := []func() bool{
+		func() bool { return origin.VersionVector()[originDC] >= ct },
+		func() bool { return peer.VersionVector()[originDC] >= ct },
+		func() bool {
+			return all(roots, func(s *server.Server) bool { low, _ := s.DCAggregate(); return low >= ct })
+		},
+		func() bool { return all(roots, func(s *server.Server) bool { return s.UST() >= ct }) },
+		func() bool { return all(servers, func(s *server.Server) bool { return s.UST() >= ct }) },
+	}
+	reached := make([][]time.Duration, len(stages))
+	rng := rand.New(rand.NewSource(1))
+	interval := cluster.Config().ApplyInterval
+	for i := 0; i < n; i++ {
+		time.Sleep(time.Duration(rng.Int63n(int64(interval)))) // any phase of the round
+		if ct, err = sess.Put(context.Background(), map[string][]byte{key: []byte("v")}); err != nil {
+			return VisAttribution{}, err
+		}
+		start := time.Now()
+		for stage := 0; stage < len(stages); {
+			switch {
+			case stages[stage]():
+				reached[stage] = append(reached[stage], time.Since(start))
+				stage++
+			case time.Since(start) > 5*time.Second:
+				return VisAttribution{}, fmt.Errorf("commit %v stuck before stage %d of the stabilization plane", ct, stage)
+			}
+		}
+	}
+	median := func(d []time.Duration) time.Duration { return summarizeVis(d).P50 }
+	return VisAttribution{
+		Samples:    n,
+		LocalApply: median(reached[0]),
+		PeerVV:     median(reached[1]),
+		DCRoot:     median(reached[2]),
+		RootUST:    median(reached[3]),
+		LastLeaf:   median(reached[4]),
+	}, nil
 }
 
 // repairProbe starves the replication plane behind a tiny bandwidth budget
@@ -283,29 +400,30 @@ func burstWrites(sess *paris.Session, n, valSize int) (paris.Timestamp, error) {
 func (cmp VisibilityComparison) Report(name string) *Report {
 	rep := &Report{
 		Name: name,
-		Desc: "commit→universally-stable latency and stabilization-plane cost: " +
-			"adaptive delta gossip vs fixed-cadence baseline, v2 codec size, repair chunking, memnet scaling",
+		Desc: "commit→universally-stable latency, its attribution to the stages of the stabilization plane " +
+			"(attr_before_*: the same stages with unsynchronized timers) and the plane's cost, v2 codec size, repair chunking, memnet scaling",
 		Rows: []ReportRow{
 			RowFromResult("memnet-delta", cmp.Delta),
-			RowFromResult("memnet-static", cmp.Static),
 			RowFromResult("tcp-delta", cmp.TCP),
 		},
 		Summary: map[string]float64{
-			"vis_p50_us":        float64(cmp.VisDelta.P50.Microseconds()),
-			"vis_p95_us":        float64(cmp.VisDelta.P95.Microseconds()),
-			"vis_p99_us":        float64(cmp.VisDelta.P99.Microseconds()),
-			"vis_samples":       float64(cmp.VisDelta.Samples),
-			"vis_static_p50_us": float64(cmp.VisStatic.P50.Microseconds()),
-			"vis_static_p95_us": float64(cmp.VisStatic.P95.Microseconds()),
-			"vis_tcp_p50_us":    float64(cmp.VisTCP.P50.Microseconds()),
-			"vis_tcp_p95_us":    float64(cmp.VisTCP.P95.Microseconds()),
-			"vis_tcp_p99_us":    float64(cmp.VisTCP.P99.Microseconds()),
+			"vis_p50_us":     float64(cmp.VisDelta.P50.Microseconds()),
+			"vis_p95_us":     float64(cmp.VisDelta.P95.Microseconds()),
+			"vis_p99_us":     float64(cmp.VisDelta.P99.Microseconds()),
+			"vis_samples":    float64(cmp.VisDelta.Samples),
+			"vis_tcp_p50_us": float64(cmp.VisTCP.P50.Microseconds()),
+			"vis_tcp_p95_us": float64(cmp.VisTCP.P95.Microseconds()),
+			"vis_tcp_p99_us": float64(cmp.VisTCP.P99.Microseconds()),
 
-			"gossip_loaded_msgs_per_sec_delta":  cmp.LoadedGossipDelta,
-			"gossip_loaded_msgs_per_sec_static": cmp.LoadedGossipStatic,
-			"gossip_idle_msgs_per_sec_delta":    cmp.IdleGossipDelta,
-			"gossip_idle_msgs_per_sec_static":   cmp.IdleGossipStatic,
-			"gossip_idle_reduction":             cmp.IdleReduction,
+			"attr_samples":            float64(cmp.Attribution.Samples),
+			"attr_local_apply_p50_us": float64(cmp.Attribution.LocalApply.Microseconds()),
+			"attr_peer_vv_p50_us":     float64(cmp.Attribution.PeerVV.Microseconds()),
+			"attr_dc_root_p50_us":     float64(cmp.Attribution.DCRoot.Microseconds()),
+			"attr_root_ust_p50_us":    float64(cmp.Attribution.RootUST.Microseconds()),
+			"attr_last_leaf_p50_us":   float64(cmp.Attribution.LastLeaf.Microseconds()),
+
+			"gossip_loaded_msgs_per_sec_delta": cmp.LoadedGossipDelta,
+			"gossip_idle_msgs_per_sec_delta":   cmp.IdleGossipDelta,
 
 			"codec_bytes_per_round_v1":   float64(cmp.CodecV1Bytes),
 			"codec_bytes_per_round_v2":   float64(cmp.CodecV2Bytes),
@@ -322,6 +440,9 @@ func (cmp VisibilityComparison) Report(name string) *Report {
 			"scaling_memnet_tx_per_sec_n": cmp.ScalingN,
 			"scaling_memnet":              cmp.ScalingRatio,
 		},
+	}
+	for k, v := range attributionBefore {
+		rep.Summary[k] = v
 	}
 	return rep
 }

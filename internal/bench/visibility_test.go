@@ -15,15 +15,12 @@ func TestVisibilityDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmp.Delta.Committed == 0 || cmp.Static.Committed == 0 || cmp.TCP.Committed == 0 {
-		t.Fatalf("arm committed nothing: delta=%d static=%d tcp=%d",
-			cmp.Delta.Committed, cmp.Static.Committed, cmp.TCP.Committed)
+	if cmp.Delta.Committed == 0 || cmp.TCP.Committed == 0 {
+		t.Fatalf("arm committed nothing: memnet=%d tcp=%d", cmp.Delta.Committed, cmp.TCP.Committed)
 	}
 	// Every loaded arm must actually sample commit→stable latencies, and the
 	// samples must be plausible (positive, under a minute).
-	for name, vis := range map[string]VisSummary{
-		"delta": cmp.VisDelta, "static": cmp.VisStatic, "tcp": cmp.VisTCP,
-	} {
+	for name, vis := range map[string]VisSummary{"memnet": cmp.VisDelta, "tcp": cmp.VisTCP} {
 		if vis.Samples == 0 {
 			t.Fatalf("%s arm collected no visibility samples", name)
 		}
@@ -31,12 +28,18 @@ func TestVisibilityDriver(t *testing.T) {
 			t.Fatalf("%s arm visibility percentiles implausible: %+v", name, vis)
 		}
 	}
-	// The idle delta plane must gossip strictly less than the static
-	// baseline; the full ≥5× headline is asserted by the PR10 report run,
-	// not here, where the windows are CI-short.
-	if cmp.IdleGossipDelta >= cmp.IdleGossipStatic {
-		t.Fatalf("idle delta gossip %.1f/s not below static %.1f/s",
-			cmp.IdleGossipDelta, cmp.IdleGossipStatic)
+	// Idle, each of the 24 tree and root edges carries one push per
+	// GossipIdleMax (160 ms): 150 messages a second, against the 4 800 of one
+	// per 5 ms round. The CI-short window sees each edge once or twice, hence
+	// the slack; a plane that stayed busy would be an order of magnitude over.
+	if cmp.IdleGossipDelta > 300 {
+		t.Fatalf("idle gossip %.0f msgs/s, want ≤ 300 (loaded: %.0f)", cmp.IdleGossipDelta, cmp.LoadedGossipDelta)
+	}
+	// The stages of the attribution are reached in order, within the whole.
+	a := cmp.Attribution
+	if a.Samples == 0 || a.LocalApply <= 0 || a.LocalApply > a.PeerVV || a.PeerVV > a.DCRoot ||
+		a.DCRoot > a.RootUST || a.RootUST > a.LastLeaf || a.LastLeaf > time.Second {
+		t.Fatalf("attribution implausible: %+v", a)
 	}
 	// Hot-mix shape must clear the 25% budget (same bound as the wire-level
 	// size test); the bulk shape just has to shrink.
@@ -60,7 +63,7 @@ func TestVisibilityDriver(t *testing.T) {
 			cmp.RepairChunkMax, cmp.RepairChunkBudget, slack)
 	}
 	rep := cmp.Report("visibility")
-	if len(rep.Rows) != 3 || rep.Summary["vis_samples"] == 0 {
+	if len(rep.Rows) != 2 || rep.Summary["vis_samples"] == 0 || rep.Summary["attr_last_leaf_p50_us"] == 0 {
 		t.Fatalf("report malformed: %+v", rep)
 	}
 }

@@ -290,20 +290,24 @@ func (c *Client) adopt(id wire.TxID, snapshot hlc.Timestamp) error {
 //
 // The write cache is consulted only under a known snapshot. When this Read is
 // the transaction's first operation the snapshot arrives with its response,
-// so keys the cache holds are withheld from the request and decided
-// afterwards: an entry that survived the pruning is the session's own write,
-// newer than the snapshot, and is served; an entry the snapshot covered is
-// gone, and its key is read in a second, ordinary request. Serving the entry
-// before knowing the snapshot could pair a stale own write with a newer
-// version of another key from the same foreign transaction.
+// so keys the cache holds are withheld from the request's key list and sent
+// beside it with their cached update times: the coordinator, once it has fixed
+// the snapshot, reads those the snapshot has passed — the entries the pruning
+// is about to remove — and the response carries them with the rest. An entry
+// that survives the pruning is the session's own write, newer than the
+// snapshot, and is served. Serving the entry before knowing the snapshot could
+// pair a stale own write with a newer version of another key from the same
+// foreign transaction.
 func (c *Client) Read(ctx context.Context, keys ...string) (map[string][]byte, error) {
 	if !c.inTx {
 		return nil, ErrNoTransaction
 	}
 	out := make(map[string][]byte, len(keys))
-	var remote, withheld []string
+	var remote []string
+	var withheld []wire.CachedKey
 	for _, k := range keys {
 		c.stats.KeysRead++
+		var held wire.Item // the write cache's entry for k, if it may answer
 		cached := false
 		if c.cfg.CacheBypass == nil || !c.cfg.CacheBypass(k) {
 			if v, ok := c.ws[k]; ok {
@@ -316,8 +320,8 @@ func (c *Client) Read(ctx context.Context, keys ...string) (map[string][]byte, e
 				c.stats.KeysFromRS++
 				continue
 			}
-			_, hit := c.cache[k]
-			if cached = hit && !c.cfg.DisableCache; cached && c.txID != 0 {
+			held, cached = c.cache[k]
+			if cached = cached && !c.cfg.DisableCache; cached && c.txID != 0 {
 				c.readCached(k, out)
 				continue
 			}
@@ -331,7 +335,7 @@ func (c *Client) Read(ctx context.Context, keys ...string) (map[string][]byte, e
 		}
 		out[k] = nil
 		if cached {
-			withheld = append(withheld, k)
+			withheld = append(withheld, wire.CachedKey{Key: k, UT: held.UT})
 		} else {
 			remote = append(remote, k)
 		}
@@ -339,21 +343,8 @@ func (c *Client) Read(ctx context.Context, keys ...string) (map[string][]byte, e
 	if len(remote) == 0 && len(withheld) == 0 {
 		return out, nil
 	}
-	if err := c.fetch(ctx, remote, out); err != nil {
+	if err := c.fetch(ctx, remote, withheld, out); err != nil {
 		return nil, err
-	}
-	var pruned []string
-	for _, k := range withheld {
-		if _, ok := c.cache[k]; ok {
-			c.readCached(k, out)
-		} else {
-			pruned = append(pruned, k)
-		}
-	}
-	if len(pruned) > 0 {
-		if err := c.fetch(ctx, pruned, out); err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }
@@ -369,10 +360,12 @@ func (c *Client) readCached(key string, out map[string][]byte) {
 }
 
 // fetch reads keys at the coordinator into out and the read-set; the first
-// request of a transaction also starts it. keys may be empty when the
-// transaction has to start but every key is withheld.
-func (c *Client) fetch(ctx context.Context, keys []string, out map[string][]byte) error {
-	resp, err := c.call(ctx, wire.ReadReq{TxID: c.txID, ClientUST: c.ust, Keys: keys})
+// request of a transaction also starts it, and only that one can have withheld
+// keys (keys may then be empty). Once the response's snapshot has pruned the
+// cache, a withheld key is either still cached and served from there, or was
+// read by the coordinator and is among the response's items.
+func (c *Client) fetch(ctx context.Context, keys []string, withheld []wire.CachedKey, out map[string][]byte) error {
+	resp, err := c.call(ctx, wire.ReadReq{TxID: c.txID, ClientUST: c.ust, Keys: keys, Cached: withheld})
 	if err != nil {
 		return err
 	}
@@ -390,11 +383,22 @@ func (c *Client) fetch(ctx context.Context, keys []string, out map[string][]byte
 		c.rs[item.Key] = item
 		c.stats.KeysFromSrvr++
 	}
-	if len(m.Items) < len(keys) {
-		for _, k := range keys {
+	for _, ck := range withheld {
+		if _, ok := c.cache[ck.Key]; ok {
+			c.readCached(ck.Key, out)
+		}
+	}
+	if len(m.Items) < len(keys)+len(withheld) {
+		drop := func(k string) {
 			if _, ok := c.rs[k]; !ok {
 				delete(out, k) // no visible version: drop the placeholder
 			}
+		}
+		for _, k := range keys {
+			drop(k)
+		}
+		for _, ck := range withheld {
+			drop(ck.Key)
 		}
 	}
 	return nil

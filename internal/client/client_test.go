@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -68,6 +69,13 @@ func (f *fakeCoordinator) HandleRequest(_ topology.NodeID, req wire.Message, rep
 		var items []wire.Item
 		for _, k := range m.Keys {
 			if item, ok := f.store[k]; ok {
+				items = append(items, item)
+			}
+		}
+		// Withheld keys are read only where the snapshot passed the cached
+		// version, as the server does.
+		for _, ck := range m.Cached {
+			if item, ok := f.store[ck.Key]; ok && ck.UT <= snap {
 				items = append(items, item)
 			}
 		}
@@ -353,8 +361,9 @@ func TestReadRequestsEachKeyOnce(t *testing.T) {
 }
 
 // TestCacheConsultedOnlyUnderKnownSnapshot: on a transaction's first read the
-// snapshot is not known yet, so a cached key is withheld from the request and
-// decided once the response brings the snapshot.
+// snapshot is not known yet, so a cached key is withheld from the request's
+// key list — it travels beside it with its cached update time — and decided
+// once the response brings the snapshot.
 func TestCacheConsultedOnlyUnderKnownSnapshot(t *testing.T) {
 	other := wire.NewTxID(1, 0, 7)
 	coord := &fakeCoordinator{
@@ -388,8 +397,10 @@ func TestCacheConsultedOnlyUnderKnownSnapshot(t *testing.T) {
 		t.Fatalf("read %q, want the session's own write", vals["k"])
 	}
 	coord.mu.Lock()
-	if len(coord.reads) != 1 || len(coord.reads[0].Keys) != 1 || coord.reads[0].Keys[0] != "k2" {
-		t.Fatalf("reads %+v, want one request for [k2]", coord.reads)
+	wantCached := []wire.CachedKey{{Key: "k", UT: hlc.New(200, 0)}}
+	if len(coord.reads) != 1 || len(coord.reads[0].Keys) != 1 || coord.reads[0].Keys[0] != "k2" ||
+		!reflect.DeepEqual(coord.reads[0].Cached, wantCached) {
+		t.Fatalf("reads %+v, want one request for [k2] with k withheld at 200.0", coord.reads)
 	}
 	coord.reads = nil
 	// The stable snapshot now covers both the session's write and the other
@@ -410,9 +421,9 @@ func TestCacheConsultedOnlyUnderKnownSnapshot(t *testing.T) {
 	}
 	coord.mu.Lock()
 	defer coord.mu.Unlock()
-	if len(coord.reads) != 2 || coord.reads[0].TxID != 0 || coord.reads[1].TxID != c.TxID() ||
-		len(coord.reads[1].Keys) != 1 || coord.reads[1].Keys[0] != "k" {
-		t.Fatalf("reads %+v, want [k2] starting the transaction, then [k] inside it", coord.reads)
+	if len(coord.reads) != 1 || coord.reads[0].TxID != 0 || len(coord.reads[0].Keys) != 1 ||
+		!reflect.DeepEqual(coord.reads[0].Cached, wantCached) {
+		t.Fatalf("reads %+v, want one request: [k2] with k withheld, answered in the same round", coord.reads)
 	}
 	if c.Stats().KeysFromWC != 1 || c.CacheSize() != 0 {
 		t.Fatalf("stats %+v cache %d", c.Stats(), c.CacheSize())

@@ -69,19 +69,19 @@ func TestNemesis_FlappingLinksLargeValues(t *testing.T) {
 	runScenario(t, "flapping_links_large_values", paris.ModeNonBlocking)
 }
 
-// TestNemesis_FlappingLinksDeltaGossip pins the delta-gossip stabilization
-// plane under lossy tree edges: with suppression, Active-bit adaptive cadence
-// and a deep (64×ΔG) backoff cap, the run's drain — a probe write that must
-// become universally stable — is exactly the UST-convergence assertion. The
-// counters additionally prove the delta plane (not the static baseline) was
-// what converged: pushes flowed AND quiescent pushes were suppressed.
+// TestNemesis_FlappingLinksDeltaGossip pins the stabilization plane under
+// lossy tree edges: with deadline pushes standing in for lost inputs, the
+// Active-bit idle rule and a long (64×ΔG) idle spacing, the run's drain — a
+// probe write that must become universally stable — is exactly the
+// UST-convergence assertion. The counters additionally prove the idle rule
+// was engaged: pushes flowed AND idle pushes were withheld.
 func TestNemesis_FlappingLinksDeltaGossip(t *testing.T) {
 	res := runScenario(t, "flapping_links_delta_gossip", paris.ModeNonBlocking)
 	if res.GossipSent == 0 {
 		t.Errorf("no dedicated gossip pushes sent — stabilization plane never ran")
 	}
 	if res.GossipSuppressed == 0 {
-		t.Errorf("no pushes suppressed — delta gossip was not engaged, so this run did not exercise it")
+		t.Errorf("no pushes withheld — the idle rule was not engaged, so this run did not exercise it")
 	}
 	t.Logf("gossip: sent=%d suppressed=%d", res.GossipSent, res.GossipSuppressed)
 }

@@ -206,12 +206,12 @@ var scenarios = []Scenario{
 	},
 	{
 		Name: "flapping_links_delta_gossip",
-		Info: "directed link errors flapping across the stabilization tree with short DC isolations; the adaptive delta-gossip plane must suppress while quiescent yet still converge the UST after healing",
+		Info: "directed link errors flapping across the stabilization tree with short DC isolations; the round-driven plane must go quiet while idle yet still converge the UST after healing",
 		Mix:  workload.Variable,
 		Configure: func(cfg *paris.Config) {
-			// Deep adaptive backoff (64×ΔG, double the default cap): the
-			// drain can only pass if a backed-off, suppressing gossip plane
-			// snaps back to the fast cadence when the probe write lands.
+			// A long idle spacing (64×ΔG, double the default): the drain can
+			// only pass if a plane that has gone quiet — one push per 64 ms —
+			// returns to one per round when the probe write lands.
 			cfg.GossipIdleMax = 64 * time.Millisecond
 		},
 		Script: func(e *Env) {
@@ -219,9 +219,10 @@ var scenarios = []Scenario{
 			for {
 				// Two directed faults plus a short DC isolation: gossip
 				// pushes (GSTUp/GSTRoot/USTDown) vanish on random tree edges
-				// while suppression epochs keep advancing, so recovery must
-				// come from re-pushes and piggybacked ReplicateBatch/
-				// ReplStatus stabilization, not from a lucky lossless push.
+				// and the nodes above them fall back to deadline pushes, so
+				// recovery must come from the next round's pushes and
+				// piggybacked ReplicateBatch/ReplStatus stabilization, not
+				// from a lucky lossless push.
 				x, y := e.RandServer(), e.RandServer()
 				for y == x {
 					y = e.RandServer()

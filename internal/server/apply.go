@@ -17,7 +17,8 @@ import (
 // below which no future transaction can commit, applies every committed
 // transaction with ct ≤ ub to the store in commit-timestamp order, replicates
 // the applied groups to peer replicas, advances the local version clock to
-// ub, and heartbeats when there was nothing to replicate.
+// ub, heartbeats when there was nothing to replicate, and hands the advanced
+// entry to the stabilizer (roundTick).
 //
 // Note on ct ≤ ub versus the paper's ct < ub (Alg. 4 line 10): after setting
 // VV[self] = ub the server claims to have installed everything with
@@ -42,6 +43,7 @@ func (s *Server) applyTick() {
 	// may have been lost in the crash window, and the first round after the
 	// hold drains everything in one correctly-bounded batch.
 	if !s.holdUntil.IsZero() && time.Now().Before(s.holdUntil) {
+		s.stab.roundTick(false)
 		return
 	}
 	// ub0 ← max{Clock, HLC}, advanced as a local event so that any prepare
@@ -92,7 +94,6 @@ func (s *Server) applyTick() {
 		}
 		clear(items)
 		s.applyItems = items[:0]
-		// Data activity: snap the stabilization plane to its fast cadence.
 		s.stab.markData()
 	}
 	s.vv[s.self.DC].advance(ub)
@@ -148,6 +149,7 @@ func (s *Server) applyTick() {
 	// references to the write-sets, so clearing only drops this loop's.
 	clear(ready)
 	s.applyReady = ready[:0]
+	s.stab.roundTick(true)
 }
 
 // replicateUnbatched is the legacy wire path (one Replicate per distinct
@@ -314,7 +316,6 @@ func (s *Server) handleReplicateBatch(m wire.ReplicateBatch) {
 		return
 	}
 	if n := m.Items(); n > 0 {
-		// Data activity: snap the stabilization plane to its fast cadence.
 		s.stab.markData()
 		items := make([]wire.Item, 0, n)
 		for _, g := range m.Groups {
@@ -366,6 +367,7 @@ func (s *Server) advanceVV(dc topology.DCID, ts hlc.Timestamp) {
 	if s.vv[dc].advance(ts) {
 		s.drainVisibility()
 	}
+	s.stab.vvRefreshed(dc)
 }
 
 // installedLowerBound is the timestamp below which every transaction — local

@@ -104,8 +104,7 @@ func BenchmarkGossipAggregation(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vec, oldest := srv.stab.aggregateSubtree()
-		_ = vec
-		_ = oldest
+		out := srv.stab.takeUp()
+		_ = out
 	}
 }

@@ -108,7 +108,15 @@ func (s *Server) handleRead(req wire.ReadReq) wire.Message {
 	if !ok {
 		return wire.ErrorResp{Code: wire.CodeUnknownTx, Msg: "read: unknown transaction " + id.String()}
 	}
-	if len(req.Keys) == 0 {
+	// Keys the client's write cache holds are read only where the snapshot has
+	// passed the cached version: exactly the entries the client will prune.
+	keys := req.Keys[:len(req.Keys):len(req.Keys)] // an append copies, never writes into the request's array
+	for _, ck := range req.Cached {
+		if ck.UT <= snapshot {
+			keys = append(keys, ck.Key)
+		}
+	}
+	if len(keys) == 0 {
 		return wire.ReadResp{TxID: id, Snapshot: snapshot}
 	}
 
@@ -116,23 +124,23 @@ func (s *Server) handleRead(req wire.ReadReq) wire.Message {
 	// pass, hashing each key exactly once: keys before the first mismatch
 	// all belong to the first key's partition, so the grouping can start
 	// from them wholesale when a mismatch ends the fast path.
-	p0 := s.cfg.Topology.PartitionOf(req.Keys[0])
+	p0 := s.cfg.Topology.PartitionOf(keys[0])
 	var f *readFanout
-	for j, k := range req.Keys[1:] {
+	for j, k := range keys[1:] {
 		p := s.cfg.Topology.PartitionOf(k)
 		if f == nil {
 			if p == p0 {
 				continue
 			}
 			f = getReadFanout()
-			for _, pk := range req.Keys[:j+1] {
+			for _, pk := range keys[:j+1] {
 				f.add(p0, pk)
 			}
 		}
 		f.add(p, k)
 	}
 	if f == nil {
-		items, err := s.readSliceAt(p0, req.Keys, snapshot)
+		items, err := s.readSliceAt(p0, keys, snapshot)
 		if err != nil {
 			return s.readFailed(id, req.TxID == 0, err)
 		}
@@ -140,7 +148,7 @@ func (s *Server) handleRead(req wire.ReadReq) wire.Message {
 		// for a sizeable fraction of the TTL, and the session's next
 		// operation must still find its context alive.
 		s.txCtx.touch(id)
-		s.metrics.readsServed.Add(uint64(len(req.Keys)))
+		s.metrics.readsServed.Add(uint64(len(keys)))
 		return wire.ReadResp{TxID: id, Snapshot: snapshot, Items: items}
 	}
 	// Rebind before the goroutine capture: closing over f itself would move
@@ -163,9 +171,9 @@ func (s *Server) handleRead(req wire.ReadReq) wire.Message {
 		return s.readFailed(id, req.TxID == 0, err)
 	}
 	s.txCtx.touch(id)
-	items := g.mergeInOrder(req.Keys)
+	items := g.mergeInOrder(keys)
 	putReadFanout(g)
-	s.metrics.readsServed.Add(uint64(len(req.Keys)))
+	s.metrics.readsServed.Add(uint64(len(keys)))
 	return wire.ReadResp{TxID: id, Snapshot: snapshot, Items: items}
 }
 

@@ -440,8 +440,8 @@ func (p *flowPump) step() bool {
 	e.batch.Epoch = p.s.replEpoch
 	e.batch.Seq = p.seq
 	// Piggyback the freshest stable values at send time: the receiver adopts
-	// them without waiting for the down-tree gossip, which lets the
-	// dedicated stabilization plane back off on links that flow anyway.
+	// them without waiting for the down-tree gossip, which an idle root may
+	// then withhold.
 	e.batch.UST = p.s.ust.Load()
 	e.batch.Sold = p.s.sold.Load()
 	p.mu.Unlock()

@@ -128,7 +128,7 @@ type MetricsSnapshot struct {
 	ReplStatusReceived  uint64        // ReplStatus summaries received
 
 	GossipSent       uint64 // dedicated stabilization messages cast (GSTUp/GSTRoot/USTDown)
-	GossipSuppressed uint64 // gossip pushes skipped (unchanged content, quiescent)
+	GossipSuppressed uint64 // stabilization pushes withheld by the idle rule (no activity within the window)
 
 	RepairChunksServed  uint64 // ReplSyncResp chunks cast (sender role)
 	RepairChunkMaxBytes uint64 // largest single ReplSyncResp chunk (approx encoded size)

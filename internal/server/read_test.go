@@ -3,6 +3,7 @@ package server
 import (
 	"testing"
 
+	"github.com/paris-kv/paris/internal/hlc"
 	"github.com/paris-kv/paris/internal/topology"
 	"github.com/paris-kv/paris/internal/transport"
 	"github.com/paris-kv/paris/internal/wire"
@@ -38,6 +39,48 @@ func TestHandleReadReturnsRequestKeyOrder(t *testing.T) {
 				t.Fatalf("run %d: item %d = %q, want %q", run, i, it.Key, want[i])
 			}
 		}
+	}
+}
+
+// TestHandleReadDecidesWithheldKeys: keys the client's write cache holds
+// arrive beside the request with their cached update times. The coordinator
+// reads the ones the snapshot it has just fixed has passed, after the
+// requested keys, and leaves the others to the cache — without touching the
+// request's own key array, which the client still holds on MemNet.
+func TestHandleReadDecidesWithheldKeys(t *testing.T) {
+	srv, topo := hotpathServer(t) // UST 100.0, every seeded key written at 10.0
+	local := topo.PartitionsAt(0)
+	a := keysOn(t, topo, local[0], 3)
+	b := keysOn(t, topo, local[1], 2)
+
+	keys := make([]string, 1, 4)
+	keys[0] = a[0]
+	resp, ok := srv.handleRead(wire.ReadReq{Keys: keys, Cached: []wire.CachedKey{
+		{Key: b[0], UT: hlc.New(100, 0)}, // at the snapshot: passed
+		{Key: a[1], UT: hlc.New(100, 1)}, // above it: the cache's to answer
+		{Key: a[2], UT: hlc.New(40, 0)},  // passed
+	}}).(wire.ReadResp)
+	if !ok || resp.Snapshot != hlc.New(100, 0) {
+		t.Fatalf("read %+v (ok=%v), want a new transaction at 100.0", resp, ok)
+	}
+	want := []string{a[0], b[0], a[2]}
+	if len(resp.Items) != len(want) {
+		t.Fatalf("%d items, want %v", len(resp.Items), want)
+	}
+	for i, it := range resp.Items {
+		if it.Key != want[i] {
+			t.Fatalf("item %d = %q, want %q", i, it.Key, want[i])
+		}
+	}
+	if spare := keys[:cap(keys)][1:]; spare[0] != "" || spare[1] != "" {
+		t.Fatalf("the request's key array was written into: %q", spare)
+	}
+
+	// Every key withheld and none passed: the transaction starts, nothing is
+	// read.
+	resp, ok = srv.handleRead(wire.ReadReq{Cached: []wire.CachedKey{{Key: a[0], UT: hlc.New(500, 0)}}}).(wire.ReadResp)
+	if !ok || resp.TxID == 0 || len(resp.Items) != 0 {
+		t.Fatalf("read %+v (ok=%v), want a started transaction and no items", resp, ok)
 	}
 }
 

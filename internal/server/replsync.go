@@ -258,7 +258,6 @@ func (s *Server) handleReplSyncResp(m wire.ReplSyncResp) {
 	if len(m.Items) > 0 {
 		s.store.ApplyBatchConcurrent(m.Items, s.cfg.ApplyWorkers)
 		s.metrics.replItems.Add(uint64(len(m.Items)))
-		// Data activity: snap the stabilization plane to its fast cadence.
 		s.stab.markData()
 	}
 	st := &s.replIn[m.SrcDC]

@@ -70,7 +70,11 @@ type Config struct {
 	Selector topology.Selector
 	// Clock is the physical time source. Defaults to the system clock.
 	Clock clock.Source
-	// ApplyInterval is ΔR: the cadence of the apply/replicate loop.
+	// ApplyInterval is ΔR, the length of a round: every server applies,
+	// replicates and advances its version clock at the wall-clock multiples of
+	// ΔR, so the stabilization push each round ends with (stability.go) finds
+	// its inputs arriving within hops. Use whole milliseconds: the hybrid
+	// clock's physical part counts them.
 	ApplyInterval time.Duration
 	// BatchMaxItems caps the write items coalesced into one ReplicateBatch
 	// chunk per destination per ΔR round. 0 selects the default (1024); a
@@ -115,21 +119,20 @@ type Config struct {
 	// them (store-then-publish). 0 selects the default (GOMAXPROCS, capped
 	// at 8); 1 or a negative value applies serially on the loop goroutine.
 	ApplyWorkers int
-	// GossipInterval is ΔG: the cadence of intra-DC aggregation and
-	// inter-DC root exchange.
+	// GossipInterval is ΔG, the spacing of a server's pushes toward its tree
+	// parent (at a root: toward the other DC roots). Pushes are driven by the
+	// ΔR round, so this is rounded up to whole rounds — one push every
+	// ⌈ΔG/ΔR⌉-th round — and anything at or below ΔR means every round.
 	GossipInterval time.Duration
-	// USTInterval is ΔU: the cadence at which roots compute and push the UST.
+	// USTInterval is ΔU, the spacing of a root's UST computations and down
+	// pushes, rounded up to whole rounds like GossipInterval.
 	USTInterval time.Duration
-	// GossipIdleMax caps the adaptive stabilization backoff: with no data
-	// activity the gossip/UST cadence doubles from GossipInterval up to this
-	// bound and snaps back to GossipInterval on the next write (or Active
-	// gossip). 0 selects 32×GossipInterval; a value at or below
-	// GossipInterval pins the cadence (no backoff).
+	// GossipIdleMax spaces the pushes of a server that has seen no data
+	// activity (its own, or an Active bit from a neighbour) for a while: it
+	// lets one go per GossipIdleMax instead of one per round, and returns to
+	// every round with the next write. 0 selects 32×GossipInterval; a value at
+	// or below GossipInterval means the plane never goes quiet.
 	GossipIdleMax time.Duration
-	// GossipStatic restores the fixed-cadence, full-push stabilization plane
-	// (every ΔG pushes unconditionally, no Active bits, no idle backoff).
-	// Kept for apples-to-apples measurement against the delta gossip plane.
-	GossipStatic bool
 	// GCInterval is the cadence of version-chain garbage collection;
 	// 0 disables GC.
 	GCInterval time.Duration
@@ -506,24 +509,13 @@ func (s *Server) Start() {
 		if s.flow != nil {
 			s.flow.start()
 		}
-		s.runLoop(s.cfg.ApplyInterval, s.applyTick)
-		if s.cfg.GossipStatic {
-			s.runLoop(s.cfg.GossipInterval, s.stab.gossipTick)
-			if s.stab.isRoot {
-				s.runLoop(s.cfg.USTInterval, s.stab.ustTick)
-			}
-		} else {
-			s.runAdaptiveLoop(s.cfg.GossipInterval, s.cfg.GossipIdleMax, s.stab.gossipWake, s.stab.gossipTick)
-			if s.stab.isRoot {
-				s.runAdaptiveLoop(s.cfg.USTInterval, s.cfg.GossipIdleMax, s.stab.ustWake, s.stab.ustTick)
-			}
-		}
+		s.runLoop(s.cfg.ApplyInterval, true, s.applyTick)
 		if s.cfg.GCInterval > 0 {
-			s.runLoop(s.cfg.GCInterval, s.gcTick)
+			s.runLoop(s.cfg.GCInterval, false, s.gcTick)
 		}
-		s.runLoop(s.cfg.TxContextTTL/2, s.ctxCleanupTick)
+		s.runLoop(s.cfg.TxContextTTL/2, false, s.ctxCleanupTick)
 		if s.cfg.PreparedTTL > 0 {
-			s.runLoop(s.cfg.PreparedTTL/4, s.reapTick)
+			s.runLoop(s.cfg.PreparedTTL/4, false, s.reapTick)
 			if s.recovered2PC {
 				// Resolve recovered prepares now — their coordinators may hold
 				// commit decisions whose CohortCommit died with the crash.
@@ -552,64 +544,35 @@ func (s *Server) Stop() {
 	s.peer.Close()
 }
 
-// runLoop starts a ticker-driven background loop bound to the stop channel.
-func (s *Server) runLoop(interval time.Duration, tick func()) {
-	s.loopWG.Add(1)
-	go func() {
-		defer s.loopWG.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.stopped:
-				return
-			case <-t.C:
-				tick()
-			}
+// runLoop starts a background loop bound to the stop channel that ticks every
+// interval — aligned, at the wall-clock multiples of it. applyTick, and through
+// it the stabilization push that ends every round, is aligned so that rounds
+// begin together on every server whose clock agrees. That is a latency device
+// only: a round computes its bounds from the injected hybrid clock exactly as
+// an unaligned one would, so skewed or stepping wall clocks shift a server's
+// phase (its pushes find their inputs a little later) and change nothing else
+// — which is why this one timer reads the host clock rather than the injected
+// millisecond source, which is too coarse to sleep against.
+func (s *Server) runLoop(interval time.Duration, aligned bool, tick func()) {
+	next := func() time.Duration {
+		if !aligned {
+			return interval
 		}
-	}()
-}
-
-// runAdaptiveLoop starts a self-timed background loop for the stabilization
-// plane: it ticks at the base cadence while the stabilizer reports recent
-// data activity and exponentially backs off toward idleMax when quiescent. A
-// wake (stabilizer.markData) snaps the cadence back to base and, if the loop
-// was backed off, fires an immediate tick so the quiescent→active transition
-// does not pay the backed-off wait.
-func (s *Server) runAdaptiveLoop(base, idleMax time.Duration, wake chan struct{}, tick func()) {
+		now := time.Now()
+		return now.Truncate(interval).Add(interval).Sub(now)
+	}
 	s.loopWG.Add(1)
 	go func() {
 		defer s.loopWG.Done()
-		interval := base
-		t := time.NewTimer(interval)
+		t := time.NewTimer(next())
 		defer t.Stop()
 		for {
 			select {
 			case <-s.stopped:
 				return
-			case <-wake:
-				if interval == base {
-					// Already fast; let the pending timer tick on schedule so
-					// a flood of wakes cannot amplify the gossip rate.
-					continue
-				}
-				interval = base
-				if !t.Stop() {
-					<-t.C
-				}
-				tick()
-				t.Reset(interval)
 			case <-t.C:
 				tick()
-				if s.stab.activeNow() {
-					interval = base
-				} else if interval < idleMax {
-					interval *= 2
-					if interval > idleMax {
-						interval = idleMax
-					}
-				}
-				t.Reset(interval)
+				t.Reset(next())
 			}
 		}
 	}()
@@ -696,9 +659,9 @@ func (s *Server) HandleCast(from topology.NodeID, msg wire.Message) {
 	case wire.GSTUp:
 		s.stab.handleUp(from, m)
 	case wire.GSTRoot:
-		s.stab.handleRoot(m)
+		s.stab.handleRoot(from, m)
 	case wire.USTDown:
-		s.stab.handleDown(m)
+		s.stab.handleDown(from, m)
 	}
 }
 

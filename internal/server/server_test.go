@@ -93,6 +93,7 @@ func newTestRigAt(t *testing.T, mode Mode, id topology.NodeID, opts ...func(*Con
 	for _, opt := range opts {
 		opt(&cfg)
 	}
+	topo, rig.topo = cfg.Topology, cfg.Topology // an option may deploy a larger one
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,124 +13,139 @@ import (
 
 // This file implements the UST stabilization protocol (§III-B "UST", §IV-B
 // "Stabilization protocol"). Within each data center the partitions form a
-// binary tree; every ΔG each node pushes the element-wise minimum of its own
-// version vector and its children's aggregates toward the root. Roots
-// exchange their per-DC aggregates (the Global Stabilization Vectors), and
-// every ΔU compute the universal stable time — the minimum version-vector
-// entry anywhere in the system — and push it back down their trees.
+// binary tree; every node pushes the minimum of its own version vector and
+// its children's aggregates toward the root. Roots exchange their per-DC
+// aggregates, compute the universal stable time — the minimum version-vector
+// entry anywhere in the system — and push it back down their trees. The same
+// tree aggregates the oldest active transaction snapshot, which becomes the
+// garbage-collection watermark Sold (§IV-B "Garbage collection").
 //
-// The same tree aggregates the oldest active transaction snapshot, which
-// becomes the garbage-collection watermark Sold (§IV-B "Garbage collection").
+// One round per server, no loop of its own. Every server's apply round starts
+// at the same wall-clock multiple of ΔR (Server.Start) and ends by handing the
+// stabilizer its advanced version-clock entry (roundTick). Each round owes the
+// parent exactly one push, which leaves as soon as every input has refreshed
+// since the previous one — the node's own entry, each peer replica's entry
+// (advanceVV), each child's GSTUp — so an update climbs the tree, crosses the
+// roots and comes back down in hop time instead of waiting out one timer phase
+// per level. An input that is late, lost or dead cannot hold a round hostage:
+// the node's next tick is the round's deadline and pushes whatever is there. A
+// root sends its DC aggregate to the other roots the moment it is complete and
+// recomputes the UST the moment a fresh aggregate from every participating DC
+// is in (deadline: its next tick).
 //
-// Delta/adaptive gossip. A fixed ΔG cadence burns CPU and link bandwidth
-// proportional to cluster size even when nothing is being written — the
-// stabilization plane was the dominant idle cost. Three changes collapse it:
+// None of this is a safety device (docs/INVARIANTS.md, stabilization rule):
+// aggregates are minima of monotone cells, receivers always store, applyStable
+// only ever advances. A push that is early, late, duplicated or lost can at
+// worst leave the UST standing still, which is also what a dead child or a
+// partitioned DC does (§III-C).
 //
-//   - pushes carry a per-sender Epoch that bumps only when the pushed
-//     content changed, and a push whose content is unchanged while the
-//     sender is quiescent is suppressed entirely;
-//   - every gossip message carries an Active bit. A server that applied or
-//     received data marks itself active (markData) for activeWindowMult×ΔG,
-//     and the bit cascades through Up/Root/Down messages, so one write
-//     anywhere snaps the whole system back to the fast cadence within about
-//     one round-trip of tree traversals. Crucially the *advertised* bit
-//     flows acyclically — a node's outgoing GSTUp/GSTRoot bit derives only
-//     from its own data and its own subtree's bits, and the USTDown bit
-//     never feeds back into up-tree advertisements. A received bit always
-//     snaps the receiver's cadence, but a bit that also re-armed the
-//     receiver's advertisement would echo around the Up/Down/Root cycles
-//     forever and the cluster would never quiesce;
-//   - the gossip and UST loops are self-timed: while quiescent the interval
-//     doubles from ΔG up to Config.GossipIdleMax, and a markData wake resets
-//     it to ΔG immediately (server.go runAdaptiveLoop).
-//
-// UST/Sold advancement additionally piggybacks on replication traffic
-// (ReplicateBatch and ReplStatus carry the sender's current values), so on
-// links that already flow with data the dedicated down-tree gossip is pure
-// redundancy and the idle backoff costs no visibility latency there.
-// Config.GossipStatic restores the fixed-cadence full-push plane.
+// Idle rule. Every message carries an Active bit. A server that applied or
+// received data counts as active for activeWindowMult pushes, and the bit
+// cascades through Up/Root/Down messages — acyclically: a node's outgoing
+// GSTUp/GSTRoot bit derives only from its own data and its own subtree's bits,
+// and the USTDown bit never feeds back into up-tree advertisements, or it
+// would echo around the Up/Down/Root cycles forever. The rule is evaluated
+// when a push is due: a node nothing has marked active lets it go at most once
+// per Config.GossipIdleMax and otherwise holds it until the round's deadline.
+// After a quiet spell deadline pushes carry the bit to the root past idle
+// siblings, and a node the parent's bit wakes lets its held push go at once.
+// UST/Sold additionally ride on replication traffic (ReplicateBatch, ReplStatus).
 
-// activeWindowMult is how many ΔG a server counts as data-active after the
-// last observed write activity. Long enough to span a full up-root-down
-// stabilization round with margin, short enough that a quiescent cluster
-// starts backing off within a few tens of milliseconds at the default ΔG.
+// activeWindowMult is how many pushes a server counts as data-active after
+// the last observed write activity. Long enough to span a full up-root-down
+// stabilization round with margin, short enough that a quiescent cluster goes
+// quiet within a few tens of milliseconds at the default ΔG.
 const activeWindowMult = 16
+
+// pushGate times one plane's once-per-round push. Its inputs are numbered
+// slots, of which total exist on this node; only those are ever refreshed.
+type pushGate struct {
+	fresh          []bool // per slot: refreshed since the last push
+	total, missing int    // inputs; those not fresh yet
+	fired          bool   // the current round's push has left
+}
+
+// newPushGate starts in the state a push leaves behind, so the first tick is
+// nobody's deadline.
+func newPushGate(slots, total int) pushGate {
+	return pushGate{fresh: make([]bool, slots), total: total, missing: total, fired: true}
+}
+
+// refresh marks input i fresh and reports whether the round's push is due.
+func (g *pushGate) refresh(i int) bool {
+	if !g.fresh[i] {
+		g.fresh[i] = true
+		g.missing--
+	}
+	return g.missing == 0 && !g.fired
+}
+
+// pushed notes that the round's push left: every input is stale again.
+func (g *pushGate) pushed() {
+	clear(g.fresh)
+	g.missing, g.fired = g.total, true
+}
 
 // stabilizer holds the per-server stabilization state. It is embedded in
 // Server and shares its lifecycle; its own mutex guards only gossip state so
 // gossip never contends with the transaction path.
 type stabilizer struct {
-	srv       *Server
-	isRoot    bool
-	hasParent bool
-	parent    topology.NodeID
-	children  []topology.NodeID
-	// participants are the DCs that host at least one partition and hence
-	// take part in the UST exchange.
-	participants []topology.DCID
-	remoteRoots  []topology.NodeID
-	numDCs       int
+	srv      *Server
+	isRoot   bool
+	parent   topology.NodeID // unless isRoot
+	children []topology.NodeID
+	// remoteRoots are the roots of the other DCs that host at least one
+	// partition and hence take part in the UST exchange (roots only).
+	remoteRoots []topology.NodeID
 
-	// Activity clocks (unix-nano instants). Each tracks one *source* of
-	// activity separately so advertisements stay acyclic: lastData is local
-	// data (applies, data-bearing replication receives); lastSubtree is an
-	// Active bit received from one of this node's children (GSTUp);
-	// lastRemote is an Active bit from a remote DC root (GSTRoot, roots
-	// only); lastRelay is an Active bit from the parent direction (USTDown).
-	// All four snap the adaptive cadence; only data+subtree are re-advertised
-	// up-tree, and only data+subtree+remote are advertised down-tree.
-	lastData    atomic.Int64
-	lastSubtree atomic.Int64
-	lastRemote  atomic.Int64
-	lastRelay   atomic.Int64
-	gossipWake  chan struct{}
-	ustWake     chan struct{}
+	// upEvery/ustEvery stretch a push round over that many ΔR ticks
+	// (⌈ΔG/ΔR⌉, ⌈ΔU/ΔR⌉); idleEvery is GossipIdleMax in ticks.
+	upEvery, ustEvery, idleEvery int64
 
-	// Delta-push state, touched only by the gossip/UST loop goroutines (and
-	// direct-call tests): the last content pushed toward the parent or the
-	// remote roots, and the epoch stamped on it.
-	epoch      uint64
-	lastVec    []hlc.Timestamp
-	lastOldest hlc.Timestamp
-	havePush   bool
-	// Down-push state (roots only): the last USTDown actually broadcast.
-	lastUST  hlc.Timestamp
-	lastSold hlc.Timestamp
-	haveDown bool
+	// round counts this server's ΔR ticks; it is the only clock the plane
+	// reads. The four activity marks hold the round until which one *source*
+	// of activity keeps the node active, separately so advertisements stay
+	// acyclic: dataUntil is local data (applies, data-bearing replication
+	// receives); subtreeUntil an Active bit from a child (GSTUp); remoteUntil
+	// one from a remote DC root (GSTRoot, roots only); relayUntil one from the
+	// parent direction (USTDown). All four keep the node pushing; only
+	// data+subtree are re-advertised up-tree, and only data+subtree+remote
+	// down-tree.
+	round        atomic.Int64
+	dataUntil    atomic.Int64
+	subtreeUntil atomic.Int64
+	remoteUntil  atomic.Int64
+	relayUntil   atomic.Int64
 
-	mu           sync.Mutex
-	childVec     map[topology.NodeID][]hlc.Timestamp
-	childOldest  map[topology.NodeID]hlc.Timestamp
-	remoteVec    map[topology.DCID][]hlc.Timestamp
-	remoteOldest map[topology.DCID]hlc.Timestamp
+	mu sync.Mutex
+	// Up plane. Gate slots: one per DC id for the live version-vector entries
+	// (the own DC's included), then one per child.
+	up          pushGate
+	childMin    []hlc.Timestamp // per child; 0 until it reports, as its entries may be
+	childOldest []hlc.Timestamp
+	lastUp      int64 // round of the last push that was not withheld
+	// Root plane (roots only). Gate slots: one per DC id, for the own DC and
+	// the remote roots'.
+	ust      pushGate
+	dcMin    []hlc.Timestamp // per DC id; 0 until it reports
+	dcOldest []hlc.Timestamp
+	lastDown int64
 }
 
 // init computes the server's position in its DC's aggregation tree.
 func (st *stabilizer) init(s *Server) {
 	st.srv = s
-	st.numDCs = s.cfg.Topology.NumDCs()
-	st.gossipWake = make(chan struct{}, 1)
-	st.ustWake = make(chan struct{}, 1)
-	st.childVec = make(map[topology.NodeID][]hlc.Timestamp)
-	st.childOldest = make(map[topology.NodeID]hlc.Timestamp)
-	st.remoteVec = make(map[topology.DCID][]hlc.Timestamp)
-	st.remoteOldest = make(map[topology.DCID]hlc.Timestamp)
+	topo, numDCs := s.cfg.Topology, s.cfg.Topology.NumDCs()
+	rounds := func(d time.Duration) int64 { // ⌈d/ΔR⌉, at least one
+		return max(1, int64((d+s.cfg.ApplyInterval-1)/s.cfg.ApplyInterval))
+	}
+	st.upEvery, st.ustEvery, st.idleEvery = rounds(s.cfg.GossipInterval), rounds(s.cfg.USTInterval), rounds(s.cfg.GossipIdleMax)
+	st.lastUp, st.lastDown = -st.idleEvery, -st.idleEvery // the first push is never withheld
 
-	local := s.cfg.Topology.PartitionsAt(s.self.DC) // ascending
-	idx := -1
-	for i, p := range local {
-		if p == s.self.Partition() {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		// New() already validated replication; unreachable.
-		idx = 0
-	}
+	local := topo.PartitionsAt(s.self.DC) // ascending
+	idx := max(0, slices.Index(local, s.self.Partition()))
 	st.isRoot = idx == 0
-	if idx > 0 {
-		st.hasParent = true
+	if !st.isRoot {
 		st.parent = topology.ServerID(s.self.DC, local[(idx-1)/2])
 	}
 	for _, c := range []int{2*idx + 1, 2*idx + 2} {
@@ -137,261 +153,259 @@ func (st *stabilizer) init(s *Server) {
 			st.children = append(st.children, topology.ServerID(s.self.DC, local[c]))
 		}
 	}
-	if st.isRoot {
-		for _, dc := range s.cfg.Topology.AllDCs() {
-			ps := s.cfg.Topology.PartitionsAt(dc)
-			if len(ps) == 0 {
-				continue // a DC with no partitions has no servers to gossip with
-			}
-			st.participants = append(st.participants, dc)
-			if dc != s.self.DC {
-				st.remoteRoots = append(st.remoteRoots, topology.ServerID(dc, ps[0]))
-			}
+	st.childMin = make([]hlc.Timestamp, len(st.children))
+	st.childOldest = make([]hlc.Timestamp, len(st.children))
+	st.up = newPushGate(numDCs+len(st.children), len(topo.ReplicaDCs(s.self.Partition()))+len(st.children))
+	if !st.isRoot {
+		return
+	}
+	for _, dc := range topo.AllDCs() {
+		// A DC with no partitions has no servers to gossip with.
+		if ps := topo.PartitionsAt(dc); len(ps) > 0 && dc != s.self.DC {
+			st.remoteRoots = append(st.remoteRoots, topology.ServerID(dc, ps[0]))
 		}
 	}
+	st.ust = newPushGate(numDCs, len(st.remoteRoots)+1)
+	st.dcMin = make([]hlc.Timestamp, numDCs)
+	st.dcOldest = make([]hlc.Timestamp, numDCs)
 }
 
-// localContribution builds this partition's slice of the GSV: entry j is the
-// version-vector entry tracking DC j when this partition is replicated
-// there, or +∞ (MaxTimestamp) when it is not — undefined entries never
-// constrain the minimum. It also reports the partition's oldest active
-// snapshot (or its current UST when no transaction is running).
-func (st *stabilizer) localContribution() ([]hlc.Timestamp, hlc.Timestamp) {
+// stabSends is what one stabilizer step decided to send, collected under
+// st.mu and cast after it is released.
+type stabSends struct {
+	up, root, down bool
+	upMsg          wire.GSTUp
+	rootMsg        wire.GSTRoot
+	downMsg        wire.USTDown // its UST, if any, is applied even when down is not set
+}
+
+func (st *stabilizer) send(o *stabSends) {
 	s := st.srv
-	vec := make([]hlc.Timestamp, st.numDCs)
-	for i := range vec {
-		vec[i] = hlc.MaxTimestamp
+	if o.up {
+		_ = s.peer.Cast(st.parent, o.upMsg)
+		s.metrics.gossipSent.Add(1)
 	}
-	// Version-vector entries and the UST are atomics; the context table is
-	// visited shard by shard. The gossip tick therefore never blocks — or is
-	// blocked by — the client-operation path.
-	for dc := range s.vv {
-		if s.vvLive[dc] && dc < len(vec) {
-			vec[dc] = s.vv[dc].Load()
+	if o.root {
+		var msg wire.Message = o.rootMsg // boxed once for every root
+		for _, root := range st.remoteRoots {
+			_ = s.peer.Cast(root, msg)
+			s.metrics.gossipSent.Add(1)
 		}
 	}
-	oldest := s.txCtx.minSnapshot(s.ust.Load())
-	return vec, oldest
+	if o.downMsg.UST != 0 {
+		s.applyStable(o.downMsg.UST, o.downMsg.Sold)
+	}
+	if o.down {
+		st.pushDown(o.downMsg)
+	}
 }
 
-// noteActivity stamps one activity clock and wakes the adaptive loops so the
-// stabilization cadence snaps back to ΔG.
-func (st *stabilizer) noteActivity(slot *atomic.Int64) {
-	//lint:ignore paris/ctxdeadline gossip-cadence activity window on the local clock; never exchanged with peers, no protocol decision depends on it
-	slot.Store(time.Now().UnixNano())
-	select {
-	case st.gossipWake <- struct{}{}:
-	default:
-	}
-	if st.isRoot {
-		select {
-		case st.ustWake <- struct{}{}:
-		default:
+// roundTick ends an apply round: own reports whether the round advanced the
+// server's own version-clock entry (not during a recovery hold). The tick is
+// the previous round's deadline — a push that never became ready leaves now —
+// and the start of the next.
+func (st *stabilizer) roundTick(own bool) {
+	var out stabSends
+	st.mu.Lock()
+	r := st.round.Add(1)
+	if r%st.upEvery == 0 {
+		if !st.up.fired {
+			st.pushUpLocked(&out)
+		}
+		st.up.fired = false
+		if own && st.up.refresh(int(st.srv.self.DC)) {
+			st.pushUpLocked(&out)
 		}
 	}
+	if st.isRoot && r%st.ustEvery == 0 {
+		if !st.ust.fired {
+			st.computeUSTLocked(&out)
+		}
+		st.ust.fired = false
+	}
+	st.mu.Unlock()
+	st.send(&out)
+}
+
+// vvRefreshed notes that a peer replica's version-vector entry was refreshed
+// by its replication stream.
+func (st *stabilizer) vvRefreshed(dc topology.DCID) {
+	var out stabSends
+	st.mu.Lock()
+	if st.up.refresh(int(dc)) {
+		st.pushUpLocked(&out)
+	}
+	st.mu.Unlock()
+	st.send(&out)
+}
+
+// woken lets the round's push go if only the idle rule was holding it: the
+// parent's Active bit has just arrived.
+func (st *stabilizer) woken() {
+	var out stabSends
+	st.mu.Lock()
+	if st.up.missing == 0 && !st.up.fired {
+		st.pushUpLocked(&out)
+	}
+	st.mu.Unlock()
+	st.send(&out)
+}
+
+// idleHold applies the idle rule to a push that is due: a node nothing marks
+// active lets it go only every idleEvery rounds. last is the plane's last
+// released push.
+func (st *stabilizer) idleHold(last *int64) bool {
+	r := st.round.Load()
+	if !st.activeNow() && r-*last < st.idleEvery {
+		st.srv.metrics.gossipSuppressed.Add(1)
+		return true
+	}
+	*last = r
+	return false
+}
+
+// pushUpLocked takes the up plane's push for this round: the minimum over the
+// node's live version-vector entries and its children's aggregates goes to the
+// parent; at the root it is the DC aggregate, which goes to the other roots
+// and into the UST computation. The oldest active snapshot (or the server's
+// UST when no transaction is running) rides along. Caller holds st.mu.
+func (st *stabilizer) pushUpLocked(out *stabSends) {
+	if st.idleHold(&st.lastUp) {
+		return // the round stays open: a node woken before its deadline pushes then (woken)
+	}
+	st.up.pushed()
+	s := st.srv
+	// Version-vector entries and the UST are atomics; the context table is
+	// visited shard by shard. The push never blocks — or is blocked by — the
+	// client-operation path.
+	low, oldest := s.installedLowerBound(), s.txCtx.minSnapshot(s.ust.Load())
+	for j := range st.children {
+		low, oldest = hlc.Min(low, st.childMin[j]), hlc.Min(oldest, st.childOldest[j])
+	}
+	if !st.isRoot {
+		out.up, out.upMsg = true, wire.GSTUp{Active: st.upActive(), Min: low, Oldest: oldest}
+		return
+	}
+	st.dcMin[s.self.DC], st.dcOldest[s.self.DC] = low, oldest
+	out.root, out.rootMsg = true, wire.GSTRoot{DC: s.self.DC, Active: st.upActive(), Min: low, Oldest: oldest}
+	if st.ust.refresh(int(s.self.DC)) {
+		st.computeUSTLocked(out)
+	}
+}
+
+// computeUSTLocked runs on roots only (Alg. 4 lines 36–38): the UST is the
+// minimum entry across every DC's aggregate. A participating DC that has not
+// reported yet holds the minimum at 0 and the UST cannot advance — which is
+// also exactly the availability behaviour of §III-C: a partitioned DC freezes
+// the UST everywhere. The announcement goes down all the same: it is also how
+// the root's Active bit reaches the subtree whose reports the UST is waiting
+// for. Caller holds st.mu.
+func (st *stabilizer) computeUSTLocked(out *stabSends) {
+	st.ust.pushed()
+	own := st.srv.self.DC
+	ust, sold := st.dcMin[own], st.dcOldest[own]
+	for _, root := range st.remoteRoots {
+		ust, sold = hlc.Min(ust, st.dcMin[root.DC]), hlc.Min(sold, st.dcOldest[root.DC])
+	}
+	// Idle, the subtree already holds these values or will get them with the
+	// next replication batch.
+	out.downMsg, out.down = wire.USTDown{UST: ust, Sold: sold, Active: st.downActive()}, !st.idleHold(&st.lastDown)
+}
+
+// noteActivity extends one activity mark by the active window.
+func (st *stabilizer) noteActivity(until *atomic.Int64) {
+	until.Store(st.round.Load() + activeWindowMult*st.upEvery)
 }
 
 // markData records local data activity (an apply or a data-bearing
 // replication receive).
-func (st *stabilizer) markData() { st.noteActivity(&st.lastData) }
+func (st *stabilizer) markData() { st.noteActivity(&st.dataUntil) }
 
-// fresh reports whether an activity clock moved within the last
-// activeWindowMult gossip intervals.
-func (st *stabilizer) fresh(slot *atomic.Int64) bool {
-	last := slot.Load()
-	if last == 0 {
-		return false
-	}
-	//lint:ignore paris/ctxdeadline gossip-cadence activity window on the local clock; never exchanged with peers, no protocol decision depends on it
-	return time.Now().UnixNano()-last < int64(activeWindowMult*st.srv.cfg.GossipInterval)
+func (st *stabilizer) fresh(until *atomic.Int64) bool {
+	return st.round.Load() < until.Load()
 }
 
 // upActive is the bit advertised up-tree (GSTUp) and root-to-root (GSTRoot):
 // this node or its subtree recently saw data. Received Down/Root bits are
 // deliberately excluded — including them would close an advertisement cycle.
 func (st *stabilizer) upActive() bool {
-	return st.fresh(&st.lastData) || st.fresh(&st.lastSubtree)
+	return st.fresh(&st.dataUntil) || st.fresh(&st.subtreeUntil)
 }
 
 // downActive is the bit advertised down-tree (USTDown): any DC recently saw
-// data. It terminates at the leaves (handleDown only snaps cadence).
+// data. It terminates at the leaves (handleDown only keeps them pushing).
 func (st *stabilizer) downActive() bool {
-	return st.upActive() || st.fresh(&st.lastRemote)
+	return st.upActive() || st.fresh(&st.remoteUntil)
 }
 
 // activeNow reports whether any activity — local, subtree, remote, or
-// relayed — was observed within the window. It drives the adaptive cadence
-// and push suppression, never an advertised bit.
+// relayed — was observed within the window. It drives the idle rule, never
+// an advertised bit.
 func (st *stabilizer) activeNow() bool {
-	return st.downActive() || st.fresh(&st.lastRelay)
+	return st.downActive() || st.fresh(&st.relayUntil)
 }
 
-// gossipTick runs every ΔG on every server: aggregate the subtree and push
-// toward the root; the root additionally broadcasts its DC aggregate to the
-// other DC roots. In delta mode an unchanged aggregate on a quiescent server
-// is not pushed at all — the parent (or remote root) already holds it.
-func (st *stabilizer) gossipTick() {
-	vec, oldest := st.aggregateSubtree()
-	static := st.srv.cfg.GossipStatic
-	active := !static && st.upActive()
-	changed := !st.havePush || oldest != st.lastOldest || !tsSliceEqual(vec, st.lastVec)
-	if !static && !changed && !st.activeNow() {
-		st.srv.metrics.gossipSuppressed.Add(1)
-		return
-	}
-	if changed {
-		st.epoch++
-		st.lastVec = append(st.lastVec[:0], vec...)
-		st.lastOldest = oldest
-		st.havePush = true
-	}
-	if st.hasParent {
-		_ = st.srv.peer.Cast(st.parent, wire.GSTUp{Epoch: st.epoch, Active: active, Vec: vec, Oldest: oldest})
-		st.srv.metrics.gossipSent.Add(1)
-		return
-	}
-	// Root: remember the DC aggregate and share it with the other roots.
-	st.mu.Lock()
-	st.remoteVec[st.srv.self.DC] = vec
-	st.remoteOldest[st.srv.self.DC] = oldest
-	st.mu.Unlock()
-	msg := wire.GSTRoot{DC: st.srv.self.DC, Epoch: st.epoch, Active: active, Vec: vec, Oldest: oldest}
-	for _, root := range st.remoteRoots {
-		_ = st.srv.peer.Cast(root, msg)
-		st.srv.metrics.gossipSent.Add(1)
-	}
-}
-
-// tsSliceEqual reports element-wise equality of two timestamp vectors.
-func tsSliceEqual(a, b []hlc.Timestamp) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// aggregateSubtree folds the node's own contribution with the last-known
-// child aggregates.
-func (st *stabilizer) aggregateSubtree() ([]hlc.Timestamp, hlc.Timestamp) {
-	vec, oldest := st.localContribution()
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, child := range st.children {
-		cv, ok := st.childVec[child]
-		if !ok {
-			// No aggregate from this child yet: its subtree may hold entries
-			// at 0, so the subtree minimum cannot exceed 0.
-			for i := range vec {
-				vec[i] = 0
-			}
-			oldest = 0
-			continue
-		}
-		for i := range vec {
-			if cv[i] < vec[i] {
-				vec[i] = cv[i]
-			}
-		}
-		if co := st.childOldest[child]; co < oldest {
-			oldest = co
-		}
-	}
-	return vec, oldest
-}
-
-// handleUp stores a child's subtree aggregate. Pushes are always stored
-// regardless of epoch — the epoch is the sender's change marker, not an
-// acceptance filter, so a receiver restart can never wedge the stream.
+// handleUp stores a child's subtree aggregate. Only a child's word counts:
+// anything else would overwrite nothing but could pass for a refreshed input.
 func (st *stabilizer) handleUp(from topology.NodeID, m wire.GSTUp) {
-	if len(m.Vec) != st.numDCs {
-		return // malformed; ignore
+	j := slices.Index(st.children, from)
+	if j < 0 {
+		return
 	}
-	st.mu.Lock()
-	st.childVec[from] = m.Vec
-	st.childOldest[from] = m.Oldest
-	st.mu.Unlock()
 	if m.Active {
-		st.noteActivity(&st.lastSubtree)
+		st.noteActivity(&st.subtreeUntil)
 	}
+	var out stabSends
+	st.mu.Lock()
+	st.childMin[j], st.childOldest[j] = m.Min, m.Oldest
+	if st.up.refresh(len(st.srv.vv) + j) {
+		st.pushUpLocked(&out)
+	}
+	st.mu.Unlock()
+	st.send(&out)
 }
 
-// handleRoot stores a remote DC root's aggregate (GSV exchange).
-func (st *stabilizer) handleRoot(m wire.GSTRoot) {
-	if len(m.Vec) != st.numDCs {
+// handleRoot stores a remote DC root's aggregate. It must come from the root
+// of the participating DC it names, and never name this root's own DC — that
+// aggregate is the one it computed itself.
+func (st *stabilizer) handleRoot(from topology.NodeID, m wire.GSTRoot) {
+	if m.DC != from.DC || !slices.Contains(st.remoteRoots, from) {
 		return
 	}
-	st.mu.Lock()
-	st.remoteVec[m.DC] = m.Vec
-	st.remoteOldest[m.DC] = m.Oldest
-	st.mu.Unlock()
 	if m.Active {
-		st.noteActivity(&st.lastRemote)
+		st.noteActivity(&st.remoteUntil)
 	}
-}
-
-// ustTick runs every ΔU on roots only (Alg. 4 lines 36–38): the UST is the
-// minimum defined entry across every DC's aggregate. If any participating
-// DC has not reported yet the minimum is unknown and the UST cannot advance
-// — which is also exactly the availability behaviour of §III-C: a
-// partitioned DC freezes the UST everywhere.
-func (st *stabilizer) ustTick() {
+	var out stabSends
 	st.mu.Lock()
-	minGST := hlc.MaxTimestamp
-	oldest := hlc.MaxTimestamp
-	complete := true
-	for _, dc := range st.participants {
-		vec, ok := st.remoteVec[dc]
-		if !ok {
-			complete = false
-			break
-		}
-		for _, ts := range vec {
-			if ts < minGST {
-				minGST = ts
-			}
-		}
-		if o := st.remoteOldest[dc]; o < oldest {
-			oldest = o
-		}
+	st.dcMin[m.DC], st.dcOldest[m.DC] = m.Min, m.Oldest
+	if st.ust.refresh(int(m.DC)) {
+		st.computeUSTLocked(&out)
 	}
 	st.mu.Unlock()
-	if !complete || minGST == hlc.MaxTimestamp {
-		return
-	}
-	st.srv.applyStable(minGST, oldest)
-	static := st.srv.cfg.GossipStatic
-	active := !static && st.downActive()
-	if !static && !st.activeNow() && st.haveDown && minGST == st.lastUST && oldest == st.lastSold {
-		// Nothing moved and nothing is flowing: the subtree already holds
-		// these exact values.
-		st.srv.metrics.gossipSuppressed.Add(1)
-		return
-	}
-	st.lastUST, st.lastSold, st.haveDown = minGST, oldest, true
-	st.pushDown(wire.USTDown{UST: minGST, Sold: oldest, Active: active})
+	st.send(&out)
 }
 
-// handleDown applies a UST/Sold announcement and forwards it down the tree
-// unconditionally — suppression is a sender-side decision only, so a
+// handleDown applies the parent's UST/Sold announcement and forwards it down
+// the tree unconditionally — withholding is the root's decision only, so a
 // forwarded announcement always reaches the leaves.
-func (st *stabilizer) handleDown(m wire.USTDown) {
-	st.srv.applyStable(m.UST, m.Sold)
-	if m.Active {
-		// Cadence-only: a relayed Down bit must never re-arm this node's
-		// own up-tree advertisement, or the bit would circulate forever.
-		st.noteActivity(&st.lastRelay)
+func (st *stabilizer) handleDown(from topology.NodeID, m wire.USTDown) {
+	if st.isRoot || from != st.parent {
+		return
 	}
+	st.srv.applyStable(m.UST, m.Sold)
 	st.pushDown(m)
+	if m.Active {
+		// A relayed Down bit must never re-arm this node's own up-tree
+		// advertisement, or the bit would circulate forever.
+		st.noteActivity(&st.relayUntil)
+		st.woken()
+	}
 }
 
 func (st *stabilizer) pushDown(m wire.USTDown) {
+	var msg wire.Message = m
 	for _, child := range st.children {
-		_ = st.srv.peer.Cast(child, m)
+		_ = st.srv.peer.Cast(child, msg)
 		st.srv.metrics.gossipSent.Add(1)
 	}
 }

@@ -87,6 +87,7 @@ func AppendMessageV(buf []byte, msg Message, v Version) []byte {
 		e.id(m.TxID)
 		e.ts(m.ClientUST)
 		e.strings(m.Keys)
+		e.cached(m.Cached)
 	case ReadResp:
 		e.id(m.TxID)
 		e.ts(m.Snapshot)
@@ -183,15 +184,13 @@ func AppendMessageV(buf []byte, msg Message, v Version) []byte {
 		e.u32(uint32(m.SrcDC))
 		e.ts(m.TS)
 	case GSTUp:
-		e.u64(m.Epoch)
 		e.bool(m.Active)
-		e.tss(m.Vec)
+		e.ts(m.Min)
 		e.ts(m.Oldest)
 	case GSTRoot:
 		e.u32(uint32(m.DC))
-		e.u64(m.Epoch)
 		e.bool(m.Active)
-		e.tss(m.Vec)
+		e.ts(m.Min)
 		e.ts(m.Oldest)
 	case USTDown:
 		e.ts(m.UST)
@@ -234,7 +233,7 @@ func DecodeV(data []byte, v Version) (Message, error) {
 	case KindStartTxResp:
 		msg = StartTxResp{TxID: r.id(), Snapshot: r.ts()}
 	case KindReadReq:
-		msg = ReadReq{TxID: r.id(), ClientUST: r.ts(), Keys: r.strings()}
+		msg = ReadReq{TxID: r.id(), ClientUST: r.ts(), Keys: r.strings(), Cached: r.cached()}
 	case KindReadResp:
 		msg = ReadResp{TxID: r.id(), Snapshot: r.ts(), Items: r.items()}
 	case KindCommitReq:
@@ -306,9 +305,9 @@ func DecodeV(data []byte, v Version) (Message, error) {
 	case KindHeartbeat:
 		msg = Heartbeat{SrcDC: topology.DCID(r.u32()), TS: r.ts()}
 	case KindGSTUp:
-		msg = GSTUp{Epoch: r.u64(), Active: r.bool(), Vec: r.tss(), Oldest: r.ts()}
+		msg = GSTUp{Active: r.bool(), Min: r.ts(), Oldest: r.ts()}
 	case KindGSTRoot:
-		msg = GSTRoot{DC: topology.DCID(r.u32()), Epoch: r.u64(), Active: r.bool(), Vec: r.tss(), Oldest: r.ts()}
+		msg = GSTRoot{DC: topology.DCID(r.u32()), Active: r.bool(), Min: r.ts(), Oldest: r.ts()}
 	case KindUSTDown:
 		msg = USTDown{UST: r.ts(), Sold: r.ts(), Active: r.bool()}
 	case KindHello:
@@ -436,10 +435,11 @@ func (e *enc) strings(ss []string) {
 	}
 }
 
-func (e *enc) tss(tss []hlc.Timestamp) {
-	e.count(len(tss))
-	for _, t := range tss {
-		e.ts(t)
+func (e *enc) cached(cks []CachedKey) {
+	e.count(len(cks))
+	for _, ck := range cks {
+		e.string(ck.Key)
+		e.ts(ck.UT)
 	}
 }
 
@@ -708,20 +708,16 @@ func (r *reader) strings() []string {
 	return ss
 }
 
-func (r *reader) tss() []hlc.Timestamp {
+func (r *reader) cached() []CachedKey {
 	n := r.sliceLen()
 	if n == 0 {
 		return nil
 	}
-	if n*r.minElem(8) > len(r.buf) {
-		r.fail()
-		return nil
-	}
-	tss := make([]hlc.Timestamp, 0, n)
+	cks := make([]CachedKey, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
-		tss = append(tss, r.ts())
+		cks = append(cks, CachedKey{Key: r.string(), UT: r.ts()})
 	}
-	return tss
+	return cks
 }
 
 func (r *reader) kvs() []KV {

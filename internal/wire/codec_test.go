@@ -21,6 +21,9 @@ func sampleMessages() []Message {
 		ReadReq{TxID: NewTxID(0, 0, 1), Keys: []string{"a", "bb", ""}},
 		ReadReq{TxID: NewTxID(1, 2, 3)},
 		ReadReq{ClientUST: hlc.New(654, 3), Keys: []string{"first"}}, // starts the transaction
+		ReadReq{ClientUST: hlc.New(654, 3), Keys: []string{"first"}, // ... with two keys the write cache holds
+			Cached: []CachedKey{{Key: "mine", UT: hlc.New(650, 1)}, {Key: "", UT: hlc.MaxTimestamp}}},
+		ReadReq{Cached: []CachedKey{{Key: "only", UT: 1}}},
 		ReadResp{},
 		ReadResp{TxID: NewTxID(2, 5, 77), Snapshot: hlc.New(700, 0), Items: []Item{
 			{Key: "x", Value: []byte{1, 2, 3}, UT: hlc.New(5, 0), TxID: 9, SrcDC: 2},
@@ -76,9 +79,9 @@ func sampleMessages() []Message {
 			}},
 		ReplicateBatch{SrcDC: 0, UpTo: hlc.New(70, 0)},
 		Heartbeat{SrcDC: 2, TS: hlc.New(40, 9)},
-		GSTUp{Epoch: 12, Active: true, Vec: []hlc.Timestamp{1, hlc.MaxTimestamp, 3}, Oldest: 2},
+		GSTUp{Active: true, Min: hlc.New(12, 3), Oldest: 2},
 		GSTUp{},
-		GSTRoot{DC: 1, Epoch: 4, Active: true, Vec: []hlc.Timestamp{7, 8}, Oldest: 6},
+		GSTRoot{DC: 1, Active: true, Min: hlc.MaxTimestamp, Oldest: 6},
 		ReplStatus{SrcDC: 2, Epoch: 5, NextSeq: 18, UpTo: hlc.New(44, 1),
 			UST: hlc.New(43, 0), Sold: hlc.New(40, 0), QueuedBytes: 1 << 20},
 		ReplStatus{},
@@ -113,6 +116,9 @@ func normalize(m Message) Message {
 	switch v := m.(type) {
 	case ReadReq:
 		v.Keys = normStrings(v.Keys)
+		if len(v.Cached) == 0 {
+			v.Cached = nil
+		}
 		return v
 	case ReadResp:
 		v.Items = normItems(v.Items)
@@ -165,16 +171,6 @@ func normalize(m Message) Message {
 			for i := range g.Txns {
 				g.Txns[i].Writes = normKVs(g.Txns[i].Writes)
 			}
-		}
-		return v
-	case GSTUp:
-		if len(v.Vec) == 0 {
-			v.Vec = nil
-		}
-		return v
-	case GSTRoot:
-		if len(v.Vec) == 0 {
-			v.Vec = nil
 		}
 		return v
 	default:

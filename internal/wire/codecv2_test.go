@@ -77,14 +77,14 @@ func TestV2TimestampDeltaWraparound(t *testing.T) {
 		{5, 5},
 		{hlc.New(1<<47, 0), hlc.New(1, 1<<15)},
 	}
-	for _, vec := range pairs {
-		msg := GSTUp{Epoch: 1, Vec: vec, Oldest: vec[len(vec)-1]}
+	for _, pair := range pairs {
+		msg := GSTUp{Min: pair[0], Oldest: pair[1]}
 		got, err := DecodeV(EncodeV(msg, V2), V2)
 		if err != nil {
-			t.Fatalf("vec %v: %v", vec, err)
+			t.Fatalf("pair %v: %v", pair, err)
 		}
 		if !equalMessages(msg, got) {
-			t.Fatalf("delta chain corrupted %v -> %#v", vec, got)
+			t.Fatalf("delta chain corrupted %v -> %#v", pair, got)
 		}
 	}
 }

@@ -234,10 +234,25 @@ func (StartTxResp) Kind() Kind { return KindStartTxResp }
 // TxID makes it the transaction's first operation: the coordinator starts the
 // transaction with ClientUST (the role StartTxReq.ClientUST plays) before
 // serving the read. ClientUST is ignored otherwise.
+//
+// Cached lists keys the client's write cache holds, which it may consult only
+// under a known snapshot — and on a first operation the snapshot is fixed by
+// this very request. The coordinator reads exactly those whose cached version
+// the snapshot has passed (UT ≤ snapshot: the client will prune that entry on
+// seeing the snapshot, so the store's answer is the one it needs) and returns
+// them among Items; the others stay the cache's to answer.
 type ReadReq struct {
 	TxID      TxID
 	ClientUST hlc.Timestamp
 	Keys      []string
+	Cached    []CachedKey
+}
+
+// CachedKey is one ReadReq.Cached entry: a key and the update time of the
+// version the client's write cache holds for it.
+type CachedKey struct {
+	Key string
+	UT  hlc.Timestamp
 }
 
 // Kind implements Message.
@@ -567,8 +582,8 @@ type ReplicateBatch struct {
 	Groups []ReplicateGroup
 	UpTo   hlc.Timestamp
 	// UST and Sold piggyback the sender's universally stable time and GC
-	// watermark on replication traffic that is flowing anyway, so the
-	// dedicated stabilization gossip can back off between vector changes.
+	// watermark on replication traffic that is flowing anyway, so a root
+	// that has gone idle may withhold its dedicated down-tree pushes.
 	// Any node may adopt them by monotonic max: a published UST/Sold pair
 	// was certified by a complete root round, so it is a valid lower bound
 	// everywhere. Zero means "no information" (sender predates piggyback
@@ -601,39 +616,36 @@ type Heartbeat struct {
 // Kind implements Message.
 func (Heartbeat) Kind() Kind { return KindHeartbeat }
 
-// GSTUp flows from a child to its parent in the intra-DC aggregation tree.
-// Vec[j] is the minimum, over the subtree, of the version-vector entries
-// tracking data center j (hlc.MaxTimestamp where undefined). Oldest is the
-// minimum active-snapshot watermark used for garbage collection.
-//
-// Epoch is the sender's monotone push counter — it bumps once per push whose
-// content differs from the previous push, so a receiver (or a metrics
-// scraper) can tell fresh information from a periodic re-send. Receivers
-// always store the carried vector regardless of Epoch: a restarted sender's
-// epoch resets, and the aggregation itself is safe against duplicates.
+// GSTUp flows from a child to its parent in the intra-DC aggregation tree,
+// once per stabilization round. Min is the minimum, over the sender's
+// subtree, of every version-vector entry a server there tracks — the only
+// thing the UST computation ever reads, so no per-DC vector travels. Oldest
+// is the minimum active-snapshot watermark used for garbage collection.
+// Receivers always store what arrives: a restarted sender legitimately
+// reports lower values, and the aggregation is safe against duplicates,
+// reordering and loss (the worst outcome is a UST that stands still).
 //
 // Active propagates data activity through the stabilization plane: it is set
-// while the sender has recently committed, applied remote data, or heard an
-// Active gossip itself. Receivers snap their adaptive gossip cadence to the
-// fast interval while Active messages arrive, so one busy DC pulls every
-// quiescent DC's contribution loop back to full speed within a round trip.
+// while the sender has recently committed or applied remote data, or heard an
+// Active GSTUp from its own subtree. A receiver that hears an Active message
+// keeps pushing every round; without one it falls back to one push per
+// Config.GossipIdleMax.
 type GSTUp struct {
-	Epoch  uint64
 	Active bool
-	Vec    []hlc.Timestamp
+	Min    hlc.Timestamp
 	Oldest hlc.Timestamp
 }
 
 // Kind implements Message.
 func (GSTUp) Kind() Kind { return KindGSTUp }
 
-// GSTRoot carries one DC root's aggregated vector (its GSV) to the roots of
-// the other data centers. Epoch and Active behave as on GSTUp.
+// GSTRoot carries one DC root's aggregate — the minimum over every server of
+// data center DC — to the roots of the other data centers. Active behaves as
+// on GSTUp.
 type GSTRoot struct {
 	DC     topology.DCID
-	Epoch  uint64
 	Active bool
-	Vec    []hlc.Timestamp
+	Min    hlc.Timestamp
 	Oldest hlc.Timestamp
 }
 
@@ -643,7 +655,7 @@ func (GSTRoot) Kind() Kind { return KindGSTRoot }
 // USTDown propagates the universal stable time and the garbage-collection
 // watermark from the DC root down the tree to every partition. Active
 // behaves as on GSTUp: a root that has seen recent activity (its own or a
-// remote root's) wakes its whole subtree to the fast gossip cadence.
+// remote root's) keeps its whole subtree pushing every round.
 type USTDown struct {
 	UST    hlc.Timestamp
 	Sold   hlc.Timestamp

@@ -51,7 +51,11 @@ func ApproxSize(msg Message) int {
 		}
 		return n
 	case ReadReq:
-		return 1 + 8 + tsSize + 4 + keysSize(m.Keys)
+		n := 1 + 8 + tsSize + 4 + keysSize(m.Keys) + 4
+		for _, ck := range m.Cached {
+			n += 4 + len(ck.Key) + tsSize
+		}
+		return n
 	case ReadResp:
 		return 1 + 8 + tsSize + 4 + itemsSize(m.Items)
 	case ReadSliceReq:
@@ -60,10 +64,6 @@ func ApproxSize(msg Message) int {
 		return 1 + 4 + itemsSize(m.Items)
 	case CommitReq:
 		return 1 + 8 + tsSize + tsSize + 4 + kvsSize(m.Writes)
-	case GSTUp:
-		return 1 + 8 + 1 + tsSize + 4 + tsSize*len(m.Vec)
-	case GSTRoot:
-		return 1 + 4 + 8 + 1 + tsSize + 4 + tsSize*len(m.Vec)
 	case ReplStatus:
 		return 1 + 4 + 8 + 8 + tsSize*3 + 8
 	default:

@@ -114,6 +114,33 @@ func testMessageBudget(t *testing.T, mode Mode) {
 		tx.Abandon()
 	}))
 
+	// A first read of keys the write cache holds (PaRiS; BPR keeps no cache)
+	// is still one round, whichever way the snapshot decides them: the keys
+	// travel beside the request with their cached times, and the coordinator
+	// reads the ones the snapshot has passed. Straight after the commit the
+	// entry usually survives; once the write is universally stable it cannot.
+	ct, err := s.Put(ctx, map[string][]byte{keys[1]: []byte("w")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stable := range []bool{false, true} {
+		if stable && !c.WaitForUST(ct, 5*time.Second) {
+			t.Fatal("the write never became universally stable")
+		}
+		expect("Get of a cached key", spent(func() {
+			vals, err := s.Get(ctx, keys[1], keys[3])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(vals[keys[1]]) != "w" {
+				t.Errorf("read %q, want the session's own write (stable=%v)", vals[keys[1]], stable)
+			}
+		}), wire.KindReadReq, wire.KindReadResp, wire.KindFinishTx)
+	}
+	if mode == ModeNonBlocking && s.Client().CacheSize() != 0 {
+		t.Errorf("cache holds %d entries after a snapshot past every write", s.Client().CacheSize())
+	}
+
 	// Starting late changes nothing a session can observe: its own write is
 	// there (from the cache in PaRiS; in BPR the read blocks until installed).
 	vals, err := s.Get(ctx, keys[0], keys[2])

@@ -131,7 +131,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			GossipInterval:   full.GossipInterval,
 			USTInterval:      full.USTInterval,
 			GossipIdleMax:    full.GossipIdleMax,
-			GossipStatic:     full.GossipStatic,
 			GCInterval:       full.GCInterval,
 			TxContextTTL:     full.TxContextTTL,
 			CallTimeout:      full.CallTimeout,

@@ -47,7 +47,6 @@ HIGHER_IS_BETTER = {
     "repl_msgs_per_op_reduction",
     "codec_bytes_reduction",
     "codec_bulk_bytes_reduction",
-    "gossip_idle_reduction",
 }
 
 
