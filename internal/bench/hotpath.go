@@ -309,6 +309,9 @@ type tcpCluster struct {
 	clients []*transport.TCPNode
 }
 
+// tcpApplyInterval is the loopback-TCP deployment's round (ΔR).
+const tcpApplyInterval = 5 * time.Millisecond
+
 func newTCPCluster(o Options, visSample int) (*tcpCluster, error) {
 	topo, err := topology.New(3, 3, 2)
 	if err != nil {
@@ -319,7 +322,7 @@ func newTCPCluster(o Options, visSample int) (*tcpCluster, error) {
 		srv, err := server.New(server.Config{
 			ID:               id,
 			Topology:         topo,
-			ApplyInterval:    5 * time.Millisecond,
+			ApplyInterval:    tcpApplyInterval,
 			GossipInterval:   5 * time.Millisecond,
 			USTInterval:      5 * time.Millisecond,
 			VisibilitySample: visSample,

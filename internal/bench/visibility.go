@@ -37,9 +37,15 @@ import (
 type VisSummary struct {
 	Samples       int
 	P50, P95, P99 time.Duration
+	// MultiRound is the share of samples visible only after more than one
+	// round (ΔR): a commit waits half a round for the next one on average and
+	// then only for hops, so this share is where rounds lost to the plane
+	// show up as a number rather than as noise in the percentiles.
+	MultiRound float64
 }
 
-func summarizeVis(samples []time.Duration) VisSummary {
+// summarizeVis sorts samples and summarizes them against the arm's round.
+func summarizeVis(samples []time.Duration, round time.Duration) VisSummary {
 	if len(samples) == 0 {
 		return VisSummary{}
 	}
@@ -48,7 +54,9 @@ func summarizeVis(samples []time.Duration) VisSummary {
 		i := int(q * float64(len(samples)-1))
 		return samples[i]
 	}
-	return VisSummary{Samples: len(samples), P50: at(0.50), P95: at(0.95), P99: at(0.99)}
+	within := sort.Search(len(samples), func(i int) bool { return samples[i] > round })
+	return VisSummary{Samples: len(samples), P50: at(0.50), P95: at(0.95), P99: at(0.99),
+		MultiRound: float64(len(samples)-within) / float64(len(samples))}
 }
 
 // VisAttribution splits commit→universally-visible into the stages a commit
@@ -162,7 +170,7 @@ func Visibility(o Options) (VisibilityComparison, error) {
 	if err != nil {
 		return cmp, err
 	}
-	cmp.VisTCP = summarizeVis(cmp.TCP.Visibility)
+	cmp.VisTCP = summarizeVis(cmp.TCP.Visibility, tcpApplyInterval)
 
 	// Codec size on the same busy ΔR round, both wire versions and both
 	// workload shapes.
@@ -232,7 +240,7 @@ func (cmp *VisibilityComparison) memnetArm(o Options) error {
 		return err
 	}
 	cmp.LoadedGossipDelta = float64(gossipEnvelopes(cluster)-g0) / time.Since(t0).Seconds()
-	cmp.VisDelta = summarizeVis(cmp.Delta.Visibility)
+	cmp.VisDelta = summarizeVis(cmp.Delta.Visibility, cluster.Config().ApplyInterval)
 
 	o.printf("visibility: attribution of %d sampled commits\n", attributionSamples)
 	if cmp.Attribution, err = attributeVisibility(cluster, attributionSamples); err != nil {
@@ -290,7 +298,7 @@ func attributeVisibility(cluster *paris.Cluster, n int) (VisAttribution, error) 
 		func() bool { return origin.VersionVector()[originDC] >= ct },
 		func() bool { return peer.VersionVector()[originDC] >= ct },
 		func() bool {
-			return all(roots, func(s *server.Server) bool { low, _ := s.DCAggregate(); return low >= ct })
+			return all(roots, func(s *server.Server) bool { low, _, _ := s.DCAggregate(); return low >= ct })
 		},
 		func() bool { return all(roots, func(s *server.Server) bool { return s.UST() >= ct }) },
 		func() bool { return all(servers, func(s *server.Server) bool { return s.UST() >= ct }) },
@@ -314,7 +322,7 @@ func attributeVisibility(cluster *paris.Cluster, n int) (VisAttribution, error) 
 			}
 		}
 	}
-	median := func(d []time.Duration) time.Duration { return summarizeVis(d).P50 }
+	median := func(d []time.Duration) time.Duration { return summarizeVis(d, interval).P50 }
 	return VisAttribution{
 		Samples:    n,
 		LocalApply: median(reached[0]),
@@ -400,7 +408,8 @@ func burstWrites(sess *paris.Session, n, valSize int) (paris.Timestamp, error) {
 func (cmp VisibilityComparison) Report(name string) *Report {
 	rep := &Report{
 		Name: name,
-		Desc: "commit→universally-stable latency, its attribution to the stages of the stabilization plane " +
+		Desc: "commit→universally-stable latency and the share of commits it took more than one round, " +
+			"its attribution to the stages of the stabilization plane " +
 			"(attr_before_*: the same stages with unsynchronized timers) and the plane's cost, v2 codec size, repair chunking, memnet scaling",
 		Rows: []ReportRow{
 			RowFromResult("memnet-delta", cmp.Delta),
@@ -414,6 +423,9 @@ func (cmp VisibilityComparison) Report(name string) *Report {
 			"vis_tcp_p50_us": float64(cmp.VisTCP.P50.Microseconds()),
 			"vis_tcp_p95_us": float64(cmp.VisTCP.P95.Microseconds()),
 			"vis_tcp_p99_us": float64(cmp.VisTCP.P99.Microseconds()),
+
+			"vis_multi_round_share":     cmp.VisDelta.MultiRound,
+			"vis_tcp_multi_round_share": cmp.VisTCP.MultiRound,
 
 			"attr_samples":            float64(cmp.Attribution.Samples),
 			"attr_local_apply_p50_us": float64(cmp.Attribution.LocalApply.Microseconds()),

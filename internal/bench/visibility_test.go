@@ -24,7 +24,7 @@ func TestVisibilityDriver(t *testing.T) {
 		if vis.Samples == 0 {
 			t.Fatalf("%s arm collected no visibility samples", name)
 		}
-		if vis.P50 <= 0 || vis.P99 > time.Minute || vis.P50 > vis.P99 {
+		if vis.P50 <= 0 || vis.P99 > time.Minute || vis.P50 > vis.P99 || vis.MultiRound < 0 || vis.MultiRound > 1 {
 			t.Fatalf("%s arm visibility percentiles implausible: %+v", name, vis)
 		}
 	}
@@ -63,7 +63,7 @@ func TestVisibilityDriver(t *testing.T) {
 			cmp.RepairChunkMax, cmp.RepairChunkBudget, slack)
 	}
 	rep := cmp.Report("visibility")
-	if len(rep.Rows) != 2 || rep.Summary["vis_samples"] == 0 || rep.Summary["attr_last_leaf_p50_us"] == 0 {
+	if _, ok := rep.Summary["vis_tcp_multi_round_share"]; !ok || len(rep.Rows) != 2 || rep.Summary["vis_samples"] == 0 || rep.Summary["attr_last_leaf_p50_us"] == 0 {
 		t.Fatalf("report malformed: %+v", rep)
 	}
 }

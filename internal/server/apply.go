@@ -13,12 +13,14 @@ import (
 // path (Algorithm 4 lines 5–33), plus the installed-snapshot waiters that the
 // BPR baseline's blocking reads park on.
 
-// applyTick runs every ΔR (Alg. 4 lines 5–22). It computes the upper bound ub
-// below which no future transaction can commit, applies every committed
-// transaction with ct ≤ ub to the store in commit-timestamp order, replicates
-// the applied groups to peer replicas, advances the local version clock to
-// ub, heartbeats when there was nothing to replicate, and hands the advanced
-// entry to the stabilizer (roundTick).
+// applyTick runs every ΔR (Alg. 4 lines 5–22) for the round labelled round,
+// the index of the wall-clock boundary it was armed for. It computes the upper
+// bound ub below which no future transaction can commit, applies every
+// committed transaction with ct ≤ ub to the store in commit-timestamp order,
+// replicates the applied groups to peer replicas in batches carrying the
+// label, advances the local version clock to ub, heartbeats when there was
+// nothing to replicate, and hands the advanced entry to the stabilizer
+// (roundTick).
 //
 // Note on ct ≤ ub versus the paper's ct < ub (Alg. 4 line 10): after setting
 // VV[self] = ub the server claims to have installed everything with
@@ -34,7 +36,7 @@ import (
 // committed drain then visits shards a second time; entries that move from
 // Prepared to Committed between the two passes carry ct > ub by the same
 // argument, so the drain misses nothing the published ub covers.
-func (s *Server) applyTick() {
+func (s *Server) applyTick(round int64) {
 	// Post-restart recovery hold: a freshly restarted server idles its whole
 	// apply plane — no store apply, no version-clock advance, no replication,
 	// no heartbeat — until the hold expires. Committed transactions (normal
@@ -43,7 +45,7 @@ func (s *Server) applyTick() {
 	// may have been lost in the crash window, and the first round after the
 	// hold drains everything in one correctly-bounded batch.
 	if !s.holdUntil.IsZero() && time.Now().Before(s.holdUntil) {
-		s.stab.roundTick(false)
+		s.stab.roundTick(round, false)
 		return
 	}
 	// ub0 ← max{Clock, HLC}, advanced as a local event so that any prepare
@@ -109,7 +111,7 @@ func (s *Server) applyTick() {
 		// heartbeat coalesce into (usually) one ReplicateBatch per
 		// destination — one wire write per peer per ΔR instead of one per
 		// commit timestamp.
-		chunks, sizes := buildReplicateBatches(s.self.DC, ready, ub, s.cfg.BatchMaxItems, s.cfg.BatchMaxBytes)
+		chunks, sizes := buildReplicateBatches(s.self.DC, round, ready, ub, s.cfg.BatchMaxItems, s.cfg.BatchMaxBytes)
 		if s.flow != nil {
 			// Flow-controlled path: hand the round to each destination's
 			// pump, which owns sequencing, pacing, coalescing and repair
@@ -149,7 +151,7 @@ func (s *Server) applyTick() {
 	// references to the write-sets, so clearing only drops this loop's.
 	clear(ready)
 	s.applyReady = ready[:0]
-	s.stab.roundTick(true)
+	s.stab.roundTick(round, true)
 }
 
 // replicateUnbatched is the legacy wire path (one Replicate per distinct
@@ -186,20 +188,20 @@ func (s *Server) replicateUnbatched(ready []committedTx, ub hlc.Timestamp, peers
 }
 
 // buildReplicateBatches coalesces one ΔR round (ready, sorted by commit
-// timestamp) into ReplicateBatch chunks bounded by maxItems write items and
-// ~maxBytes of payload. Chunks split only between commit-timestamp groups so
-// every chunk's UpTo — the last carried CT for interior chunks, ub for the
-// final one — is a bound the receiver may safely advance its version vector
-// to; a single group larger than both caps still travels whole. The final
-// chunk doubles as the round's heartbeat: with nothing to replicate the
-// result is one empty batch carrying only UpTo = ub.
+// timestamp) into ReplicateBatch chunks labelled round and bounded by maxItems
+// write items and ~maxBytes of payload. Chunks split only between
+// commit-timestamp groups so every chunk's UpTo — the last carried CT for
+// interior chunks, ub for the final one — is a bound the receiver may safely
+// advance its version vector to; a single group larger than both caps still
+// travels whole. The final chunk doubles as the round's heartbeat: with
+// nothing to replicate the result is one empty batch carrying only UpTo = ub.
 //
 // The second return value carries each chunk's wire.ApproxSize, accumulated
 // while the groups are built: the builder walks every key/value anyway, so
 // the flow pumps can account queue depth and token-bucket charges without a
 // second full-payload walk per destination (replBatchBaseSize + the group
 // sums reproduce ApproxSize exactly; batchsize_test.go pins the equality).
-func buildReplicateBatches(src topology.DCID, ready []committedTx, ub hlc.Timestamp, maxItems, maxBytes int) ([]wire.Message, []int) {
+func buildReplicateBatches(src topology.DCID, round int64, ready []committedTx, ub hlc.Timestamp, maxItems, maxBytes int) ([]wire.Message, []int) {
 	if maxItems <= 0 {
 		maxItems = defaultBatchMaxItems
 	}
@@ -209,7 +211,7 @@ func buildReplicateBatches(src topology.DCID, ready []committedTx, ub hlc.Timest
 	var (
 		chunks       []wire.Message
 		sizes        []int
-		cur          = wire.ReplicateBatch{SrcDC: src}
+		cur          = wire.ReplicateBatch{SrcDC: src, Round: uint64(round)}
 		items, bytes int
 	)
 	for start := 0; start < len(ready); {
@@ -240,7 +242,7 @@ func buildReplicateBatches(src topology.DCID, ready []committedTx, ub hlc.Timest
 			cur.UpTo = cur.Groups[len(cur.Groups)-1].CT
 			chunks = append(chunks, cur)
 			sizes = append(sizes, emptyBatchSize+bytes)
-			cur = wire.ReplicateBatch{SrcDC: src}
+			cur = wire.ReplicateBatch{SrcDC: src, Round: uint64(round)}
 			items, bytes = 0, 0
 		}
 		cur.Groups = append(cur.Groups, group)
@@ -289,7 +291,7 @@ func (s *Server) handleReplicate(m wire.Replicate) {
 	// safety — LWW tolerates clock divergence — but keeps snapshot freshness
 	// uniform across DCs.
 	s.clock.Observe(m.CT)
-	s.advanceVV(m.SrcDC, m.CT)
+	s.advanceVV(m.SrcDC, m.CT, s.stab.round.Load())
 
 	s.notifyInstalled(s.installedLowerBound())
 	s.metrics.replGroups.Add(1)
@@ -343,7 +345,7 @@ func (s *Server) handleReplicateBatch(m wire.ReplicateBatch) {
 	}
 	// Couple the replica clocks as the legacy path does (receive rule).
 	s.clock.Observe(m.UpTo)
-	s.advanceVV(m.SrcDC, m.UpTo)
+	s.advanceVV(m.SrcDC, m.UpTo, int64(m.Round))
 
 	s.notifyInstalled(s.installedLowerBound())
 	s.metrics.replBatches.Add(1)
@@ -352,22 +354,27 @@ func (s *Server) handleReplicateBatch(m wire.ReplicateBatch) {
 
 // handleHeartbeat implements Alg. 4 lines 31–33.
 func (s *Server) handleHeartbeat(m wire.Heartbeat) {
-	s.advanceVV(m.SrcDC, m.TS)
+	s.advanceVV(m.SrcDC, m.TS, s.stab.round.Load())
 	s.notifyInstalled(s.installedLowerBound())
 }
 
 // advanceVV moves a version-vector entry forward; entries never regress
 // (FIFO links deliver timestamps in order, but a heartbeat racing a
 // replicate group must not rewind the entry). Entries for DCs that do not
-// replicate this partition are ignored.
-func (s *Server) advanceVV(dc topology.DCID, ts hlc.Timestamp) {
+// replicate this partition are ignored. round labels the input for the
+// stabilizer (vvRefreshed): a batch's own label, the receiver's current round
+// on the unbatched path, which predates labels; 0 — a repair response —
+// advances the entry without refreshing the input.
+func (s *Server) advanceVV(dc topology.DCID, ts hlc.Timestamp, round int64) {
 	if int(dc) >= len(s.vv) || !s.vvLive[dc] {
 		return
 	}
 	if s.vv[dc].advance(ts) {
 		s.drainVisibility()
 	}
-	s.stab.vvRefreshed(dc)
+	if round != 0 {
+		s.stab.vvRefreshed(dc, round)
+	}
 }
 
 // installedLowerBound is the timestamp below which every transaction — local

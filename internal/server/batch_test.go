@@ -80,7 +80,7 @@ func TestBuildReplicateBatchesCoalescesOneRound(t *testing.T) {
 		mkCommitted(2, 10, 1), // same CT: same group
 		mkCommitted(3, 11, 1),
 	}
-	chunks, _ := buildReplicateBatches(0, ready, 50, 1024, 1<<20)
+	chunks, _ := buildReplicateBatches(0, 7, ready, 50, 1024, 1<<20)
 	if len(chunks) != 1 {
 		t.Fatalf("got %d chunks, want 1", len(chunks))
 	}
@@ -94,12 +94,12 @@ func TestBuildReplicateBatchesCoalescesOneRound(t *testing.T) {
 }
 
 func TestBuildReplicateBatchesEmptyRoundIsHeartbeat(t *testing.T) {
-	chunks, _ := buildReplicateBatches(2, nil, 99, 1024, 1<<20)
+	chunks, _ := buildReplicateBatches(2, 7, nil, 99, 1024, 1<<20)
 	if len(chunks) != 1 {
 		t.Fatalf("got %d chunks, want 1", len(chunks))
 	}
 	b := chunks[0].(wire.ReplicateBatch)
-	if len(b.Groups) != 0 || b.UpTo != 99 || b.SrcDC != 2 {
+	if len(b.Groups) != 0 || b.UpTo != 99 || b.SrcDC != 2 || b.Round != 7 {
 		t.Fatalf("heartbeat batch = %+v", b)
 	}
 }
@@ -110,7 +110,7 @@ func TestBuildReplicateBatchesSplitsAtGroupBoundaries(t *testing.T) {
 		mkCommitted(2, 11, 3),
 		mkCommitted(3, 12, 3),
 	}
-	chunks, _ := buildReplicateBatches(0, ready, 50, 4, 1<<20)
+	chunks, _ := buildReplicateBatches(0, 7, ready, 50, 4, 1<<20)
 	if len(chunks) != 3 {
 		t.Fatalf("got %d chunks, want 3 (maxItems=4, 3 items/group)", len(chunks))
 	}
@@ -135,7 +135,7 @@ func TestBuildReplicateBatchesOversizedGroupTravelsWhole(t *testing.T) {
 		mkCommitted(1, 10, 100), // single group far above maxItems
 		mkCommitted(2, 11, 1),
 	}
-	chunks, _ := buildReplicateBatches(0, ready, 50, 8, 1<<20)
+	chunks, _ := buildReplicateBatches(0, 7, ready, 50, 8, 1<<20)
 	if len(chunks) != 2 {
 		t.Fatalf("got %d chunks, want 2", len(chunks))
 	}
@@ -155,7 +155,7 @@ func TestBuildReplicateBatchesByteCap(t *testing.T) {
 		mkCommitted(2, 11, 1),
 	}
 	// Each write is ~10 encoded bytes; a 1-byte cap forces one group per chunk.
-	chunks, _ := buildReplicateBatches(0, ready, 50, 1024, 1)
+	chunks, _ := buildReplicateBatches(0, 7, ready, 50, 1024, 1)
 	if len(chunks) != 2 {
 		t.Fatalf("got %d chunks, want 2", len(chunks))
 	}

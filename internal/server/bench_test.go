@@ -42,11 +42,11 @@ func BenchmarkPrepareCommitApply(b *testing.B) {
 		resp := srv.handlePrepare(wire.PrepareReq{TxID: id, HT: 0, Writes: writes}).(wire.PrepareResp)
 		srv.handleCohortCommit(wire.CohortCommit{TxID: id, CommitTS: resp.Proposed})
 		if i%64 == 63 {
-			srv.applyTick()
+			srv.nextRound()
 		}
 	}
 	b.StopTimer()
-	srv.applyTick()
+	srv.nextRound()
 }
 
 func BenchmarkReadSliceHot(b *testing.B) {

@@ -60,7 +60,7 @@ func TestCommitPlaneParallelApplyStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			s.applyTick()
+			s.nextRound()
 		}
 	}()
 
@@ -157,7 +157,7 @@ func TestCommitPlaneParallelApplyStress(t *testing.T) {
 
 	// Every key took at least one committed write, all applied at or below
 	// the published local version clock.
-	s.applyTick()
+	s.nextRound()
 	vv := s.vv[s.self.DC].Load()
 	for _, k := range keys {
 		it, ok := s.store.ReadLatest(k)

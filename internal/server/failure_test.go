@@ -50,7 +50,7 @@ func TestReaperDrainsOrphanedPrepares(t *testing.T) {
 		Writes: []wire.KV{{Key: "orphan", Value: []byte("x")}}})
 	pt := resp.(wire.PrepareResp).Proposed
 	rig.clk.Advance(10000)
-	s.applyTick()
+	s.nextRound()
 	if got := s.VersionVector()[s.ID().DC]; got != pt-1 {
 		t.Fatalf("vv[self] = %v with an orphaned prepare, want pinned at pt-1 = %v", got, pt-1)
 	}
@@ -74,7 +74,7 @@ func TestReaperDrainsOrphanedPrepares(t *testing.T) {
 
 	// The version clock is unpinned again.
 	rig.clk.Advance(10)
-	s.applyTick()
+	s.nextRound()
 	if got := s.VersionVector()[s.ID().DC]; got <= pt {
 		t.Fatalf("vv[self] = %v after reap, want above pt %v", got, pt)
 	}
@@ -261,7 +261,7 @@ func TestReaperRecoversLostCommitSelfCoordinated(t *testing.T) {
 	}
 	// The recovered transaction applies at its true commit timestamp.
 	rig.clk.Advance(20000)
-	s.applyTick()
+	s.nextRound()
 	item, ok := s.Store().ReadLatest("recov")
 	if !ok || item.UT != 12345 {
 		t.Fatalf("recovered write = %+v ok=%v, want ut 12345", item, ok)

@@ -277,7 +277,8 @@ func (p *flowPump) submit(chunks []wire.Message, sizes []int, ub hlc.Timestamp) 
 var emptyBatchSize = wire.ApproxSize(wire.ReplicateBatch{})
 
 // merge folds chunk b (of approximate size bytes) into the entry: groups
-// concatenate in order and the cumulative UpTo folds to the newer bound.
+// concatenate in order, and the cumulative UpTo and the round label fold to the
+// newer ones.
 // Valid because every round's group timestamps lie strictly above the
 // previous round's UpTo, so the merged batch is itself a well-formed chunk.
 // The entry's Groups backing array is copied on first merge — applyTick
@@ -290,9 +291,7 @@ func (e *flowEntry) merge(b wire.ReplicateBatch, size int) int {
 		e.owned = true
 	}
 	e.batch.Groups = append(e.batch.Groups, b.Groups...)
-	if b.UpTo > e.batch.UpTo {
-		e.batch.UpTo = b.UpTo
-	}
+	e.batch.UpTo, e.batch.Round = max(e.batch.UpTo, b.UpTo), max(e.batch.Round, b.Round)
 	delta := size - emptyBatchSize
 	if delta < 0 {
 		delta = 0

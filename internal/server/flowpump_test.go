@@ -24,7 +24,7 @@ func flowChunk(r uint64, n int, valSize int) wire.ReplicateBatch {
 			}},
 		})
 	}
-	return wire.ReplicateBatch{SrcDC: 1, UpTo: hlc.New(r*10+9, 0), Groups: []wire.ReplicateGroup{g}}
+	return wire.ReplicateBatch{SrcDC: 1, UpTo: hlc.New(r*10+9, 0), Round: r, Groups: []wire.ReplicateGroup{g}}
 }
 
 // applyBatchTo flattens a batch into a store the way handleReplicateBatch
@@ -107,7 +107,8 @@ func testPump(high, low int) *flowPump {
 }
 
 // TestFlowPumpSubmitCoalescesUnderPressure: with the pump not draining, a
-// second round folds into the queue tail instead of growing the queue.
+// second round folds into the queue tail instead of growing the queue, and the
+// coalesced batch carries the newest round's UpTo and label.
 func TestFlowPumpSubmitCoalescesUnderPressure(t *testing.T) {
 	p := testPump(1<<20, 1<<18)
 	p.submit([]wire.Message{flowChunk(1, 2, 32)}, nil, hlc.New(19, 0))
@@ -119,8 +120,8 @@ func TestFlowPumpSubmitCoalescesUnderPressure(t *testing.T) {
 	if p.coalesced != 2 {
 		t.Fatalf("coalesced = %d, want 2", p.coalesced)
 	}
-	if got := p.entries[0].batch.UpTo; got != hlc.New(39, 0) {
-		t.Fatalf("folded UpTo = %v, want %v", got, hlc.New(39, 0))
+	if got := p.entries[0].batch; got.UpTo != hlc.New(39, 0) || got.Round != 3 {
+		t.Fatalf("folded UpTo, Round = %v, %d; want %v, 3", got.UpTo, got.Round, hlc.New(39, 0))
 	}
 }
 

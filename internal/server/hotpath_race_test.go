@@ -52,7 +52,7 @@ func TestSnapshotMonotonicityUnderConcurrency(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			s.applyTick()
+			s.nextRound()
 			s.ctxCleanupTick()
 			s.reapTick()
 		}
@@ -132,7 +132,7 @@ func TestSnapshotMonotonicityUnderConcurrency(t *testing.T) {
 
 	// The sessions cleaned up after themselves; nothing may linger once the
 	// final apply has drained the pipeline.
-	s.applyTick()
+	s.nextRound()
 	if n := s.PendingCommitted(); n != 0 {
 		t.Fatalf("%d committed transactions never applied", n)
 	}

@@ -267,7 +267,7 @@ func (s *Server) handleReplSyncResp(m wire.ReplSyncResp) {
 	st.syncing = false
 	st.mu.Unlock()
 	s.clock.Observe(m.UpTo)
-	s.advanceVV(m.SrcDC, m.UpTo)
+	s.advanceVV(m.SrcDC, m.UpTo, 0)
 	s.notifyInstalled(s.installedLowerBound())
 	s.metrics.replSyncApplied.Add(1)
 }

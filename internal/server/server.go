@@ -511,11 +511,11 @@ func (s *Server) Start() {
 		}
 		s.runLoop(s.cfg.ApplyInterval, true, s.applyTick)
 		if s.cfg.GCInterval > 0 {
-			s.runLoop(s.cfg.GCInterval, false, s.gcTick)
+			s.runLoop(s.cfg.GCInterval, false, unlabelled(s.gcTick))
 		}
-		s.runLoop(s.cfg.TxContextTTL/2, false, s.ctxCleanupTick)
+		s.runLoop(s.cfg.TxContextTTL/2, false, unlabelled(s.ctxCleanupTick))
 		if s.cfg.PreparedTTL > 0 {
-			s.runLoop(s.cfg.PreparedTTL/4, false, s.reapTick)
+			s.runLoop(s.cfg.PreparedTTL/4, false, unlabelled(s.reapTick))
 			if s.recovered2PC {
 				// Resolve recovered prepares now — their coordinators may hold
 				// commit decisions whose CohortCommit died with the crash.
@@ -545,38 +545,46 @@ func (s *Server) Stop() {
 }
 
 // runLoop starts a background loop bound to the stop channel that ticks every
-// interval — aligned, at the wall-clock multiples of it. applyTick, and through
+// interval — aligned, at the wall-clock multiples of it, handing the tick the
+// index of the multiple it was armed for (unaligned: 0). applyTick, and through
 // it the stabilization push that ends every round, is aligned so that rounds
-// begin together on every server whose clock agrees. That is a latency device
-// only: a round computes its bounds from the injected hybrid clock exactly as
-// an unaligned one would, so skewed or stepping wall clocks shift a server's
-// phase (its pushes find their inputs a little later) and change nothing else
-// — which is why this one timer reads the host clock rather than the injected
-// millisecond source, which is too coarse to sleep against.
-func (s *Server) runLoop(interval time.Duration, aligned bool, tick func()) {
-	next := func() time.Duration {
+// begin together and are labelled alike on every server whose clock agrees.
+// That is a latency device only: a round computes its bounds from the injected
+// hybrid clock exactly as an unaligned one would and labels are compared only
+// with labels, so skewed or stepping wall clocks shift a server's phase (its
+// pushes find their inputs a little later) and change nothing else — which is
+// why this one timer reads the host clock rather than the injected millisecond
+// source, which is too coarse to sleep against.
+func (s *Server) runLoop(interval time.Duration, aligned bool, tick func(round int64)) {
+	next := func() (time.Duration, int64) {
 		if !aligned {
-			return interval
+			return interval, 0
 		}
 		now := time.Now()
-		return now.Truncate(interval).Add(interval).Sub(now)
+		at := now.Truncate(interval).Add(interval)
+		return at.Sub(now), at.UnixNano() / int64(interval)
 	}
 	s.loopWG.Add(1)
 	go func() {
 		defer s.loopWG.Done()
-		t := time.NewTimer(next())
+		wait, round := next()
+		t := time.NewTimer(wait)
 		defer t.Stop()
 		for {
 			select {
 			case <-s.stopped:
 				return
 			case <-t.C:
-				tick()
-				t.Reset(next())
+				tick(round)
+				wait, round = next()
+				t.Reset(wait)
 			}
 		}
 	}()
 }
+
+// unlabelled adapts a tick that takes no round label to runLoop.
+func unlabelled(tick func()) func(int64) { return func(int64) { tick() } }
 
 func (s *Server) isStopped() bool {
 	select {

@@ -120,6 +120,10 @@ func newTestRigAt(t *testing.T, mode Mode, id topology.NodeID, opts ...func(*Con
 	return rig
 }
 
+// nextRound runs the server's next apply round by hand, labelled one past the
+// last.
+func (s *Server) nextRound() { s.applyTick(s.stab.round.Load() + 1) }
+
 func TestConfigValidation(t *testing.T) {
 	topo, _ := topology.New(3, 3, 2)
 	cases := []struct {
@@ -253,7 +257,7 @@ func TestCommitAppliesInTimestampOrderAndReplicates(t *testing.T) {
 		t.Fatalf("committed queue %d, want 2", s.PendingCommitted())
 	}
 
-	s.applyTick()
+	s.nextRound()
 	if s.PendingCommitted() != 0 {
 		t.Fatalf("committed queue not drained: %d", s.PendingCommitted())
 	}
@@ -297,7 +301,7 @@ func TestApplyTickDoesNotApplyBeyondPreparedBound(t *testing.T) {
 		Writes: []wire.KV{{Key: "y", Value: []byte("2")}}}).(wire.PrepareResp)
 	s.handleCohortCommit(wire.CohortCommit{TxID: 2, CommitTS: p2.Proposed})
 
-	s.applyTick()
+	s.nextRound()
 	if _, ok := s.Store().Read("y", hlc.MaxTimestamp); ok {
 		t.Fatal("applied a commit above the prepared lower bound")
 	}
@@ -307,7 +311,7 @@ func TestApplyTickDoesNotApplyBeyondPreparedBound(t *testing.T) {
 
 	// Once T1 commits, both apply.
 	s.handleCohortCommit(wire.CohortCommit{TxID: 1, CommitTS: p1.Proposed})
-	s.applyTick()
+	s.nextRound()
 	if _, ok := s.Store().Read("x", hlc.MaxTimestamp); !ok {
 		t.Fatal("T1 not applied")
 	}
@@ -330,7 +334,7 @@ func TestApplyTickCommitEqualToBoundIsApplied(t *testing.T) {
 		Writes: []wire.KV{{Key: "other", Value: []byte("w")}}})
 	s.handleCohortCommit(wire.CohortCommit{TxID: 1, CommitTS: p1.Proposed})
 
-	s.applyTick()
+	s.nextRound()
 	vv := s.VersionVector()[0]
 	if vv >= p1.Proposed {
 		// VV covers T1's commit: the version must be in the store.
@@ -344,7 +348,7 @@ func TestHeartbeatWhenIdle(t *testing.T) {
 	// An idle ΔR round still announces its upper bound: the heartbeat is an
 	// empty ReplicateBatch carrying only UpTo.
 	rig := newTestRig(t, ModeNonBlocking)
-	rig.srv.applyTick()
+	rig.srv.nextRound()
 	peer := rig.peers[topology.ServerID(1, 0)]
 	hbs := peer.waitKind(t, wire.KindReplicateBatch, 1)
 	hb := hbs[0].(wire.ReplicateBatch)
@@ -370,7 +374,7 @@ func TestUnbatchedLegacyReplicationPath(t *testing.T) {
 	s := rig.srv
 	peer := rig.peers[topology.ServerID(1, 0)]
 
-	s.applyTick()
+	s.nextRound()
 	hbs := peer.waitKind(t, wire.KindHeartbeat, 1)
 	if hb := hbs[0].(wire.Heartbeat); hb.TS == 0 || hb.SrcDC != 0 {
 		t.Fatalf("bad legacy heartbeat %+v", hb)
@@ -379,7 +383,7 @@ func TestUnbatchedLegacyReplicationPath(t *testing.T) {
 	p := s.handlePrepare(wire.PrepareReq{TxID: 1, HT: 0,
 		Writes: []wire.KV{{Key: "k", Value: []byte("v")}}}).(wire.PrepareResp)
 	s.handleCohortCommit(wire.CohortCommit{TxID: 1, CommitTS: p.Proposed})
-	s.applyTick()
+	s.nextRound()
 	reps := peer.waitKind(t, wire.KindReplicate, 1)
 	if rep := reps[0].(wire.Replicate); len(rep.Txns) != 1 || rep.CT != p.Proposed {
 		t.Fatalf("bad legacy replicate %+v", rep)
@@ -463,7 +467,7 @@ func TestBlockingReadWaitsForInstallation(t *testing.T) {
 	// Install the snapshot: remote heartbeat + local apply tick past target.
 	s.handleHeartbeat(wire.Heartbeat{SrcDC: 1, TS: target})
 	rig.clk.Set(5001)
-	s.applyTick() // advances VV[self] past 5000 and wakes waiters
+	s.nextRound() // advances VV[self] past 5000 and wakes waiters
 
 	select {
 	case resp := <-done:

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -21,23 +22,25 @@ import (
 // garbage-collection watermark Sold (§IV-B "Garbage collection").
 //
 // One round per server, no loop of its own. Every server's apply round starts
-// at the same wall-clock multiple of ΔR (Server.Start) and ends by handing the
-// stabilizer its advanced version-clock entry (roundTick). Each round owes the
-// parent exactly one push, which leaves as soon as every input has refreshed
-// since the previous one — the node's own entry, each peer replica's entry
-// (advanceVV), each child's GSTUp — so an update climbs the tree, crosses the
-// roots and comes back down in hop time instead of waiting out one timer phase
-// per level. An input that is late, lost or dead cannot hold a round hostage:
-// the node's next tick is the round's deadline and pushes whatever is there. A
-// root sends its DC aggregate to the other roots the moment it is complete and
-// recomputes the UST the moment a fresh aggregate from every participating DC
-// is in (deadline: its next tick).
+// at the same wall-clock multiple of ΔR (Server.runLoop), is labelled with that
+// boundary's index and ends by handing the stabilizer the label (roundTick).
+// Every input of a push is labelled with the round it came in for — the own
+// entry with the tick's, a peer replica's entry with its last ReplicateBatch's,
+// a child's aggregate with its last GSTUp's, the round that aggregate is
+// complete through. A node pushes the moment the minimum label over its inputs
+// passes the round it last pushed, carrying that minimum; a root sends its DC
+// aggregate to the other roots the same way and recomputes the UST the moment
+// the minimum over the DCs' aggregate labels passes the round it last computed.
+// So an update climbs the tree, crosses the roots and comes back down in hop
+// time, and a late input of round k−1 cannot pass for round k's.
 //
 // None of this is a safety device (docs/INVARIANTS.md, stabilization rule):
 // aggregates are minima of monotone cells, receivers always store, applyStable
-// only ever advances. A push that is early, late, duplicated or lost can at
-// worst leave the UST standing still, which is also what a dead child or a
-// partitioned DC does (§III-C).
+// only ever advances. Labels are compared only through minima, never against
+// the receiver's own round: a stale, skewed or regressing label can only delay
+// a push, and a push that is early, late, duplicated or lost can at worst leave
+// the UST standing still, which is also what a dead child or a partitioned DC
+// does (§III-C).
 //
 // Idle rule. Every message carries an Active bit. A server that applied or
 // received data counts as active for activeWindowMult pushes, and the bit
@@ -46,9 +49,9 @@ import (
 // and the USTDown bit never feeds back into up-tree advertisements, or it
 // would echo around the Up/Down/Root cycles forever. The rule is evaluated
 // when a push is due: a node nothing has marked active lets it go at most once
-// per Config.GossipIdleMax and otherwise holds it until the round's deadline.
-// After a quiet spell deadline pushes carry the bit to the root past idle
-// siblings, and a node the parent's bit wakes lets its held push go at once.
+// per Config.GossipIdleMax and otherwise holds it. After a quiet spell liveness
+// pushes carry the bit to the root past idle siblings, and a node the parent's
+// bit wakes lets its held push go at once.
 // UST/Sold additionally ride on replication traffic (ReplicateBatch, ReplStatus).
 
 // activeWindowMult is how many pushes a server counts as data-active after
@@ -57,33 +60,45 @@ import (
 // quiet within a few tens of milliseconds at the default ΔG.
 const activeWindowMult = 16
 
-// pushGate times one plane's once-per-round push. Its inputs are numbered
-// slots, of which total exist on this node; only those are ever refreshed.
-type pushGate struct {
-	fresh          []bool // per slot: refreshed since the last push
-	total, missing int    // inputs; those not fresh yet
-	fired          bool   // the current round's push has left
+// livenessTicks is how many push rounds a plane may go without completing one
+// before it pushes what is there at every tick (a liveness push). Three: with
+// two, a WAN batch landing just after the next tick sets it off every other
+// round.
+const livenessTicks = 3
+
+// pushesPerTick caps a plane's pushes between two ticks for rounds before its
+// current one, so a backlog of rounds arriving at once (a healed partition
+// releasing queued batches) costs one push more, not one per round.
+const pushesPerTick = 2
+
+// plane is the round bookkeeping of one push: the up plane's (GSTUp, at a root
+// GSTRoot) or the root plane's (UST computation and USTDown).
+type plane struct {
+	every int64 // one push per that many rounds (⌈ΔG/ΔR⌉, ⌈ΔU/ΔR⌉)
+	done  int64 // the round the last push was complete through
+	stall int64 // own ticks since the plane last completed a push round
+	sent  int   // pushes since the last tick
+	let   int64 // round of the last push the idle rule let go
+	held  int64 // round of the last push it withheld, counted once
 }
 
-// newPushGate starts in the state a push leaves behind, so the first tick is
-// nobody's deadline.
-func newPushGate(slots, total int) pushGate {
-	return pushGate{fresh: make([]bool, slots), total: total, missing: total, fired: true}
+// ready: the inputs are complete through a later push round than the last push.
+func (p *plane) ready(complete int64) bool { return complete/p.every > p.done/p.every }
+
+// due: ready (for the current round or under pushesPerTick), or at a tick
+// stalled for livenessTicks push rounds.
+func (p *plane) due(complete, current int64, tick bool) bool {
+	return p.ready(complete) && (complete >= current || p.sent < pushesPerTick) ||
+		tick && p.stall >= livenessTicks*p.every
 }
 
-// refresh marks input i fresh and reports whether the round's push is due.
-func (g *pushGate) refresh(i int) bool {
-	if !g.fresh[i] {
-		g.fresh[i] = true
-		g.missing--
+// pushed records a push complete through round complete.
+func (p *plane) pushed(complete int64) {
+	if p.ready(complete) {
+		p.stall = 0
 	}
-	return g.missing == 0 && !g.fired
-}
-
-// pushed notes that the round's push left: every input is stale again.
-func (g *pushGate) pushed() {
-	clear(g.fresh)
-	g.missing, g.fired = g.total, true
+	p.done = complete
+	p.sent++
 }
 
 // stabilizer holds the per-server stabilization state. It is embedded in
@@ -98,14 +113,13 @@ type stabilizer struct {
 	// partition and hence take part in the UST exchange (roots only).
 	remoteRoots []topology.NodeID
 
-	// upEvery/ustEvery stretch a push round over that many ΔR ticks
-	// (⌈ΔG/ΔR⌉, ⌈ΔU/ΔR⌉); idleEvery is GossipIdleMax in ticks.
-	upEvery, ustEvery, idleEvery int64
+	// idleEvery is GossipIdleMax in ticks.
+	idleEvery int64
 
-	// round counts this server's ΔR ticks; it is the only clock the plane
-	// reads. The four activity marks hold the round until which one *source*
-	// of activity keeps the node active, separately so advertisements stay
-	// acyclic: dataUntil is local data (applies, data-bearing replication
+	// round is the label of this server's last tick; it is the only clock the
+	// plane reads. The four activity marks hold the round until which one
+	// *source* of activity keeps the node active, separately so advertisements
+	// stay acyclic: dataUntil is local data (applies, data-bearing replication
 	// receives); subtreeUntil an Active bit from a child (GSTUp); remoteUntil
 	// one from a remote DC root (GSTRoot, roots only); relayUntil one from the
 	// parent direction (USTDown). All four keep the node pushing; only
@@ -118,18 +132,21 @@ type stabilizer struct {
 	relayUntil   atomic.Int64
 
 	mu sync.Mutex
-	// Up plane. Gate slots: one per DC id for the live version-vector entries
-	// (the own DC's included), then one per child.
-	up          pushGate
+	// Up plane. Its inputs are the live version-vector entries, the own DC's
+	// included, and the children's aggregates, each labelled with the round it
+	// last came in for: vvRound per DC id (the own DC's is the last tick that
+	// advanced vv[self]), childRound per child.
+	up          plane
+	vvRound     []int64
 	childMin    []hlc.Timestamp // per child; 0 until it reports, as its entries may be
 	childOldest []hlc.Timestamp
-	lastUp      int64 // round of the last push that was not withheld
-	// Root plane (roots only). Gate slots: one per DC id, for the own DC and
-	// the remote roots'.
-	ust      pushGate
-	dcMin    []hlc.Timestamp // per DC id; 0 until it reports
+	childRound  []int64
+	// Root plane (roots only). Its inputs are the DC aggregates, per DC id:
+	// the own DC's and the remote roots'.
+	ust      plane
+	dcMin    []hlc.Timestamp // 0 until the DC reports
 	dcOldest []hlc.Timestamp
-	lastDown int64
+	dcRound  []int64
 }
 
 // init computes the server's position in its DC's aggregation tree.
@@ -139,8 +156,10 @@ func (st *stabilizer) init(s *Server) {
 	rounds := func(d time.Duration) int64 { // ⌈d/ΔR⌉, at least one
 		return max(1, int64((d+s.cfg.ApplyInterval-1)/s.cfg.ApplyInterval))
 	}
-	st.upEvery, st.ustEvery, st.idleEvery = rounds(s.cfg.GossipInterval), rounds(s.cfg.USTInterval), rounds(s.cfg.GossipIdleMax)
-	st.lastUp, st.lastDown = -st.idleEvery, -st.idleEvery // the first push is never withheld
+	st.idleEvery = rounds(s.cfg.GossipIdleMax)
+	// The first push is never withheld.
+	st.up = plane{every: rounds(s.cfg.GossipInterval), let: -st.idleEvery, held: -1}
+	st.ust = plane{every: rounds(s.cfg.USTInterval), let: -st.idleEvery, held: -1}
 
 	local := topo.PartitionsAt(s.self.DC) // ascending
 	idx := max(0, slices.Index(local, s.self.Partition()))
@@ -153,9 +172,10 @@ func (st *stabilizer) init(s *Server) {
 			st.children = append(st.children, topology.ServerID(s.self.DC, local[c]))
 		}
 	}
+	st.vvRound = make([]int64, numDCs)
 	st.childMin = make([]hlc.Timestamp, len(st.children))
 	st.childOldest = make([]hlc.Timestamp, len(st.children))
-	st.up = newPushGate(numDCs+len(st.children), len(topo.ReplicaDCs(s.self.Partition()))+len(st.children))
+	st.childRound = make([]int64, len(st.children))
 	if !st.isRoot {
 		return
 	}
@@ -165,9 +185,9 @@ func (st *stabilizer) init(s *Server) {
 			st.remoteRoots = append(st.remoteRoots, topology.ServerID(dc, ps[0]))
 		}
 	}
-	st.ust = newPushGate(numDCs, len(st.remoteRoots)+1)
 	st.dcMin = make([]hlc.Timestamp, numDCs)
 	st.dcOldest = make([]hlc.Timestamp, numDCs)
+	st.dcRound = make([]int64, numDCs)
 }
 
 // stabSends is what one stabilizer step decided to send, collected under
@@ -200,80 +220,87 @@ func (st *stabilizer) send(o *stabSends) {
 	}
 }
 
-// roundTick ends an apply round: own reports whether the round advanced the
-// server's own version-clock entry (not during a recovery hold). The tick is
-// the previous round's deadline — a push that never became ready leaves now —
-// and the start of the next.
-func (st *stabilizer) roundTick(own bool) {
+// roundTick ends the apply round labelled round: own reports whether it
+// advanced the server's own version-clock entry (not during a recovery hold).
+// The tick counts against both planes' stall.
+func (st *stabilizer) roundTick(round int64, own bool) {
 	var out stabSends
 	st.mu.Lock()
-	r := st.round.Add(1)
-	if r%st.upEvery == 0 {
-		if !st.up.fired {
-			st.pushUpLocked(&out)
-		}
-		st.up.fired = false
-		if own && st.up.refresh(int(st.srv.self.DC)) {
-			st.pushUpLocked(&out)
-		}
+	st.round.Store(round)
+	if own {
+		st.vvRound[st.srv.self.DC] = round
 	}
-	if st.isRoot && r%st.ustEvery == 0 {
-		if !st.ust.fired {
-			st.computeUSTLocked(&out)
-		}
-		st.ust.fired = false
+	st.up.stall, st.up.sent = st.up.stall+1, 0
+	st.ust.stall, st.ust.sent = st.ust.stall+1, 0
+	st.pushUpLocked(&out, true)
+	if st.isRoot {
+		st.computeUSTLocked(&out, true)
 	}
 	st.mu.Unlock()
 	st.send(&out)
 }
 
 // vvRefreshed notes that a peer replica's version-vector entry was refreshed
-// by its replication stream.
-func (st *stabilizer) vvRefreshed(dc topology.DCID) {
-	var out stabSends
+// by its replication stream's batch for round.
+func (st *stabilizer) vvRefreshed(dc topology.DCID, round int64) {
 	st.mu.Lock()
-	if st.up.refresh(int(dc)) {
-		st.pushUpLocked(&out)
-	}
+	st.vvRound[dc] = round
 	st.mu.Unlock()
-	st.send(&out)
+	st.woken()
 }
 
-// woken lets the round's push go if only the idle rule was holding it: the
-// parent's Active bit has just arrived.
+// woken re-evaluates the up plane: an input came in, or the parent's Active
+// bit arrived and a push only the idle rule was holding may go.
 func (st *stabilizer) woken() {
 	var out stabSends
 	st.mu.Lock()
-	if st.up.missing == 0 && !st.up.fired {
-		st.pushUpLocked(&out)
-	}
+	st.pushUpLocked(&out, false)
 	st.mu.Unlock()
 	st.send(&out)
 }
 
 // idleHold applies the idle rule to a push that is due: a node nothing marks
-// active lets it go only every idleEvery rounds. last is the plane's last
-// released push.
-func (st *stabilizer) idleHold(last *int64) bool {
+// active lets one go only every idleEvery rounds. However often a held push is
+// re-evaluated, it counts as one suppression per round.
+func (st *stabilizer) idleHold(p *plane) bool {
 	r := st.round.Load()
-	if !st.activeNow() && r-*last < st.idleEvery {
-		st.srv.metrics.gossipSuppressed.Add(1)
-		return true
+	if st.activeNow() || r-p.let >= st.idleEvery {
+		p.let = r
+		return false
 	}
-	*last = r
-	return false
+	if p.held != r {
+		p.held = r
+		st.srv.metrics.gossipSuppressed.Add(1)
+	}
+	return true
 }
 
-// pushUpLocked takes the up plane's push for this round: the minimum over the
-// node's live version-vector entries and its children's aggregates goes to the
-// parent; at the root it is the DC aggregate, which goes to the other roots
-// and into the UST computation. The oldest active snapshot (or the server's
-// UST when no transaction is running) rides along. Caller holds st.mu.
-func (st *stabilizer) pushUpLocked(out *stabSends) {
-	if st.idleHold(&st.lastUp) {
-		return // the round stays open: a node woken before its deadline pushes then (woken)
+// upComplete is the round the up plane's inputs are complete through.
+func (st *stabilizer) upComplete() int64 {
+	complete := int64(math.MaxInt64)
+	for dc, live := range st.srv.vvLive {
+		if live {
+			complete = min(complete, st.vvRound[dc])
+		}
 	}
-	st.up.pushed()
+	for _, r := range st.childRound {
+		complete = min(complete, r)
+	}
+	return complete
+}
+
+// pushUpLocked evaluates the up plane (tick: at the server's own tick) and
+// takes its push if one is due: the minimum over the node's live
+// version-vector entries and its children's aggregates goes to the parent; at
+// the root it is the DC aggregate, which goes to the other roots and into the
+// UST computation. The oldest active snapshot (or the server's UST when no
+// transaction is running) rides along. Caller holds st.mu.
+func (st *stabilizer) pushUpLocked(out *stabSends, tick bool) {
+	complete := st.upComplete()
+	if !st.up.due(complete, st.round.Load(), tick) || st.idleHold(&st.up) {
+		return // a held push stays due: the next input, tick or wake-up takes it
+	}
+	st.up.pushed(complete)
 	s := st.srv
 	// Version-vector entries and the UST are atomics; the context table is
 	// visited shard by shard. The push never blocks — or is blocked by — the
@@ -283,38 +310,46 @@ func (st *stabilizer) pushUpLocked(out *stabSends) {
 		low, oldest = hlc.Min(low, st.childMin[j]), hlc.Min(oldest, st.childOldest[j])
 	}
 	if !st.isRoot {
-		out.up, out.upMsg = true, wire.GSTUp{Active: st.upActive(), Min: low, Oldest: oldest}
+		out.up, out.upMsg = true, wire.GSTUp{Active: st.upActive(), Min: low, Oldest: oldest, Round: uint64(complete)}
 		return
 	}
-	st.dcMin[s.self.DC], st.dcOldest[s.self.DC] = low, oldest
-	out.root, out.rootMsg = true, wire.GSTRoot{DC: s.self.DC, Active: st.upActive(), Min: low, Oldest: oldest}
-	if st.ust.refresh(int(s.self.DC)) {
-		st.computeUSTLocked(out)
-	}
+	own := s.self.DC
+	st.dcMin[own], st.dcOldest[own], st.dcRound[own] = low, oldest, complete
+	out.root, out.rootMsg = true, wire.GSTRoot{DC: own, Active: st.upActive(), Min: low, Oldest: oldest, Round: uint64(complete)}
+	st.computeUSTLocked(out, false)
 }
 
-// computeUSTLocked runs on roots only (Alg. 4 lines 36–38): the UST is the
-// minimum entry across every DC's aggregate. A participating DC that has not
-// reported yet holds the minimum at 0 and the UST cannot advance — which is
-// also exactly the availability behaviour of §III-C: a partitioned DC freezes
-// the UST everywhere. The announcement goes down all the same: it is also how
-// the root's Active bit reaches the subtree whose reports the UST is waiting
-// for. Caller holds st.mu.
-func (st *stabilizer) computeUSTLocked(out *stabSends) {
-	st.ust.pushed()
+// computeUSTLocked runs on roots only (Alg. 4 lines 36–38) and evaluates the
+// root plane like pushUpLocked does the up plane: once every participating
+// DC's aggregate is complete through a later round than the last computation
+// was, the UST is the minimum entry across them. A participating DC that has
+// not reported yet holds the minimum at 0 and the UST cannot advance — which
+// is also exactly the availability behaviour of §III-C: a partitioned DC
+// freezes the UST everywhere. The announcement goes down all the same: it is
+// also how the root's Active bit reaches the subtree whose reports the UST is
+// waiting for. Caller holds st.mu.
+func (st *stabilizer) computeUSTLocked(out *stabSends, tick bool) {
 	own := st.srv.self.DC
+	complete := st.dcRound[own]
+	for _, root := range st.remoteRoots {
+		complete = min(complete, st.dcRound[root.DC])
+	}
+	if !st.ust.due(complete, st.round.Load(), tick) {
+		return
+	}
+	st.ust.pushed(complete)
 	ust, sold := st.dcMin[own], st.dcOldest[own]
 	for _, root := range st.remoteRoots {
 		ust, sold = hlc.Min(ust, st.dcMin[root.DC]), hlc.Min(sold, st.dcOldest[root.DC])
 	}
 	// Idle, the subtree already holds these values or will get them with the
 	// next replication batch.
-	out.downMsg, out.down = wire.USTDown{UST: ust, Sold: sold, Active: st.downActive()}, !st.idleHold(&st.lastDown)
+	out.downMsg, out.down = wire.USTDown{UST: ust, Sold: sold, Active: st.downActive()}, !st.idleHold(&st.ust)
 }
 
 // noteActivity extends one activity mark by the active window.
 func (st *stabilizer) noteActivity(until *atomic.Int64) {
-	until.Store(st.round.Load() + activeWindowMult*st.upEvery)
+	until.Store(st.round.Load() + activeWindowMult*st.up.every)
 }
 
 // markData records local data activity (an apply or a data-bearing
@@ -346,7 +381,7 @@ func (st *stabilizer) activeNow() bool {
 }
 
 // handleUp stores a child's subtree aggregate. Only a child's word counts:
-// anything else would overwrite nothing but could pass for a refreshed input.
+// anything else would overwrite nothing but could pass for a labelled input.
 func (st *stabilizer) handleUp(from topology.NodeID, m wire.GSTUp) {
 	j := slices.Index(st.children, from)
 	if j < 0 {
@@ -357,10 +392,8 @@ func (st *stabilizer) handleUp(from topology.NodeID, m wire.GSTUp) {
 	}
 	var out stabSends
 	st.mu.Lock()
-	st.childMin[j], st.childOldest[j] = m.Min, m.Oldest
-	if st.up.refresh(len(st.srv.vv) + j) {
-		st.pushUpLocked(&out)
-	}
+	st.childMin[j], st.childOldest[j], st.childRound[j] = m.Min, m.Oldest, int64(m.Round)
+	st.pushUpLocked(&out, false)
 	st.mu.Unlock()
 	st.send(&out)
 }
@@ -377,10 +410,8 @@ func (st *stabilizer) handleRoot(from topology.NodeID, m wire.GSTRoot) {
 	}
 	var out stabSends
 	st.mu.Lock()
-	st.dcMin[m.DC], st.dcOldest[m.DC] = m.Min, m.Oldest
-	if st.ust.refresh(int(m.DC)) {
-		st.computeUSTLocked(&out)
-	}
+	st.dcMin[m.DC], st.dcOldest[m.DC], st.dcRound[m.DC] = m.Min, m.Oldest, int64(m.Round)
+	st.computeUSTLocked(&out, false)
 	st.mu.Unlock()
 	st.send(&out)
 }

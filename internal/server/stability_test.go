@@ -98,21 +98,25 @@ func deploy6(t *testing.T) func(*Config) {
 }
 
 // takeUp takes the up plane's push by hand and returns what it would send
-// (marked active, so the idle rule never withholds it).
+// (due whatever the labels say, and marked active, so the idle rule never
+// withholds it).
 func (st *stabilizer) takeUp() stabSends {
 	var out stabSends
 	st.markData()
 	st.mu.Lock()
-	st.pushUpLocked(&out)
+	st.up.stall = livenessTicks * st.up.every
+	st.pushUpLocked(&out, true)
 	st.mu.Unlock()
 	return out
 }
 
-// takeUST runs the root's UST computation by hand and applies the outcome.
+// takeUST runs the root's UST computation by hand, due whatever the labels
+// say, and applies the outcome.
 func (st *stabilizer) takeUST() {
 	var out stabSends
 	st.mu.Lock()
-	st.computeUSTLocked(&out)
+	st.ust.stall = livenessTicks * st.ust.every
+	st.computeUSTLocked(&out, true)
 	st.mu.Unlock()
 	st.send(&out)
 }
@@ -134,7 +138,7 @@ func TestLocalContributionShape(t *testing.T) {
 	// Once the own entry has moved, the peer replica's is the minimum — the
 	// entry for DC 1, where the partition is not replicated, is undefined
 	// and never constrains it.
-	s.applyTick()
+	s.nextRound()
 	if up = s.stab.takeUp().upMsg; up.Min != hlc.New(7, 0) {
 		t.Fatalf("Min = %v, want 7.0", up.Min)
 	}
@@ -162,7 +166,7 @@ func TestAggregateSubtreeWaitsForChildren(t *testing.T) {
 	if len(srv.stab.children) != 2 {
 		t.Fatalf("partition 0 has %d children in this topology, want 2", len(srv.stab.children))
 	}
-	srv.applyTick()
+	srv.nextRound()
 	srv.handleHeartbeat(wire.Heartbeat{SrcDC: 1, TS: hlc.New(42, 0)})
 	if agg := srv.stab.takeUp().rootMsg; agg.Min != 0 || agg.Oldest != 0 {
 		t.Fatalf("aggregate %+v before children reported, want 0/0", agg)
@@ -208,17 +212,16 @@ func TestUSTTickRequiresAllParticipants(t *testing.T) {
 		}
 	}
 
-	// All participants report → UST = global minimum, computed on arrival of
-	// the last one: no tick is needed.
+	// All participants report round 1 → UST = global minimum, computed on
+	// arrival of the last one: no tick is needed.
 	st.mu.Lock()
-	st.ust.refresh(0)
-	st.ust.fired = false
+	st.dcRound[0] = 1
 	st.mu.Unlock()
-	st.handleRoot(st.remoteRoots[0], wire.GSTRoot{DC: 1, Min: hlc.New(15, 0), Oldest: hlc.New(15, 0)})
+	st.handleRoot(st.remoteRoots[0], wire.GSTRoot{DC: 1, Min: hlc.New(15, 0), Oldest: hlc.New(15, 0), Round: 1})
 	if srv.UST() != 0 {
 		t.Fatalf("UST advanced to %v with one participant missing", srv.UST())
 	}
-	st.handleRoot(st.remoteRoots[1], wire.GSTRoot{DC: 2, Min: hlc.New(12, 0), Oldest: hlc.New(9, 0)})
+	st.handleRoot(st.remoteRoots[1], wire.GSTRoot{DC: 2, Min: hlc.New(12, 0), Oldest: hlc.New(9, 0), Round: 1})
 	if srv.UST() != hlc.New(10, 0) {
 		t.Fatalf("UST = %v, want 10.0 (global min)", srv.UST())
 	}
@@ -269,35 +272,31 @@ func TestHandleDownForwardsToChildren(t *testing.T) {
 // TestMalformedGossipIgnored: a stabilization message counts only from the
 // neighbour whose word it is — a child's GSTUp, the GSTRoot of another
 // participating DC's root about its own DC, the parent's USTDown. Anything
-// else must neither be stored nor pass for a refreshed input.
+// else must neither be stored nor pass for a labelled input.
 func TestMalformedGossipIgnored(t *testing.T) {
 	rig := newTestRig(t, ModeNonBlocking, deploy6(t)) // DC 0's root
 	s, st := rig.srv, &rig.srv.stab
 	high := hlc.New(999, 0)
 
-	st.handleUp(topology.ServerID(0, 5), wire.GSTUp{Min: high, Oldest: high})            // a grandchild
-	st.handleUp(topology.ServerID(1, 1), wire.GSTUp{Min: high, Oldest: high})            // another DC's root
-	st.handleRoot(st.remoteRoots[0], wire.GSTRoot{DC: 0, Min: high, Oldest: high})       // names the receiver's DC
-	st.handleRoot(st.remoteRoots[0], wire.GSTRoot{DC: 2, Min: high, Oldest: high})       // names a third DC
-	st.handleRoot(topology.ServerID(1, 3), wire.GSTRoot{DC: 1, Min: high, Oldest: high}) // not DC 1's root
-	st.handleRoot(st.children[0], wire.GSTRoot{DC: 0, Min: high, Oldest: high})          // own child
-	st.handleDown(st.children[0], wire.USTDown{UST: high, Sold: high})                   // a root has no parent
+	st.handleUp(topology.ServerID(0, 5), wire.GSTUp{Min: high, Oldest: high, Round: 9})            // a grandchild
+	st.handleUp(topology.ServerID(1, 1), wire.GSTUp{Min: high, Oldest: high, Round: 9})            // another DC's root
+	st.handleRoot(st.remoteRoots[0], wire.GSTRoot{DC: 0, Min: high, Oldest: high, Round: 9})       // names the receiver's DC
+	st.handleRoot(st.remoteRoots[0], wire.GSTRoot{DC: 2, Min: high, Oldest: high, Round: 9})       // names a third DC
+	st.handleRoot(topology.ServerID(1, 3), wire.GSTRoot{DC: 1, Min: high, Oldest: high, Round: 9}) // not DC 1's root
+	st.handleRoot(st.children[0], wire.GSTRoot{DC: 0, Min: high, Oldest: high, Round: 9})          // own child
+	st.handleDown(st.children[0], wire.USTDown{UST: high, Sold: high})                             // a root has no parent
 	st.handleDown(st.remoteRoots[0], wire.USTDown{UST: high, Sold: high})
 
 	st.mu.Lock()
 	for j := range st.children {
-		if st.childMin[j] != 0 || st.childOldest[j] != 0 {
+		if st.childMin[j] != 0 || st.childOldest[j] != 0 || st.childRound[j] != 0 {
 			t.Errorf("child %d aggregate stored from a non-child", j)
 		}
 	}
 	for dc := range st.dcMin {
-		if st.dcMin[dc] != 0 || st.dcOldest[dc] != 0 {
+		if st.dcMin[dc] != 0 || st.dcOldest[dc] != 0 || st.dcRound[dc] != 0 {
 			t.Errorf("DC %d aggregate stored from the wrong sender", dc)
 		}
-	}
-	if st.up.missing != st.up.total || st.ust.missing != st.ust.total {
-		t.Errorf("a stray message refreshed an input: up %d/%d, ust %d/%d missing",
-			st.up.missing, st.up.total, st.ust.missing, st.ust.total)
 	}
 	st.mu.Unlock()
 	if s.UST() != 0 || s.Sold() != 0 {

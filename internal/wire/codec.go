@@ -158,6 +158,7 @@ func AppendMessageV(buf []byte, msg Message, v Version) []byte {
 		e.ts(m.UpTo)
 		e.ts(m.UST)
 		e.ts(m.Sold)
+		e.u64(m.Round)
 		e.count(len(m.Groups))
 		for _, g := range m.Groups {
 			e.ts(g.CT)
@@ -187,11 +188,13 @@ func AppendMessageV(buf []byte, msg Message, v Version) []byte {
 		e.bool(m.Active)
 		e.ts(m.Min)
 		e.ts(m.Oldest)
+		e.u64(m.Round)
 	case GSTRoot:
 		e.u32(uint32(m.DC))
 		e.bool(m.Active)
 		e.ts(m.Min)
 		e.ts(m.Oldest)
+		e.u64(m.Round)
 	case USTDown:
 		e.ts(m.UST)
 		e.ts(m.Sold)
@@ -286,7 +289,7 @@ func DecodeV(data []byte, v Version) (Message, error) {
 		msg = Replicate{SrcDC: topology.DCID(r.u32()), CT: r.ts(), Txns: r.txns()}
 	case KindReplicateBatch:
 		rep := ReplicateBatch{SrcDC: topology.DCID(r.u32()), Epoch: r.u64(), Seq: r.u64(),
-			UpTo: r.ts(), UST: r.ts(), Sold: r.ts()}
+			UpTo: r.ts(), UST: r.ts(), Sold: r.ts(), Round: r.u64()}
 		n := r.sliceLen()
 		if n > 0 {
 			rep.Groups = make([]ReplicateGroup, 0, n)
@@ -305,9 +308,9 @@ func DecodeV(data []byte, v Version) (Message, error) {
 	case KindHeartbeat:
 		msg = Heartbeat{SrcDC: topology.DCID(r.u32()), TS: r.ts()}
 	case KindGSTUp:
-		msg = GSTUp{Active: r.bool(), Min: r.ts(), Oldest: r.ts()}
+		msg = GSTUp{Active: r.bool(), Min: r.ts(), Oldest: r.ts(), Round: r.u64()}
 	case KindGSTRoot:
-		msg = GSTRoot{DC: topology.DCID(r.u32()), Active: r.bool(), Min: r.ts(), Oldest: r.ts()}
+		msg = GSTRoot{DC: topology.DCID(r.u32()), Active: r.bool(), Min: r.ts(), Oldest: r.ts(), Round: r.u64()}
 	case KindUSTDown:
 		msg = USTDown{UST: r.ts(), Sold: r.ts(), Active: r.bool()}
 	case KindHello:

@@ -68,7 +68,7 @@ func sampleMessages() []Message {
 		}},
 		Replicate{SrcDC: 0, CT: 0},
 		ReplicateBatch{SrcDC: 3, Epoch: 2, Seq: 17, UpTo: hlc.New(60, 0),
-			UST: hlc.New(58, 0), Sold: hlc.New(55, 0), Groups: []ReplicateGroup{
+			UST: hlc.New(58, 0), Sold: hlc.New(55, 0), Round: 354_012_345_678, Groups: []ReplicateGroup{
 				{CT: hlc.New(31, 0), Txns: []TxUpdates{
 					{TxID: 21, SrcDC: 3, Writes: []KV{{Key: "a", Value: []byte("1")}}},
 					{TxID: 22, SrcDC: 3},
@@ -78,10 +78,12 @@ func sampleMessages() []Message {
 				}},
 			}},
 		ReplicateBatch{SrcDC: 0, UpTo: hlc.New(70, 0)},
+		ReplicateBatch{SrcDC: 1, UpTo: hlc.New(71, 0), Round: 1},
 		Heartbeat{SrcDC: 2, TS: hlc.New(40, 9)},
-		GSTUp{Active: true, Min: hlc.New(12, 3), Oldest: 2},
+		GSTUp{Active: true, Min: hlc.New(12, 3), Oldest: 2, Round: 354_012_345_678},
 		GSTUp{},
-		GSTRoot{DC: 1, Active: true, Min: hlc.MaxTimestamp, Oldest: 6},
+		GSTRoot{DC: 1, Active: true, Min: hlc.MaxTimestamp, Oldest: 6, Round: 1<<64 - 1},
+		GSTRoot{},
 		ReplStatus{SrcDC: 2, Epoch: 5, NextSeq: 18, UpTo: hlc.New(44, 1),
 			UST: hlc.New(43, 0), Sold: hlc.New(40, 0), QueuedBytes: 1 << 20},
 		ReplStatus{},

@@ -590,6 +590,13 @@ type ReplicateBatch struct {
 	// or has not computed a UST yet).
 	UST  hlc.Timestamp
 	Sold hlc.Timestamp
+	// Round labels the batch for the receiver's stabilization push: the index
+	// of the wall-clock ΔR boundary the sender's apply round was armed for
+	// (the newest one when a flow pump coalesces rounds). Every server labels
+	// a boundary the same way, so the receiver can tell this round's batch
+	// from a late one of the previous round. It carries latency, not safety;
+	// zero means unlabelled and refreshes nothing.
+	Round uint64
 }
 
 // Kind implements Message.
@@ -634,6 +641,11 @@ type GSTUp struct {
 	Active bool
 	Min    hlc.Timestamp
 	Oldest hlc.Timestamp
+	// Round is the round the aggregate is complete through: the minimum
+	// round label over the sender's inputs (its own tick, its peer replicas'
+	// last ReplicateBatch, its children's last GSTUp). The parent decides
+	// readiness by these labels, never by arrival order.
+	Round uint64
 }
 
 // Kind implements Message.
@@ -647,6 +659,10 @@ type GSTRoot struct {
 	Active bool
 	Min    hlc.Timestamp
 	Oldest hlc.Timestamp
+	// Round is the round the DC aggregate is complete through, as on GSTUp;
+	// a root recomputes the UST once every participating DC's aggregate has
+	// passed the round it last computed for.
+	Round uint64
 }
 
 // Kind implements Message.

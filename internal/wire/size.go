@@ -13,7 +13,7 @@ const tsSize = 16
 func ApproxSize(msg Message) int {
 	switch m := msg.(type) {
 	case ReplicateBatch:
-		n := 1 + 4 + 8 + 8 + tsSize*3 + 4 // kind, SrcDC, Epoch, Seq, UpTo/UST/Sold, group count
+		n := 1 + 4 + 8 + 8 + tsSize*3 + 8 + 4 // kind, SrcDC, Epoch, Seq, UpTo/UST/Sold, Round, group count
 		for _, g := range m.Groups {
 			n += tsSize + 4 // CT, txn count
 			for _, tx := range g.Txns {

@@ -17,8 +17,9 @@ import (
 )
 
 // The stabilization plane is one round per server (internal/server
-// stability.go): rounds start together at the wall-clock multiples of ΔR and
-// every node pushes as soon as its inputs are in. These tests pin what that
+// stability.go): rounds start together at the wall-clock multiples of ΔR, every
+// input carries the label of its round, and every node pushes as soon as its
+// inputs are in for the next round. These tests pin what that
 // buys (commit→universally-visible latency), what it may cost (one message
 // per tree edge per round, no more), and that nothing about it is needed for
 // safety: under faults the UST stands still, never regresses, and resumes.
@@ -77,7 +78,7 @@ func TestStabilizationVisibilityLatency(t *testing.T) {
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	median := lat[len(lat)/2]
 	t.Logf("commit→universally-visible over %d commits: p50 %v  p90 %v  max %v", commits, median, lat[len(lat)*9/10], lat[len(lat)-1])
-	if limit := time.Duration(1+raceSlack) * 10 * time.Millisecond; median > limit {
+	if limit := 10 * time.Millisecond; median > limit {
 		t.Fatalf("median commit→universally-visible %v, want ≤ %v", median, limit)
 	}
 }
@@ -135,11 +136,9 @@ func (m roundMeter) withinBudget(t *testing.T, what string, atLeast float64) {
 	}{{wire.KindGSTUp, stabUpPerRound}, {wire.KindGSTRoot, stabRootPerRound}, {wire.KindUSTDown, stabDownPerRound}} {
 		got := float64(m.sent(b.kind))
 		// Two rounds of slack: the window cuts through a round at either end,
-		// and a push that fell back to its deadline may share a tick interval
-		// with the next round's (the interval before it had none). Under the
-		// race detector servers skip ticks unevenly, and the meter's average
-		// undercounts the busiest.
-		if hi := b.perRound * (rounds + 2 + 3*raceSlack); got > hi {
+		// and the round a stalled node completes again may carry its liveness
+		// push and its ready push.
+		if hi := b.perRound * (rounds + 2); got > hi {
 			t.Errorf("%s: %v %v over %.1f rounds, budget %v per round", what, got, b.kind, rounds, b.perRound)
 		}
 		if lo := atLeast * b.perRound * (rounds - 1); got < lo {
@@ -241,8 +240,8 @@ func maxUST(c *Cluster) Timestamp {
 // TestStabilizationFaults: a child whose tree edge is blackholed (its pushes
 // vanish, and so would its parent's announcements), then an isolated DC.
 // Nothing about readiness pushes is needed for safety, so under either fault
-// the plane keeps to its budget (the nodes that miss an input push at their
-// deadline, once per round), the UST stands still everywhere without ever
+// the plane keeps to its budget (a node whose rounds cannot complete sends a
+// liveness push per tick), the UST stands still everywhere without ever
 // regressing, and it moves again within two rounds of the heal.
 func TestStabilizationFaults(t *testing.T) {
 	c := newTestCluster(t, stabConfig())
@@ -303,7 +302,7 @@ func TestStabilizationFaults(t *testing.T) {
 		}
 		sort.Float64s(resumed)
 		// Two rounds, plus the one the heal cut into.
-		if resumed[1] > 3+raceSlack {
+		if resumed[1] > 3 {
 			t.Errorf("%s: UST resumed %.1f rounds after the heal (median of %v), want within two", fault.name, resumed[1], resumed)
 		} else {
 			t.Logf("%s: UST resumed %v rounds after the heal", fault.name, resumed)
@@ -314,9 +313,10 @@ func TestStabilizationFaults(t *testing.T) {
 // TestStabilizationIdle: a cluster nobody writes to falls back to one push
 // per GossipIdleMax and edge — the rate BENCH_PR10.json recorded for the plane
 // this one replaced — and the first write after the quiet spell wakes it up:
-// deadline pushes carry the Active bit past idle siblings to the root, one
-// round per tree level at worst, the roots relay it across and down, and the
-// woken nodes, whose held pushes leave at once, report within the round.
+// the liveness pushes of nodes whose idle children held their rounds back
+// carry the Active bit past idle siblings to the root, one round per tree
+// level at worst, the roots relay it across and down, and the woken nodes,
+// whose held pushes leave at once, report within the round.
 func TestStabilizationIdle(t *testing.T) {
 	raw, err := os.ReadFile("BENCH_PR10.json")
 	if err != nil {
@@ -365,7 +365,7 @@ func TestStabilizationIdle(t *testing.T) {
 	}
 	sort.Float64s(woke)
 	// The round the commit fell into does not count.
-	if woke[1] > stabTreeDepth+2+1+2*raceSlack {
+	if woke[1] > stabTreeDepth+2+1 {
 		t.Errorf("first write after a quiet spell took %.1f rounds to become universally visible (median of %v), want ≤ %d", woke[1], woke, stabTreeDepth+2)
 	} else {
 		t.Logf("first write after a quiet spell universally visible after %v rounds", woke)
