@@ -7,7 +7,6 @@
 // Usage:
 //
 //	paris-bench -experiment fig1a            # Fig. 1a (95:5)
-//	paris-bench -experiment batching         # batched vs unbatched replication
 //	paris-bench -experiment nemesis -seed 7  # fault-scenario sweep, checked live
 //	paris-bench -experiment all -quick       # everything, fast settings
 //	paris-bench -list
@@ -44,9 +43,8 @@ var experiments = []struct {
 	{"fig2b", "throughput vs DCs at 6 and 12 machines/DC (Fig. 2b)", runFig2b},
 	{"fig3", "throughput and latency vs transaction locality (Fig. 3)", runFig3},
 	{"fig4", "update visibility latency CDF, PaRiS vs BPR (Fig. 4)", runFig4},
-	{"batching", "replication messages/op, batched vs unbatched pipeline", runBatching},
 	{"hotpath", "client-operation hot path: scaling with parallelism (memnet + tcp), allocs/op", runHotpath},
-	{"visibility", "commit→stable latency, its attribution to the stabilization plane's stages, the plane's cost, v2 codec, repair chunking", runVisibility},
+	{"visibility", "commit→stable latency, its attribution to the stabilization plane's stages, the plane's cost, repair chunking", runVisibility},
 	{"nemesis", "composed-fault scenario sweep with live consistency checking", runNemesis},
 	{"table1", "taxonomy of causally consistent systems (Table I)", runTable1},
 }
@@ -73,7 +71,7 @@ func main() {
 		jsonDir    = flag.String("json-dir", "", "directory for BENCH_<name>.json reports (empty disables)")
 		jsonName   = flag.String("json-name", "", "override the report name of a single experiment")
 		batchItems = flag.Int("batch-items", 0,
-			"replication batch max items (0 = default 1024, negative disables batching)")
+			"replication batch max items (0 = default 1024)")
 		batchBytes = flag.Int("batch-bytes", 0,
 			"replication batch max payload bytes (0 = default 1 MiB)")
 		connsPerPeer = flag.Int("conns-per-peer", 0,
@@ -199,7 +197,7 @@ func fatalf(format string, args ...interface{}) {
 // curveReport tabulates one or two mode curves as report rows.
 func curveReport(name, desc string, curves map[string][]bench.Result) *bench.Report {
 	rep := &bench.Report{Name: name, Desc: desc}
-	for _, label := range []string{"paris", "bpr", "batched", "unbatched"} {
+	for _, label := range []string{"paris", "bpr"} {
 		for _, r := range curves[label] {
 			rep.Rows = append(rep.Rows, bench.RowFromResult(label, r))
 		}
@@ -300,14 +298,6 @@ func runFig4(o bench.Options) (*bench.Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-func runBatching(o bench.Options) (*bench.Report, error) {
-	cmp, err := bench.Batching(o)
-	if err != nil {
-		return nil, err
-	}
-	return cmp.Report("batching"), nil
 }
 
 func runHotpath(o bench.Options) (*bench.Report, error) {

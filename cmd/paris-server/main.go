@@ -45,15 +45,13 @@ func main() {
 		ustInt     = flag.Duration("ust-interval", 5*time.Millisecond, "ΔU: roots compute the UST every ⌈ΔU/ΔR⌉-th round")
 		gcInt      = flag.Duration("gc-interval", time.Second, "version GC cadence (0 disables)")
 		batchItems = flag.Int("batch-max-items", 0,
-			"max write items per replication batch (0 = default 1024, negative disables batching)")
+			"max write items per replication batch (0 = default 1024)")
 		batchBytes = flag.Int("batch-max-bytes", 0,
 			"max approximate payload bytes per replication batch (0 = default 1 MiB)")
 		callTimeout = flag.Duration("call-timeout", 0,
 			"coordinator→cohort round-trip bound (0 = default 60s)")
 		preparedTTL = flag.Duration("prepared-ttl", 0,
 			"reap prepared transactions with no commit/abort decision after this long (0 = default 2×call-timeout, negative disables)")
-		prepBatchMax = flag.Int("prepare-batch-max", 0,
-			"max concurrent prepares coalesced into one PrepareBatch per cohort (0 = default 32, negative disables)")
 		applyWorkers = flag.Int("apply-workers", 0,
 			"parallel store-apply goroutines per ΔR round (0 = default min(GOMAXPROCS, 8), 1 = serial)")
 		connsPerPeer = flag.Int("conns-per-peer", 1,
@@ -100,7 +98,6 @@ func main() {
 		GCInterval:      *gcInt,
 		CallTimeout:     *callTimeout,
 		PreparedTTL:     *preparedTTL,
-		PrepareBatchMax: *prepBatchMax,
 		ApplyWorkers:    *applyWorkers,
 		BandwidthBudget: *bandwidthBudget,
 		BudgetBurst:     *budgetBurst,

@@ -50,12 +50,11 @@ type Config struct {
 	// everywhere. Use whole milliseconds. Default 5ms·scale, floor 1ms.
 	ApplyInterval time.Duration
 	// BatchMaxItems caps the write items coalesced into one replication
-	// batch per destination per ΔR round. 0 selects the default (1024);
-	// negative disables batching and uses the legacy one-message-per-commit-
-	// timestamp wire protocol (the bench harness's before/after baseline).
+	// batch per destination per ΔR round. 0 or negative selects the default
+	// (1024).
 	BatchMaxItems int
 	// BatchMaxBytes caps the approximate encoded payload bytes per
-	// replication batch chunk. 0 selects the default (1 MiB).
+	// replication batch chunk. 0 or negative selects the default (1 MiB).
 	BatchMaxBytes int
 	// BandwidthBudget, when positive, enables per-destination replication
 	// flow control on every server: outbound replication traffic toward
@@ -101,10 +100,6 @@ type Config struct {
 	// coordinator's orphans would otherwise freeze the UST system-wide).
 	// 0 selects the default (2×CallTimeout); negative disables the reaper.
 	PreparedTTL time.Duration
-	// PrepareBatchMax caps how many concurrent outbound prepares to one
-	// cohort coalesce into a single PrepareBatch message (group commit).
-	// 0 selects the default (32); negative disables coalescing.
-	PrepareBatchMax int
 	// ApplyWorkers bounds the goroutines applying one ΔR round's writes to
 	// the local store in parallel. 0 selects the default
 	// (min(GOMAXPROCS, 8)); 1 forces serial apply.

@@ -155,7 +155,7 @@ func checkEncoder(pass *analysis.Pass, impls []*types.TypeName) {
 	// codecs typically keep one shared switch in the *V variant and thin
 	// wrappers elsewhere, so probe all candidates and use the first that
 	// actually contains a type switch.
-	for _, name := range []string{"AppendMessageV", "AppendMessage", "EncodeV", "Encode"} {
+	for _, name := range []string{"AppendMessageV", "AppendMessage", "Encode"} {
 		fd := findFunc(pass, name)
 		if fd == nil {
 			continue

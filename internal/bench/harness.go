@@ -48,8 +48,8 @@ type Result struct {
 	// was built with VisibilitySample > 0.
 	Visibility []time.Duration
 	// Messages counts every network envelope sent during the measured
-	// interval; ReplMessages counts only the replication channel (Replicate,
-	// ReplicateBatch, Heartbeat). Both come from the cluster's MemNet.
+	// interval; ReplMessages counts only the replication channel
+	// (ReplicateBatch). Both come from the cluster's MemNet.
 	Messages     uint64
 	ReplMessages uint64
 }
@@ -62,8 +62,8 @@ func (r Result) MsgsPerTx() float64 {
 	return float64(r.Messages) / float64(r.Committed)
 }
 
-// ReplMsgsPerTx is the replication-channel cost of one committed transaction
-// — the figure the batching experiment compares across wire protocols.
+// ReplMsgsPerTx is the replication-channel cost of one committed
+// transaction.
 func (r Result) ReplMsgsPerTx() float64 {
 	if r.Committed == 0 {
 		return 0

@@ -27,8 +27,6 @@ import (
 //     an idle cluster, where the idle rule should collapse the rate to one
 //     push per GossipIdleMax and edge, and under load, where every edge
 //     carries one message per round;
-//   - the v1→v2 codec size on a busy replication round (varint lengths,
-//     delta-encoded timestamps);
 //   - the largest single ReplSyncResp frame served during a flow-controlled
 //     catch-up, against the configured chunk budget;
 //   - memnet closed-loop scaling (1 thread vs SaturationThreads per DC).
@@ -108,15 +106,6 @@ type VisibilityComparison struct {
 	LoadedGossipDelta float64
 	IdleGossipDelta   float64
 
-	// CodecV1Bytes/CodecV2Bytes are the encoded sizes of the same hot-mix
-	// replication round (short keys, 8-byte counter values — the shape
-	// where framing dominates) under each codec version.
-	// CodecV1BulkBytes/CodecV2BulkBytes repeat the comparison on a
-	// bulk-value round (28-byte JSON documents), where the payload dilutes
-	// the framing savings.
-	CodecV1Bytes, CodecV2Bytes         int
-	CodecV1BulkBytes, CodecV2BulkBytes int
-
 	// RepairChunkMax is the largest single ReplSyncResp frame served during
 	// the flow-controlled catch-up probe; RepairChunkBudget is the
 	// configured per-chunk byte budget it is expected to respect (up to one
@@ -171,15 +160,6 @@ func Visibility(o Options) (VisibilityComparison, error) {
 		return cmp, err
 	}
 	cmp.VisTCP = summarizeVis(cmp.TCP.Visibility, tcpApplyInterval)
-
-	// Codec size on the same busy ΔR round, both wire versions and both
-	// workload shapes.
-	hot := sampleCounterBatch()
-	cmp.CodecV1Bytes = len(wire.EncodeV(hot, wire.V1))
-	cmp.CodecV2Bytes = len(wire.EncodeV(hot, wire.V2))
-	bulk := sampleReplicateBatch()
-	cmp.CodecV1BulkBytes = len(wire.EncodeV(bulk, wire.V1))
-	cmp.CodecV2BulkBytes = len(wire.EncodeV(bulk, wire.V2))
 
 	o.printf("visibility: flow-controlled repair-chunk probe\n")
 	if err := cmp.repairProbe(o); err != nil {
@@ -410,7 +390,7 @@ func (cmp VisibilityComparison) Report(name string) *Report {
 		Name: name,
 		Desc: "commit→universally-stable latency and the share of commits it took more than one round, " +
 			"its attribution to the stages of the stabilization plane " +
-			"(attr_before_*: the same stages with unsynchronized timers) and the plane's cost, v2 codec size, repair chunking, memnet scaling",
+			"(attr_before_*: the same stages with unsynchronized timers) and the plane's cost, repair chunking, memnet scaling",
 		Rows: []ReportRow{
 			RowFromResult("memnet-delta", cmp.Delta),
 			RowFromResult("tcp-delta", cmp.TCP),
@@ -436,13 +416,6 @@ func (cmp VisibilityComparison) Report(name string) *Report {
 
 			"gossip_loaded_msgs_per_sec_delta": cmp.LoadedGossipDelta,
 			"gossip_idle_msgs_per_sec_delta":   cmp.IdleGossipDelta,
-
-			"codec_bytes_per_round_v1":   float64(cmp.CodecV1Bytes),
-			"codec_bytes_per_round_v2":   float64(cmp.CodecV2Bytes),
-			"codec_bytes_reduction":      1 - float64(cmp.CodecV2Bytes)/float64(cmp.CodecV1Bytes),
-			"codec_bulk_bytes_v1":        float64(cmp.CodecV1BulkBytes),
-			"codec_bulk_bytes_v2":        float64(cmp.CodecV2BulkBytes),
-			"codec_bulk_bytes_reduction": 1 - float64(cmp.CodecV2BulkBytes)/float64(cmp.CodecV1BulkBytes),
 
 			"repair_chunks_served":      float64(cmp.RepairChunks),
 			"repair_chunk_max_bytes":    float64(cmp.RepairChunkMax),

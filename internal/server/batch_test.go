@@ -7,6 +7,21 @@ import (
 	"github.com/paris-kv/paris/internal/wire"
 )
 
+// sequenced stamps b as the next chunk of its source DC's stream at s, the
+// way a live sender does, so a hand-built batch passes the receiver's
+// sequencing check (replInAccept). A fresh cursor latches onto epoch 1.
+func sequenced(s *Server, b wire.ReplicateBatch) wire.ReplicateBatch {
+	st := &s.replIn[b.SrcDC]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.epoch == 0 {
+		b.Epoch, b.Seq = 1, 1
+	} else {
+		b.Epoch, b.Seq = st.epoch, st.nextSeq
+	}
+	return b
+}
+
 func TestReplicateBatchAppliesAndAdvancesVV(t *testing.T) {
 	rig := newTestRig(t, ModeNonBlocking)
 	s := rig.srv
@@ -24,7 +39,7 @@ func TestReplicateBatchAppliesAndAdvancesVV(t *testing.T) {
 			}},
 		},
 	}
-	s.handleReplicateBatch(batch)
+	s.handleReplicateBatch(sequenced(s, batch))
 
 	item, ok := s.Store().Read("r", hlc.MaxTimestamp)
 	if !ok || string(item.Value) != "newer" || item.SrcDC != 1 {
@@ -38,8 +53,8 @@ func TestReplicateBatchAppliesAndAdvancesVV(t *testing.T) {
 		t.Fatalf("VV[1] = %v, want 2500.0", got)
 	}
 
-	// Duplicate delivery is idempotent.
-	s.handleReplicateBatch(batch)
+	// Delivering the same content again, as a later chunk, is idempotent.
+	s.handleReplicateBatch(sequenced(s, batch))
 	if n := s.Store().VersionCount("r"); n != 2 {
 		t.Fatalf("duplicate batch changed chain length: %d versions, want 2", n)
 	}
@@ -54,14 +69,42 @@ func TestReplicateBatchAppliesAndAdvancesVV(t *testing.T) {
 func TestReplicateBatchEmptyActsAsHeartbeat(t *testing.T) {
 	rig := newTestRig(t, ModeNonBlocking)
 	s := rig.srv
-	s.handleReplicateBatch(wire.ReplicateBatch{SrcDC: 1, UpTo: hlc.New(3000, 0)})
+	s.handleReplicateBatch(sequenced(s, wire.ReplicateBatch{SrcDC: 1, UpTo: hlc.New(3000, 0)}))
 	if got := s.VersionVector()[1]; got != hlc.New(3000, 0) {
 		t.Fatalf("VV[1] = %v, want 3000.0", got)
 	}
-	// Regressions are ignored, exactly like legacy heartbeats.
-	s.handleReplicateBatch(wire.ReplicateBatch{SrcDC: 1, UpTo: hlc.New(2000, 0)})
+	// Regressions are ignored.
+	s.handleReplicateBatch(sequenced(s, wire.ReplicateBatch{SrcDC: 1, UpTo: hlc.New(2000, 0)}))
 	if got := s.VersionVector()[1]; got != hlc.New(3000, 0) {
 		t.Fatalf("VV regressed to %v", got)
+	}
+}
+
+// TestReplicateBatchUnsequencedDropped: a batch with Epoch 0 names no sender
+// incarnation. It neither applies its items nor advances the version vector,
+// and it does not latch the fresh stream cursor, so the sender's first real
+// chunk is still accepted.
+func TestReplicateBatchUnsequencedDropped(t *testing.T) {
+	rig := newTestRig(t, ModeNonBlocking)
+	s := rig.srv
+	before := s.VersionVector()[1]
+	s.handleReplicateBatch(wire.ReplicateBatch{SrcDC: 1, UpTo: hlc.New(3000, 0), Groups: []wire.ReplicateGroup{
+		{CT: hlc.New(2000, 0), Txns: []wire.TxUpdates{
+			{TxID: 77, SrcDC: 1, Writes: []wire.KV{{Key: "r", Value: []byte("unsequenced")}}},
+		}},
+	}})
+	if _, ok := s.Store().Read("r", hlc.MaxTimestamp); ok {
+		t.Fatal("unsequenced batch applied its items")
+	}
+	if got := s.VersionVector()[1]; got != before {
+		t.Fatalf("unsequenced batch moved VV[1] from %v to %v", before, got)
+	}
+	if m := s.Metrics(); m.ReplBatches != 0 || m.ReplItems != 0 {
+		t.Fatalf("unsequenced batch counted: %d batches, %d items", m.ReplBatches, m.ReplItems)
+	}
+	s.handleReplicateBatch(wire.ReplicateBatch{SrcDC: 1, Epoch: 5, Seq: 1, UpTo: hlc.New(3000, 0)})
+	if got := s.VersionVector()[1]; got != hlc.New(3000, 0) {
+		t.Fatalf("first sequenced chunk after the drop: VV[1] = %v, want 3000.0", got)
 	}
 }
 

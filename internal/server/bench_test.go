@@ -87,14 +87,14 @@ func BenchmarkReplicateReceive(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		srv.handleReplicate(wire.Replicate{
-			SrcDC: 1,
-			CT:    hlc.New(uint64(i+1), 0),
-			Txns: []wire.TxUpdates{{
+		ct := hlc.New(uint64(i+1), 0)
+		srv.handleReplicateBatch(wire.ReplicateBatch{
+			SrcDC: 1, Epoch: 1, Seq: uint64(i + 1), UpTo: ct,
+			Groups: []wire.ReplicateGroup{{CT: ct, Txns: []wire.TxUpdates{{
 				TxID:   wire.TxID(i + 1),
 				SrcDC:  1,
 				Writes: []wire.KV{{Key: "r" + strconv.Itoa(i%512), Value: []byte("12345678")}},
-			}},
+			}}}},
 		})
 	}
 }

@@ -27,6 +27,10 @@ type prepareBatcher struct {
 	stopping bool
 }
 
+// prepareBatchMax caps the prepares coalesced into one PrepareBatch; a longer
+// queue leaves as several calls.
+const prepareBatchMax = 32
+
 // ErrServerStopped reports a prepare abandoned because its server shut down
 // while the request was queued or waiting in the group-commit coalescer.
 var ErrServerStopped = errors.New("server: stopped while preparing")
@@ -57,15 +61,9 @@ func (b *prepareBatcher) init(s *Server) {
 }
 
 // call sends one prepare to node through the coalescer and waits for its
-// outcome. With batching disabled (PrepareBatchMax < 0) it degenerates to a
-// direct peer call.
+// outcome.
 func (b *prepareBatcher) call(node topology.NodeID, req wire.PrepareReq) (wire.Message, error) {
 	s := b.s
-	if s.cfg.PrepareBatchMax < 0 {
-		cctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
-		defer cancel()
-		return s.peer.Call(cctx, node, req)
-	}
 	pp := &pendingPrepare{req: req, done: make(chan prepareReply, 1)}
 	b.mu.Lock()
 	if b.stopping {
@@ -116,14 +114,13 @@ func (b *prepareBatcher) shutdown() {
 
 // pump drains one destination's queue and exits when it runs dry. Each turn
 // takes the *entire* queue in one lock handoff and slices it into
-// PrepareBatchMax-sized wire calls locally — the pump used to re-acquire the
+// prepareBatchMax-sized wire calls locally — the pump used to re-acquire the
 // shared batcher mutex once per send, so a loaded coordinator paid a
 // lock-handoff (and its cache-line bounce against every concurrently queueing
 // caller) per batch rather than per drain. prepPumpWakeups counts the
 // handoffs; BenchmarkPrepareBatcher reports them per op.
 func (b *prepareBatcher) pump(node topology.NodeID, d *prepareDest) {
 	s := b.s
-	max := s.cfg.PrepareBatchMax
 	for {
 		b.mu.Lock()
 		if len(d.queue) == 0 {
@@ -137,8 +134,8 @@ func (b *prepareBatcher) pump(node topology.NodeID, d *prepareDest) {
 		s.metrics.prepPumpWakeups.Add(1)
 		for len(work) > 0 {
 			batch := work
-			if len(batch) > max {
-				batch = batch[:max]
+			if len(batch) > prepareBatchMax {
+				batch = batch[:prepareBatchMax]
 			}
 			work = work[len(batch):]
 			b.send(node, batch)
@@ -147,8 +144,8 @@ func (b *prepareBatcher) pump(node topology.NodeID, d *prepareDest) {
 }
 
 // send performs one wire call for a batch and distributes the per-prepare
-// outcomes. A single-entry batch travels as a plain PrepareReq so the quiet
-// path is byte-identical to the unbatched protocol (and old peers interop).
+// outcomes. A single-entry batch travels as a plain PrepareReq, so a quiet
+// coordinator's prepares cost exactly what a direct call would.
 func (b *prepareBatcher) send(node topology.NodeID, batch []*pendingPrepare) {
 	s := b.s
 	cctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)

@@ -17,7 +17,7 @@ import (
 // drain the queue, per prepare. With the drain-all handoff the pump takes
 // the whole queue in one lock acquisition and slices it locally, so under
 // load wakeups/op sits well below one (the old per-send re-acquire paid one
-// handoff per PrepareBatchMax prepares at best, one per prepare at worst).
+// handoff per prepareBatchMax prepares at best, one per prepare at worst).
 func BenchmarkPrepareBatcher(b *testing.B) {
 	topo, err := topology.New(3, 3, 2)
 	if err != nil {

@@ -47,9 +47,8 @@ const replSyncBackoffCap = 2 * time.Second
 //
 // Requests are retried (paced by replSyncRetry) as long as mismatching
 // chunks keep arriving, so a repair request lost to the same fault that
-// caused the hole heals once the link does. The legacy unbatched wire path
-// (BatchMaxItems < 0) predates sequencing and keeps its fire-and-forget
-// semantics.
+// caused the hole heals once the link does. Every chunk a server sends is
+// sequenced; an unsequenced one (Epoch 0) is dropped on arrival.
 
 // replInStream is the receiver-side cursor for one source DC's stream. An
 // epoch of zero means no sender incarnation has been latched yet.
@@ -70,14 +69,11 @@ type replInStream struct {
 // element of its stream. Out-of-order chunks are dropped after (rate-
 // limitedly) requesting a store-backed repair from the sender.
 func (s *Server) replInAccept(m wire.ReplicateBatch) bool {
-	if int(m.SrcDC) >= len(s.replIn) {
+	// Epoch 0 names no sender incarnation: no server sends it, and a fresh
+	// cursor (epoch 0, nextSeq 0) would otherwise take it for its own next
+	// chunk. Drop it without touching the cursor.
+	if int(m.SrcDC) >= len(s.replIn) || m.Epoch == 0 {
 		return false
-	}
-	if m.Epoch == 0 {
-		// Unsequenced batch — a pre-sequencing sender or a hand-built test
-		// message. Apply it without moving the stream cursor; live senders
-		// always stamp a nonzero epoch.
-		return true
 	}
 	st := &s.replIn[m.SrcDC]
 	st.mu.Lock()
@@ -212,14 +208,7 @@ func (s *Server) maybeReplSync(peer topology.NodeID, ub hlc.Timestamp) {
 // sequentially into the stream in FIFO order.
 func (s *Server) buildRepairChunks(items []wire.Item, nextSeq uint64, ub hlc.Timestamp) []wire.ReplSyncResp {
 	sort.Slice(items, func(i, j int) bool { return items[i].UT < items[j].UT })
-	maxItems := s.cfg.BatchMaxItems
-	if maxItems <= 0 {
-		maxItems = defaultBatchMaxItems
-	}
-	maxBytes := s.cfg.BatchMaxBytes
-	if maxBytes <= 0 {
-		maxBytes = defaultBatchMaxBytes
-	}
+	maxItems, maxBytes := s.cfg.BatchMaxItems, s.cfg.BatchMaxBytes
 	newChunk := func() wire.ReplSyncResp {
 		return wire.ReplSyncResp{SrcDC: s.self.DC, Epoch: s.replEpoch, NextSeq: nextSeq}
 	}

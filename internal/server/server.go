@@ -77,14 +77,12 @@ type Config struct {
 	// clock's physical part counts them.
 	ApplyInterval time.Duration
 	// BatchMaxItems caps the write items coalesced into one ReplicateBatch
-	// chunk per destination per ΔR round. 0 selects the default (1024); a
-	// negative value disables batching entirely and falls back to the legacy
-	// per-commit-timestamp Replicate and Heartbeat messages (the bench
-	// harness uses this for before/after comparisons).
+	// chunk per destination per ΔR round. 0 or negative selects the default
+	// (1024).
 	BatchMaxItems int
 	// BatchMaxBytes caps the approximate encoded payload bytes per chunk.
-	// 0 selects the default (1 MiB). A single group larger than either cap
-	// still travels whole: caps split rounds, never transactions.
+	// 0 or negative selects the default (1 MiB). A single group larger than
+	// either cap still travels whole: caps split rounds, never transactions.
 	BatchMaxBytes int
 	// BandwidthBudget, when positive, enables per-destination replication
 	// flow control (flowpump.go): outbound ReplicateBatch/ReplSyncResp
@@ -93,7 +91,6 @@ type Config struct {
 	// destination whose queue crosses the bound degrades to
 	// summary/heartbeat-only mode until it drains below FlowLowWater.
 	// 0 disables flow control entirely (unbounded fire-and-forget sends).
-	// Only effective on the batched pipeline (BatchMaxItems >= 0).
 	BandwidthBudget int
 	// BudgetBurst is the token bucket's burst capacity in bytes.
 	// 0 selects BandwidthBudget/4, floored at 4 KiB.
@@ -107,13 +104,6 @@ type Config struct {
 	// FlowLowWater is the queue depth below which a degraded destination
 	// resumes normal sends. 0 selects FlowHighWater/4.
 	FlowLowWater int
-	// PrepareBatchMax caps how many concurrent outbound 2PC prepares to one
-	// destination cohort are coalesced into a single PrepareBatch wire
-	// message (group commit for the prepare fan-out, amortizing per-message
-	// framing the way the replication pipeline does for writes). 0 selects
-	// the default (32); a negative value disables coalescing and sends every
-	// prepare as its own PrepareReq.
-	PrepareBatchMax int
 	// ApplyWorkers is the number of store-apply worker goroutines a ΔR round
 	// fans out to; the round's version-clock publication waits for all of
 	// them (store-then-publish). 0 selects the default (GOMAXPROCS, capped
@@ -197,7 +187,6 @@ const (
 	defaultCallTimeout     = 60 * time.Second
 	defaultBatchMaxItems   = 1024
 	defaultBatchMaxBytes   = 1 << 20
-	defaultPrepareBatchMax = 32
 	maxDefaultApplyWorkers = 8
 	defaultFlowHighWater   = 4 << 20
 	minDefaultBudgetBurst  = 4 << 10
@@ -227,14 +216,11 @@ func (c *Config) withDefaults() (Config, error) {
 	if cfg.ApplyInterval <= 0 {
 		cfg.ApplyInterval = defaultApplyInterval
 	}
-	if cfg.BatchMaxItems == 0 {
+	if cfg.BatchMaxItems <= 0 {
 		cfg.BatchMaxItems = defaultBatchMaxItems
 	}
-	if cfg.BatchMaxBytes == 0 {
+	if cfg.BatchMaxBytes <= 0 {
 		cfg.BatchMaxBytes = defaultBatchMaxBytes
-	}
-	if cfg.PrepareBatchMax == 0 {
-		cfg.PrepareBatchMax = defaultPrepareBatchMax
 	}
 	if cfg.BandwidthBudget > 0 {
 		if cfg.BudgetBurst <= 0 {
@@ -414,7 +400,7 @@ type Server struct {
 	replSyncRetry time.Duration
 
 	// flow is the replication flow-control layer (flowpump.go); nil when
-	// Config.BandwidthBudget is 0 or the pipeline is unbatched.
+	// Config.BandwidthBudget is 0.
 	flow *flowControl
 
 	// recovered2PC is set when Config.Recovered2PC seeded prepared entries;
@@ -480,7 +466,7 @@ func New(cfg Config) (*Server, error) {
 	if full.Recovered2PC != nil {
 		s.importTwoPC(full.Recovered2PC)
 	}
-	if full.BandwidthBudget > 0 && full.BatchMaxItems >= 0 {
+	if full.BandwidthBudget > 0 {
 		s.flow = newFlowControl(s)
 	}
 	s.peer = transport.NewPeer(full.ID, s)
@@ -650,12 +636,8 @@ func (s *Server) HandleCast(from topology.NodeID, msg wire.Message) {
 		s.handleCohortCommit(m)
 	case wire.AbortTx:
 		s.handleAbortTx(m)
-	case wire.Replicate:
-		s.handleReplicate(m)
 	case wire.ReplicateBatch:
 		s.handleReplicateBatch(m)
-	case wire.Heartbeat:
-		s.handleHeartbeat(m)
 	case wire.ReplSyncReq:
 		s.handleReplSyncReq(m)
 	case wire.ReplSyncResp:

@@ -47,7 +47,7 @@ func newLabelled(t *testing.T, id topology.NodeID, opts ...func(*Config)) labell
 func (l labelled) tick(r int64) { l.s.applyTick(r) }
 
 func (l labelled) peer(r int64, label uint64) {
-	l.s.handleReplicateBatch(wire.ReplicateBatch{SrcDC: 2, UpTo: hlc.New(900+uint64(r), 0), Round: label})
+	l.s.handleReplicateBatch(sequenced(l.s, wire.ReplicateBatch{SrcDC: 2, UpTo: hlc.New(900+uint64(r), 0), Round: label}))
 }
 
 func (l labelled) child(r int64) {
@@ -379,7 +379,7 @@ func TestGossipSuppressedWhenQuiescent(t *testing.T) {
 	// and again at the peer's batch, which completes the round: still one
 	// count per withheld round.
 	batch := func(r int64) {
-		s.handleReplicateBatch(wire.ReplicateBatch{SrcDC: 2, UpTo: hlc.New(900+uint64(r), 0), Round: uint64(r)})
+		s.handleReplicateBatch(sequenced(s, wire.ReplicateBatch{SrcDC: 2, UpTo: hlc.New(900+uint64(r), 0), Round: uint64(r)}))
 	}
 	for r := int64(8); r <= 10; r++ {
 		s.applyTick(r)
@@ -507,10 +507,10 @@ func TestPiggybackedStableValuesAdopted(t *testing.T) {
 
 	// ReplicateBatch carries the sender's published UST/Sold; the receiver
 	// adopts them without waiting for the down-tree gossip.
-	s.handleReplicateBatch(wire.ReplicateBatch{
+	s.handleReplicateBatch(sequenced(s, wire.ReplicateBatch{
 		SrcDC: 1, UpTo: hlc.New(900, 0),
 		UST: hlc.New(500, 0), Sold: hlc.New(400, 0),
-	})
+	}))
 	if s.UST() != hlc.New(500, 0) || s.Sold() != hlc.New(400, 0) {
 		t.Fatalf("batch piggyback not adopted: ust=%v sold=%v", s.UST(), s.Sold())
 	}
@@ -527,7 +527,7 @@ func TestPiggybackedStableValuesAdopted(t *testing.T) {
 
 	// A zero UST means "no information" and adopts nothing.
 	before := s.UST()
-	s.handleReplicateBatch(wire.ReplicateBatch{SrcDC: 1, UpTo: hlc.New(990, 0)})
+	s.handleReplicateBatch(sequenced(s, wire.ReplicateBatch{SrcDC: 1, UpTo: hlc.New(990, 0)}))
 	if s.UST() != before {
 		t.Fatalf("zero piggyback moved UST to %v", s.UST())
 	}

@@ -125,7 +125,7 @@ func TestLocalContributionShape(t *testing.T) {
 	// Partition 2 lives in DCs 2 and 0; at DC 0 it is a leaf under the root.
 	rig := newTestRigAt(t, ModeNonBlocking, topology.ServerID(0, 2))
 	s := rig.srv
-	s.handleHeartbeat(wire.Heartbeat{SrcDC: 2, TS: hlc.New(7, 0)})
+	s.handleReplicateBatch(sequenced(s, wire.ReplicateBatch{SrcDC: 2, UpTo: hlc.New(7, 0), Round: uint64(s.stab.round.Load())}))
 
 	up := s.stab.takeUp().upMsg
 	if up.Min != 0 {
@@ -167,7 +167,7 @@ func TestAggregateSubtreeWaitsForChildren(t *testing.T) {
 		t.Fatalf("partition 0 has %d children in this topology, want 2", len(srv.stab.children))
 	}
 	srv.nextRound()
-	srv.handleHeartbeat(wire.Heartbeat{SrcDC: 1, TS: hlc.New(42, 0)})
+	srv.handleReplicateBatch(sequenced(srv, wire.ReplicateBatch{SrcDC: 1, UpTo: hlc.New(42, 0), Round: uint64(srv.stab.round.Load())}))
 	if agg := srv.stab.takeUp().rootMsg; agg.Min != 0 || agg.Oldest != 0 {
 		t.Fatalf("aggregate %+v before children reported, want 0/0", agg)
 	}

@@ -63,7 +63,7 @@ func TestStripedCastFIFOWithConcurrentRequests(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := sender.Call(ctx, b, wire.Heartbeat{SrcDC: 9, TS: 1}); err != nil {
+				if _, err := sender.Call(ctx, b, wire.ReplicateBatch{SrcDC: 9, UpTo: 1}); err != nil {
 					return
 				}
 			}
@@ -72,7 +72,7 @@ func TestStripedCastFIFOWithConcurrentRequests(t *testing.T) {
 
 	const n = 400
 	for i := 1; i <= n; i++ {
-		if err := sender.Cast(b, wire.Heartbeat{SrcDC: 1, TS: hlc.Timestamp(i)}); err != nil {
+		if err := sender.Cast(b, wire.ReplicateBatch{SrcDC: 1, UpTo: hlc.Timestamp(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,9 +81,9 @@ func TestStripedCastFIFOWithConcurrentRequests(t *testing.T) {
 	wg.Wait()
 
 	for i, m := range got {
-		hb, ok := m.(wire.Heartbeat)
-		if !ok || hb.SrcDC != 1 || hb.TS != hlc.Timestamp(i+1) {
-			t.Fatalf("cast %d = %#v, want Heartbeat TS=%d", i, m, i+1)
+		hb, ok := m.(wire.ReplicateBatch)
+		if !ok || hb.SrcDC != 1 || hb.UpTo != hlc.Timestamp(i+1) {
+			t.Fatalf("cast %d = %#v, want ReplicateBatch UpTo=%d", i, m, i+1)
 		}
 	}
 
@@ -127,7 +127,7 @@ func TestStripedTCPCounters(t *testing.T) {
 	sender.Attach(nodeA)
 	receiver.Attach(nodeB)
 
-	if err := sender.Cast(b, wire.Heartbeat{SrcDC: 1, TS: 1}); err != nil {
+	if err := sender.Cast(b, wire.ReplicateBatch{SrcDC: 1, UpTo: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sender.CastBatch(b, batchOf(5)); err != nil {
@@ -144,7 +144,7 @@ func TestStripedTCPCounters(t *testing.T) {
 	if got := nodeA.BatchedEnvelopes(); got != 5 {
 		t.Fatalf("BatchedEnvelopes = %d, want 5", got)
 	}
-	if got := nodeA.MessagesByKind()[wire.KindHeartbeat]; got != 6 {
-		t.Fatalf("byKind[Heartbeat] = %d, want 6", got)
+	if got := nodeA.MessagesByKind()[wire.KindReplicateBatch]; got != 6 {
+		t.Fatalf("byKind[ReplicateBatch] = %d, want 6", got)
 	}
 }

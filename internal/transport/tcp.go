@@ -35,15 +35,6 @@ type TCPNode struct {
 	ln       net.Listener
 	nstripes int
 
-	// maxVer caps the codec version this node offers and accepts.
-	maxVer wire.Version
-	// verMu guards peerVer: the codec version negotiated per peer, learned
-	// from the Hello frame each side sends when a connection opens. A peer
-	// absent from the map speaks v1 — the pre-negotiation wire format — so
-	// old binaries that never send a Hello interoperate unchanged.
-	verMu   sync.RWMutex
-	peerVer map[topology.NodeID]wire.Version
-
 	mu sync.Mutex
 	// conns holds the outbound stripe set per peer; slots dial lazily.
 	conns   map[topology.NodeID][]*tcpConn
@@ -71,13 +62,6 @@ type TCPOptions struct {
 	// per peer. 0 or 1 keeps the single-connection behavior. Casts always
 	// share one stripe (FIFO); requests and responses hash by RequestID.
 	ConnsPerPeer int
-	// MaxCodecVersion caps the wire codec version this node negotiates.
-	// 0 means wire.MaxVersion (offer and accept everything this build
-	// speaks). 1 pins the node to the v1 codec AND suppresses the Hello
-	// frame entirely, reproducing the pre-negotiation wire behavior
-	// byte-for-byte — the escape hatch for mixed fleets with peers that
-	// drop connections on unknown message kinds.
-	MaxCodecVersion int
 }
 
 // AddressBook resolves node ids to dialable addresses.
@@ -115,18 +99,12 @@ func ListenTCPOpts(self topology.NodeID, listenAddr string, book AddressBook, ha
 	if nstripes < 1 {
 		nstripes = 1
 	}
-	maxVer := wire.MaxVersion
-	if opts.MaxCodecVersion > 0 && wire.Version(opts.MaxCodecVersion) < maxVer {
-		maxVer = wire.Version(opts.MaxCodecVersion)
-	}
 	n := &TCPNode{
 		self:     self,
 		book:     book,
 		handler:  handler,
 		ln:       ln,
 		nstripes: nstripes,
-		maxVer:   maxVer,
-		peerVer:  make(map[topology.NodeID]wire.Version),
 		conns:    make(map[topology.NodeID][]*tcpConn),
 		inbound:  make(map[net.Conn]*tcpConn),
 		routes:   make(map[topology.NodeID]*tcpConn),
@@ -185,49 +163,6 @@ func (n *TCPNode) MessagesByKind() map[wire.Kind]uint64 {
 	return out
 }
 
-// versionFor returns the codec version to use for frames sent to peer:
-// the negotiated version once its Hello has arrived, v1 before that and for
-// peers that never send one.
-func (n *TCPNode) versionFor(peer topology.NodeID) wire.Version {
-	n.verMu.RLock()
-	v := n.peerVer[peer]
-	n.verMu.RUnlock()
-	if v < wire.V1 || v > n.maxVer {
-		return wire.V1
-	}
-	return v
-}
-
-// setPeerVersion records the version advertised by a peer's Hello, clamped
-// to what this node speaks.
-func (n *TCPNode) setPeerVersion(peer topology.NodeID, advertised wire.Version) {
-	v := advertised
-	if v > n.maxVer {
-		v = n.maxVer
-	}
-	if v < wire.V1 {
-		return // nonsense advert; stay on v1
-	}
-	n.verMu.Lock()
-	n.peerVer[peer] = v
-	n.verMu.Unlock()
-}
-
-// sendHello enqueues the codec-negotiation frame as the first write on a
-// connection. A node pinned to v1 sends nothing: v1 is the pre-negotiation
-// default on both sides, and silence keeps the byte stream identical to old
-// builds.
-func (n *TCPNode) sendHello(c *tcpConn) {
-	if n.maxVer <= wire.V1 {
-		return
-	}
-	_ = c.enqueue(Envelope{
-		From:  n.self,
-		Class: ClassHello,
-		Msg:   wire.Hello{MaxVersion: uint8(n.maxVer)},
-	}, wire.V1) // the hello itself must be readable before negotiation
-}
-
 // Send implements Endpoint.
 func (n *TCPNode) Send(env Envelope) error {
 	env.From = n.self
@@ -236,7 +171,7 @@ func (n *TCPNode) Send(env Envelope) error {
 		return err
 	}
 	n.countSend(&env)
-	return c.enqueue(env, n.versionFor(env.To))
+	return c.enqueue(env)
 }
 
 // SendBatch implements BatchEndpoint: all envelopes (sharing one
@@ -264,10 +199,9 @@ func (n *TCPNode) SendBatch(envs []Envelope) error {
 		n.byKind[envs[i].Msg.Kind()]++
 	}
 	n.byKindMu.Unlock()
-	v := n.versionFor(envs[0].To)
 	buf := wire.GetBuffer()
 	for i := range envs {
-		*buf = appendFrame(*buf, envs[i], v)
+		*buf = appendFrame(*buf, envs[i])
 	}
 	return c.enqueueBuf(buf)
 }
@@ -370,9 +304,6 @@ func (n *TCPNode) conn(to topology.NodeID, stripe int) (*tcpConn, error) {
 	}
 	c := newTCPConn(raw)
 	cs[stripe] = c
-	// Enqueued while still holding n.mu, so no other sender can reach this
-	// stripe first: the hello is guaranteed to be the first frame written.
-	n.sendHello(c)
 	n.wg.Add(2)
 	go func() {
 		defer n.wg.Done()
@@ -398,9 +329,6 @@ func (n *TCPNode) acceptLoop() {
 		// The write side of an inbound connection serves as the reverse
 		// route for replies to peers the address book cannot resolve.
 		wc := newTCPConn(raw)
-		// First frame back to the dialer is our hello; wc is not yet
-		// published as a route, so nothing can be queued ahead of it.
-		n.sendHello(wc)
 		n.mu.Lock()
 		if n.closed {
 			n.mu.Unlock()
@@ -464,21 +392,13 @@ func (n *TCPNode) readLoop(raw net.Conn, wc *tcpConn) {
 		}
 		env, err := decodeFrame(frame)
 		if err != nil {
-			return
+			return // corrupt, untagged or undecodable frame; drop the connection
 		}
 		if env.From != from {
 			from = env.From
 			n.mu.Lock()
 			n.routes[from] = wc
 			n.mu.Unlock()
-		}
-		// Codec negotiation is transport-internal: record the peer's
-		// advertised version and swallow the frame.
-		if env.Class == ClassHello {
-			if h, ok := env.Msg.(wire.Hello); ok {
-				n.setPeerVersion(env.From, wire.Version(h.MaxVersion))
-			}
-			continue
 		}
 		env.To = n.self
 		n.handler.Deliver(env)
@@ -502,46 +422,43 @@ const maxFrameSize = 64 << 20
 //	from.DC  int32 | from.Index int32 | from.Role uint8 |
 //	class uint8 | requestID uint64 | wire-encoded message
 //
-// The high bit of the class byte tags the body's codec version (set = v2),
-// making every frame self-describing: negotiation only decides what a sender
-// may emit, never how a receiver must guess.
+// The high bit of the class byte is the codec tag, set on every frame.
+// Frames of the retired fixed-width codec lack it, so a receiver rejects an
+// untagged frame and drops the connection instead of misreading its body.
 const frameHeaderSize = 4 + 4 + 1 + 1 + 8
 
-// frameV2Bit marks a v2-encoded body in the class byte.
-const frameV2Bit = 0x80
+// frameTagBit is the codec tag in the class byte.
+const frameTagBit = 0x80
 
-// appendFrame appends one length-prefixed frame to buf, encoding the body
-// with codec version v. Framing is append-into-caller-buffer all the way
-// down (wire.AppendMessageV), so a pooled buffer makes steady-state encoding
-// allocation-free.
-func appendFrame(buf []byte, env Envelope, v wire.Version) []byte {
+// errUntaggedFrame reports a frame whose class byte lacks frameTagBit.
+var errUntaggedFrame = fmt.Errorf("%w: frame without the codec tag", wire.ErrMalformed)
+
+// appendFrame appends one length-prefixed frame to buf. Framing is
+// append-into-caller-buffer all the way down (wire.AppendMessage), so a
+// pooled buffer makes steady-state encoding allocation-free.
+func appendFrame(buf []byte, env Envelope) []byte {
 	start := len(buf)
-	class := byte(env.Class)
-	if v >= wire.V2 {
-		class |= frameV2Bit
-	}
 	buf = append(buf, 0, 0, 0, 0) // length prefix, patched below
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(env.From.DC))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(env.From.Index))
-	buf = append(buf, byte(env.From.Role), class)
+	buf = append(buf, byte(env.From.Role), byte(env.Class)|frameTagBit)
 	buf = binary.LittleEndian.AppendUint64(buf, env.RequestID)
-	buf = wire.AppendMessageV(buf, env.Msg, v)
+	buf = wire.AppendMessage(buf, env.Msg)
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
 	return buf
 }
 
 func encodeFrame(env Envelope) []byte {
-	return appendFrame(make([]byte, 0, 4+frameHeaderSize+64), env, wire.V1)
+	return appendFrame(make([]byte, 0, 4+frameHeaderSize+64), env)
 }
 
 func decodeFrame(frame []byte) (Envelope, error) {
 	if len(frame) < frameHeaderSize {
 		return Envelope{}, wire.ErrTruncated
 	}
-	class, v := frame[9], wire.V1
-	if class&frameV2Bit != 0 {
-		class &^= frameV2Bit
-		v = wire.V2
+	class := frame[9]
+	if class&frameTagBit == 0 {
+		return Envelope{}, errUntaggedFrame
 	}
 	env := Envelope{
 		From: topology.NodeID{
@@ -549,10 +466,10 @@ func decodeFrame(frame []byte) (Envelope, error) {
 			Index: int32(binary.LittleEndian.Uint32(frame[4:])),
 			Role:  topology.Role(frame[8]),
 		},
-		Class:     Class(class),
+		Class:     Class(class &^ frameTagBit),
 		RequestID: binary.LittleEndian.Uint64(frame[10:]),
 	}
-	msg, err := wire.DecodeV(frame[frameHeaderSize:], v)
+	msg, err := wire.Decode(frame[frameHeaderSize:])
 	if err != nil {
 		return Envelope{}, err
 	}
@@ -579,9 +496,9 @@ func newTCPConn(raw net.Conn) *tcpConn {
 	return c
 }
 
-func (c *tcpConn) enqueue(env Envelope, v wire.Version) error {
+func (c *tcpConn) enqueue(env Envelope) error {
 	buf := wire.GetBuffer()
-	*buf = appendFrame(*buf, env, v)
+	*buf = appendFrame(*buf, env)
 	return c.enqueueBuf(buf)
 }
 

@@ -2,7 +2,10 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -48,24 +51,69 @@ func TestFrameQuickRoundTrip(t *testing.T) {
 				Index: idx,
 				Role:  topology.Role(role),
 			},
-			// The class byte's high bit is the codec-version tag, so only
-			// 7 bits of class are representable on the wire.
-			Class:     Class(class &^ frameV2Bit),
+			// The class byte's high bit is the codec tag, so only 7 bits
+			// of class are representable on the wire.
+			Class:     Class(class &^ frameTagBit),
 			RequestID: reqID,
-			Msg:       wire.Heartbeat{SrcDC: topology.DCID(dc), TS: hlc.Timestamp(ts)},
+			Msg:       wire.ReplicateBatch{SrcDC: topology.DCID(dc), UpTo: hlc.Timestamp(ts)},
 		}
-		for _, v := range []wire.Version{wire.V1, wire.V2} {
-			frame := appendFrame(nil, env, v)
-			got, err := decodeFrame(frame[4:])
-			if err != nil || got.From != env.From || got.Class != env.Class ||
-				got.RequestID != env.RequestID || got.Msg.(wire.Heartbeat).TS != hlc.Timestamp(ts) {
-				return false
-			}
-		}
-		return true
+		got, err := decodeFrame(encodeFrame(env)[4:])
+		return err == nil && got.From == env.From && got.Class == env.Class &&
+			got.RequestID == env.RequestID && got.Msg.(wire.ReplicateBatch).UpTo == hlc.Timestamp(ts)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTCPDropsUntaggedFrame writes hand-built frames to a node's listener. A
+// frame whose class byte lacks the codec tag is rejected and its connection
+// closed, even when its body decodes (a FinishTx body reads the same in the
+// retired fixed-width format); the same frame with the tag is delivered.
+func TestTCPDropsUntaggedFrame(t *testing.T) {
+	h := &echoHandler{}
+	_, node := startTCPNode(t, nodeB, h, StaticBook{})
+	frame := encodeFrame(Envelope{From: nodeA, Class: ClassCast, Msg: wire.FinishTx{TxID: 7}})
+
+	send := func(frame []byte) net.Conn {
+		t.Helper()
+		conn, err := net.Dial("tcp", node.ListenAddr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = conn.Close() })
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+	casts := func() int {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return len(h.casts)
+	}
+
+	untagged := append([]byte(nil), frame...)
+	untagged[4+9] &^= frameTagBit
+	if _, err := decodeFrame(untagged[4:]); !errors.Is(err, wire.ErrMalformed) {
+		t.Fatalf("decodeFrame(untagged) = %v, want ErrMalformed", err)
+	}
+	conn := send(untagged)
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 64)); err != io.EOF {
+		t.Fatalf("untagged frame: read %d bytes, err %v; want the node to close the connection", n, err)
+	}
+	if n := casts(); n != 0 {
+		t.Fatalf("untagged frame delivered %d casts", n)
+	}
+
+	send(frame)
+	deadline := time.Now().Add(5 * time.Second)
+	for casts() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("tagged frame never delivered")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -110,7 +158,7 @@ func TestTCPCastsPreserveFIFO(t *testing.T) {
 
 	const n = 200
 	for i := 0; i < n; i++ {
-		if err := pA.Cast(nodeB, wire.Heartbeat{SrcDC: 0, TS: hlc.Timestamp(i)}); err != nil {
+		if err := pA.Cast(nodeB, wire.ReplicateBatch{SrcDC: 0, UpTo: hlc.Timestamp(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,7 +178,7 @@ func TestTCPCastsPreserveFIFO(t *testing.T) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for i, msg := range h.casts {
-		if ts := msg.(wire.Heartbeat).TS; ts != hlc.Timestamp(i) {
+		if ts := msg.(wire.ReplicateBatch).UpTo; ts != hlc.Timestamp(i) {
 			t.Fatalf("TCP FIFO violated at %d: ts=%d", i, ts)
 		}
 	}
@@ -138,7 +186,7 @@ func TestTCPCastsPreserveFIFO(t *testing.T) {
 
 func TestTCPUnknownAddress(t *testing.T) {
 	pA, _ := startTCPNode(t, nodeA, nopHandler{}, StaticBook{})
-	if err := pA.Cast(nodeB, wire.Heartbeat{}); err == nil {
+	if err := pA.Cast(nodeB, wire.ReplicateBatch{}); err == nil {
 		t.Fatal("cast to unknown address succeeded")
 	}
 }
@@ -154,7 +202,7 @@ func TestTCPSendAfterClose(t *testing.T) {
 	if err := node.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := node.Send(Envelope{To: nodeB, Class: ClassCast, Msg: wire.Heartbeat{}}); err == nil {
+	if err := node.Send(Envelope{To: nodeB, Class: ClassCast, Msg: wire.ReplicateBatch{}}); err == nil {
 		t.Fatal("send accepted after close")
 	}
 	// Double close is fine.

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"github.com/paris-kv/paris/internal/hlc"
@@ -70,7 +71,7 @@ func TestReplicateBatchItems(t *testing.T) {
 
 func TestBufferPoolReuse(t *testing.T) {
 	b := GetBuffer()
-	*b = AppendMessage(*b, Heartbeat{SrcDC: 1, TS: 2})
+	*b = AppendMessage(*b, ReplicateBatch{SrcDC: 1, UpTo: 2})
 	if len(*b) == 0 {
 		t.Fatal("AppendMessage wrote nothing")
 	}
@@ -89,39 +90,39 @@ func TestBufferPoolDropsOversized(t *testing.T) {
 }
 
 func FuzzDecode(f *testing.F) {
+	// Each sample seeds the corpus three times: its encoding and that
+	// encoding's two nearest invalid neighbours, one byte short and one byte
+	// long, so the fuzzer starts on both sides of every decoder's boundary.
 	for _, msg := range sampleMessages() {
-		f.Add(Encode(msg))
-		f.Add(EncodeV(msg, V2))
+		data := Encode(msg)
+		f.Add(data)
+		f.Add(data[:len(data)-1])
+		f.Add(append(data, 0))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(KindReplicateBatch)})
+	// A retired kind with what used to be a well-formed Heartbeat body.
+	f.Add(binary.LittleEndian.AppendUint64([]byte{byte(KindHeartbeat), 1}, 5))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The same raw bytes are fed to both frame versions: whatever either
-		// accepts must re-encode and decode back to the same value — each
-		// codec version is a bijection on its accepted inputs. (The two
-		// versions accept different byte sets; a frame is tagged with its
-		// version out of band, so cross-version confusion never reaches
-		// Decode.)
-		for _, v := range []Version{V1, V2} {
-			msg, err := DecodeV(data, v)
-			if err != nil {
-				continue
-			}
-			data2 := EncodeV(msg, v)
-			msg2, err := DecodeV(data2, v)
-			if err != nil {
-				t.Fatalf("v%d re-decode of %v failed: %v", v, msg.Kind(), err)
-			}
-			if !equalMessages(msg, msg2) {
-				t.Fatalf("v%d re-encode changed message:\n first %#v\n second %#v", v, msg, msg2)
-			}
+		// Whatever the decoder accepts must re-encode and decode back to the
+		// same value: the codec is a bijection on its accepted inputs.
+		msg, err := Decode(data)
+		if err != nil {
+			return
+		}
+		msg2, err := Decode(Encode(msg))
+		if err != nil {
+			t.Fatalf("re-decode of %v failed: %v", msg.Kind(), err)
+		}
+		if !equalMessages(msg, msg2) {
+			t.Fatalf("re-encode changed message:\n first %#v\n second %#v", msg, msg2)
 		}
 	})
 }
 
 // FuzzReplicateBatch drives the structured direction: it builds a
-// ReplicateBatch from fuzzed scalars, encodes it in both codec versions,
-// decodes each frame, and requires value equality. FuzzDecode starts from raw
+// ReplicateBatch from fuzzed scalars, encodes it, decodes the frame, and
+// requires value equality. FuzzDecode starts from raw
 // bytes; this starts from messages, so the two meet in the middle of the codec
 // and together cover both decode-of-garbage and encode-of-anything.
 func FuzzReplicateBatch(f *testing.F) {
@@ -152,23 +153,18 @@ func FuzzReplicateBatch(f *testing.F) {
 			}
 			msg.Groups = append(msg.Groups, grp)
 		}
-		for _, v := range []Version{V1, V2} {
-			data := EncodeV(msg, v)
-			got, err := DecodeV(data, v)
-			if err != nil {
-				t.Fatalf("v%d decode of encoded batch failed: %v", v, err)
-			}
-			if !equalMessages(msg, got) {
-				t.Fatalf("v%d round trip mismatch:\n sent %#v\n got  %#v", v, msg, got)
-			}
-			// The size model must stay within shouting distance of the real
-			// frame: flow-control token charging and MemNet's bandwidth model
-			// both consume it, and a wildly-off estimate starves or floods links.
-			// It models the fixed-width frame; a v2 frame only shrinks from it.
-			if est := ApproxSize(msg); v == V1 && (est < len(data)/4 || est > 4*len(data)+64) {
-				t.Fatalf("ApproxSize=%d for a real frame of %d bytes", est, len(data))
-			}
+		data := Encode(msg)
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatalf("decode of encoded batch failed: %v", err)
 		}
+		if !equalMessages(msg, got) {
+			t.Fatalf("round trip mismatch:\n sent %#v\n got  %#v", msg, got)
+		}
+		// The size model must stay within shouting distance of the real
+		// frame: flow-control token charging and MemNet's bandwidth model
+		// both consume it, and a wildly-off estimate starves or floods links.
+		checkApproxSize(t, msg, len(data))
 	})
 }
 

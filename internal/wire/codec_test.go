@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -62,11 +64,6 @@ func sampleMessages() []Message {
 		TxStatusReq{TxID: NewTxID(1, 3, 17)},
 		TxStatusResp{TxID: NewTxID(1, 3, 17), Status: TxStatusCommitted, CommitTS: hlc.New(90, 1)},
 		TxStatusResp{Status: TxStatusUnknown},
-		Replicate{SrcDC: 4, CT: hlc.New(30, 0), Txns: []TxUpdates{
-			{TxID: 11, SrcDC: 4, Writes: []KV{{Key: "m", Value: []byte("n")}}},
-			{TxID: 12, SrcDC: 4},
-		}},
-		Replicate{SrcDC: 0, CT: 0},
 		ReplicateBatch{SrcDC: 3, Epoch: 2, Seq: 17, UpTo: hlc.New(60, 0),
 			UST: hlc.New(58, 0), Sold: hlc.New(55, 0), Round: 354_012_345_678, Groups: []ReplicateGroup{
 				{CT: hlc.New(31, 0), Txns: []TxUpdates{
@@ -79,7 +76,6 @@ func sampleMessages() []Message {
 			}},
 		ReplicateBatch{SrcDC: 0, UpTo: hlc.New(70, 0)},
 		ReplicateBatch{SrcDC: 1, UpTo: hlc.New(71, 0), Round: 1},
-		Heartbeat{SrcDC: 2, TS: hlc.New(40, 9)},
 		GSTUp{Active: true, Min: hlc.New(12, 3), Oldest: 2, Round: 354_012_345_678},
 		GSTUp{},
 		GSTRoot{DC: 1, Active: true, Min: hlc.MaxTimestamp, Oldest: 6, Round: 1<<64 - 1},
@@ -88,8 +84,6 @@ func sampleMessages() []Message {
 			UST: hlc.New(43, 0), Sold: hlc.New(40, 0), QueuedBytes: 1 << 20},
 		ReplStatus{},
 		USTDown{UST: hlc.New(55, 0), Sold: hlc.New(50, 0), Active: true},
-		Hello{MaxVersion: uint8(MaxVersion)},
-		Hello{},
 		ErrorResp{Code: CodeShuttingDown, Msg: "stopping"},
 		ErrorResp{},
 	}
@@ -153,14 +147,6 @@ func normalize(m Message) Message {
 	case CommitRecover:
 		v.Writes = normKVs(v.Writes)
 		return v
-	case Replicate:
-		if len(v.Txns) == 0 {
-			v.Txns = nil
-		}
-		for i := range v.Txns {
-			v.Txns[i].Writes = normKVs(v.Txns[i].Writes)
-		}
-		return v
 	case ReplicateBatch:
 		if len(v.Groups) == 0 {
 			v.Groups = nil
@@ -216,10 +202,9 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 		data := Encode(msg)
 		for cut := 0; cut < len(data); cut++ {
 			if _, err := Decode(data[:cut]); err == nil {
-				// Some prefixes of slice-bearing messages can decode to an
-				// empty-slice variant only if the cut lands exactly on a
-				// well-formed boundary; with fixed-width prefixes that never
-				// happens, so any successful decode of a strict prefix is a
+				// Every field occupies at least one byte (varints are
+				// self-delimiting, the head of each delta chain is fixed
+				// width), so any successful decode of a strict prefix is a
 				// codec bug.
 				t.Fatalf("Decode accepted truncated %v at %d/%d bytes", msg.Kind(), cut, len(data))
 			}
@@ -228,7 +213,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 }
 
 func TestDecodeRejectsTrailingGarbage(t *testing.T) {
-	data := Encode(Heartbeat{SrcDC: 1, TS: 5})
+	data := Encode(ReplicateBatch{SrcDC: 1, UpTo: 5})
 	data = append(data, 0xFF)
 	if _, err := Decode(data); err == nil {
 		t.Fatal("Decode accepted trailing garbage")
@@ -238,6 +223,14 @@ func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 func TestDecodeRejectsUnknownKind(t *testing.T) {
 	if _, err := Decode([]byte{0xEE, 1, 2, 3}); err == nil {
 		t.Fatal("Decode accepted unknown kind")
+	}
+	// The retired kinds are rejected as malformed whatever their body: a
+	// well-formed Heartbeat body (SrcDC, TS) after each of them.
+	for _, k := range []Kind{KindReplicate, KindHeartbeat, KindHello} {
+		data := binary.LittleEndian.AppendUint64([]byte{byte(k), 1}, 5)
+		if _, err := Decode(data); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("Decode(%v) = %v, want ErrMalformed", k, err)
+		}
 	}
 }
 
@@ -250,9 +243,9 @@ func TestDecodeRejectsEmpty(t *testing.T) {
 func TestDecodeRejectsHugeLengthPrefix(t *testing.T) {
 	// A ReadReq claiming 2^31 keys must fail fast, not allocate.
 	data := []byte{byte(KindReadReq)}
-	data = putU64(data, 1) // TxID
-	data = putU64(data, 0) // ClientUST
-	data = putU32(data, 1<<31-1)
+	data = binary.LittleEndian.AppendUint64(data, 1) // TxID, head of its chain
+	data = binary.LittleEndian.AppendUint64(data, 0) // ClientUST, head of its chain
+	data = binary.AppendUvarint(data, 1<<31-1)
 	if _, err := Decode(data); err == nil {
 		t.Fatal("Decode accepted absurd slice length")
 	}
@@ -297,7 +290,8 @@ func TestQuickRoundTripReplicate(t *testing.T) {
 				Writes: []KV{{Key: "k", Value: []byte{byte(id)}}},
 			})
 		}
-		msg := Replicate{SrcDC: topology.DCID(src), CT: hlc.Timestamp(ct), Txns: txns}
+		msg := ReplicateBatch{SrcDC: topology.DCID(src), UpTo: hlc.Timestamp(ct),
+			Groups: []ReplicateGroup{{CT: hlc.Timestamp(ct), Txns: txns}}}
 		got, err := Decode(Encode(msg))
 		return err == nil && equalMessages(msg, got)
 	}
@@ -308,7 +302,7 @@ func TestQuickRoundTripReplicate(t *testing.T) {
 
 func TestAppendMessageAppends(t *testing.T) {
 	prefix := []byte("hdr:")
-	out := AppendMessage(prefix, Heartbeat{SrcDC: 1, TS: 2})
+	out := AppendMessage(prefix, ReplicateBatch{SrcDC: 1, UpTo: 2})
 	if !bytes.HasPrefix(out, prefix) {
 		t.Fatal("AppendMessage clobbered prefix")
 	}
@@ -316,7 +310,7 @@ func TestAppendMessageAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hb, ok := msg.(Heartbeat); !ok || hb.SrcDC != 1 || hb.TS != 2 {
+	if hb, ok := msg.(ReplicateBatch); !ok || hb.SrcDC != 1 || hb.UpTo != 2 {
 		t.Fatalf("decoded %#v", msg)
 	}
 }
@@ -358,7 +352,7 @@ func TestKindStrings(t *testing.T) {
 		KindCommitReq, KindCommitResp, KindFinishTx, KindReadSliceReq,
 		KindReadSliceResp, KindPrepareReq, KindPrepareResp, KindCohortCommit,
 		KindReplicate, KindReplicateBatch, KindHeartbeat, KindGSTUp, KindGSTRoot,
-		KindUSTDown, KindHello, KindError,
+		KindUSTDown, KindHello, KindError, KindReplStatus,
 	}
 	seen := make(map[string]bool, len(kinds))
 	for _, k := range kinds {
@@ -370,6 +364,19 @@ func TestKindStrings(t *testing.T) {
 	}
 	if got := Kind(200).String(); got != "Kind(200)" {
 		t.Errorf("unknown kind string = %q", got)
+	}
+}
+
+// TestKindValuesStable pins the wire values around the retired kinds: the
+// live kinds after them keep the numbers they have always had.
+func TestKindValuesStable(t *testing.T) {
+	for k, want := range map[Kind]Kind{
+		KindCohortCommit: 12, KindReplicate: 13, KindHeartbeat: 14, KindGSTUp: 15,
+		KindReplStatus: 28, KindHello: 29,
+	} {
+		if k != want {
+			t.Errorf("%v = %d, want %d", k, k, want)
+		}
 	}
 }
 

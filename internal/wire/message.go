@@ -104,12 +104,10 @@ const (
 	KindPrepareResp
 	// KindCohortCommit is the 2PC commit notification (Alg. 2 line 27).
 	KindCohortCommit
-	// KindReplicate propagates applied transactions to peer replicas
-	// (Alg. 4 line 15).
-	KindReplicate
-	// KindHeartbeat advances a peer's version vector in absence of updates
-	// (Alg. 4 line 21).
-	KindHeartbeat
+	// Values 13 and 14 belong to the retired KindReplicate and KindHeartbeat
+	// (compat.go); ReplicateBatch carries both of their jobs.
+	_
+	_
 	// KindGSTUp aggregates version-vector minima up the intra-DC tree.
 	KindGSTUp
 	// KindGSTRoot exchanges aggregated vectors between DC roots.
@@ -120,8 +118,8 @@ const (
 	// KindError reports a server-side failure to a caller.
 	KindError
 	// KindReplicateBatch coalesces one ΔR round of replication traffic —
-	// every commit-timestamp group plus the round's heartbeat — into a single
-	// message per destination replica.
+	// every commit-timestamp group plus the round's heartbeat (Alg. 4 lines
+	// 15 and 21) — into a single message per destination replica.
 	KindReplicateBatch
 	// KindAbortTx releases a cohort's prepared state when the coordinator
 	// abandons a two-phase commit whose prepare phase partially failed.
@@ -157,12 +155,7 @@ const (
 	// over the high-water mark. It carries no data and the receiver must
 	// not advance its version vector from it.
 	KindReplStatus
-	// KindHello is the per-connection codec negotiation: each side of a TCP
-	// connection advertises the newest codec version it speaks before any
-	// other traffic. A sender uses codec v2 toward a peer only after the
-	// peer's hello arrives; a peer that never says hello gets v1 forever.
-	// The hello itself is always encoded with codec v1.
-	KindHello
+	// Value 29 belongs to the retired KindHello (compat.go).
 )
 
 // String implements fmt.Stringer.
@@ -535,18 +528,6 @@ type TxUpdates struct {
 	Writes []KV
 }
 
-// Replicate ships the transactions that committed at time CT on the sender's
-// replica to a peer replica of the same partition. All carried transactions
-// share the commit timestamp CT (Alg. 4 groups by ct before sending).
-type Replicate struct {
-	SrcDC topology.DCID
-	CT    hlc.Timestamp
-	Txns  []TxUpdates
-}
-
-// Kind implements Message.
-func (Replicate) Kind() Kind { return KindReplicate }
-
 // ReplicateGroup is one commit-timestamp group inside a ReplicateBatch: the
 // transactions that committed at CT on the sender's replica.
 type ReplicateGroup struct {
@@ -613,16 +594,6 @@ func (b ReplicateBatch) Items() int {
 	return n
 }
 
-// Heartbeat advances the receiver's version-vector entry for the sender's DC
-// when the sender has had no transactions to replicate.
-type Heartbeat struct {
-	SrcDC topology.DCID
-	TS    hlc.Timestamp
-}
-
-// Kind implements Message.
-func (Heartbeat) Kind() Kind { return KindHeartbeat }
-
 // GSTUp flows from a child to its parent in the intra-DC aggregation tree,
 // once per stabilization round. Min is the minimum, over the sender's
 // subtree, of every version-vector entry a server there tracks — the only
@@ -680,18 +651,6 @@ type USTDown struct {
 
 // Kind implements Message.
 func (USTDown) Kind() Kind { return KindUSTDown }
-
-// Hello advertises the newest codec version the sender speaks on a TCP
-// connection. It is the first frame each side sends after a connection
-// opens, always encoded with codec v1, and is consumed by the transport —
-// it is never delivered to the protocol layer. See internal/transport for
-// the negotiation rule.
-type Hello struct {
-	MaxVersion uint8
-}
-
-// Kind implements Message.
-func (Hello) Kind() Kind { return KindHello }
 
 // ErrorResp reports a request failure (e.g. server shutting down, unknown
 // transaction). Callers convert it into an error.
@@ -757,12 +716,9 @@ var (
 	_ Message = AbortTx{}
 	_ Message = TxStatusReq{}
 	_ Message = TxStatusResp{}
-	_ Message = Replicate{}
 	_ Message = ReplicateBatch{}
-	_ Message = Heartbeat{}
 	_ Message = GSTUp{}
 	_ Message = GSTRoot{}
 	_ Message = USTDown{}
-	_ Message = Hello{}
 	_ Message = ErrorResp{}
 )

@@ -28,12 +28,6 @@ func ApproxSize(msg Message) int {
 			n += 4 + len(it.Key) + 4 + len(it.Value) + tsSize + 8 + 4
 		}
 		return n
-	case Replicate:
-		n := 1 + 4 + tsSize + 4
-		for _, tx := range m.Txns {
-			n += 8 + 4 + 4 + kvsSize(tx.Writes)
-		}
-		return n
 	case CommitRecover:
 		return 1 + 8 + tsSize + 4 + kvsSize(m.Writes)
 	case PrepareReq:

@@ -7,7 +7,7 @@ import (
 )
 
 // TestApproxSizeTracksEncodedSize: for the payload-bearing replication
-// messages the estimate must stay within a small constant of the real
+// messages the estimate must stay within framing distance of the real
 // encoded frame — the flow-control accounting depends on it.
 func TestApproxSizeTracksEncodedSize(t *testing.T) {
 	msgs := []Message{
@@ -25,21 +25,39 @@ func TestApproxSizeTracksEncodedSize(t *testing.T) {
 		ReplStatus{SrcDC: 1, Epoch: 4, UpTo: hlc.New(90, 0), QueuedBytes: 123456},
 	}
 	for _, msg := range msgs {
-		encoded := len(Encode(msg))
-		approx := ApproxSize(msg)
-		diff := encoded - approx
-		if diff < 0 {
-			diff = -diff
+		checkApproxSize(t, msg, len(Encode(msg)))
+	}
+}
+
+// checkApproxSize holds ApproxSize to the frame it estimates. The estimate
+// prices every field at fixed width, where the codec writes varints and
+// deltas, so it may never fall below the frame — a flow-controlled link is
+// never overcommitted — and may exceed it only by framing: at most 80 bytes
+// of header plus 32 per record (group, transaction, write or item), never
+// by payload.
+func checkApproxSize(t testing.TB, msg Message, encoded int) {
+	t.Helper()
+	records := 0
+	switch m := msg.(type) {
+	case ReplicateBatch:
+		for _, g := range m.Groups {
+			records++
+			for _, tx := range g.Txns {
+				records += 1 + len(tx.Writes)
+			}
 		}
-		if diff > 64 {
-			t.Errorf("%v: ApproxSize=%d, encoded=%d (diff %d > 64)", msg.Kind(), approx, encoded, diff)
-		}
+	case ReplSyncResp:
+		records = len(m.Items)
+	}
+	approx := ApproxSize(msg)
+	if approx < encoded || approx > encoded+80+32*records {
+		t.Errorf("%v: ApproxSize=%d for a frame of %d bytes with %d records", msg.Kind(), approx, encoded, records)
 	}
 }
 
 // TestApproxSizeDefault: header-sized messages get a flat estimate.
 func TestApproxSizeDefault(t *testing.T) {
-	if got := ApproxSize(Heartbeat{SrcDC: 1, TS: hlc.New(7, 0)}); got != 64 {
-		t.Errorf("ApproxSize(Heartbeat) = %d, want 64", got)
+	if got := ApproxSize(GSTUp{Min: hlc.New(7, 0)}); got != 64 {
+		t.Errorf("ApproxSize(GSTUp) = %d, want 64", got)
 	}
 }

@@ -135,7 +135,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			TxContextTTL:     full.TxContextTTL,
 			CallTimeout:      full.CallTimeout,
 			PreparedTTL:      full.PreparedTTL,
-			PrepareBatchMax:  full.PrepareBatchMax,
 			ApplyWorkers:     full.ApplyWorkers,
 			VisibilitySample: full.VisibilitySample,
 			ResolverFor:      c.resolvers.storeResolverFor,
