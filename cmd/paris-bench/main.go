@@ -70,16 +70,12 @@ func main() {
 		threads    = flag.String("threads", "", "comma-separated per-DC thread sweep (e.g. 1,2,4,8)")
 		jsonDir    = flag.String("json-dir", "", "directory for BENCH_<name>.json reports (empty disables)")
 		jsonName   = flag.String("json-name", "", "override the report name of a single experiment")
-		batchItems = flag.Int("batch-items", 0,
-			"replication batch max items (0 = default 1024)")
 		batchBytes = flag.Int("batch-bytes", 0,
 			"replication batch max payload bytes (0 = default 1 MiB)")
 		connsPerPeer = flag.Int("conns-per-peer", 0,
 			"TCP stripes per server pair in the loopback TCP arms (0 = default 4)")
 		bandwidthBudget = flag.Int("bandwidth-budget", 0,
-			"replication bandwidth budget per peer in bytes/second (0 disables flow control)")
-		budgetBurst = flag.Int("budget-burst", 0,
-			"flow-control token bucket burst in bytes (0 = budget/4, floored at 4 KiB)")
+			"replication bandwidth budget per peer in bytes/second (0 = unlimited)")
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProfile   = flag.String("memprofile", "", "write an allocation profile at exit to this file")
 		mutexProfile = flag.String("mutexprofile", "", "write a mutex-contention profile at exit to this file")
@@ -136,11 +132,9 @@ func main() {
 		LatencyScale:    *scale,
 		Duration:        *duration,
 		Warmup:          *warmup,
-		BatchMaxItems:   *batchItems,
 		BatchMaxBytes:   *batchBytes,
 		ConnsPerPeer:    *connsPerPeer,
 		BandwidthBudget: *bandwidthBudget,
-		BudgetBurst:     *budgetBurst,
 		Out:             os.Stdout,
 	}
 	if *quick {

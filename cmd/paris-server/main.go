@@ -44,26 +44,16 @@ func main() {
 		gossipInt  = flag.Duration("gossip-interval", 5*time.Millisecond, "ΔG: push up the stabilization tree every ⌈ΔG/ΔR⌉-th round")
 		ustInt     = flag.Duration("ust-interval", 5*time.Millisecond, "ΔU: roots compute the UST every ⌈ΔU/ΔR⌉-th round")
 		gcInt      = flag.Duration("gc-interval", time.Second, "version GC cadence (0 disables)")
-		batchItems = flag.Int("batch-max-items", 0,
-			"max write items per replication batch (0 = default 1024)")
 		batchBytes = flag.Int("batch-max-bytes", 0,
 			"max approximate payload bytes per replication batch (0 = default 1 MiB)")
 		callTimeout = flag.Duration("call-timeout", 0,
 			"coordinator→cohort round-trip bound (0 = default 60s)")
 		preparedTTL = flag.Duration("prepared-ttl", 0,
 			"reap prepared transactions with no commit/abort decision after this long (0 = default 2×call-timeout, negative disables)")
-		applyWorkers = flag.Int("apply-workers", 0,
-			"parallel store-apply goroutines per ΔR round (0 = default min(GOMAXPROCS, 8), 1 = serial)")
 		connsPerPeer = flag.Int("conns-per-peer", 1,
 			"outbound TCP connections (stripes) per peer; casts keep one FIFO stripe, requests spread by id")
 		bandwidthBudget = flag.Int("bandwidth-budget", 0,
-			"replication bandwidth budget per peer in bytes/second (0 disables flow control)")
-		budgetBurst = flag.Int("budget-burst", 0,
-			"flow-control token bucket burst in bytes (0 = budget/4, floored at 4 KiB)")
-		flowHighWater = flag.Int("flow-high-water", 0,
-			"per-destination send-queue byte bound before degrading to summary mode (0 = default 4 MiB)")
-		flowLowWater = flag.Int("flow-low-water", 0,
-			"queue depth below which a degraded destination resumes (0 = high-water/4)")
+			"replication bandwidth budget per peer in bytes/second (0 = unlimited)")
 	)
 	flag.Parse()
 
@@ -91,18 +81,13 @@ func main() {
 		Topology:        topo,
 		Mode:            srvMode,
 		ApplyInterval:   *applyInt,
-		BatchMaxItems:   *batchItems,
 		BatchMaxBytes:   *batchBytes,
 		GossipInterval:  *gossipInt,
 		USTInterval:     *ustInt,
 		GCInterval:      *gcInt,
 		CallTimeout:     *callTimeout,
 		PreparedTTL:     *preparedTTL,
-		ApplyWorkers:    *applyWorkers,
 		BandwidthBudget: *bandwidthBudget,
-		BudgetBurst:     *budgetBurst,
-		FlowHighWater:   *flowHighWater,
-		FlowLowWater:    *flowLowWater,
 	})
 	if err != nil {
 		fatalf("%v", err)

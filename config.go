@@ -49,31 +49,18 @@ type Config struct {
 	// push at the wall-clock multiples of ΔR, so rounds begin together
 	// everywhere. Use whole milliseconds. Default 5ms·scale, floor 1ms.
 	ApplyInterval time.Duration
-	// BatchMaxItems caps the write items coalesced into one replication
-	// batch per destination per ΔR round. 0 or negative selects the default
-	// (1024).
-	BatchMaxItems int
 	// BatchMaxBytes caps the approximate encoded payload bytes per
-	// replication batch chunk. 0 or negative selects the default (1 MiB).
+	// replication chunk. 0 or negative selects the default (1 MiB). It also
+	// sizes each destination's send queue: at most 4 × BatchMaxBytes, past
+	// which the destination degrades to summary mode (its receiver's
+	// version-vector entry stops advancing — UST-safe) until the queue has
+	// drained to BatchMaxBytes.
 	BatchMaxBytes int
-	// BandwidthBudget, when positive, enables per-destination replication
-	// flow control on every server: outbound replication traffic toward
-	// each peer replica is paced to this many bytes/second by a token
-	// bucket, send queues are bounded by FlowHighWater, and a destination
-	// whose queue crosses the bound degrades to summary/heartbeat-only mode
-	// (its receiver's version-vector entry stops advancing — UST-safe)
-	// until the queue drains below FlowLowWater. 0 disables flow control.
+	// BandwidthBudget paces every server's replication traffic toward each
+	// peer replica to this many bytes/second: each ΔR round adds
+	// budget × ΔR of credit, up to a burst of max(budget/4, 4 KiB).
+	// 0 means unlimited. Cluster.SetFlowBudget changes it at runtime.
 	BandwidthBudget int
-	// BudgetBurst is the flow-control token bucket's burst capacity in
-	// bytes. 0 selects BandwidthBudget/4, floored at 4 KiB.
-	BudgetBurst int
-	// FlowHighWater bounds the bytes queued toward one replication
-	// destination before the sender degrades. 0 selects the default
-	// (4 MiB). Keep it a few multiples of BatchMaxBytes.
-	FlowHighWater int
-	// FlowLowWater is the queue depth below which a degraded destination
-	// resumes normal sends. 0 selects FlowHighWater/4.
-	FlowLowWater int
 	// GossipInterval is ΔG, the spacing of a server's stabilization pushes
 	// up its DC's tree and between DC roots, rounded up to whole rounds (one
 	// push every ⌈ΔG/ΔR⌉-th round). Default like ApplyInterval: every round.
@@ -100,10 +87,6 @@ type Config struct {
 	// coordinator's orphans would otherwise freeze the UST system-wide).
 	// 0 selects the default (2×CallTimeout); negative disables the reaper.
 	PreparedTTL time.Duration
-	// ApplyWorkers bounds the goroutines applying one ΔR round's writes to
-	// the local store in parallel. 0 selects the default
-	// (min(GOMAXPROCS, 8)); 1 forces serial apply.
-	ApplyWorkers int
 
 	// ClockSkew, when positive, gives each server a fixed clock offset drawn
 	// uniformly from [-ClockSkew, +ClockSkew], emulating imperfect NTP

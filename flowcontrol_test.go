@@ -7,17 +7,17 @@ import (
 	"testing"
 	"time"
 
+	"github.com/paris-kv/paris/internal/topology"
 	"github.com/paris-kv/paris/internal/transport"
 )
 
 // Flow-control sizing for the backpressure stress: a budget far below the
-// offered write volume so every destination's pump saturates, with the
-// chunk cap well under the high water so single rounds always admit.
+// offered write volume so every destination's pump saturates. The chunk cap
+// derives the send-queue bound, 4 × the cap, so single rounds always admit.
 const (
-	testFlowBudget    = 2 << 10
-	testFlowHighWater = 8 << 10
-	testFlowLowWater  = 2 << 10
-	testFlowBatchMax  = 2 << 10
+	testFlowBudget   = 2 << 10
+	testFlowBatchMax = 2 << 10
+	testHighWater    = 4 * testFlowBatchMax
 )
 
 // TestFlowControlBackpressureBound is the -race backpressure stress: writers
@@ -30,8 +30,6 @@ const (
 func TestFlowControlBackpressureBound(t *testing.T) {
 	cfg := testConfig()
 	cfg.BandwidthBudget = testFlowBudget
-	cfg.FlowHighWater = testFlowHighWater
-	cfg.FlowLowWater = testFlowLowWater
 	cfg.BatchMaxBytes = testFlowBatchMax
 	c := newTestCluster(t, cfg)
 
@@ -89,9 +87,9 @@ func TestFlowControlBackpressureBound(t *testing.T) {
 	var degraded, coalesced uint64
 	for _, srv := range c.Servers() {
 		for _, st := range srv.FlowStats() {
-			if st.MaxQueuedBytes > testFlowHighWater {
+			if st.MaxQueuedBytes > testHighWater {
 				t.Errorf("server %v -> %v queued %d bytes, above high water %d",
-					srv.ID(), st.Dest, st.MaxQueuedBytes, testFlowHighWater)
+					srv.ID(), st.Dest, st.MaxQueuedBytes, testHighWater)
 			}
 			if st.MaxQueuedBytes > maxQueued {
 				maxQueued = st.MaxQueuedBytes
@@ -114,7 +112,7 @@ func TestFlowControlBackpressureBound(t *testing.T) {
 	// Open the throttle and heal the link: the backlog plus every shed
 	// window's repair must drain to a universally stable probe.
 	c.Net().ClearSlowLinks()
-	c.SetFlowBudget(8<<20, 0)
+	c.SetFlowBudget(8 << 20)
 	sess, err := c.NewSession(0)
 	if err != nil {
 		t.Fatal(err)
@@ -129,13 +127,76 @@ func TestFlowControlBackpressureBound(t *testing.T) {
 	}
 }
 
-// TestFlowControlDisabledByDefault: without a budget the pumps do not exist
-// and replication takes the direct path.
-func TestFlowControlDisabledByDefault(t *testing.T) {
-	c := newTestCluster(t, testConfig())
-	for _, srv := range c.Servers() {
-		if st := srv.FlowStats(); st != nil {
-			t.Fatalf("server %v has flow stats %v without a budget", srv.ID(), st)
+// TestTinyChunkCapStillReplicates: with a chunk cap far below one chunk's
+// header, the derived queue bound still admits heartbeats, so receivers latch
+// onto the stream, every data round travels by the repair path and the
+// cluster stabilizes.
+func TestTinyChunkCapStillReplicates(t *testing.T) {
+	cfg := testConfig()
+	cfg.BatchMaxBytes = 1
+	c := newTestCluster(t, cfg)
+	sess, err := c.NewSession(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	var last Timestamp
+	for i := 0; i < 20; i++ {
+		if last, err = sess.Put(context.Background(), map[string][]byte{fmt.Sprintf("tiny-%d", i): []byte("v")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !c.WaitForUST(last, 5*time.Second) {
+		t.Fatal("the writes never became universally stable")
+	}
+}
+
+// TestFlowBudgetSurvivesRestart: a replica crashed and restarted after
+// SetFlowBudget raised the budget paces at the raised budget, not at the one
+// the cluster was built with.
+func TestFlowBudgetSurvivesRestart(t *testing.T) {
+	cfg := testConfig()
+	cfg.BandwidthBudget = testFlowBudget
+	cfg.BatchMaxBytes = testFlowBatchMax
+	c := newTestCluster(t, cfg)
+	c.SetFlowBudget(8 << 20)
+
+	id := topology.ServerID(0, c.Topology().PartitionsAt(0)[0])
+	if err := c.CrashServer(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestartServer(id, 0); err != nil {
+		t.Fatal(err)
+	}
+	srv := c.Server(id.DC, int(id.Partition()))
+
+	// 32 KiB onto the restarted replica's partition, eight times the burst
+	// and sixteen seconds of the old budget: at the old budget its pumps
+	// wait for credit at once, at the raised one (burst 2 MiB) never.
+	sess, err := c.NewSession(id.DC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	val := make([]byte, 1024)
+	var last Timestamp
+	for i, n := 0, 0; n < 32; i++ {
+		k := fmt.Sprintf("restart-%d", i)
+		if c.Topology().PartitionOf(k) != id.Partition() {
+			continue
+		}
+		n++
+		if last, err = sess.Put(context.Background(), map[string][]byte{k: val}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !c.WaitForUST(last, 5*time.Second) {
+		t.Fatal("the writes never became universally stable")
+	}
+	for _, st := range srv.FlowStats() {
+		if st.ThrottledFor != 0 {
+			t.Fatalf("restarted server waited %v for credit toward %v: it paces at the old budget",
+				st.ThrottledFor, st.Dest)
 		}
 	}
 }

@@ -32,8 +32,9 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // tsField matches field names that carry protocol timestamps. Sequence
-// counters (txSeq, replSeq) deliberately do not match: they are identifiers,
-// not timestamps, and a Store is their legitimate seeding operation.
+// counters (txSeq, a flow pump's seq) deliberately do not match: they are
+// identifiers, not timestamps, and a Store is their legitimate seeding
+// operation.
 var tsField = regexp.MustCompile(`(?i:^(ts|ust|gst|sold|vv|hwt|clock|watermark|snapshot|deadline)$)|(^|[a-z_])(Ts|TS|UST|GST|VV|HWT|Time|Clock|Watermark|Snapshot|Deadline)$`)
 
 // tsOwner matches struct types whose whole purpose is monotonic timestamp

@@ -25,15 +25,12 @@ type Options struct {
 	SaturationThreads int
 	// KeysPerPartition sizes the dataset.
 	KeysPerPartition int
-	// BatchMaxItems and BatchMaxBytes override the replication batching
-	// knobs on every cluster the experiments build (0 = library default).
-	BatchMaxItems int
+	// BatchMaxBytes overrides the replication chunk cap on every cluster
+	// the experiments build (0 = library default).
 	BatchMaxBytes int
-	// BandwidthBudget and BudgetBurst enable replication flow control on
-	// every cluster the experiments build (0 = disabled; see
-	// paris.Config.BandwidthBudget).
+	// BandwidthBudget paces replication on every cluster the experiments
+	// build (0 = unlimited; see paris.Config.BandwidthBudget).
 	BandwidthBudget int
-	BudgetBurst     int
 	// ConnsPerPeer is the TCP stripe count per server pair in the loopback
 	// TCP arms (0 = default 4, 1 = single connection).
 	ConnsPerPeer int
@@ -80,10 +77,8 @@ func paperCluster(o Options, mode paris.Mode, visSample int) (*paris.Cluster, er
 	cfg.Mode = mode
 	cfg.LatencyScale = o.LatencyScale
 	cfg.VisibilitySample = visSample
-	cfg.BatchMaxItems = o.BatchMaxItems
 	cfg.BatchMaxBytes = o.BatchMaxBytes
 	cfg.BandwidthBudget = o.BandwidthBudget
-	cfg.BudgetBurst = o.BudgetBurst
 	return paris.NewCluster(cfg)
 }
 
@@ -203,7 +198,6 @@ func runScalePoint(o Options, dcs, machines int) (ScalePoint, error) {
 	cfg.ApplyInterval = 5 * time.Millisecond
 	cfg.GossipInterval = 5 * time.Millisecond
 	cfg.USTInterval = 5 * time.Millisecond
-	cfg.BatchMaxItems = o.BatchMaxItems
 	cfg.BatchMaxBytes = o.BatchMaxBytes
 	cluster, err := paris.NewCluster(cfg)
 	if err != nil {

@@ -93,7 +93,6 @@ func hotpathCluster(o Options) (*paris.Cluster, error) {
 	cfg.ApplyInterval = 5 * time.Millisecond
 	cfg.GossipInterval = 5 * time.Millisecond
 	cfg.USTInterval = 5 * time.Millisecond
-	cfg.BatchMaxItems = o.BatchMaxItems
 	cfg.BatchMaxBytes = o.BatchMaxBytes
 	return paris.NewCluster(cfg)
 }

@@ -132,7 +132,6 @@ func visibilityCluster(o Options) (*paris.Cluster, error) {
 	cfg.GossipInterval = 5 * time.Millisecond
 	cfg.USTInterval = 5 * time.Millisecond
 	cfg.VisibilitySample = 4
-	cfg.BatchMaxItems = o.BatchMaxItems
 	cfg.BatchMaxBytes = o.BatchMaxBytes
 	return paris.NewCluster(cfg)
 }
@@ -328,8 +327,6 @@ func (cmp *VisibilityComparison) repairProbe(o Options) error {
 	cfg.USTInterval = 2 * time.Millisecond
 	cfg.BatchMaxBytes = chunkBudget
 	cfg.BandwidthBudget = 16 << 10 // starved: a write burst outruns this
-	cfg.FlowHighWater = 8 << 10
-	cfg.FlowLowWater = 2 << 10
 	cluster, err := paris.NewCluster(cfg)
 	if err != nil {
 		return err

@@ -69,9 +69,9 @@ type Result struct {
 	Events     []string // timed fault-schedule log
 
 	// Flow-control aggregates over every server's replication destinations
-	// (zero unless the scenario sets Config.BandwidthBudget). The max is the
-	// largest per-destination send queue observed anywhere for the whole run
-	// — the sender-side memory bound; the counters are cluster-wide sums.
+	// (the counters stay zero while no destination falls behind). The max is
+	// the largest per-destination send queue observed anywhere for the whole
+	// run — the sender-side memory bound; the counters are cluster-wide sums.
 	FlowMaxQueuedBytes  int
 	FlowDegradedEntries uint64
 	FlowDegradedExits   uint64

@@ -11,16 +11,15 @@ import (
 
 // Sizing for the slow_link_degradation scenario, exported so the pinned
 // regression test asserts the sender-side memory bound against the same
-// water marks the scenario configures. The budget is tiny relative to the
-// LargeValues write volume so every destination's queue fills and degrades
-// deterministically even in a -short fault phase, and the chunk cap stays
-// well under the high water so a single round always fits once a queue
+// high water the scenario's chunk cap derives. The budget is tiny relative to
+// the LargeValues write volume so every destination's queue fills and
+// degrades deterministically even in a -short fault phase, and the chunk cap
+// is a quarter of the high water so a single round always fits once a queue
 // drains (no shed/resume flapping without progress).
 const (
-	SlowLinkBudget    = 2 << 10 // replication bytes/second per destination
-	SlowLinkHighWater = 8 << 10 // per-destination send-queue bound (bytes)
-	SlowLinkLowWater  = 2 << 10 // queue depth at which a degraded destination resumes
-	SlowLinkBatchMax  = 2 << 10 // replication chunk cap (bytes)
+	SlowLinkBudget    = 2 << 10              // replication bytes/second per destination
+	SlowLinkBatchMax  = 2 << 10              // replication chunk cap (bytes)
+	SlowLinkHighWater = 4 * SlowLinkBatchMax // per-destination send-queue bound (bytes)
 )
 
 // setDCPairSlow applies (or with the zero value clears) a slow-link fault on
@@ -254,8 +253,6 @@ var scenarios = []Scenario{
 			// destination's pump saturates, queues coalesce up to the high
 			// water, and degraded (summary-only) mode engages.
 			cfg.BandwidthBudget = SlowLinkBudget
-			cfg.FlowHighWater = SlowLinkHighWater
-			cfg.FlowLowWater = SlowLinkLowWater
 			cfg.BatchMaxBytes = SlowLinkBatchMax
 		},
 		Script: func(e *Env) {
@@ -266,11 +263,11 @@ var scenarios = []Scenario{
 			// high-water bound observed during the fault phase stands.
 			defer func() {
 				net.ClearSlowLinks()
-				e.Cluster.SetFlowBudget(8<<20, 0)
+				e.Cluster.SetFlowBudget(8 << 20)
 				e.Logf("cleared slow links, raised flow budget for drain")
 			}()
 			// One DC pair keeps a flapping, 10x-under-budget WAN pipe; the
-			// token buckets everywhere else still pace to the tiny budget.
+			// pumps everywhere else still pace to the tiny budget.
 			a, b := e.RandDCPair()
 			slow := transport.FaultSlowLink{Rate: SlowLinkBudget / 10, Delay: 5 * time.Millisecond}
 			for {

@@ -88,7 +88,7 @@ func (s *Server) applyTick(round int64) {
 				})
 			}
 		}
-		s.store.ApplyBatchConcurrent(items, s.cfg.ApplyWorkers)
+		s.store.ApplyBatchConcurrent(items, s.applyWorkers)
 		if s.vis != nil {
 			for _, c := range ready {
 				s.vis.recordCommit(c.ct)
@@ -100,43 +100,20 @@ func (s *Server) applyTick(round int64) {
 	}
 	s.vv[s.self.DC].advance(ub)
 	s.drainVisibility()
-	peers := s.cfg.Topology.PeerReplicas(s.self.Partition(), s.self.DC)
 
 	s.notifyInstalled(s.installedLowerBound())
 
 	// The round's commit-timestamp groups plus its heartbeat coalesce into
 	// (usually) one ReplicateBatch per destination — one wire write per peer
-	// per ΔR instead of one per commit timestamp.
-	chunks, sizes := buildReplicateBatches(s.self.DC, round, ready, ub, s.cfg.BatchMaxItems, s.cfg.BatchMaxBytes)
-	if s.flow != nil {
-		// Flow-controlled path: hand the round to each destination's pump,
-		// which owns sequencing, pacing, coalescing and repair service for
-		// that peer (flowpump.go). The builder's per-chunk sizes ride along
-		// so the pumps never re-walk the payload.
-		for _, peer := range peers {
-			if p := s.flow.pumps[peer]; p != nil {
-				p.submit(chunks, sizes, ub)
-			}
-		}
-	} else {
-		// Piggyback the current stable values on the round's chunks:
-		// receivers adopt them without waiting for the down-tree gossip.
-		ust, sold := s.ust.Load(), s.sold.Load()
-		out := make([]wire.Message, len(chunks))
-		for _, peer := range peers {
-			// Answer any pending repair request from this peer's DC first:
-			// the response names the sequence the stream resumes at, and on
-			// the FIFO link it precedes the chunk carrying that sequence.
-			s.maybeReplSync(peer, ub)
-			for i, c := range chunks {
-				b := c.(wire.ReplicateBatch)
-				s.replSeq[peer]++
-				b.Epoch, b.Seq = s.replEpoch, s.replSeq[peer]
-				b.UST, b.Sold = ust, sold
-				out[i] = b
-			}
-			_ = s.peer.CastBatch(peer, out)
-		}
+	// per ΔR instead of one per commit timestamp. Each destination's pump
+	// takes the round and casts what its credit admits, here and now
+	// (flowpump.go): sequencing, pacing, coalescing and repair service for
+	// that peer. The builder's per-chunk sizes ride along so the pumps never
+	// re-walk the payload.
+	chunks, sizes := buildReplicateBatches(s.self.DC, round, ready, ub, s.cfg.BatchMaxBytes)
+	for _, p := range s.pumps {
+		p.submit(chunks, sizes, ub)
+		p.step(round)
 	}
 	if len(ready) > 0 {
 		s.metrics.txApplied.Add(uint64(len(ready)))
@@ -149,25 +126,25 @@ func (s *Server) applyTick(round int64) {
 }
 
 // buildReplicateBatches coalesces one ΔR round (ready, sorted by commit
-// timestamp) into ReplicateBatch chunks labelled round and bounded by maxItems
-// write items and ~maxBytes of payload. Chunks split only between
-// commit-timestamp groups so every chunk's UpTo — the last carried CT for
-// interior chunks, ub for the final one — is a bound the receiver may safely
-// advance its version vector to; a single group larger than both caps still
-// travels whole. The final chunk doubles as the round's heartbeat: with
-// nothing to replicate the result is one empty batch carrying only UpTo = ub.
+// timestamp) into ReplicateBatch chunks labelled round and bounded by
+// ~maxBytes of payload. Chunks split only between commit-timestamp groups so
+// every chunk's UpTo — the last carried CT for interior chunks, ub for the
+// final one — is a bound the receiver may safely advance its version vector
+// to; a single group larger than the cap still travels whole. The final
+// chunk doubles as the round's heartbeat: with nothing to replicate the result
+// is one empty batch carrying only UpTo = ub.
 //
 // The second return value carries each chunk's wire.ApproxSize, accumulated
 // while the groups are built: the builder walks every key/value anyway, so
-// the flow pumps can account queue depth and token-bucket charges without a
+// the flow pumps can account queue depth and credit charges without a
 // second full-payload walk per destination (replBatchBaseSize + the group
 // sums reproduce ApproxSize exactly; batchsize_test.go pins the equality).
-func buildReplicateBatches(src topology.DCID, round int64, ready []committedTx, ub hlc.Timestamp, maxItems, maxBytes int) ([]wire.Message, []int) {
+func buildReplicateBatches(src topology.DCID, round int64, ready []committedTx, ub hlc.Timestamp, maxBytes int) ([]wire.Message, []int) {
 	var (
-		chunks       []wire.Message
-		sizes        []int
-		cur          = wire.ReplicateBatch{SrcDC: src, Round: uint64(round)}
-		items, bytes int
+		chunks []wire.Message
+		sizes  []int
+		cur    = wire.ReplicateBatch{SrcDC: src, Round: uint64(round)}
+		bytes  int
 	)
 	for start := 0; start < len(ready); {
 		end := start
@@ -178,7 +155,6 @@ func buildReplicateBatches(src topology.DCID, round int64, ready []committedTx, 
 			CT:   ready[start].ct,
 			Txns: make([]wire.TxUpdates, 0, end-start),
 		}
-		gItems := 0
 		gBytes := replGroupHeadSize
 		for _, c := range ready[start:end] {
 			group.Txns = append(group.Txns, wire.TxUpdates{
@@ -186,22 +162,20 @@ func buildReplicateBatches(src topology.DCID, round int64, ready []committedTx, 
 				SrcDC:  c.srcDC,
 				Writes: c.writes,
 			})
-			gItems += len(c.writes)
 			gBytes += replTxnHeadSize
 			for _, kv := range c.writes {
 				// Key/value bytes plus the codec's per-write framing.
 				gBytes += len(kv.Key) + len(kv.Value) + replWriteHeadSize
 			}
 		}
-		if len(cur.Groups) > 0 && (items+gItems > maxItems || bytes+gBytes > maxBytes) {
+		if len(cur.Groups) > 0 && bytes+gBytes > maxBytes {
 			cur.UpTo = cur.Groups[len(cur.Groups)-1].CT
 			chunks = append(chunks, cur)
 			sizes = append(sizes, emptyBatchSize+bytes)
 			cur = wire.ReplicateBatch{SrcDC: src, Round: uint64(round)}
-			items, bytes = 0, 0
+			bytes = 0
 		}
 		cur.Groups = append(cur.Groups, group)
-		items += gItems
 		bytes += gBytes
 		start = end
 	}
@@ -254,7 +228,7 @@ func (s *Server) handleReplicateBatch(m wire.ReplicateBatch) {
 				}
 			}
 		}
-		s.store.ApplyBatchConcurrent(items, s.cfg.ApplyWorkers)
+		s.store.ApplyBatchConcurrent(items, s.applyWorkers)
 		s.metrics.replItems.Add(uint64(n))
 	}
 	if s.vis != nil {

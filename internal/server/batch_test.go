@@ -123,7 +123,7 @@ func TestBuildReplicateBatchesCoalescesOneRound(t *testing.T) {
 		mkCommitted(2, 10, 1), // same CT: same group
 		mkCommitted(3, 11, 1),
 	}
-	chunks, _ := buildReplicateBatches(0, 7, ready, 50, 1024, 1<<20)
+	chunks, _ := buildReplicateBatches(0, 7, ready, 50, 1<<20)
 	if len(chunks) != 1 {
 		t.Fatalf("got %d chunks, want 1", len(chunks))
 	}
@@ -137,7 +137,7 @@ func TestBuildReplicateBatchesCoalescesOneRound(t *testing.T) {
 }
 
 func TestBuildReplicateBatchesEmptyRoundIsHeartbeat(t *testing.T) {
-	chunks, _ := buildReplicateBatches(2, 7, nil, 99, 1024, 1<<20)
+	chunks, _ := buildReplicateBatches(2, 7, nil, 99, 1<<20)
 	if len(chunks) != 1 {
 		t.Fatalf("got %d chunks, want 1", len(chunks))
 	}
@@ -153,9 +153,10 @@ func TestBuildReplicateBatchesSplitsAtGroupBoundaries(t *testing.T) {
 		mkCommitted(2, 11, 3),
 		mkCommitted(3, 12, 3),
 	}
-	chunks, _ := buildReplicateBatches(0, 7, ready, 50, 4, 1<<20)
+	// A group of three one-byte writes is 66 bytes: a 100-byte cap fits one.
+	chunks, _ := buildReplicateBatches(0, 7, ready, 50, 100)
 	if len(chunks) != 3 {
-		t.Fatalf("got %d chunks, want 3 (maxItems=4, 3 items/group)", len(chunks))
+		t.Fatalf("got %d chunks, want 3 (maxBytes=100, 66 bytes/group)", len(chunks))
 	}
 	// Interior chunks announce only their last CT; the final one carries ub.
 	for i, c := range chunks {
@@ -175,10 +176,10 @@ func TestBuildReplicateBatchesSplitsAtGroupBoundaries(t *testing.T) {
 
 func TestBuildReplicateBatchesOversizedGroupTravelsWhole(t *testing.T) {
 	ready := []committedTx{
-		mkCommitted(1, 10, 100), // single group far above maxItems
+		mkCommitted(1, 10, 100), // single group far above maxBytes
 		mkCommitted(2, 11, 1),
 	}
-	chunks, _ := buildReplicateBatches(0, 7, ready, 50, 8, 1<<20)
+	chunks, _ := buildReplicateBatches(0, 7, ready, 50, 80)
 	if len(chunks) != 2 {
 		t.Fatalf("got %d chunks, want 2", len(chunks))
 	}
@@ -198,7 +199,7 @@ func TestBuildReplicateBatchesByteCap(t *testing.T) {
 		mkCommitted(2, 11, 1),
 	}
 	// Each write is ~10 encoded bytes; a 1-byte cap forces one group per chunk.
-	chunks, _ := buildReplicateBatches(0, 7, ready, 50, 1024, 1)
+	chunks, _ := buildReplicateBatches(0, 7, ready, 50, 1)
 	if len(chunks) != 2 {
 		t.Fatalf("got %d chunks, want 2", len(chunks))
 	}

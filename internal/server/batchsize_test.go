@@ -27,33 +27,32 @@ func TestBuildReplicateBatchesSizesMatchApproxSize(t *testing.T) {
 	cases := []struct {
 		name     string
 		ready    []committedTx
-		maxItems int
 		maxBytes int
 	}{
-		{"empty heartbeat", nil, 1024, 1 << 20},
+		{"empty heartbeat", nil, 1 << 20},
 		{"one round one chunk", []committedTx{
 			mk(1, 10, "alpha", "b"),
 			mk(2, 10, "carrier-key"),
 			mk(3, 11, "z"),
-		}, 1024, 1 << 20},
-		{"split by items", []committedTx{
+		}, 1 << 20},
+		{"split groups", []committedTx{
 			mk(1, 10, "a", "b", "c"),
 			mk(2, 11, "d", "e", "f"),
 			mk(3, 12, "g", "h", "i"),
-		}, 4, 1 << 20},
+		}, 150},
 		{"split by bytes", []committedTx{
 			mk(1, 10, "key-one"),
 			mk(2, 11, "key-two"),
 			mk(3, 12, "key-three"),
-		}, 1024, 1},
+		}, 1},
 		{"oversized group travels whole", []committedTx{
 			mk(1, 10, "a", "bb", "ccc", "dddd", "eeeee", "ffffff"),
 			mk(2, 11, "tail"),
-		}, 2, 1 << 20},
+		}, 40},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			chunks, sizes := buildReplicateBatches(2, 1, tc.ready, 50, tc.maxItems, tc.maxBytes)
+			chunks, sizes := buildReplicateBatches(2, 1, tc.ready, 50, tc.maxBytes)
 			if len(chunks) != len(sizes) {
 				t.Fatalf("%d chunks but %d sizes", len(chunks), len(sizes))
 			}

@@ -30,10 +30,9 @@ import (
 //   - nothing is lost: after the storm drains, every committed write is in
 //     the store at or below VV[self].
 func TestCommitPlaneParallelApplyStress(t *testing.T) {
-	rig := newTestRig(t, ModeNonBlocking, func(c *Config) {
-		c.ApplyWorkers = 4
-	})
+	rig := newTestRig(t, ModeNonBlocking)
 	s := rig.srv
+	s.applyWorkers = 4
 
 	keys := keysOn(t, rig.topo, s.self.Partition(), 8)
 	remote := topology.DCID(-1)

@@ -6,47 +6,57 @@ import (
 
 	"github.com/paris-kv/paris/internal/hlc"
 	"github.com/paris-kv/paris/internal/topology"
-	"github.com/paris-kv/paris/internal/transport"
 	"github.com/paris-kv/paris/internal/wire"
 )
 
 // Replication flow control.
 //
-// Without it the apply loop is fire-and-forget: every ΔR round's chunks go
-// straight to the transport, so a slow WAN link or a stalled replica makes
-// the sender buffer without limit. The flow-control layer interposes one
-// pump per destination between applyTick and the transport:
+// Every ΔR round reaches a peer replica through that destination's pump:
+// applyTick hands the pump the round's chunks (submit) and then steps it in
+// place (step). A step casts what the pump's credit admits, serves a repair
+// that is due and, while degraded, a periodic summary. Pumps have no goroutine
+// and read no clock; all pacing is counted in round labels:
 //
-//   - a token bucket paces sends to Config.BandwidthBudget bytes/second
-//     (burst Config.BudgetBurst);
-//   - the send queue is bounded by Config.FlowHighWater bytes. While the
-//     pump is behind, newly submitted rounds coalesce into the queue tail
+//   - credit refills by Config.BandwidthBudget × ΔR per elapsed round, up to a
+//     burst of max(budget/4, 4 KiB). The chunk at the head of the stream is
+//     debited in full and leaves once the balance is back at zero or above,
+//     so a chunk larger than the burst drives the balance negative and waits
+//     its debt out instead of being refused or fragmented, and the bytes cast
+//     never exceed the burst plus the budget's share of the elapsed rounds.
+//     A budget of 0 admits everything: a round's chunks leave inside the
+//     round that built them;
+//   - the send queue is bounded by 4 × BatchMaxBytes, and never below one
+//     empty chunk so that a heartbeat always fits. While the pump is behind, newly submitted rounds coalesce into the queue tail
 //     (commit-timestamp groups concatenate, the cumulative UpTo folds) —
 //     valid because every round's group timestamps lie strictly above the
 //     previous round's UpTo — so pressure grows the tail entry, not the
 //     queue;
-//   - past the high-water mark the pump degrades to summary mode for that
-//     destination: rounds are shed (not queued — the local store already
-//     holds their data and remains the durable retransmission record) and
-//     a tiny ReplStatus is cast periodically instead. The receiver's vv
-//     entry for this DC simply stops advancing, which is UST-safe: the
-//     shed writes stay invisible everywhere. Below the low-water mark the
-//     pump resumes; the first post-shed chunk deliberately skips one
-//     sequence number so the receiver detects the gap, freezes, and
-//     recovers through the ordinary store-backed ReplSyncReq/Resp repair
-//     path with its own true watermark — no new trust is placed in the
-//     sender's view of what the receiver has;
+//   - a round that would cross the bound is shed and the pump degrades to
+//     summary mode for that destination: later rounds are shed too (not
+//     queued — the local store already holds their data and remains the
+//     durable retransmission record) and a tiny ReplStatus is cast every
+//     statusEvery rounds instead. The receiver's vv entry for this DC simply
+//     stops advancing, which is UST-safe: the shed writes stay invisible
+//     everywhere. Once the queue has drained to BatchMaxBytes the pump
+//     resumes; the first post-shed chunk deliberately skips one sequence
+//     number so the receiver detects the gap, freezes, and recovers through
+//     the ordinary store-backed ReplSyncReq/Resp repair path with its own
+//     true watermark — no trust is placed in the sender's view of what the
+//     receiver has;
 //   - fresh rounds outrank ReplSyncResp catch-up traffic, with an aging
 //     bypass (a pending repair is served after at most repairAgingLimit
 //     fresh sends) so the every-ΔR heartbeat stream cannot starve repairs.
-//
-// Pumps run one goroutine per destination, started by Server.Start and
-// stopped by the server's stop channel before the transport closes.
+//     Repair chunks are paced like fresh ones; a repair the credit cuts short
+//     finishes before any fresh chunk is cast, so its chunks stay contiguous
+//     in the stream.
 
 // repairAgingLimit bounds how many fresh sends may preempt a pending
 // repair. Every ΔR emits a chunk, so without the bypass a strict
 // fresh-first policy would starve repairs forever.
 const repairAgingLimit = 4
+
+// minBurst floors the credit burst of small budgets.
+const minBurst = 4 << 10
 
 // flowEntry is one queued (possibly coalesced) replication chunk.
 type flowEntry struct {
@@ -61,36 +71,48 @@ type flowEntry struct {
 	burn bool
 }
 
-// flowPump is the flow-controlled sender for one destination.
+// flowPump is the replication sender for one destination. Its state is
+// guarded by mu, which the apply round, the repair handler, SetFlowBudget and
+// stats readers take; only the apply round sends.
 type flowPump struct {
-	s      *Server
-	dest   topology.NodeID
-	bucket *transport.TokenBucket
-	high   int // queue byte bound (admission-checked before enqueue)
-	low    int // resume threshold after degrading
-	capMax int // max bytes a single coalesced entry may grow to
+	s           *Server
+	dest        topology.NodeID
+	high        int   // queue byte bound (admission-checked before enqueue)
+	low         int   // resume threshold after degrading
+	statusEvery int64 // rounds between ReplStatus summaries while degraded
 
-	wake chan struct{}
+	// out is step's send scratch, reused across rounds (apply round only).
+	out []wire.Message
 
-	mu          sync.Mutex
+	mu sync.Mutex
+	// Credit, in bytes: perRound is budget × ΔR (0: unlimited), debited
+	// what the chunk at the head of the stream has been charged so far,
+	// round the label of the last step.
+	perRound    float64
+	burst       float64
+	credit      float64
+	debited     int
+	round       int64
 	entries     []flowEntry
-	queuedBytes int // queued + in-flight; never exceeds high
+	queuedBytes int // never exceeds high
 	degraded    bool
 	holePending bool // a shed happened since the last sent chunk
 	latestUB    hlc.Timestamp
 	seq         uint64
+	statusRound int64 // label of the last ReplStatus
 
 	repairPending   bool
 	repairFrom      hlc.Timestamp
+	repair          []wire.ReplSyncResp // chunks of the repair being served
 	freshSinceAging int
 
-	// Per-destination observability (served via Server.FlowStats).
+	// Per-destination observability (FlowStats, and summed by Metrics).
 	maxQueuedBytes  int
 	coalesced       uint64
 	shedRounds      uint64
 	degradedEntries uint64
 	degradedExits   uint64
-	throttled       time.Duration
+	throttledRounds uint64
 	statusSent      uint64
 }
 
@@ -105,126 +127,92 @@ type FlowDestStats struct {
 	ShedRounds      uint64 // rounds dropped in degraded mode
 	DegradedEntries uint64
 	DegradedExits   uint64
-	ThrottledFor    time.Duration // cumulative token-bucket pacing delay
+	ThrottledFor    time.Duration // rounds a chunk waited for credit, × ΔR
 	StatusSent      uint64        // ReplStatus summaries cast
 }
 
-// flowControl owns the per-destination pumps.
-type flowControl struct {
-	s     *Server
-	mu    sync.Mutex
-	pumps map[topology.NodeID]*flowPump
-	byDC  map[topology.DCID]*flowPump
+// newFlowPump builds the pump toward dest with the bounds derived from the
+// chunk cap and the server's configured budget.
+func newFlowPump(s *Server, dest topology.NodeID) *flowPump {
+	every := s.cfg.rounds(max(16*s.cfg.ApplyInterval, 50*time.Millisecond))
+	p := &flowPump{
+		s:           s,
+		dest:        dest,
+		high:        max(4*s.cfg.BatchMaxBytes, emptyBatchSize), // a heartbeat always fits
+		low:         s.cfg.BatchMaxBytes,
+		statusEvery: every,
+		statusRound: -every, // the first summary is not held back
+	}
+	p.setBudget(s.cfg.BandwidthBudget)
+	return p
 }
 
-func newFlowControl(s *Server) *flowControl {
-	return &flowControl{
-		s:     s,
-		pumps: make(map[topology.NodeID]*flowPump),
-		byDC:  make(map[topology.DCID]*flowPump),
+// setBudget sets the budget in bytes/second (≤ 0: unlimited) and resets the
+// balance to the new burst, so the change takes effect at the next step:
+// raising the budget clears accumulated debt (the heal path relies on this to
+// drain a backlog fast), lowering it starts from the smaller burst. The chunk
+// at the head is charged anew.
+func (p *flowPump) setBudget(rate int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.perRound = float64(max(rate, 0)) * p.s.cfg.ApplyInterval.Seconds()
+	p.burst = float64(max(rate/4, minBurst))
+	p.credit = p.burst
+	p.debited = 0
+}
+
+// refill credits the rounds elapsed since the last step. Caller holds p.mu.
+func (p *flowPump) refill(round int64) {
+	if round > p.round {
+		p.credit = min(p.credit+float64(round-p.round)*p.perRound, p.burst)
+		p.round = round
 	}
 }
 
-// start creates a pump per peer replica and launches its goroutine. Called
-// from Server.Start before any applyTick runs.
-func (f *flowControl) start() {
-	s := f.s
-	capMax := 4 * s.cfg.BatchMaxBytes
-	if capMax > s.cfg.FlowHighWater {
-		capMax = s.cfg.FlowHighWater
+// take charges the chunk at the head of the stream, n bytes, and reports
+// whether it may be cast now: it is debited what it has not paid yet — all of
+// it when it first comes up, what it grew by if rounds coalesced into it since
+// — and leaves once the balance is back at zero or above. Caller holds p.mu.
+func (p *flowPump) take(n int) bool {
+	if p.perRound == 0 {
+		return true
 	}
-	if capMax <= 0 {
-		capMax = s.cfg.FlowHighWater
+	p.credit -= float64(n - p.debited)
+	if p.credit < 0 {
+		p.debited = n
+		return false
 	}
-	f.mu.Lock()
-	for _, peer := range s.cfg.Topology.PeerReplicas(s.self.Partition(), s.self.DC) {
-		p := &flowPump{
-			s:      s,
-			dest:   peer,
-			bucket: transport.NewTokenBucket(s.cfg.BandwidthBudget, s.cfg.BudgetBurst),
-			high:   s.cfg.FlowHighWater,
-			low:    s.cfg.FlowLowWater,
-			capMax: capMax,
-			wake:   make(chan struct{}, 1),
-		}
-		f.pumps[peer] = p
-		f.byDC[peer.DC] = p
-		s.loopWG.Add(1)
-		go p.run()
-	}
-	f.mu.Unlock()
+	p.debited = 0
+	return true
 }
 
 // pumpFor returns the pump toward a DC's peer replica (nil if none).
-func (f *flowControl) pumpFor(dc topology.DCID) *flowPump {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.byDC[dc]
+func (s *Server) pumpFor(dc topology.DCID) *flowPump {
+	for _, p := range s.pumps {
+		if p.dest.DC == dc {
+			return p
+		}
+	}
+	return nil
 }
 
-// setBudget reconfigures every pump's token bucket at runtime.
-func (f *flowControl) setBudget(rate, burst int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, p := range f.pumps {
-		p.bucket.SetRate(rate, burst)
-	}
-}
-
-// stats snapshots every pump.
-func (f *flowControl) stats() []FlowDestStats {
-	f.mu.Lock()
-	pumps := make([]*flowPump, 0, len(f.pumps))
-	for _, p := range f.pumps {
-		pumps = append(pumps, p)
-	}
-	f.mu.Unlock()
-	out := make([]FlowDestStats, 0, len(pumps))
-	for _, p := range pumps {
-		p.mu.Lock()
-		out = append(out, FlowDestStats{
-			Dest:            p.dest,
-			QueueLen:        len(p.entries),
-			QueuedBytes:     p.queuedBytes,
-			MaxQueuedBytes:  p.maxQueuedBytes,
-			Degraded:        p.degraded,
-			Coalesced:       p.coalesced,
-			ShedRounds:      p.shedRounds,
-			DegradedEntries: p.degradedEntries,
-			DegradedExits:   p.degradedExits,
-			ThrottledFor:    p.throttled,
-			StatusSent:      p.statusSent,
-		})
-		p.mu.Unlock()
-	}
-	return out
-}
-
-// submit hands one ΔR round's chunks to the pump. Called from the applyTick
-// goroutine; chunks are shared across destinations and must not be mutated
-// in place. sizes, when non-nil, carries each chunk's wire.ApproxSize as
-// accumulated by buildReplicateBatches — the builder walks every key/value
-// anyway, so the pumps skip the per-destination re-walk of the payload; a
-// nil sizes (tests, hand-built chunks) falls back to computing it here.
+// submit hands one ΔR round's chunks to the pump. chunks are shared across
+// destinations and must not be mutated in place. sizes, when non-nil,
+// carries each chunk's wire.ApproxSize as accumulated by
+// buildReplicateBatches — the builder walks every key/value anyway, so the
+// pumps skip the per-destination re-walk of the payload; a nil sizes (tests,
+// hand-built chunks) falls back to computing it here.
 func (p *flowPump) submit(chunks []wire.Message, sizes []int, ub hlc.Timestamp) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.latestUB = ub
-	if p.degraded && p.queuedBytes <= p.low {
-		// The pump drained below the low-water mark between rounds (or the
-		// queue was empty when it degraded); resume before admission so a
-		// drained pump cannot stay degraded forever.
-		p.degraded = false
-		p.degradedExits++
-		p.s.metrics.flowDegradedExits.Add(1)
-	}
+	p.resumeIfDrained()
 	if p.degraded {
 		// Shed the whole round. The local store applied it already, so the
 		// eventual repair rebuilds it from there; queueing nothing is what
 		// keeps sender memory bounded.
 		p.holePending = true
 		p.shedRounds++
-		p.s.metrics.flowShedRounds.Add(1)
-		p.mu.Unlock()
 		return
 	}
 	for i, c := range chunks {
@@ -241,35 +229,36 @@ func (p *flowPump) submit(chunks []wire.Message, sizes []int, ub hlc.Timestamp) 
 			// shed round.
 			p.degraded = true
 			p.degradedEntries++
-			p.s.metrics.flowDegradedEntries.Add(1)
 			p.holePending = true
 			p.shedRounds++
-			p.s.metrics.flowShedRounds.Add(1)
-			p.mu.Unlock()
 			return
 		}
 		burn := p.holePending
 		p.holePending = false
 		// Coalesce under pressure: a non-empty queue means the pump is
 		// behind, so fold this chunk into the tail instead of growing the
-		// queue — unless the tail would outgrow capMax or sits on the other
-		// side of a shed window (merging across the hole would let the
-		// tail's folded UpTo cover shed data that was never queued).
-		if n := len(p.entries); n > 0 && !burn && p.entries[n-1].bytes+size <= p.capMax {
-			delta := p.entries[n-1].merge(b, size)
-			p.queuedBytes += delta
+		// queue — unless the tail sits on the other side of a shed window
+		// (merging across the hole would let the tail's folded UpTo cover
+		// shed data that was never queued). The admission check above
+		// already bounds the merged tail.
+		if n := len(p.entries); n > 0 && !burn {
+			p.queuedBytes += p.entries[n-1].merge(b, size)
 			p.coalesced++
-			p.s.metrics.flowCoalesced.Add(1)
 		} else {
 			p.entries = append(p.entries, flowEntry{batch: b, bytes: size, burn: burn})
 			p.queuedBytes += size
 		}
-		if p.queuedBytes > p.maxQueuedBytes {
-			p.maxQueuedBytes = p.queuedBytes
-		}
+		p.maxQueuedBytes = max(p.maxQueuedBytes, p.queuedBytes)
 	}
-	p.mu.Unlock()
-	p.notify()
+}
+
+// resumeIfDrained leaves degraded mode once the queue has drained to the
+// low-water mark. Caller holds p.mu.
+func (p *flowPump) resumeIfDrained() {
+	if p.degraded && p.queuedBytes <= p.low {
+		p.degraded = false
+		p.degradedExits++
+	}
 }
 
 // emptyBatchSize is the approximate encoded size of a ReplicateBatch with
@@ -292,15 +281,12 @@ func (e *flowEntry) merge(b wire.ReplicateBatch, size int) int {
 	}
 	e.batch.Groups = append(e.batch.Groups, b.Groups...)
 	e.batch.UpTo, e.batch.Round = max(e.batch.UpTo, b.UpTo), max(e.batch.Round, b.Round)
-	delta := size - emptyBatchSize
-	if delta < 0 {
-		delta = 0
-	}
+	delta := max(size-emptyBatchSize, 0)
 	e.bytes += delta
 	return delta
 }
 
-// requestRepair records a receiver's ReplSyncReq for the pump to serve.
+// requestRepair records a receiver's ReplSyncReq for the next step to serve.
 // Concurrent requests keep the most conservative watermark.
 func (p *flowPump) requestRepair(from hlc.Timestamp) {
 	p.mu.Lock()
@@ -309,158 +295,132 @@ func (p *flowPump) requestRepair(from hlc.Timestamp) {
 	}
 	p.repairPending = true
 	p.mu.Unlock()
-	p.notify()
 }
 
-func (p *flowPump) notify() {
-	select {
-	case p.wake <- struct{}{}:
-	default:
-	}
-}
-
-// statusEvery is how often a degraded pump casts its ReplStatus summary.
-func (p *flowPump) statusEvery() time.Duration {
-	return max(16*p.s.cfg.ApplyInterval, 50*time.Millisecond)
-}
-
-func (p *flowPump) run() {
+// step runs the pump for the round labelled round, right after that round's
+// submit: it casts every queued chunk the credit admits, serves a repair that
+// is due, and while degraded casts the ReplStatus summary every
+// statusEvery-th round — all of it in one CastBatch, in stream order.
+func (p *flowPump) step(round int64) {
 	s := p.s
-	defer s.loopWG.Done()
-	tick := time.NewTicker(p.statusEvery())
-	defer tick.Stop()
-	var lastStatus time.Time
+	out := p.out[:0]
+	ust, sold := s.ust.Load(), s.sold.Load()
+	p.mu.Lock()
+	p.refill(round)
 	for {
-		select {
-		case <-s.stopped:
-			return
-		case <-p.wake:
-		case <-tick.C:
+		if len(p.repair) == 0 && p.repairPending &&
+			(len(p.entries) == 0 || p.freshSinceAging >= repairAgingLimit) {
+			p.startRepair()
 		}
-		for p.step() {
-			if s.isStopped() {
-				return
+		if len(p.repair) > 0 {
+			// An unfinished repair goes first: its chunks all name the same
+			// resume position, so no fresh chunk may come between them.
+			r := p.repair[0]
+			size := wire.ApproxSize(r)
+			if !p.take(size) {
+				p.throttledRounds++
+				break
 			}
-		}
-		// Degraded-mode summary: cast a tiny ReplStatus at the status
-		// cadence so the receiver can observe the backlog. It is not
-		// charged to the bucket — summary mode exists to quiet the link,
-		// and the status is the minimal control signal (~40 bytes).
-		p.mu.Lock()
-		deg, ub, qb := p.degraded, p.latestUB, p.queuedBytes
-		// The sequence the first post-backlog fresh chunk will carry: queued
-		// entries each consume one, and every pending burn (queued or not yet
-		// materialized) consumes one more. Naming it lets the receiver
-		// pre-request the repair during the shed window instead of
-		// discovering the gap only when the sender resumes.
-		next := p.seq + 1 + uint64(len(p.entries))
-		for _, e := range p.entries {
-			if e.burn {
-				next++
+			s.metrics.noteRepairChunk(size)
+			out = append(out, r)
+			p.repair[0] = wire.ReplSyncResp{}
+			if p.repair = p.repair[1:]; len(p.repair) == 0 {
+				p.repair = nil
+				s.metrics.replSyncServed.Add(1)
 			}
+			continue
 		}
-		if p.holePending {
+		if len(p.entries) == 0 {
+			break
+		}
+		e := p.entries[0]
+		if !p.take(e.bytes) {
+			p.throttledRounds++
+			break
+		}
+		n := copy(p.entries, p.entries[1:])
+		p.entries[n] = flowEntry{}
+		p.entries = p.entries[:n]
+		p.queuedBytes -= e.bytes
+		if p.repairPending {
+			p.freshSinceAging++
+		}
+		if e.burn {
+			// Skip one sequence number: the receiver sees the gap, freezes
+			// its vv entry (UST-safe) and requests a store-backed repair with
+			// its own watermark — the only party that knows what it truly has.
+			p.seq++
+		}
+		p.seq++
+		e.batch.Epoch, e.batch.Seq = s.replEpoch, p.seq
+		// Piggyback the freshest stable values: the receiver adopts them
+		// without waiting for the down-tree gossip, which an idle root may
+		// then withhold.
+		e.batch.UST, e.batch.Sold = ust, sold
+		out = append(out, e.batch)
+		p.resumeIfDrained()
+	}
+	if p.degraded && round-p.statusRound >= p.statusEvery {
+		// Degraded-mode summary, not charged to the credit: summary mode
+		// exists to quiet the link, and the status is the minimal control
+		// signal (~80 bytes).
+		p.statusRound = round
+		p.statusSent++
+		out = append(out, wire.ReplStatus{
+			SrcDC:       s.self.DC,
+			Epoch:       s.replEpoch,
+			NextSeq:     p.nextFreshSeq(),
+			UpTo:        p.latestUB,
+			UST:         ust,
+			Sold:        sold,
+			QueuedBytes: uint64(p.queuedBytes),
+		})
+	}
+	p.mu.Unlock()
+	_ = s.peer.CastBatch(p.dest, out)
+	clear(out)
+	p.out = out[:0]
+}
+
+// startRepair turns the pending repair request into the chunks step casts
+// next: everything the store holds in (repairFrom, latestUB], resuming the
+// stream at the next sequence number. p.mu is released around the store read;
+// only the repair handler, SetFlowBudget and stats readers can take it
+// meanwhile. Caller holds p.mu.
+func (p *flowPump) startRepair() {
+	from, upTo := p.repairFrom, p.latestUB
+	p.repairPending = false
+	p.freshSinceAging = 0
+	// The repair covers everything the store holds up to latestUB —
+	// including any shed window — so queued burn markers are moot: the
+	// receiver's cursor is about to be reset past the hole.
+	p.holePending = false
+	for i := range p.entries {
+		p.entries[i].burn = false
+	}
+	nextSeq := p.seq + 1
+	p.mu.Unlock()
+	chunks := p.s.buildRepairChunks(p.s.store.VersionsIn(from, upTo), nextSeq, upTo)
+	p.mu.Lock()
+	p.repair = chunks
+}
+
+// nextFreshSeq is the sequence number the first post-backlog fresh chunk will
+// carry: queued entries each consume one, and every pending burn (queued or
+// not yet materialized) consumes one more. Naming it in the summary lets the
+// receiver pre-request the repair during the shed window instead of
+// discovering the gap only when the sender resumes. Caller holds p.mu.
+func (p *flowPump) nextFreshSeq() uint64 {
+	next := p.seq + 1 + uint64(len(p.entries))
+	for _, e := range p.entries {
+		if e.burn {
 			next++
 		}
-		p.mu.Unlock()
-		if deg && time.Since(lastStatus) >= p.statusEvery() {
-			lastStatus = time.Now()
-			_ = s.peer.Cast(p.dest, wire.ReplStatus{
-				SrcDC:       s.self.DC,
-				Epoch:       s.replEpoch,
-				NextSeq:     next,
-				UpTo:        ub,
-				UST:         s.ust.Load(),
-				Sold:        s.sold.Load(),
-				QueuedBytes: uint64(qb),
-			})
-			p.mu.Lock()
-			p.statusSent++
-			p.mu.Unlock()
-			s.metrics.flowStatusSent.Add(1)
-		}
 	}
-}
-
-// step performs at most one send (fresh chunk or repair) and reports
-// whether it did any work.
-func (p *flowPump) step() bool {
-	p.mu.Lock()
-	serveRepair := p.repairPending &&
-		(len(p.entries) == 0 || p.freshSinceAging >= repairAgingLimit)
-	if serveRepair {
-		from := p.repairFrom
-		upTo := p.latestUB
-		p.repairPending = false
-		p.freshSinceAging = 0
-		// The repair covers everything the store holds up to latestUB —
-		// including any shed window — so queued burn markers are moot: the
-		// receiver's cursor is about to be reset past the hole.
-		p.holePending = false
-		for i := range p.entries {
-			p.entries[i].burn = false
-		}
-		nextSeq := p.seq + 1
-		p.mu.Unlock()
-		// Serve the repair as budget-bounded chunks, cast back-to-back with
-		// no fresh-batch interleave: on the FIFO link they slot sequentially
-		// into the stream (every chunk names the same resume position; the
-		// receiver's cursor latch is idempotent) and no single frame exceeds
-		// the replication chunk budget, so a degraded link is never hit with
-		// one giant catch-up frame that would re-congest it.
-		chunks := p.s.buildRepairChunks(p.s.store.VersionsIn(from, upTo), nextSeq, upTo)
-		for _, resp := range chunks {
-			size := wire.ApproxSize(resp)
-			p.s.metrics.noteRepairChunk(size)
-			if !p.pace(size) {
-				return false
-			}
-			_ = p.s.peer.Cast(p.dest, resp)
-		}
-		p.s.metrics.replSyncServed.Add(1)
-		return true
+	if p.holePending {
+		next++
 	}
-	if len(p.entries) == 0 {
-		p.mu.Unlock()
-		return false
-	}
-	e := p.entries[0]
-	p.entries = p.entries[1:]
-	if p.repairPending {
-		p.freshSinceAging++
-	}
-	if e.burn {
-		// Skip one sequence number: the receiver sees the gap, freezes its
-		// vv entry (UST-safe) and requests a store-backed repair with its
-		// own watermark — the only party that knows what it truly has.
-		p.seq++
-	}
-	p.seq++
-	e.batch.Epoch = p.s.replEpoch
-	e.batch.Seq = p.seq
-	// Piggyback the freshest stable values at send time: the receiver adopts
-	// them without waiting for the down-tree gossip, which an idle root may
-	// then withhold.
-	e.batch.UST = p.s.ust.Load()
-	e.batch.Sold = p.s.sold.Load()
-	p.mu.Unlock()
-
-	if !p.pace(e.bytes) {
-		return false
-	}
-	_ = p.s.peer.Cast(p.dest, e.batch)
-	p.mu.Lock()
-	p.queuedBytes -= e.bytes
-	if p.queuedBytes < 0 {
-		p.queuedBytes = 0
-	}
-	if p.degraded && p.queuedBytes <= p.low {
-		p.degraded = false
-		p.degradedExits++
-		p.s.metrics.flowDegradedExits.Add(1)
-	}
-	p.mu.Unlock()
-	return true
+	return next
 }
 
 // handleReplStatus is the receiver side of the degraded-mode summary:
@@ -481,61 +441,35 @@ func (s *Server) handleReplStatus(m wire.ReplStatus) {
 	}
 }
 
-// SetFlowBudget reconfigures every destination's bandwidth budget at
-// runtime (no-op when flow control is disabled). Operators use it to open
-// the throttle after a constrained link heals so a degraded peer's backlog
+// SetFlowBudget sets every destination's replication bandwidth budget at
+// runtime, in bytes/second (0: unlimited). Operators use it to open the
+// throttle after a constrained link heals so a degraded peer's backlog
 // drains quickly.
-func (s *Server) SetFlowBudget(rate, burst int) {
-	if s.flow != nil {
-		s.flow.setBudget(rate, burst)
+func (s *Server) SetFlowBudget(rate int) {
+	for _, p := range s.pumps {
+		p.setBudget(rate)
 	}
 }
 
-// FlowStats returns per-destination flow-control statistics (nil when flow
-// control is disabled).
+// FlowStats returns per-destination flow-control statistics.
 func (s *Server) FlowStats() []FlowDestStats {
-	if s.flow == nil {
-		return nil
+	out := make([]FlowDestStats, 0, len(s.pumps))
+	for _, p := range s.pumps {
+		p.mu.Lock()
+		out = append(out, FlowDestStats{
+			Dest:            p.dest,
+			QueueLen:        len(p.entries),
+			QueuedBytes:     p.queuedBytes,
+			MaxQueuedBytes:  p.maxQueuedBytes,
+			Degraded:        p.degraded,
+			Coalesced:       p.coalesced,
+			ShedRounds:      p.shedRounds,
+			DegradedEntries: p.degradedEntries,
+			DegradedExits:   p.degradedExits,
+			ThrottledFor:    time.Duration(p.throttledRounds) * s.cfg.ApplyInterval,
+			StatusSent:      p.statusSent,
+		})
+		p.mu.Unlock()
 	}
-	return s.flow.stats()
-}
-
-// paceSlice bounds how long pace commits to one uninterruptible sleep, so a
-// budget reconfigure takes effect within a slice even on a pump serving out
-// a long delay.
-const paceSlice = 100 * time.Millisecond
-
-// pace charges the token bucket and sleeps out the budget delay. A SetRate
-// while sleeping forgives the remaining delay — the reconfigure reset the
-// bucket's balance, and the heal path relies on a raised budget unsticking
-// pumps that computed multi-second delays against the old rate. Returns
-// false if the server stopped while waiting.
-func (p *flowPump) pace(bytes int) bool {
-	d := p.bucket.Take(bytes)
-	if d <= 0 {
-		return true
-	}
-	p.mu.Lock()
-	p.throttled += d
-	p.mu.Unlock()
-	p.s.metrics.flowThrottledNs.Add(uint64(d))
-	gen := p.bucket.Gen()
-	//lint:ignore paris/ctxdeadline pacing timer on the monotonic clock; a process-local sleep horizon, not a protocol deadline
-	deadline := time.Now().Add(d)
-	for {
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			return true
-		}
-		t := time.NewTimer(min(wait, paceSlice))
-		select {
-		case <-p.s.stopped:
-			t.Stop()
-			return false
-		case <-t.C:
-		}
-		if p.bucket.Gen() != gen {
-			return true
-		}
-	}
+	return out
 }

@@ -33,15 +33,7 @@ type Metrics struct {
 	replSyncReq      atomic.Uint64
 	replSyncServed   atomic.Uint64
 	replSyncApplied  atomic.Uint64
-
-	// Replication flow control (flowpump.go), aggregated over destinations.
-	flowThrottledNs     atomic.Uint64
-	flowCoalesced       atomic.Uint64
-	flowShedRounds      atomic.Uint64
-	flowDegradedEntries atomic.Uint64
-	flowDegradedExits   atomic.Uint64
-	flowStatusSent      atomic.Uint64
-	replStatusRecv      atomic.Uint64
+	replStatusRecv   atomic.Uint64
 
 	// Stabilization plane (stability.go).
 	gossipSent       atomic.Uint64
@@ -119,7 +111,7 @@ type MetricsSnapshot struct {
 	ReplSyncServed    uint64 // store-backed repair responses served (sender role)
 	ReplSyncApplied   uint64 // repair responses installed (receiver role)
 
-	FlowThrottledFor    time.Duration // cumulative token-bucket pacing delay (all destinations)
+	FlowThrottledFor    time.Duration // rounds a chunk waited for credit, × ΔR (all destinations)
 	FlowCoalesced       uint64        // ΔR rounds merged into an already-queued entry
 	FlowShedRounds      uint64        // ΔR rounds shed in degraded mode
 	FlowDegradedEntries uint64        // destinations crossing the high-water mark
@@ -141,7 +133,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 	s.metrics.blockMu.Lock()
 	blocked, free, total := s.metrics.blockCount, s.metrics.blockFree, s.metrics.blockTotal
 	s.metrics.blockMu.Unlock()
-	return MetricsSnapshot{
+	snap := MetricsSnapshot{
 		TxStarted:      s.metrics.txStarted.Load(),
 		TxCommitted:    s.metrics.txCommitted.Load(),
 		TxApplied:      s.metrics.txApplied.Load(),
@@ -174,13 +166,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 		ReplSyncServed:    s.metrics.replSyncServed.Load(),
 		ReplSyncApplied:   s.metrics.replSyncApplied.Load(),
 
-		FlowThrottledFor:    time.Duration(s.metrics.flowThrottledNs.Load()),
-		FlowCoalesced:       s.metrics.flowCoalesced.Load(),
-		FlowShedRounds:      s.metrics.flowShedRounds.Load(),
-		FlowDegradedEntries: s.metrics.flowDegradedEntries.Load(),
-		FlowDegradedExits:   s.metrics.flowDegradedExits.Load(),
-		FlowStatusSent:      s.metrics.flowStatusSent.Load(),
-		ReplStatusReceived:  s.metrics.replStatusRecv.Load(),
+		ReplStatusReceived: s.metrics.replStatusRecv.Load(),
 
 		GossipSent:       s.metrics.gossipSent.Load(),
 		GossipSuppressed: s.metrics.gossipSuppressed.Load(),
@@ -190,4 +176,14 @@ func (s *Server) Metrics() MetricsSnapshot {
 
 		PrepPumpWakeups: s.metrics.prepPumpWakeups.Load(),
 	}
+	// Flow events are counted once, by the pump they happen in.
+	for _, st := range s.FlowStats() {
+		snap.FlowThrottledFor += st.ThrottledFor
+		snap.FlowCoalesced += st.Coalesced
+		snap.FlowShedRounds += st.ShedRounds
+		snap.FlowDegradedEntries += st.DegradedEntries
+		snap.FlowDegradedExits += st.DegradedExits
+		snap.FlowStatusSent += st.StatusSent
+	}
+	return snap
 }

@@ -10,7 +10,8 @@ import (
 )
 
 func TestBuildRepairChunksSplitsBetweenUTGroupsOnly(t *testing.T) {
-	rig := newTestRig(t, ModeNonBlocking, func(c *Config) { c.BatchMaxItems = 2 })
+	// Items cost 38–39 bytes each: an 80-byte cap fits two.
+	rig := newTestRig(t, ModeNonBlocking, func(c *Config) { c.BatchMaxBytes = 80 })
 	s := rig.srv
 
 	// Deliberately shuffled: the store returns versions in map order, so
@@ -26,9 +27,9 @@ func TestBuildRepairChunksSplitsBetweenUTGroupsOnly(t *testing.T) {
 	ub := hlc.New(99, 0)
 	chunks := s.buildRepairChunks(items, 7, ub)
 
-	// maxItems=2, but the three UT-10 items may not split: the first chunk
-	// carries all of them. Then [20,30] (the split check fires only when the
-	// budget would be exceeded AND the UT changes), then [40].
+	// Two items fill the cap, but the three UT-10 items may not split: the
+	// first chunk carries all of them. Then [20,30] (the split check fires
+	// only when the budget would be exceeded AND the UT changes), then [40].
 	wantLens := []int{3, 2, 1}
 	wantUpTo := []hlc.Timestamp{hlc.New(10, 0), hlc.New(30, 0), ub}
 	if len(chunks) != len(wantLens) {
@@ -74,8 +75,12 @@ func TestBuildRepairChunksEmptyRangeIsSingleBound(t *testing.T) {
 	}
 }
 
+// TestMaybeReplSyncServesChunkedRepair: a repair request is served by the
+// pump toward the requester's DC in the next apply round, in chunks of the
+// cap, all naming the stream position after the round's own chunk.
 func TestMaybeReplSyncServesChunkedRepair(t *testing.T) {
-	rig := newTestRig(t, ModeNonBlocking, func(c *Config) { c.BatchMaxItems = 1 })
+	// Items cost 39 bytes each: a 40-byte cap holds one.
+	rig := newTestRig(t, ModeNonBlocking, func(c *Config) { c.BatchMaxBytes = 40 })
 	s := rig.srv
 
 	for i := 1; i <= 3; i++ {
@@ -87,17 +92,18 @@ func TestMaybeReplSyncServesChunkedRepair(t *testing.T) {
 	s.handleReplSyncReq(wire.ReplSyncReq{ReqDC: 1, FromTS: 0})
 
 	peer := topology.ServerID(1, s.self.Partition())
-	ub := hlc.New(900, 0)
-	s.maybeReplSync(peer, ub)
+	p := s.pumpFor(peer.DC)
+	s.nextRound()
+	ub := s.VersionVector()[s.self.DC]
 
 	resps := rig.peers[peer].waitKind(t, wire.KindReplSyncResp, 3)
 	var maxSize uint64
 	for i, r := range resps {
 		resp := r.(wire.ReplSyncResp)
 		if len(resp.Items) != 1 {
-			t.Fatalf("chunk %d carries %d items, want 1 (maxItems=1)", i, len(resp.Items))
+			t.Fatalf("chunk %d carries %d items, want 1 (one per cap)", i, len(resp.Items))
 		}
-		if resp.NextSeq != s.replSeq[peer]+1 || resp.Epoch != s.replEpoch {
+		if resp.NextSeq != p.seq+1 || resp.Epoch != s.replEpoch {
 			t.Fatalf("chunk %d resume position = (%d,%d)", i, resp.Epoch, resp.NextSeq)
 		}
 		if sz := uint64(wire.ApproxSize(resp)); sz > maxSize {

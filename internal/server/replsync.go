@@ -39,8 +39,8 @@ const replSyncBackoffCap = 2 * time.Second
 //   - the sender answers from its store (the durable record of everything
 //     it ever replicated, so no retransmission log is needed): every
 //     version in (FromTS, ub], plus the stream position where sequenced
-//     delivery resumes. The response is emitted inside the apply round,
-//     immediately before the chunk carrying NextSeq, so on the FIFO link
+//     delivery resumes. The destination's pump casts it in an apply round
+//     (flowpump.go), ahead of the chunk carrying NextSeq, so on the FIFO link
 //     the repair and the resumption are gapless;
 //   - the receiver applies the repair, advances its vv entry to UpTo, and
 //     thaws the stream.
@@ -153,51 +153,20 @@ func (s *Server) replPreRequest(m wire.ReplStatus) {
 	}
 }
 
-// handleReplSyncReq records a peer's repair request; the next apply round
-// answers it (maybeReplSync) so the response slots into the stream at a
-// known sequence position. Concurrent requests from the same DC keep the
-// most conservative watermark.
+// handleReplSyncReq hands a peer's repair request to the pump toward its DC,
+// which serves it from a later apply round (flowpump.go) so the response
+// slots into the stream at a known sequence position, paced by the budget and
+// ranked below fresh rounds.
 func (s *Server) handleReplSyncReq(m wire.ReplSyncReq) {
-	if s.flow != nil {
-		// Flow-controlled path: the destination's pump owns the stream
-		// position and serves the repair itself, budget-paced and
-		// prioritized below fresh rounds (with anti-starvation aging).
-		if p := s.flow.pumpFor(m.ReqDC); p != nil {
-			p.requestRepair(m.FromTS)
-		}
-		return
+	if p := s.pumpFor(m.ReqDC); p != nil {
+		p.requestRepair(m.FromTS)
 	}
-	s.syncMu.Lock()
-	if cur, ok := s.syncReqs[m.ReqDC]; !ok || m.FromTS < cur {
-		s.syncReqs[m.ReqDC] = m.FromTS
-	}
-	s.syncMu.Unlock()
-}
-
-// maybeReplSync, called by applyTick for each peer after the round's apply
-// and version-clock publication (ub) and before the round's chunks are
-// sequenced, answers a pending repair request from this peer's DC.
-func (s *Server) maybeReplSync(peer topology.NodeID, ub hlc.Timestamp) {
-	s.syncMu.Lock()
-	fromTS, ok := s.syncReqs[peer.DC]
-	if ok {
-		delete(s.syncReqs, peer.DC)
-	}
-	s.syncMu.Unlock()
-	if !ok {
-		return
-	}
-	for _, resp := range s.buildRepairChunks(s.store.VersionsIn(fromTS, ub), s.replSeq[peer]+1, ub) {
-		s.metrics.noteRepairChunk(wire.ApproxSize(resp))
-		_ = s.peer.Cast(peer, resp)
-	}
-	s.metrics.replSyncServed.Add(1)
 }
 
 // buildRepairChunks slices a store-backed repair range into ReplSyncResp
-// chunks bounded by the replication batch budget (Config.BatchMaxItems /
-// BatchMaxBytes), so a catch-up after a long shed window never hits the —
-// typically still constrained — link as one giant frame. The store returns
+// chunks bounded by the replication chunk cap (Config.BatchMaxBytes), so a
+// catch-up after a long shed window never hits the — typically still
+// constrained — link as one giant frame. The store returns
 // versions in map-iteration order, so the items are first sorted by update
 // time; chunks then split only between distinct update timestamps, which
 // makes each interior chunk's UpTo (its last item's UT) a bound the receiver
@@ -208,7 +177,6 @@ func (s *Server) maybeReplSync(peer topology.NodeID, ub hlc.Timestamp) {
 // sequentially into the stream in FIFO order.
 func (s *Server) buildRepairChunks(items []wire.Item, nextSeq uint64, ub hlc.Timestamp) []wire.ReplSyncResp {
 	sort.Slice(items, func(i, j int) bool { return items[i].UT < items[j].UT })
-	maxItems, maxBytes := s.cfg.BatchMaxItems, s.cfg.BatchMaxBytes
 	newChunk := func() wire.ReplSyncResp {
 		return wire.ReplSyncResp{SrcDC: s.self.DC, Epoch: s.replEpoch, NextSeq: nextSeq}
 	}
@@ -220,7 +188,7 @@ func (s *Server) buildRepairChunks(items []wire.Item, nextSeq uint64, ub hlc.Tim
 		// Split between UT groups only: a chunk may close here iff the next
 		// item's timestamp is strictly above the last included one.
 		if len(cur.Items) > 0 && it.UT != items[i-1].UT &&
-			(len(cur.Items)+1 > maxItems || bytes+itBytes > maxBytes) {
+			bytes+itBytes > s.cfg.BatchMaxBytes {
 			cur.UpTo = items[i-1].UT
 			chunks = append(chunks, cur)
 			cur = newChunk()
@@ -245,7 +213,7 @@ func (s *Server) handleReplSyncResp(m wire.ReplSyncResp) {
 		return
 	}
 	if len(m.Items) > 0 {
-		s.store.ApplyBatchConcurrent(m.Items, s.cfg.ApplyWorkers)
+		s.store.ApplyBatchConcurrent(m.Items, s.applyWorkers)
 		s.metrics.replItems.Add(uint64(len(m.Items)))
 		s.stab.markData()
 	}

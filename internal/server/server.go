@@ -76,39 +76,22 @@ type Config struct {
 	// its inputs arriving within hops. Use whole milliseconds: the hybrid
 	// clock's physical part counts them.
 	ApplyInterval time.Duration
-	// BatchMaxItems caps the write items coalesced into one ReplicateBatch
-	// chunk per destination per ΔR round. 0 or negative selects the default
-	// (1024).
-	BatchMaxItems int
-	// BatchMaxBytes caps the approximate encoded payload bytes per chunk.
-	// 0 or negative selects the default (1 MiB). A single group larger than
-	// either cap still travels whole: caps split rounds, never transactions.
+	// BatchMaxBytes caps the approximate encoded payload bytes of one
+	// replication chunk (ReplicateBatch or ReplSyncResp). 0 or negative
+	// selects the default (1 MiB). A single commit-timestamp group larger
+	// than the cap still travels whole: the cap splits rounds, never
+	// transactions. It also sizes each destination's send queue
+	// (flowpump.go): the queue holds at most 4 × BatchMaxBytes (but always
+	// room for one heartbeat), and a destination that degraded at that
+	// bound resumes once it has drained to BatchMaxBytes.
 	BatchMaxBytes int
-	// BandwidthBudget, when positive, enables per-destination replication
-	// flow control (flowpump.go): outbound ReplicateBatch/ReplSyncResp
-	// traffic toward each peer replica is paced to this many bytes/second
-	// by a token bucket, the send queue is bounded by FlowHighWater, and a
-	// destination whose queue crosses the bound degrades to
-	// summary/heartbeat-only mode until it drains below FlowLowWater.
-	// 0 disables flow control entirely (unbounded fire-and-forget sends).
+	// BandwidthBudget paces the replication traffic toward each peer replica
+	// to this many bytes/second (flowpump.go): every ΔR round adds
+	// budget × ΔR of credit, up to a burst of max(budget/4, 4 KiB), and a
+	// chunk leaves when the credit covers it. 0 or negative means unlimited:
+	// every round's chunks leave inside the round. Server.SetFlowBudget
+	// changes it at runtime.
 	BandwidthBudget int
-	// BudgetBurst is the token bucket's burst capacity in bytes.
-	// 0 selects BandwidthBudget/4, floored at 4 KiB.
-	BudgetBurst int
-	// FlowHighWater bounds the bytes queued (including in flight) toward
-	// one destination; a round that would cross it is shed instead
-	// (degraded mode). 0 selects the default (4 MiB). Keep it a few
-	// multiples of BatchMaxBytes: a single chunk larger than the bound can
-	// never be admitted.
-	FlowHighWater int
-	// FlowLowWater is the queue depth below which a degraded destination
-	// resumes normal sends. 0 selects FlowHighWater/4.
-	FlowLowWater int
-	// ApplyWorkers is the number of store-apply worker goroutines a ΔR round
-	// fans out to; the round's version-clock publication waits for all of
-	// them (store-then-publish). 0 selects the default (GOMAXPROCS, capped
-	// at 8); 1 or a negative value applies serially on the loop goroutine.
-	ApplyWorkers int
 	// GossipInterval is ΔG, the spacing of a server's pushes toward its tree
 	// parent (at a root: toward the other DC roots). Pushes are driven by the
 	// ΔR round, so this is rounded up to whole rounds — one push every
@@ -179,17 +162,14 @@ type Config struct {
 
 // Defaults mirror the paper's 5 ms stabilization cadence.
 const (
-	defaultApplyInterval   = 5 * time.Millisecond
-	defaultGossipInterval  = 5 * time.Millisecond
-	defaultUSTInterval     = 5 * time.Millisecond
-	defaultGossipIdleMult  = 32
-	defaultTxContextTTL    = 30 * time.Second
-	defaultCallTimeout     = 60 * time.Second
-	defaultBatchMaxItems   = 1024
-	defaultBatchMaxBytes   = 1 << 20
-	maxDefaultApplyWorkers = 8
-	defaultFlowHighWater   = 4 << 20
-	minDefaultBudgetBurst  = 4 << 10
+	defaultApplyInterval  = 5 * time.Millisecond
+	defaultGossipInterval = 5 * time.Millisecond
+	defaultUSTInterval    = 5 * time.Millisecond
+	defaultGossipIdleMult = 32
+	defaultTxContextTTL   = 30 * time.Second
+	defaultCallTimeout    = 60 * time.Second
+	defaultBatchMaxBytes  = 1 << 20
+	applyWorkerCap        = 8
 )
 
 func (c *Config) withDefaults() (Config, error) {
@@ -216,31 +196,8 @@ func (c *Config) withDefaults() (Config, error) {
 	if cfg.ApplyInterval <= 0 {
 		cfg.ApplyInterval = defaultApplyInterval
 	}
-	if cfg.BatchMaxItems <= 0 {
-		cfg.BatchMaxItems = defaultBatchMaxItems
-	}
 	if cfg.BatchMaxBytes <= 0 {
 		cfg.BatchMaxBytes = defaultBatchMaxBytes
-	}
-	if cfg.BandwidthBudget > 0 {
-		if cfg.BudgetBurst <= 0 {
-			cfg.BudgetBurst = max(cfg.BandwidthBudget/4, minDefaultBudgetBurst)
-		}
-		if cfg.FlowHighWater <= 0 {
-			cfg.FlowHighWater = defaultFlowHighWater
-		}
-		if cfg.FlowLowWater <= 0 {
-			cfg.FlowLowWater = cfg.FlowHighWater / 4
-		}
-	}
-	if cfg.ApplyWorkers == 0 {
-		cfg.ApplyWorkers = runtime.GOMAXPROCS(0)
-		if cfg.ApplyWorkers > maxDefaultApplyWorkers {
-			cfg.ApplyWorkers = maxDefaultApplyWorkers
-		}
-	}
-	if cfg.ApplyWorkers < 1 {
-		cfg.ApplyWorkers = 1
 	}
 	if cfg.GossipInterval <= 0 {
 		cfg.GossipInterval = defaultGossipInterval
@@ -264,6 +221,11 @@ func (c *Config) withDefaults() (Config, error) {
 		cfg.PreparedTTL = 2 * cfg.CallTimeout
 	}
 	return cfg, nil
+}
+
+// rounds converts d to whole ΔR rounds: ⌈d/ΔR⌉, at least one.
+func (c *Config) rounds(d time.Duration) int64 {
+	return max(1, int64((d+c.ApplyInterval-1)/c.ApplyInterval))
 }
 
 // abortedRetention is how long an aborted/reaped transaction id is remembered
@@ -369,6 +331,11 @@ type Server struct {
 	// cohort into PrepareBatch wire messages (group commit).
 	prepBatch prepareBatcher
 
+	// applyWorkers is how many store-apply goroutines a round's writes fan
+	// out to (min(GOMAXPROCS, 8)); the round's version-clock publication
+	// waits for all of them (store-then-publish).
+	applyWorkers int
+
 	// applyReady is the applyTick drain scratch, reused across rounds (the
 	// loop is single-goroutine). applyItems is the corresponding flattened
 	// write-item scratch handed to the store.
@@ -387,21 +354,16 @@ type Server struct {
 	holdUntil time.Time
 
 	// Replication-stream repair (replsync.go). Sender side: replEpoch
-	// identifies this server incarnation; replSeq is the per-destination
-	// chunk sequence (applyTick goroutine only, no lock); syncReqs holds
-	// repair requests awaiting the next apply round. Receiver side: replIn
-	// is the per-source-DC stream cursor table; replSyncRetry paces
-	// re-requests while a repair is outstanding.
+	// identifies this server incarnation. Receiver side: replIn is the
+	// per-source-DC stream cursor table; replSyncRetry paces re-requests
+	// while a repair is outstanding.
 	replEpoch     uint64
-	replSeq       map[topology.NodeID]uint64
-	syncMu        sync.Mutex
-	syncReqs      map[topology.DCID]hlc.Timestamp
 	replIn        []replInStream
 	replSyncRetry time.Duration
 
-	// flow is the replication flow-control layer (flowpump.go); nil when
-	// Config.BandwidthBudget is 0.
-	flow *flowControl
+	// pumps are the replication senders, one per peer replica
+	// (flowpump.go); fixed at New.
+	pumps []*flowPump
 
 	// recovered2PC is set when Config.Recovered2PC seeded prepared entries;
 	// Start then kicks an immediate reaper sweep so the recovered entries'
@@ -443,8 +405,6 @@ func New(cfg Config) (*Server, error) {
 	s.prepBatch.init(s)
 	//lint:ignore paris/ctxdeadline incarnation id: needs uniqueness across restarts, not clock accuracy; never ordered against HLC timestamps
 	s.replEpoch = uint64(time.Now().UnixNano())
-	s.replSeq = make(map[topology.NodeID]uint64)
-	s.syncReqs = make(map[topology.DCID]hlc.Timestamp)
 	s.replIn = make([]replInStream, full.Topology.NumDCs())
 	s.replSyncRetry = max(4*full.ApplyInterval, 10*time.Millisecond)
 	// Seed the transaction sequence with a ~µs-granularity wall-clock base so
@@ -466,8 +426,9 @@ func New(cfg Config) (*Server, error) {
 	if full.Recovered2PC != nil {
 		s.importTwoPC(full.Recovered2PC)
 	}
-	if full.BandwidthBudget > 0 {
-		s.flow = newFlowControl(s)
+	s.applyWorkers = min(runtime.GOMAXPROCS(0), applyWorkerCap)
+	for _, peer := range full.Topology.PeerReplicas(full.ID.Partition(), full.ID.DC) {
+		s.pumps = append(s.pumps, newFlowPump(s, peer))
 	}
 	s.peer = transport.NewPeer(full.ID, s)
 	return s, nil
@@ -491,9 +452,6 @@ func (s *Server) Start() {
 		if s.cfg.RecoveryHold > 0 {
 			//lint:ignore paris/ctxdeadline local startup gate on the monotonic clock; holds this process only and is never exchanged with peers
 			s.holdUntil = time.Now().Add(s.cfg.RecoveryHold)
-		}
-		if s.flow != nil {
-			s.flow.start()
 		}
 		s.runLoop(s.cfg.ApplyInterval, true, s.applyTick)
 		if s.cfg.GCInterval > 0 {

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/paris-kv/paris/internal/hlc"
 	"github.com/paris-kv/paris/internal/topology"
@@ -153,13 +152,10 @@ type stabilizer struct {
 func (st *stabilizer) init(s *Server) {
 	st.srv = s
 	topo, numDCs := s.cfg.Topology, s.cfg.Topology.NumDCs()
-	rounds := func(d time.Duration) int64 { // ⌈d/ΔR⌉, at least one
-		return max(1, int64((d+s.cfg.ApplyInterval-1)/s.cfg.ApplyInterval))
-	}
-	st.idleEvery = rounds(s.cfg.GossipIdleMax)
+	st.idleEvery = s.cfg.rounds(s.cfg.GossipIdleMax)
 	// The first push is never withheld.
-	st.up = plane{every: rounds(s.cfg.GossipInterval), let: -st.idleEvery, held: -1}
-	st.ust = plane{every: rounds(s.cfg.USTInterval), let: -st.idleEvery, held: -1}
+	st.up = plane{every: s.cfg.rounds(s.cfg.GossipInterval), let: -st.idleEvery, held: -1}
+	st.ust = plane{every: s.cfg.rounds(s.cfg.USTInterval), let: -st.idleEvery, held: -1}
 
 	local := topo.PartitionsAt(s.self.DC) // ascending
 	idx := max(0, slices.Index(local, s.self.Partition()))

@@ -543,7 +543,7 @@ type ReplicateGroup struct {
 // the way to UpTo; a batch with no groups is exactly a heartbeat (Alg. 4
 // line 21), so idle rounds and busy rounds share one message shape.
 //
-// When a round is split into several chunks (BatchMaxItems/BatchMaxBytes),
+// When a round is split into several chunks (Config.BatchMaxBytes),
 // every chunk but the last carries UpTo equal to its final group's CT, which
 // is safe for the same reason: FIFO links deliver the remainder of the round
 // before any later timestamp.

@@ -56,9 +56,12 @@ type Cluster struct {
 	// log — the restart half of a crash/restart episode. It captures the
 	// cluster-wide configuration so a restarted replica is indistinguishable
 	// from the original except for its (lost) volatile stabilization state.
-	mkServer func(id topology.NodeID, st *store.MVStore, rec *server.TwoPCExport, hold time.Duration) (*server.Server, error)
+	mkServer func(id topology.NodeID, st *store.MVStore, rec *server.TwoPCExport, hold time.Duration, budget int) (*server.Server, error)
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// budget is the replication bandwidth budget servers pace to:
+	// Config.BandwidthBudget until SetFlowBudget changes it.
+	budget    int
 	servers   map[topology.NodeID]*server.Server
 	crashed   map[topology.NodeID]*server.Server
 	clocks    map[topology.NodeID]clock.Source
@@ -90,6 +93,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		clientSeq: make(map[topology.DCID]int32),
 		coordSeq:  make(map[topology.DCID]int),
 		resolvers: newResolverTable(full.Resolvers),
+		budget:    full.BandwidthBudget,
 	}
 	var selector topology.Selector
 	if full.PreferNearestReplica {
@@ -111,7 +115,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 		c.clocks[id] = src
 	}
-	c.mkServer = func(id topology.NodeID, st *store.MVStore, rec *server.TwoPCExport, hold time.Duration) (*server.Server, error) {
+	c.mkServer = func(id topology.NodeID, st *store.MVStore, rec *server.TwoPCExport, hold time.Duration, budget int) (*server.Server, error) {
 		return server.New(server.Config{
 			ID:               id,
 			Topology:         topo,
@@ -122,12 +126,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			Recovered2PC:     rec,
 			RecoveryHold:     hold,
 			ApplyInterval:    full.ApplyInterval,
-			BatchMaxItems:    full.BatchMaxItems,
 			BatchMaxBytes:    full.BatchMaxBytes,
-			BandwidthBudget:  full.BandwidthBudget,
-			BudgetBurst:      full.BudgetBurst,
-			FlowHighWater:    full.FlowHighWater,
-			FlowLowWater:     full.FlowLowWater,
+			BandwidthBudget:  budget,
 			GossipInterval:   full.GossipInterval,
 			USTInterval:      full.USTInterval,
 			GossipIdleMax:    full.GossipIdleMax,
@@ -135,13 +135,12 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			TxContextTTL:     full.TxContextTTL,
 			CallTimeout:      full.CallTimeout,
 			PreparedTTL:      full.PreparedTTL,
-			ApplyWorkers:     full.ApplyWorkers,
 			VisibilitySample: full.VisibilitySample,
 			ResolverFor:      c.resolvers.storeResolverFor,
 		})
 	}
 	for _, id := range topo.AllServers() {
-		srv, err := c.mkServer(id, nil, nil, 0)
+		srv, err := c.mkServer(id, nil, nil, 0, full.BandwidthBudget)
 		if err != nil {
 			_ = c.Close()
 			return nil, err
@@ -220,7 +219,9 @@ func (c *Cluster) CrashServer(id topology.NodeID) error {
 // coordinators have had time to re-deliver any commit decisions lost in the
 // crash). Recovered prepared entries immediately query their coordinators'
 // decision memory, so a CohortCommit that was in flight when the process
-// died is recovered rather than lost (see server.TwoPCExport).
+// died is recovered rather than lost (see server.TwoPCExport). The
+// replica paces its replication to the cluster's current budget, the one
+// SetFlowBudget last set.
 func (c *Cluster) RestartServer(id topology.NodeID, hold time.Duration) error {
 	c.mu.Lock()
 	old, ok := c.crashed[id]
@@ -229,8 +230,9 @@ func (c *Cluster) RestartServer(id topology.NodeID, hold time.Duration) error {
 		return fmt.Errorf("paris: server %v is not crashed", id)
 	}
 	delete(c.crashed, id)
+	budget := c.budget
 	c.mu.Unlock()
-	srv, err := c.mkServer(id, old.Store(), old.ExportTwoPC(), hold)
+	srv, err := c.mkServer(id, old.Store(), old.ExportTwoPC(), hold, budget)
 	if err != nil {
 		return err
 	}
@@ -241,6 +243,9 @@ func (c *Cluster) RestartServer(id topology.NodeID, hold time.Duration) error {
 	srv.Peer().Attach(ep)
 	c.mu.Lock()
 	c.servers[id] = srv
+	if c.budget != budget { // a SetFlowBudget ran while srv was being built
+		srv.SetFlowBudget(c.budget)
+	}
 	c.mu.Unlock()
 	srv.Start()
 	return nil
@@ -259,13 +264,16 @@ func (c *Cluster) SetClockSkew(id topology.NodeID, skew time.Duration) bool {
 	return ok
 }
 
-// SetFlowBudget reconfigures every live server's replication bandwidth
-// budget at runtime (no-op on servers without flow control). The nemesis
-// harness uses it to open the throttle after healing a constrained link so
-// a degraded replica's backlog drains quickly.
-func (c *Cluster) SetFlowBudget(rate, burst int) {
-	for _, s := range c.Servers() {
-		s.SetFlowBudget(rate, burst)
+// SetFlowBudget sets every server's replication bandwidth budget at
+// runtime, in bytes/second (0: unlimited); replicas restarted later pace to
+// it too. The nemesis harness uses it to open the throttle after healing a
+// constrained link so a degraded replica's backlog drains quickly.
+func (c *Cluster) SetFlowBudget(rate int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.budget = rate
+	for _, s := range c.servers {
+		s.SetFlowBudget(rate)
 	}
 }
 
