@@ -43,7 +43,7 @@ func main() {
 		applyInt   = flag.Duration("apply-interval", 5*time.Millisecond, "ΔR, the round: apply, replicate and start the stabilization push at its wall-clock multiples (whole milliseconds)")
 		gossipInt  = flag.Duration("gossip-interval", 5*time.Millisecond, "ΔG: push up the stabilization tree every ⌈ΔG/ΔR⌉-th round")
 		ustInt     = flag.Duration("ust-interval", 5*time.Millisecond, "ΔU: roots compute the UST every ⌈ΔU/ΔR⌉-th round")
-		gcInt      = flag.Duration("gc-interval", time.Second, "version GC cadence (0 disables)")
+		gcInt      = flag.Duration("gc-interval", time.Second, "version GC every ⌈gc-interval/ΔR⌉-th round (0 disables)")
 		batchBytes = flag.Int("batch-max-bytes", 0,
 			"max approximate payload bytes per replication batch (0 = default 1 MiB)")
 		callTimeout = flag.Duration("call-timeout", 0,

@@ -73,10 +73,12 @@ type Config struct {
 	// one per round, until the next write. 0 selects 32×GossipInterval; a
 	// value at or below GossipInterval means the plane never goes quiet.
 	GossipIdleMax time.Duration
-	// GCInterval is the version garbage-collection cadence. 0 disables GC.
+	// GCInterval is the version garbage-collection cadence, rounded up to
+	// whole rounds (a sweep every ⌈GCInterval/ΔR⌉-th round). 0 disables GC.
 	GCInterval time.Duration
 	// TxContextTTL bounds abandoned coordinator contexts, measured from the
-	// context's last read/commit activity. Default 30s.
+	// context's last read/commit activity and rounded up to whole rounds
+	// (swept every ⌈TxContextTTL/2/ΔR⌉-th round). Default 30s.
 	TxContextTTL time.Duration
 	// CallTimeout bounds each coordinator→cohort round trip (prepares and
 	// remote slice reads). Default 60s; failure tests shrink it so downed
@@ -84,8 +86,10 @@ type Config struct {
 	CallTimeout time.Duration
 	// PreparedTTL bounds how long a cohort keeps a prepared transaction
 	// without a commit/abort decision before reaping it (a crashed
-	// coordinator's orphans would otherwise freeze the UST system-wide).
-	// 0 selects the default (2×CallTimeout); negative disables the reaper.
+	// coordinator's orphans would otherwise freeze the UST system-wide),
+	// rounded up to whole rounds (the reaper sweeps every
+	// ⌈PreparedTTL/4/ΔR⌉-th round). 0 selects the default (2×CallTimeout);
+	// negative disables the reaper.
 	PreparedTTL time.Duration
 
 	// ClockSkew, when positive, gives each server a fixed clock offset drawn

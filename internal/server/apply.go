@@ -14,13 +14,15 @@ import (
 // BPR baseline's blocking reads park on.
 
 // applyTick runs every ΔR (Alg. 4 lines 5–22) for the round labelled round,
-// the index of the wall-clock boundary it was armed for. It computes the upper
-// bound ub below which no future transaction can commit, applies every
-// committed transaction with ct ≤ ub to the store in commit-timestamp order,
-// replicates the applied groups to peer replicas in batches carrying the
-// label, advances the local version clock to ub, heartbeats when there was
-// nothing to replicate, and hands the advanced entry to the stabilizer
-// (roundTick).
+// the index of the wall-clock boundary it was armed for, and label, the same
+// instant on the server's steady clock (runLoop), which it publishes. It
+// computes the upper bound ub below which no future transaction can commit,
+// applies every committed transaction with ct ≤ ub to the store in
+// commit-timestamp order, replicates the applied groups to peer replicas in
+// batches carrying the round label, advances the local version clock to ub,
+// heartbeats when there was nothing to replicate, and hands the advanced
+// entry to the stabilizer (roundTick). The round ends with its due sweeps
+// (sweepTick): GC, context expiry and the prepared-transaction reaper.
 //
 // Note on ct ≤ ub versus the paper's ct < ub (Alg. 4 line 10): after setting
 // VV[self] = ub the server claims to have installed everything with
@@ -36,15 +38,22 @@ import (
 // committed drain then visits shards a second time; entries that move from
 // Prepared to Committed between the two passes carry ct > ub by the same
 // argument, so the drain misses nothing the published ub covers.
-func (s *Server) applyTick(round int64) {
+func (s *Server) applyTick(round, label int64) {
+	s.labelNow.Store(label)
+	if s.first == 0 {
+		s.first = label
+	}
+	defer s.sweepTick(label) // after the round's casts and push
 	// Post-restart recovery hold: a freshly restarted server idles its whole
 	// apply plane — no store apply, no version-clock advance, no replication,
-	// no heartbeat — until the hold expires. Committed transactions (normal
+	// no heartbeat — for the hold's rounds. Committed transactions (normal
 	// and CommitRecover-recovered alike) queue up meanwhile; to every peer
 	// the server is merely slow, the UST stays frozen below any commit that
 	// may have been lost in the crash window, and the first round after the
-	// hold drains everything in one correctly-bounded batch.
-	if !s.holdUntil.IsZero() && time.Now().Before(s.holdUntil) {
+	// hold drains everything in one correctly-bounded batch. The sweeps run
+	// through the hold: the reaper is how recovered prepares learn their fate
+	// before it ends.
+	if s.cfg.RecoveryHold > 0 && label-s.first < s.cfg.rounds(s.cfg.RecoveryHold) {
 		s.stab.roundTick(round, false)
 		return
 	}
@@ -107,13 +116,14 @@ func (s *Server) applyTick(round int64) {
 	// (usually) one ReplicateBatch per destination — one wire write per peer
 	// per ΔR instead of one per commit timestamp. Each destination's pump
 	// takes the round and casts what its credit admits, here and now
-	// (flowpump.go): sequencing, pacing, coalescing and repair service for
-	// that peer. The builder's per-chunk sizes ride along so the pumps never
+	// (flowpump.go): sequencing, pacing (by the steady label, which a
+	// wall-clock step leaves alone), coalescing and repair service for that
+	// peer. The builder's per-chunk sizes ride along so the pumps never
 	// re-walk the payload.
 	chunks, sizes := buildReplicateBatches(s.self.DC, round, ready, ub, s.cfg.BatchMaxBytes)
 	for _, p := range s.pumps {
 		p.submit(chunks, sizes, ub)
-		p.step(round)
+		p.step(label)
 	}
 	if len(ready) > 0 {
 		s.metrics.txApplied.Add(uint64(len(ready)))

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"time"
-
 	"github.com/paris-kv/paris/internal/hlc"
 	"github.com/paris-kv/paris/internal/store"
 	"github.com/paris-kv/paris/internal/wire"
@@ -120,7 +118,7 @@ func (s *Server) handlePrepare(req wire.PrepareReq) wire.Message {
 		pt:     proposed,
 		srcDC:  s.self.DC,
 		writes: dedupWrites(req.Writes),
-		at:     time.Now(),
+		at:     s.label(),
 	}) {
 		sh.nPrepared.Add(-1) // replaced a duplicate; size is unchanged
 	}
@@ -268,7 +266,7 @@ func (s *Server) handleCommitRecover(m wire.CommitRecover) wire.Message {
 		sh.pushCommittedLocked(committedTx{
 			id: p.id, ct: m.CommitTS, srcDC: p.srcDC, writes: p.writes,
 		})
-		sh.done[m.TxID] = time.Now()
+		sh.done[m.TxID] = s.label()
 		s.metrics.commitsRecovered.Add(1)
 		return committed
 	}
@@ -279,7 +277,7 @@ func (s *Server) handleCommitRecover(m wire.CommitRecover) wire.Message {
 	sh.pushCommittedLocked(committedTx{
 		id: m.TxID, ct: m.CommitTS, srcDC: s.self.DC, writes: dedupWrites(m.Writes),
 	})
-	sh.done[m.TxID] = time.Now()
+	sh.done[m.TxID] = s.label()
 	s.metrics.commitsRecovered.Add(1)
 	return committed
 }
@@ -295,6 +293,6 @@ func (s *Server) handleAbortTx(m wire.AbortTx) {
 	if _, ok := sh.removePreparedLocked(m.TxID); ok {
 		s.metrics.cohortAborts.Add(1)
 	}
-	sh.aborted[m.TxID] = time.Now()
+	sh.aborted[m.TxID] = s.label()
 	sh.mu.Unlock()
 }

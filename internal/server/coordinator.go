@@ -43,8 +43,8 @@ func (s *Server) startTx(clientUST hlc.Timestamp) (wire.TxID, hlc.Timestamp) {
 		snapshot = s.ust.Load()
 	}
 	id := wire.NewTxID(s.self.DC, s.self.Partition(), s.txSeq.Add(1))
-	now := time.Now()
-	s.txCtx.put(id, txContext{snapshot: snapshot, started: now, lastActive: now})
+	now := s.label()
+	s.txCtx.put(id, txContext{snapshot: snapshot, lastActive: now})
 	if s.cfg.Mode == ModeNonBlocking {
 		// GC-watermark hazard: between the UST load above and the put, this
 		// context was invisible to the stabilization aggregate, so a gossip
@@ -61,7 +61,7 @@ func (s *Server) startTx(clientUST hlc.Timestamp) (wire.TxID, hlc.Timestamp) {
 		// server-wide mutex; this reload buys the same safety without it.
 		if ust := s.ust.Load(); ust > snapshot {
 			snapshot = ust
-			s.txCtx.put(id, txContext{snapshot: snapshot, started: now, lastActive: now})
+			s.txCtx.put(id, txContext{snapshot: snapshot, lastActive: now})
 		}
 	}
 	s.metrics.txStarted.Add(1)
@@ -83,7 +83,7 @@ func (s *Server) txSnapshot(id wire.TxID, clientUST hlc.Timestamp) (wire.TxID, h
 		id, snapshot := s.startTx(clientUST)
 		return id, snapshot, true
 	}
-	ctx, ok := s.txCtx.touchGet(id)
+	ctx, ok := s.txCtx.touchGet(id, s.label())
 	return id, ctx.snapshot, ok
 }
 
@@ -147,7 +147,7 @@ func (s *Server) handleRead(req wire.ReadReq) wire.Message {
 		// Refresh the context: the slice may have waited on a remote replica
 		// for a sizeable fraction of the TTL, and the session's next
 		// operation must still find its context alive.
-		s.txCtx.touch(id)
+		s.txCtx.touch(id, s.label())
 		s.metrics.readsServed.Add(uint64(len(keys)))
 		return wire.ReadResp{TxID: id, Snapshot: snapshot, Items: items}
 	}
@@ -170,7 +170,7 @@ func (s *Server) handleRead(req wire.ReadReq) wire.Message {
 		putReadFanout(g)
 		return s.readFailed(id, req.TxID == 0, err)
 	}
-	s.txCtx.touch(id)
+	s.txCtx.touch(id, s.label())
 	items := g.mergeInOrder(keys)
 	putReadFanout(g)
 	s.metrics.readsServed.Add(uint64(len(keys)))
@@ -185,7 +185,7 @@ func (s *Server) readFailed(id wire.TxID, started bool, err error) wire.Message 
 	if started {
 		s.txCtx.delete(id)
 	} else {
-		s.txCtx.touch(id)
+		s.txCtx.touch(id, s.label())
 	}
 	return readErrorResp(err)
 }
@@ -540,7 +540,7 @@ func (s *Server) handleCommit(req wire.CommitReq) wire.Message {
 	// cohort whose CohortCommit cast was lost recovers the commit through a
 	// status query instead of reaping an acknowledged transaction. The
 	// in-flight marker comes off only now that the decision is queryable.
-	csh.decided[id] = decidedTx{ct: commitTS, at: time.Now(), acked: acked}
+	csh.decided[id] = decidedTx{ct: commitTS, at: s.label(), acked: acked}
 	delete(csh.committing, id)
 	csh.mu.Unlock()
 	s.metrics.txCommitted.Add(1)

@@ -15,14 +15,15 @@ import (
 // aborted-set guards that keep a dead transaction from being half-applied,
 // and the coordinator's abort fan-out when a cohort cannot prepare.
 
-// agePrepared backdates every prepared entry on s by age, so reaper tests
-// can cross the TTL without sleeping.
+// agePrepared backdates every prepared entry on s by age — its rounds before
+// the server's current label — so reaper tests can cross the TTL without
+// running rounds.
 func agePrepared(s *Server, age time.Duration) {
 	for i := range s.twoPC.shards {
 		sh := &s.twoPC.shards[i]
 		sh.mu.Lock()
 		for _, p := range sh.prepared {
-			p.at = time.Now().Add(-age)
+			p.at = s.label() - s.cfg.rounds(age)
 		}
 		sh.mu.Unlock()
 	}
@@ -144,7 +145,7 @@ func TestAbortedTombstonesArePruned(t *testing.T) {
 	s.HandleCast(topology.ServerID(1, 0), wire.AbortTx{TxID: 7})
 	sh := s.twoPC.shard(7)
 	sh.mu.Lock()
-	sh.aborted[7] = time.Now().Add(-24 * time.Hour)
+	sh.aborted[7] = s.label() - s.cfg.rounds(24*time.Hour)
 	sh.mu.Unlock()
 	s.ctxCleanupTick()
 	if s.AbortedCount() != 0 {
@@ -244,7 +245,7 @@ func TestReaperRecoversLostCommitSelfCoordinated(t *testing.T) {
 		Writes: []wire.KV{{Key: "recov", Value: []byte("v")}}})
 	sh := s.twoPC.shard(id)
 	sh.mu.Lock()
-	sh.decided[id] = decidedTx{ct: 12345, at: time.Now(), acked: []topology.NodeID{s.self}}
+	sh.decided[id] = decidedTx{ct: 12345, at: s.label(), acked: []topology.NodeID{s.self}}
 	sh.mu.Unlock()
 	agePrepared(s, time.Hour)
 

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/paris-kv/paris/internal/hlc"
 	"github.com/paris-kv/paris/internal/wire"
@@ -11,9 +12,9 @@ import (
 
 // TestSnapshotMonotonicityUnderConcurrency hammers the sharded context table
 // and the lock-free UST from every direction at once — StartTx/Read/Commit
-// sessions, piggybacked UST observations, the apply loop, the context
-// cleaner and the prepared-transaction reaper — and asserts the invariants
-// the old server-wide mutex used to enforce wholesale:
+// sessions, piggybacked UST observations, and the round with its sweeps (GC,
+// the context cleaner and the prepared-transaction reaper every round) — and
+// asserts the invariants the old server-wide mutex used to enforce wholesale:
 //
 //   - session monotonicity: a StartTx carrying the session's last snapshot
 //     as ClientUST is answered with a snapshot at least that high;
@@ -25,7 +26,16 @@ import (
 //
 // Run under -race this is the regression net for the sharded refactor.
 func TestSnapshotMonotonicityUnderConcurrency(t *testing.T) {
-	rig := newTestRig(t, ModeNonBlocking)
+	// The loop below advances the label by one per round, far fewer rounds
+	// than the context TTL holds, so the cleaner never evicts a live session's
+	// context however the goroutines interleave.
+	const dR = 5 * time.Millisecond
+	rig := newTestRig(t, ModeNonBlocking, func(c *Config) {
+		c.ApplyInterval = dR
+		c.GCInterval = dR
+		c.PreparedTTL = 4 * dR
+		c.TxContextTTL = 1000 * time.Hour
+	})
 	s := rig.srv
 
 	keys := keysOn(t, rig.topo, s.self.Partition(), 4)
@@ -47,16 +57,25 @@ func TestSnapshotMonotonicityUnderConcurrency(t *testing.T) {
 		}
 	}()
 
-	// Background protocol loops, driven hard rather than on a ticker.
+	// The round, driven hard rather than on a ticker, with the stabilization
+	// aggregate's GC watermark (the oldest active snapshot, folded as the
+	// stabilizer folds it) so GC has versions to trim. The sessions start
+	// once it is running.
+	running := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for !stop.Load() {
+		for r := 0; !stop.Load(); r++ {
+			s.sold.advance(s.txCtx.minSnapshot(s.ust.Load()))
 			s.nextRound()
 			s.ctxCleanupTick()
 			s.reapTick()
+			if r == 0 {
+				close(running)
+			}
 		}
 	}()
+	<-running
 
 	// A global UST monotonicity watcher.
 	wg.Add(1)

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"time"
+	"math"
 
 	"github.com/paris-kv/paris/internal/wire"
 )
@@ -29,16 +29,19 @@ import (
 //
 // Recovery restores the invariant the prepared entry exists to provide: the
 // version-clock upper bound stays pinned below the prepare time until the
-// transaction's fate is known. Recovered prepares are backdated so the
-// first reaper sweep (kicked immediately on Start) resolves them through
-// the normal decision-query flow — the coordinator's decision memory, which
-// itself survives that coordinator's restarts via the same export.
+// transaction's fate is known. Recovered prepares are stamped older than any
+// round label, which the reaper counts as one PreparedTTL old at the server's
+// first round, so that round's sweep resolves them through the normal
+// decision-query flow — the coordinator's decision memory, which itself
+// survives that coordinator's restarts via the same export. The export's
+// other stamps are absolute labels (multiples of ΔR since the Unix epoch), so
+// tombstones and decisions keep aging across the restart.
 type TwoPCExport struct {
 	prepared  []preparedTx
 	committed []committedTx
-	aborted   map[wire.TxID]time.Time
+	aborted   map[wire.TxID]int64
 	decided   map[wire.TxID]decidedTx
-	done      map[wire.TxID]time.Time
+	done      map[wire.TxID]int64
 }
 
 // ExportTwoPC snapshots the server's 2PC log: prepared entries awaiting a
@@ -51,9 +54,9 @@ type TwoPCExport struct {
 // status queries on "pending" forever.
 func (s *Server) ExportTwoPC() *TwoPCExport {
 	e := &TwoPCExport{
-		aborted: make(map[wire.TxID]time.Time),
+		aborted: make(map[wire.TxID]int64),
 		decided: make(map[wire.TxID]decidedTx),
-		done:    make(map[wire.TxID]time.Time),
+		done:    make(map[wire.TxID]int64),
 	}
 	for i := range s.twoPC.shards {
 		sh := &s.twoPC.shards[i]
@@ -80,17 +83,12 @@ func (s *Server) ExportTwoPC() *TwoPCExport {
 // export. Called from New, before any loop or handler runs, so the prepared
 // entries pin the version-clock upper bound from the server's very first
 // apply round — no reader can take a snapshot above a still-undecided
-// prepare. Recovered prepares are backdated a full PreparedTTL so the first
-// reaper sweep queries their coordinators immediately instead of waiting
-// out the TTL again.
+// prepare. Recovered prepares are stamped older than any label (see
+// TwoPCExport).
 func (s *Server) importTwoPC(e *TwoPCExport) {
-	at := time.Now()
-	if s.cfg.PreparedTTL > 0 {
-		at = at.Add(-s.cfg.PreparedTTL)
-	}
 	for i := range e.prepared {
 		p := e.prepared[i] // copy; the export stays reusable
-		p.at, p.resolving = at, false
+		p.at, p.resolving = math.MinInt64, false
 		sh := s.twoPC.shard(p.id)
 		sh.mu.Lock()
 		sh.nPrepared.Add(1)
@@ -98,7 +96,6 @@ func (s *Server) importTwoPC(e *TwoPCExport) {
 			sh.nPrepared.Add(-1)
 		}
 		sh.mu.Unlock()
-		s.recovered2PC = true
 	}
 	for _, c := range e.committed {
 		sh := s.twoPC.shard(c.id)

@@ -16,11 +16,19 @@ import (
 // flight. The cast was accepted (not refused), so the coordinator's
 // confirmCommit fallback never fires — the decision must instead be
 // recovered by the restarted cohort replaying its 2PC log: the exported
-// prepared entry re-pins the version clock and the immediate reaper sweep
-// queries the coordinator's decision memory, which promotes the entry at
-// its true commit timestamp. Before TwoPCExport the prepared entry died
-// with the process and the acked slice was silently lost forever.
+// prepared entry re-pins the version clock and the reaper sweep of the
+// restarted server's first round queries the coordinator's decision memory,
+// which promotes the entry at its true commit timestamp. Before TwoPCExport
+// the prepared entry died with the process and the acked slice was silently
+// lost forever. With a PreparedTTL of 10 s the reaper's next sweep is 2.5 s
+// away, so a resolution before then was the first round's.
 func TestRecoveredPrepareResolvesAfterRestart(t *testing.T) {
+	for _, ttl := range []time.Duration{100 * time.Millisecond, 10 * time.Second} {
+		t.Run(ttl.String(), func(t *testing.T) { testRecoveredPrepareResolves(t, ttl) })
+	}
+}
+
+func testRecoveredPrepareResolves(t *testing.T, ttl time.Duration) {
 	topo, err := topology.New(3, 3, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +42,7 @@ func TestRecoveredPrepareResolvesAfterRestart(t *testing.T) {
 		st.GossipInterval = time.Millisecond
 		st.USTInterval = time.Millisecond
 		st.CallTimeout = 100 * time.Millisecond
-		st.PreparedTTL = 100 * time.Millisecond
+		st.PreparedTTL = ttl
 		srv, err := New(st)
 		if err != nil {
 			t.Fatal(err)
@@ -76,7 +84,7 @@ func TestRecoveredPrepareResolvesAfterRestart(t *testing.T) {
 	ct := pr.Proposed
 	sh := coord.twoPC.shard(id)
 	sh.mu.Lock()
-	sh.decided[id] = decidedTx{ct: ct, at: time.Now(), acked: []topology.NodeID{cohortID}}
+	sh.decided[id] = decidedTx{ct: ct, at: coord.label(), acked: []topology.NodeID{cohortID}}
 	sh.mu.Unlock()
 
 	net.Deregister(cohortID)
@@ -87,6 +95,7 @@ func TestRecoveredPrepareResolvesAfterRestart(t *testing.T) {
 	// Restart over the crashed instance's store and 2PC log.
 	restarted := newServer(cohortID, Config{Store: cohort.Store(), Recovered2PC: ex})
 	t.Cleanup(restarted.Stop)
+	started := restarted.label()
 
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -99,6 +108,9 @@ func TestRecoveredPrepareResolvesAfterRestart(t *testing.T) {
 				m, restarted.PendingPrepared())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	if every, took := restarted.cfg.rounds(ttl/4), restarted.label()-started; ttl >= 10*time.Second && took >= every {
+		t.Fatalf("recovered prepare resolved %d rounds after Start, not by the first reaper sweep (every %d rounds)", took, every)
 	}
 
 	// The slice is installed at its true commit timestamp and readable.

@@ -57,12 +57,12 @@ type replInStream struct {
 	epoch   uint64
 	nextSeq uint64
 	syncing bool
-	// Re-request pacing: exponential backoff with jitter. A fixed retick
-	// would hammer a still-degraded or bandwidth-starved sender in
-	// lockstep with every other frozen receiver; backoff spreads the
-	// retries out and jitter desynchronizes them.
-	backoff time.Duration
-	nextReq time.Time
+	// Re-request pacing, in round labels: exponential backoff with jitter.
+	// A fixed retick would hammer a still-degraded or bandwidth-starved
+	// sender in lockstep with every other frozen receiver; backoff spreads
+	// the retries out and jitter desynchronizes them.
+	backoff int64
+	nextReq int64
 }
 
 // replInAccept decides whether a replication chunk is the next in-order
@@ -98,22 +98,23 @@ func (s *Server) replInAccept(m wire.ReplicateBatch) bool {
 
 // repairPacingLocked arms or advances a stream's repair-request pacing state
 // and reports whether a request should fire now: the next retry is scheduled
-// at backoff/2 + uniform(0, backoff) from now, then the backoff doubles up
-// to the cap. Caller holds st.mu. Shared by the chunk-mismatch path
-// (replInAccept) and the status pre-request path (replPreRequest), so the
-// two can never amplify each other into a request storm.
+// backoff/2 + uniform(0, backoff) rounds after the current label, then the
+// backoff doubles up to the cap. Caller holds st.mu. Shared by the
+// chunk-mismatch path (replInAccept) and the status pre-request path
+// (replPreRequest), so the two can never amplify each other into a request
+// storm.
 func (s *Server) repairPacingLocked(st *replInStream) bool {
-	now := time.Now()
+	now := s.label()
 	if !st.syncing {
 		st.syncing = true
 		st.backoff = s.replSyncRetry
 		st.nextReq = now // first request fires immediately
 	}
-	if now.Before(st.nextReq) {
+	if now < st.nextReq {
 		return false
 	}
-	st.nextReq = now.Add(st.backoff/2 + time.Duration(rand.Int63n(int64(st.backoff))))
-	if st.backoff < replSyncBackoffCap {
+	st.nextReq = now + st.backoff/2 + rand.Int63n(st.backoff)
+	if st.backoff < s.cfg.rounds(replSyncBackoffCap) {
 		st.backoff *= 2
 	}
 	return true

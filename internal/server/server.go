@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -106,14 +107,17 @@ type Config struct {
 	// every round with the next write. 0 selects 32×GossipInterval; a value at
 	// or below GossipInterval means the plane never goes quiet.
 	GossipIdleMax time.Duration
-	// GCInterval is the cadence of version-chain garbage collection;
-	// 0 disables GC.
+	// GCInterval is the cadence of version-chain garbage collection, a step
+	// of the ΔR round rounded up to whole rounds: one sweep every
+	// ⌈GCInterval/ΔR⌉-th round. 0 disables GC.
 	GCInterval time.Duration
 	// TxContextTTL bounds how long an abandoned transaction context survives
 	// on its coordinator (§III-C: contexts of failed clients are cleaned in
 	// the background after a timeout). The TTL is measured from the
 	// context's last read/commit touch, not from transaction start, so long
-	// sessions stay alive as long as they keep issuing operations.
+	// sessions stay alive as long as they keep issuing operations. It is
+	// rounded up to whole rounds, and the cleanup sweeps every
+	// ⌈TxContextTTL/2/ΔR⌉-th round.
 	TxContextTTL time.Duration
 	// CallTimeout bounds a coordinator's wait for a cohort or remote read
 	// slice. Cohort requests never block in PaRiS mode; in BPR mode reads
@@ -126,9 +130,10 @@ type Config struct {
 	// aborts it locally (§III-C: state left by failed coordinators is cleaned
 	// in the background). A prepared entry pins the partition's version-clock
 	// upper bound, so an orphan freezes the UST system-wide; the reaper turns
-	// that into a bounded stall. 0 selects the default (2×CallTimeout, so a
-	// live coordinator's decision always wins the race); negative disables
-	// reaping.
+	// that into a bounded stall. It is rounded up to whole rounds, and the
+	// reaper sweeps every ⌈PreparedTTL/4/ΔR⌉-th round. 0 selects the default
+	// (2×CallTimeout, so a live coordinator's decision always wins the race);
+	// negative disables reaping.
 	PreparedTTL time.Duration
 	// Store, when non-nil, is the multi-version store the server serves from
 	// instead of a fresh one. The restart half of a crash/restart cycle hands
@@ -141,12 +146,13 @@ type Config struct {
 	// presumed-abort deployment replays from its write-ahead log on restart.
 	// Recovered prepared entries keep the version clock pinned below their
 	// prepare times and are resolved through the coordinator decision-query
-	// flow as soon as the server starts (see recovery.go).
+	// flow from the server's first round (see recovery.go).
 	Recovered2PC *TwoPCExport
-	// RecoveryHold, when positive, freezes the apply/replicate plane for the
-	// given duration after Start: committed transactions queue but are not
-	// applied, the local version clock does not advance, and no replication or
-	// heartbeat leaves the server. A restarted server uses the hold to keep
+	// RecoveryHold, when positive, freezes the apply/replicate plane for
+	// ⌈RecoveryHold/ΔR⌉ rounds from the server's first round: committed
+	// transactions queue but are not applied, the local version clock does not
+	// advance, and no replication or heartbeat leaves the server (the round's
+	// sweeps still run). A restarted server uses the hold to keep
 	// the UST frozen below any commit decision that may have been lost in its
 	// crash window, giving coordinators' CommitRecover retries time to land
 	// before any reader can take a snapshot above them.
@@ -223,9 +229,14 @@ func (c *Config) withDefaults() (Config, error) {
 	return cfg, nil
 }
 
-// rounds converts d to whole ΔR rounds: ⌈d/ΔR⌉, at least one.
+// rounds converts d to whole ΔR rounds: ⌈d/ΔR⌉, at least one. It cannot
+// overflow, so a duration meant as "never" stays the longest.
 func (c *Config) rounds(d time.Duration) int64 {
-	return max(1, int64((d+c.ApplyInterval-1)/c.ApplyInterval))
+	n := int64(d / c.ApplyInterval)
+	if d%c.ApplyInterval > 0 {
+		n++
+	}
+	return max(1, n)
 }
 
 // abortedRetention is how long an aborted/reaped transaction id is remembered
@@ -245,9 +256,9 @@ type preparedTx struct {
 	pt     hlc.Timestamp
 	srcDC  topology.DCID
 	writes []wire.KV
-	// at is the local insertion time; the reaper aborts entries whose
-	// coordinator has gone silent for longer than PreparedTTL.
-	at time.Time
+	// at is the round label of the insertion; the reaper resolves entries
+	// whose coordinator has gone silent for longer than PreparedTTL.
+	at int64
 	// resolving marks an in-flight TxStatus query so sweeps do not pile up
 	// duplicate resolution calls for the same entry.
 	resolving bool
@@ -264,7 +275,7 @@ type committedTx struct {
 // decidedTx records a coordinator's commit decision for status queries.
 type decidedTx struct {
 	ct hlc.Timestamp
-	at time.Time
+	at int64 // round label of the decision
 	// acked lists the cohorts whose PrepareResp the decision was built on —
 	// the only replicas allowed to apply the transaction. A failover cohort
 	// that was superseded (its response was lost and an alternate took over)
@@ -276,11 +287,10 @@ type decidedTx struct {
 // txContext is the coordinator-side state of a running transaction.
 type txContext struct {
 	snapshot hlc.Timestamp
-	started  time.Time
-	// lastActive is refreshed on every read/commit touch; the cleanup loop
-	// measures the TTL from here, not from started, so a context is only
-	// reaped after the session has actually gone quiet.
-	lastActive time.Time
+	// lastActive is the round label of the start or the last read/commit
+	// touch; the cleanup sweep measures the TTL from here, so a context is
+	// only reaped after the session has actually gone quiet.
+	lastActive int64
 }
 
 // Server is one partition replica. Construct with New, wire it to a network
@@ -348,27 +358,25 @@ type Server struct {
 	waiters []installWaiter
 	vis     *visibilityTracker
 
-	// holdUntil, when non-zero, is the monotonic instant the post-restart
-	// recovery hold expires; applyTick idles until then (see
-	// Config.RecoveryHold). Written once in Start before any loop runs.
-	holdUntil time.Time
+	// labelNow is the steady label of the last round (label, runLoop). first
+	// is the label of the server's first round (0 until it runs), which the
+	// hold and the sweeps count from; only the round touches it. gcRunning is
+	// set while a GC sweep the round started still runs.
+	labelNow  atomic.Int64
+	first     int64
+	gcRunning atomic.Bool
 
 	// Replication-stream repair (replsync.go). Sender side: replEpoch
 	// identifies this server incarnation. Receiver side: replIn is the
 	// per-source-DC stream cursor table; replSyncRetry paces re-requests
-	// while a repair is outstanding.
+	// while a repair is outstanding, in rounds.
 	replEpoch     uint64
 	replIn        []replInStream
-	replSyncRetry time.Duration
+	replSyncRetry int64
 
 	// pumps are the replication senders, one per peer replica
 	// (flowpump.go); fixed at New.
 	pumps []*flowPump
-
-	// recovered2PC is set when Config.Recovered2PC seeded prepared entries;
-	// Start then kicks an immediate reaper sweep so the recovered entries'
-	// decision queries fire right away instead of waiting out a TTL.
-	recovered2PC bool
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -406,7 +414,7 @@ func New(cfg Config) (*Server, error) {
 	//lint:ignore paris/ctxdeadline incarnation id: needs uniqueness across restarts, not clock accuracy; never ordered against HLC timestamps
 	s.replEpoch = uint64(time.Now().UnixNano())
 	s.replIn = make([]replInStream, full.Topology.NumDCs())
-	s.replSyncRetry = max(4*full.ApplyInterval, 10*time.Millisecond)
+	s.replSyncRetry = full.rounds(max(4*full.ApplyInterval, 10*time.Millisecond))
 	// Seed the transaction sequence with a ~µs-granularity wall-clock base so
 	// TxIDs stay unique across coordinator incarnations: a restarted
 	// coordinator that re-counted from zero would reissue its predecessor's
@@ -446,28 +454,9 @@ func (s *Server) ID() topology.NodeID { return s.self }
 // Mode returns the visibility protocol the server runs.
 func (s *Server) Mode() Mode { return s.cfg.Mode }
 
-// Start launches the background protocol loops. It is idempotent.
-func (s *Server) Start() {
-	s.startOnce.Do(func() {
-		if s.cfg.RecoveryHold > 0 {
-			//lint:ignore paris/ctxdeadline local startup gate on the monotonic clock; holds this process only and is never exchanged with peers
-			s.holdUntil = time.Now().Add(s.cfg.RecoveryHold)
-		}
-		s.runLoop(s.cfg.ApplyInterval, true, s.applyTick)
-		if s.cfg.GCInterval > 0 {
-			s.runLoop(s.cfg.GCInterval, false, unlabelled(s.gcTick))
-		}
-		s.runLoop(s.cfg.TxContextTTL/2, false, unlabelled(s.ctxCleanupTick))
-		if s.cfg.PreparedTTL > 0 {
-			s.runLoop(s.cfg.PreparedTTL/4, false, unlabelled(s.reapTick))
-			if s.recovered2PC {
-				// Resolve recovered prepares now — their coordinators may hold
-				// commit decisions whose CohortCommit died with the crash.
-				s.spawn(s.reapTick)
-			}
-		}
-	})
-}
+// Start arms the server's one timer, the ΔR round (runLoop). It is
+// idempotent.
+func (s *Server) Start() { s.startOnce.Do(s.runLoop) }
 
 // Stop terminates the background loops and waits for in-flight request
 // handlers. It is idempotent and safe to call before Start.
@@ -488,30 +477,44 @@ func (s *Server) Stop() {
 	s.peer.Close()
 }
 
-// runLoop starts a background loop bound to the stop channel that ticks every
-// interval — aligned, at the wall-clock multiples of it, handing the tick the
-// index of the multiple it was armed for (unaligned: 0). applyTick, and through
-// it the stabilization push that ends every round, is aligned so that rounds
-// begin together and are labelled alike on every server whose clock agrees.
-// That is a latency device only: a round computes its bounds from the injected
-// hybrid clock exactly as an unaligned one would and labels are compared only
-// with labels, so skewed or stepping wall clocks shift a server's phase (its
-// pushes find their inputs a little later) and change nothing else — which is
-// why this one timer reads the host clock rather than the injected millisecond
-// source, which is too coarse to sleep against.
-func (s *Server) runLoop(interval time.Duration, aligned bool, tick func(round int64)) {
-	next := func() (time.Duration, int64) {
-		if !aligned {
-			return interval, 0
-		}
+// runLoop starts the round: a loop bound to the stop channel that runs
+// applyTick at the wall-clock multiples of ΔR, handing it the index of the
+// multiple it was armed for and the same instant's label on the server's
+// steady clock. Rounds are aligned so that they begin together and are
+// labelled alike on every server whose clock agrees. That is a latency device
+// only: a round computes its bounds from the injected hybrid clock exactly as
+// an unaligned one would and labels are compared only with labels, so skewed
+// or stepping wall clocks shift a server's phase (its pushes find their inputs
+// a little later) and change nothing else — which is why this one timer reads
+// the host clock rather than the injected millisecond source, which is too
+// coarse to sleep against. The steady clock, which ages the server's own
+// bookkeeping (label), is the first round's label advanced by the monotonic
+// time since: a wall-clock step (NTP, a VM migration) can neither age a
+// prepare past its hard cutoff unqueried nor stall repair pacing. runLoop
+// publishes the current steady label before the loop runs, so nothing stamped
+// between Start and the first round reads 0 — an age of the whole epoch.
+func (s *Server) runLoop() {
+	dR := s.cfg.ApplyInterval
+	var (
+		start time.Time // the first boundary, with its monotonic reading
+		first int64     // and its label
+	)
+	next := func() (wait time.Duration, round, label int64) {
 		now := time.Now()
-		at := now.Truncate(interval).Add(interval)
-		return at.Sub(now), at.UnixNano() / int64(interval)
+		at := now.Truncate(dR).Add(dR)
+		wait, round = at.Sub(now), at.UnixNano()/int64(dR)
+		if start.IsZero() {
+			start, first = now.Add(wait), round
+		}
+		// now.Sub(start) reads the monotonic clock. Rounded to the nearest
+		// label, so that without a step the two labels agree exactly.
+		return wait, round, first + int64(now.Sub(start)+wait+dR/2)/int64(dR)
 	}
+	wait, round, label := next()
+	s.labelNow.Store(label - 1)
 	s.loopWG.Add(1)
 	go func() {
 		defer s.loopWG.Done()
-		wait, round := next()
 		t := time.NewTimer(wait)
 		defer t.Stop()
 		for {
@@ -519,16 +522,42 @@ func (s *Server) runLoop(interval time.Duration, aligned bool, tick func(round i
 			case <-s.stopped:
 				return
 			case <-t.C:
-				tick(round)
-				wait, round = next()
+				s.applyTick(round, label)
+				wait, round, label = next()
 				t.Reset(wait)
 			}
 		}
 	}()
 }
 
-// unlabelled adapts a tick that takes no round label to runLoop.
-func unlabelled(tick func()) func(int64) { return func(int64) { tick() } }
+// label is the steady label of the server's last round (before the first:
+// the one runLoop published), the only clock its 2PC, context and repair
+// bookkeeping reads. Labels are compared only with labels, never with HLC
+// timestamps.
+func (s *Server) label() int64 { return s.labelNow.Load() }
+
+// sweepTick runs the round's periodic steps, each on every k-th round counted
+// from the server's first (see the Config fields for each k). applyTick calls
+// it last, so a sweep never delays the round's casts and push. GC, the one
+// step that walks the whole store, only starts there, on a goroutine of its
+// own, and not while the previous one still runs, so a large store does not
+// delay the rounds that follow; and its rounds are offset by the partition
+// index, so servers started together do not all walk their stores at once,
+// right behind a push, and slow the stabilization hops that follow it.
+func (s *Server) sweepTick(now int64) {
+	due := func(every time.Duration, offset int64) bool {
+		return (now-s.first+offset)%s.cfg.rounds(every) == 0
+	}
+	if s.cfg.GCInterval > 0 && due(s.cfg.GCInterval, int64(s.self.Partition())) && s.gcRunning.CompareAndSwap(false, true) {
+		s.spawn(func() { defer s.gcRunning.Store(false); s.gcTick() })
+	}
+	if due(s.cfg.TxContextTTL/2, 0) {
+		s.ctxCleanupTick()
+	}
+	if s.cfg.PreparedTTL > 0 && due(s.cfg.PreparedTTL/4, 0) {
+		s.reapTick()
+	}
+}
 
 func (s *Server) isStopped() bool {
 	select {
@@ -658,14 +687,15 @@ func (s *Server) gcTick() {
 // The tick also prunes the aborted-transaction tombstones once they are old
 // enough that no straggling decision for them can still be in flight.
 func (s *Server) ctxCleanupTick() {
-	now := time.Now()
-	s.txCtx.expire(now.Add(-s.cfg.TxContextTTL))
-	s.twoPC.pruneDecisions(now.Add(-s.cfg.abortedRetention()))
+	now := s.label()
+	s.txCtx.expire(now - s.cfg.rounds(s.cfg.TxContextTTL))
+	s.twoPC.pruneDecisions(now - s.cfg.rounds(s.cfg.abortedRetention()))
 }
 
 // reapTick resolves prepared transactions whose decision has been outstanding
-// for longer than PreparedTTL (§III-C background cleanup). The sweep does not
-// abort unilaterally: a prepared entry may belong to a commit whose
+// for longer than PreparedTTL (§III-C background cleanup): more than
+// ⌈PreparedTTL/ΔR⌉ labels, at least PreparedTTL. The sweep does not abort
+// unilaterally: a prepared entry may belong to a commit whose
 // CohortCommit cast was lost in transit, or to a coordinator still grinding
 // through sequential prepare failovers, so the cohort first asks the
 // transaction's coordinator (embedded in the TxID) for its fate:
@@ -694,9 +724,16 @@ func (s *Server) ctxCleanupTick() {
 // finds the tombstone and is rejected — the transaction is never applied
 // after readers may have taken snapshots above its prepare time.
 func (s *Server) reapTick() {
-	now := time.Now()
-	softCutoff := now.Add(-s.cfg.PreparedTTL)
-	hardCutoff := now.Add(-2 * s.cfg.PreparedTTL)
+	now, ttl := s.label(), s.cfg.rounds(s.cfg.PreparedTTL)
+	softCutoff, hardCutoff := now-ttl, now-2*ttl
+	// No entry counts as older than one PreparedTTL at the server's first
+	// round — not one recovered from a crash, nor one stamped before any label
+	// was published — so that round's sweep asks its coordinator for its fate
+	// instead of hard-reaping it.
+	floor := int64(math.MinInt64)
+	if s.first != 0 {
+		floor = s.first - ttl - 1
+	}
 	var (
 		reaped    int
 		recovered int
@@ -709,7 +746,8 @@ func (s *Server) reapTick() {
 		}
 		sh.mu.Lock()
 		for id, p := range sh.prepared {
-			if p.at.After(softCutoff) {
+			at := max(p.at, floor)
+			if at >= softCutoff {
 				continue
 			}
 			coord := id.Coordinator()
@@ -732,7 +770,7 @@ func (s *Server) reapTick() {
 				}
 				continue
 			}
-			if p.at.Before(hardCutoff) {
+			if at < hardCutoff {
 				s.reapLocked(sh, id, now)
 				reaped++
 				continue
@@ -758,7 +796,7 @@ func (s *Server) reapTick() {
 
 // reapLocked releases a prepared entry and tombstones its id. Caller holds
 // sh.mu, where sh is id's twoPC shard.
-func (s *Server) reapLocked(sh *twoPCShard, id wire.TxID, now time.Time) {
+func (s *Server) reapLocked(sh *twoPCShard, id wire.TxID, now int64) {
 	sh.removePreparedLocked(id)
 	sh.aborted[id] = now
 }
@@ -797,7 +835,7 @@ func (s *Server) promoteLocked(sh *twoPCShard, p *preparedTx, ct hlc.Timestamp) 
 	})
 	// Mark the recovery so a racing CommitRecover retry for the same id is
 	// acknowledged instead of installing the transaction a second time.
-	sh.done[p.id] = time.Now()
+	sh.done[p.id] = s.label()
 }
 
 // resolveOrphan asks a remote coordinator for an expired prepared
@@ -836,7 +874,7 @@ func (s *Server) resolveOrphan(id wire.TxID) {
 		// Decision still in flight (e.g. slow prepare failover on another
 		// partition); check again next sweep.
 	default: // aborted or unknown
-		s.reapLocked(sh, id, time.Now())
+		s.reapLocked(sh, id, s.label())
 		s.metrics.txReaped.Add(1)
 	}
 }

@@ -122,7 +122,7 @@ func newTestRigAt(t *testing.T, mode Mode, id topology.NodeID, opts ...func(*Con
 
 // nextRound runs the server's next apply round by hand, labelled one past the
 // last.
-func (s *Server) nextRound() { s.applyTick(s.stab.round.Load() + 1) }
+func (s *Server) nextRound() { s.applyTick(s.stab.round.Load()+1, s.label()+1) }
 
 func TestConfigValidation(t *testing.T) {
 	topo, _ := topology.New(3, 3, 2)
@@ -517,15 +517,14 @@ func TestCtxCleanupEvictsStaleContexts(t *testing.T) {
 	rig := newTestRig(t, ModeNonBlocking)
 	s := rig.srv
 	r := s.handleStartTx(wire.StartTxReq{}).(wire.StartTxResp)
-	// Force-age the context's activity clock (the TTL is measured from the
-	// last touch, not from transaction start).
+	// Force-age the context's activity stamp an hour of rounds into the past
+	// (the TTL is measured from the last touch, not from transaction start).
 	age := func() {
 		for i := range s.txCtx.shards {
 			sh := &s.txCtx.shards[i]
 			sh.mu.Lock()
 			for id, ctx := range sh.m {
-				ctx.started = time.Now().Add(-time.Hour)
-				ctx.lastActive = ctx.started
+				ctx.lastActive = s.label() - s.cfg.rounds(time.Hour)
 				sh.m[id] = ctx
 			}
 			sh.mu.Unlock()

@@ -44,7 +44,7 @@ func newLabelled(t *testing.T, id topology.NodeID, opts ...func(*Config)) labell
 	return labelled{t: t, s: rig.srv, st: &rig.srv.stab, parent: rig.peers[rig.srv.stab.parent]}
 }
 
-func (l labelled) tick(r int64) { l.s.applyTick(r) }
+func (l labelled) tick(r int64) { l.s.applyTick(r, r) }
 
 func (l labelled) peer(r int64, label uint64) {
 	l.s.handleReplicateBatch(sequenced(l.s, wire.ReplicateBatch{SrcDC: 2, UpTo: hlc.New(900+uint64(r), 0), Round: label}))
@@ -284,7 +284,6 @@ func TestDeadlinePushWhenAnInputIsMissing(t *testing.T) {
 
 	// A recovery hold refreshes no own entry: liveness pushes only.
 	held := newLabelled(t, topology.ServerID(0, 5), func(c *Config) { c.RecoveryHold = time.Hour })
-	held.s.holdUntil = time.Now().Add(time.Hour) // what Start would set
 	held.st.keepActive()
 	for r := int64(1); r <= 6; r++ {
 		held.tick(r)
@@ -356,7 +355,7 @@ func TestGossipSuppressedWhenQuiescent(t *testing.T) {
 
 	// The first push always goes (nothing was ever pushed).
 	for r := int64(1); r <= 3; r++ {
-		s.applyTick(r)
+		s.applyTick(r, r)
 	}
 	first := parent.waitKind(t, wire.KindGSTUp, 1)[0].(wire.GSTUp)
 	if first.Active {
@@ -366,13 +365,13 @@ func TestGossipSuppressedWhenQuiescent(t *testing.T) {
 	// No activity: the next three rounds' pushes are withheld, one count
 	// each, and the fourth goes — one per GossipIdleMax.
 	for r := int64(4); r <= 6; r++ {
-		s.applyTick(r)
+		s.applyTick(r, r)
 	}
 	parent.quiet(t, wire.KindGSTUp, 1)
 	if got := s.Metrics().GossipSuppressed; got != 3 {
 		t.Fatalf("GossipSuppressed = %d, want one for each of the 3 rounds", got)
 	}
-	s.applyTick(7)
+	s.applyTick(7, 7)
 	parent.waitKind(t, wire.KindGSTUp, 2)
 
 	// With the peer answering, each withheld push is re-evaluated at the tick
@@ -382,14 +381,14 @@ func TestGossipSuppressedWhenQuiescent(t *testing.T) {
 		s.handleReplicateBatch(sequenced(s, wire.ReplicateBatch{SrcDC: 2, UpTo: hlc.New(900+uint64(r), 0), Round: uint64(r)}))
 	}
 	for r := int64(8); r <= 10; r++ {
-		s.applyTick(r)
+		s.applyTick(r, r)
 		batch(r)
 	}
 	parent.quiet(t, wire.KindGSTUp, 2)
 	if got := s.Metrics().GossipSuppressed; got != 6 {
 		t.Fatalf("GossipSuppressed = %d, want 6: one per withheld round", got)
 	}
-	s.applyTick(11)
+	s.applyTick(11, 11)
 	parent.waitKind(t, wire.KindGSTUp, 3)
 
 	// Data activity makes every round push, with the Active bit set, while
@@ -397,7 +396,7 @@ func TestGossipSuppressedWhenQuiescent(t *testing.T) {
 	st.markData()
 	for r := int64(11); r <= 13; r++ {
 		if r > 11 {
-			s.applyTick(r)
+			s.applyTick(r, r)
 		}
 		batch(r)
 		if up := parent.waitKind(t, wire.KindGSTUp, int(r-7))[r-8].(wire.GSTUp); !up.Active || up.Round != uint64(r) {

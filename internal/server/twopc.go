@@ -3,7 +3,6 @@ package server
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/paris-kv/paris/internal/hlc"
 	"github.com/paris-kv/paris/internal/wire"
@@ -47,8 +46,9 @@ type twoPCShard struct {
 	prepared map[wire.TxID]*preparedTx
 	// committed holds committed-but-unapplied transactions of this shard.
 	committed []committedTx
-	// aborted holds the abort/reap tombstones (see Server docs).
-	aborted map[wire.TxID]time.Time
+	// aborted holds the abort/reap tombstones (see Server docs) with the
+	// round labels they were planted at.
+	aborted map[wire.TxID]int64
 	// decided remembers coordinator commit decisions for status queries.
 	decided map[wire.TxID]decidedTx
 	// committing marks 2PC fan-outs in flight on this coordinator.
@@ -58,7 +58,7 @@ type twoPCShard struct {
 	// recovery are acknowledged without re-installing the transaction. The
 	// common cast-delivered commit is not recorded: a cast either errors
 	// (and recovery takes over) or is delivered exactly once per FIFO link.
-	done map[wire.TxID]time.Time
+	done map[wire.TxID]int64 // round labels, as in aborted
 
 	// minPT caches min{p.pt} over prepared; valid only while minValid and
 	// prepared is non-empty. Inserts fold into the cache, removing the
@@ -79,10 +79,10 @@ func (t *twoPCTable) init() {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.prepared = make(map[wire.TxID]*preparedTx)
-		sh.aborted = make(map[wire.TxID]time.Time)
+		sh.aborted = make(map[wire.TxID]int64)
 		sh.decided = make(map[wire.TxID]decidedTx)
 		sh.committing = make(map[wire.TxID]struct{})
-		sh.done = make(map[wire.TxID]time.Time)
+		sh.done = make(map[wire.TxID]int64)
 	}
 }
 
@@ -234,24 +234,24 @@ func (t *twoPCTable) abortedCount() int {
 	return n
 }
 
-// pruneDecisions drops tombstones and decision records older than cutoff,
-// one shard at a time.
-func (t *twoPCTable) pruneDecisions(cutoff time.Time) {
+// pruneDecisions drops tombstones and decision records stamped before the
+// round label cutoff, one shard at a time.
+func (t *twoPCTable) pruneDecisions(cutoff int64) {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
 		for id, at := range sh.aborted {
-			if at.Before(cutoff) {
+			if at < cutoff {
 				delete(sh.aborted, id)
 			}
 		}
 		for id, d := range sh.decided {
-			if d.at.Before(cutoff) {
+			if d.at < cutoff {
 				delete(sh.decided, id)
 			}
 		}
 		for id, at := range sh.done {
-			if at.Before(cutoff) {
+			if at < cutoff {
 				delete(sh.done, id)
 			}
 		}

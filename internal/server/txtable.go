@@ -3,7 +3,6 @@ package server
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/paris-kv/paris/internal/hlc"
 	"github.com/paris-kv/paris/internal/wire"
@@ -57,26 +56,27 @@ func (t *txTable) put(id wire.TxID, ctx txContext) {
 	sh.mu.Unlock()
 }
 
-// touchGet returns the context and refreshes its activity clock in one shard
-// visit — the first step of every read and commit.
-func (t *txTable) touchGet(id wire.TxID) (txContext, bool) {
+// touchGet returns the context and stamps its activity with the round label
+// now in one shard visit — the first step of every read and commit.
+func (t *txTable) touchGet(id wire.TxID, now int64) (txContext, bool) {
 	sh := t.shard(id)
 	sh.mu.Lock()
 	ctx, ok := sh.m[id]
 	if ok {
-		ctx.lastActive = time.Now()
+		ctx.lastActive = now
 		sh.m[id] = ctx
 	}
 	sh.mu.Unlock()
 	return ctx, ok
 }
 
-// touch refreshes the context's activity clock if it still exists.
-func (t *txTable) touch(id wire.TxID) {
+// touch stamps the context's activity with the round label now if it still
+// exists.
+func (t *txTable) touch(id wire.TxID, now int64) {
 	sh := t.shard(id)
 	sh.mu.Lock()
 	if ctx, ok := sh.m[id]; ok {
-		ctx.lastActive = time.Now()
+		ctx.lastActive = now
 		sh.m[id] = ctx
 	}
 	sh.mu.Unlock()
@@ -133,9 +133,9 @@ func (t *txTable) minSnapshot(init hlc.Timestamp) hlc.Timestamp {
 	return oldest
 }
 
-// expire drops contexts whose activity clock is older than cutoff and
+// expire drops contexts last active before the round label cutoff and
 // returns how many were evicted.
-func (t *txTable) expire(cutoff time.Time) int {
+func (t *txTable) expire(cutoff int64) int {
 	evicted := 0
 	for i := range t.shards {
 		sh := &t.shards[i]
@@ -144,7 +144,7 @@ func (t *txTable) expire(cutoff time.Time) int {
 		}
 		sh.mu.Lock()
 		for id, ctx := range sh.m {
-			if ctx.lastActive.Before(cutoff) {
+			if ctx.lastActive < cutoff {
 				delete(sh.m, id)
 				sh.n.Add(-1)
 				evicted++

@@ -214,11 +214,11 @@ func (c *Cluster) CrashServer(id topology.NodeID) error {
 
 // RestartServer revives a crashed replica: a fresh server over the crashed
 // instance's store and 2PC log rejoins the network and starts with a
-// recovery hold of the given duration (see server.Config.RecoveryHold — the
-// apply plane stays frozen, and with it this node's UST contribution, until
-// coordinators have had time to re-deliver any commit decisions lost in the
-// crash). Recovered prepared entries immediately query their coordinators'
-// decision memory, so a CohortCommit that was in flight when the process
+// recovery hold of the given duration, rounded up to whole ΔR rounds (see
+// server.Config.RecoveryHold — the apply plane stays frozen, and with it this
+// node's UST contribution, until coordinators have had time to re-deliver any
+// commit decisions lost in the crash). Recovered prepared entries query their
+// coordinators' decision memory in the replica's first round, so a CohortCommit that was in flight when the process
 // died is recovered rather than lost (see server.TwoPCExport). The
 // replica paces its replication to the cluster's current budget, the one
 // SetFlowBudget last set.
