@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/paris-kv/paris/internal/racedetect"
 	"github.com/paris-kv/paris/internal/workload"
 )
 
@@ -51,7 +52,7 @@ func TestFig1Driver(t *testing.T) {
 	// under the race detector's slowdown.
 	last := len(parisCurve) - 1
 	pMean, bMean := parisCurve[last].Latency.Mean(), bprCurve[last].Latency.Mean()
-	if !raceEnabled && float64(pMean) >= 1.1*float64(bMean) {
+	if !racedetect.Enabled && float64(pMean) >= 1.1*float64(bMean) {
 		t.Fatalf("PaRiS mean latency %v exceeds BPR %v by >10%% at %d threads (highest load point)",
 			pMean, bMean, parisCurve[last].Threads)
 	}
@@ -109,14 +110,14 @@ func TestFig3Driver(t *testing.T) {
 	}
 	// Shape: fully local latency is lower than 50:50 latency (remote
 	// round trips dominate). Not meaningful under the race detector.
-	if !raceEnabled && points[0].Result.Latency.Mean() >= points[3].Result.Latency.Mean() {
+	if !racedetect.Enabled && points[0].Result.Latency.Mean() >= points[3].Result.Latency.Mean() {
 		t.Fatalf("local latency %v not below 50:50 latency %v",
 			points[0].Result.Latency.Mean(), points[3].Result.Latency.Mean())
 	}
 }
 
 func TestFig4Driver(t *testing.T) {
-	if raceEnabled {
+	if racedetect.Enabled {
 		// Under the race detector the short measurement window may not
 		// produce any stabilized (hence visible) updates at all.
 		t.Skip("visibility sampling needs real-time pacing; skipped under -race")

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/paris-kv/paris"
+	"github.com/paris-kv/paris/internal/racedetect"
 	"github.com/paris-kv/paris/internal/workload"
 )
 
@@ -96,7 +97,7 @@ func TestParisLatencyBeatsBPR(t *testing.T) {
 	b := run(paris.ModeBlocking)
 	t.Logf("paris %v", p)
 	t.Logf("bpr   %v", b)
-	if !raceEnabled && p.Latency.Mean() >= b.Latency.Mean() {
+	if !racedetect.Enabled && p.Latency.Mean() >= b.Latency.Mean() {
 		t.Fatalf("PaRiS latency %v not lower than BPR %v", p.Latency.Mean(), b.Latency.Mean())
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/paris-kv/paris/internal/racedetect"
 )
 
 func TestHotpathDriver(t *testing.T) {
@@ -32,7 +34,7 @@ func TestHotpathDriver(t *testing.T) {
 	}
 	// The headline regression guard: the single-partition read path must
 	// stay leaner than the recorded pre-overhaul baseline.
-	if !raceEnabled && cmp.ReadSingleAllocs >= seedBaseline["seed_read_single_allocs_per_op"] {
+	if !racedetect.Enabled && cmp.ReadSingleAllocs >= seedBaseline["seed_read_single_allocs_per_op"] {
 		t.Fatalf("single-partition read allocs/op regressed to %v (seed %v)",
 			cmp.ReadSingleAllocs, seedBaseline["seed_read_single_allocs_per_op"])
 	}

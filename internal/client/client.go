@@ -303,6 +303,10 @@ func (c *Client) Read(ctx context.Context, keys ...string) (map[string][]byte, e
 		return nil, ErrNoTransaction
 	}
 	out := make(map[string][]byte, len(keys))
+	// Both key lists are sized once, at their first entry, for every key of
+	// the call. They are fresh on every Read and never reused: the request
+	// hands them to the coordinator by reference, and a call that timed out
+	// may still be queued holding them.
 	var remote []string
 	var withheld []wire.CachedKey
 	for _, k := range keys {
@@ -335,8 +339,14 @@ func (c *Client) Read(ctx context.Context, keys ...string) (map[string][]byte, e
 		}
 		out[k] = nil
 		if cached {
+			if withheld == nil {
+				withheld = make([]wire.CachedKey, 0, len(keys))
+			}
 			withheld = append(withheld, wire.CachedKey{Key: k, UT: held.UT})
 		} else {
+			if remote == nil {
+				remote = make([]string, 0, len(keys))
+			}
 			remote = append(remote, k)
 		}
 	}
@@ -516,9 +526,7 @@ func (c *Client) finish() {
 }
 
 func (c *Client) call(ctx context.Context, req wire.Message) (wire.Message, error) {
-	cctx, cancel := context.WithTimeout(ctx, c.cfg.CallTimeout)
-	defer cancel()
-	return c.peer.Call(cctx, c.cfg.Coordinator, req)
+	return c.peer.CallTimeout(ctx, c.cfg.Coordinator, req, c.cfg.CallTimeout)
 }
 
 // clientHandler rejects inbound requests: clients only originate traffic.

@@ -14,7 +14,7 @@ import (
 // server's peer is never attached, so replication casts fall away silently
 // — these measure local work only.
 
-func newBenchServer(b *testing.B) *Server {
+func newBenchServer(b testing.TB) *Server {
 	b.Helper()
 	topo, err := topology.New(3, 3, 2)
 	if err != nil {

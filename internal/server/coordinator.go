@@ -380,9 +380,7 @@ func (s *Server) readSliceFrom(target topology.NodeID, req wire.ReadSliceReq) ([
 	// partition, or blocked in BPR's installation wait) — whereas the pooled
 	// readFanout recycles the backing array the moment the fan-out returns.
 	req.Keys = append([]string(nil), req.Keys...)
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
-	defer cancel()
-	resp, err := s.peer.Call(ctx, target, req)
+	resp, err := s.peer.CallTimeout(context.Background(), target, req, s.cfg.CallTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -402,6 +400,8 @@ func sliceItems(resp wire.Message) ([]wire.Item, error) {
 
 // prepareOutcome is the result of one partition's prepare attempt(s).
 type prepareOutcome struct {
+	// part is the partition this outcome prepares.
+	part topology.PartitionID
 	// acked is the replica whose PrepareResp the coordinator holds; it is
 	// the replica that must receive the CohortCommit or AbortTx decision.
 	acked topology.NodeID
@@ -419,6 +419,45 @@ type prepareOutcome struct {
 	// that re-delivers the decision together with the data — the only copy a
 	// cohort that crashed and restarted since preparing still needs.
 	writes []wire.KV
+}
+
+// groupWrites splits a write-set by partition into one outcome per partition
+// touched, in order of first appearance. Commits touch a handful of
+// partitions, so a linear probe replaces a map, and the groups are carved out
+// of one array the size of the write-set: a first pass counts each group, a
+// second fills them.
+func (s *Server) groupWrites(writes []wire.KV) []prepareOutcome {
+	topo := s.cfg.Topology
+	outcomes := make([]prepareOutcome, 0, min(len(writes), topo.NumPartitions()))
+	counts := make([]int, 0, 8)
+	for _, kv := range writes {
+		p := topo.PartitionOf(kv.Key)
+		if i := outcomeOf(outcomes, p); i >= 0 {
+			counts[i]++
+			continue
+		}
+		outcomes = append(outcomes, prepareOutcome{part: p})
+		counts = append(counts, 1)
+	}
+	all := make([]wire.KV, len(writes))
+	for i, n := range counts {
+		outcomes[i].writes, all = all[:0:n], all[n:]
+	}
+	for _, kv := range writes {
+		i := outcomeOf(outcomes, topo.PartitionOf(kv.Key))
+		outcomes[i].writes = append(outcomes[i].writes, kv)
+	}
+	return outcomes
+}
+
+// outcomeOf returns the index of partition p's outcome, or -1.
+func outcomeOf(outcomes []prepareOutcome, p topology.PartitionID) int {
+	for i := range outcomes {
+		if outcomes[i].part == p {
+			return i
+		}
+	}
+	return -1
 }
 
 // handleCommit implements Alg. 2 lines 17–29: the two-phase commit. The
@@ -449,31 +488,20 @@ func (s *Server) handleCommit(req wire.CommitReq) wire.Message {
 	csh.committing[id] = struct{}{}
 	csh.mu.Unlock()
 
-	byPartition := make(map[topology.PartitionID][]wire.KV)
-	for _, kv := range req.Writes {
-		p := s.cfg.Topology.PartitionOf(kv.Key)
-		byPartition[p] = append(byPartition[p], kv)
-	}
+	outcomes := s.groupWrites(req.Writes)
 
 	// Prepare phase, in parallel across partitions, with per-partition
-	// replica failover.
-	outcomes := make([]prepareOutcome, 0, len(byPartition))
-	for range byPartition {
-		outcomes = append(outcomes, prepareOutcome{})
-	}
+	// replica failover. The first partition prepares on the calling
+	// goroutine, so a P-partition commit costs P−1 goroutines.
 	var wg sync.WaitGroup
-	i := 0
-	for p, kvs := range byPartition {
+	for i := 1; i < len(outcomes); i++ {
 		wg.Add(1)
-		outcomes[i].writes = kvs
-		go func(out *prepareOutcome, p topology.PartitionID, kvs []wire.KV) {
+		go func(out *prepareOutcome) {
 			defer wg.Done()
-			s.preparePartition(out, wire.PrepareReq{
-				TxID: id, Snapshot: snapshot, HT: ht, Writes: kvs,
-			}, p)
-		}(&outcomes[i], p, kvs)
-		i++
+			s.preparePartition(out, id, snapshot, ht)
+		}(&outcomes[i])
 	}
+	s.preparePartition(&outcomes[0], id, snapshot, ht)
 	wg.Wait()
 
 	var commitTS hlc.Timestamp
@@ -523,9 +551,11 @@ func (s *Server) handleCommit(req wire.CommitReq) wire.Message {
 			// errored in the window since the prepare — the decision exists
 			// only here, so hand it to an acknowledged retry loop; dropping it
 			// would silently lose this partition's slice of the transaction.
-			node, writes := out.acked, out.writes
+			// The copy of commitTS keeps the closure from moving it to the
+			// heap on every commit.
+			node, writes, ct := out.acked, out.writes, commitTS
 			s.metrics.confirmStarted.Add(1)
-			s.spawn(func() { s.confirmCommit(node, id, commitTS, writes) })
+			s.spawn(func() { s.confirmCommit(node, id, ct, writes) })
 		}
 	}
 	s.castAbort(id, outcomes, true) // release non-acked attempts only
@@ -576,7 +606,9 @@ func (s *Server) handleTxStatus(from topology.NodeID, req wire.TxStatusReq) wire
 // preparePartition drives one partition's prepare, failing over through the
 // partition's replicas until one acknowledges or the candidates are
 // exhausted.
-func (s *Server) preparePartition(out *prepareOutcome, prep wire.PrepareReq, p topology.PartitionID) {
+func (s *Server) preparePartition(out *prepareOutcome, id wire.TxID, snapshot, ht hlc.Timestamp) {
+	prep := wire.PrepareReq{TxID: id, Snapshot: snapshot, HT: ht, Writes: out.writes}
+	p := out.part
 	preferred := topology.ServerID(s.cfg.Selector.TargetDC(s.self.DC, p), p)
 	if done := s.prepareOn(out, prep, preferred); done {
 		return

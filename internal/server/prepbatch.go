@@ -14,13 +14,18 @@ import (
 // fan-out: concurrent PrepareReqs addressed to the same cohort coalesce into
 // one PrepareBatch wire message. Coalescing is adaptive and timer-free —
 // the first prepare to a quiet destination ships immediately as a plain
-// PrepareReq, and while that call is in flight later prepares queue up and
-// leave together when the pump goroutine takes its next turn. An uncontended
-// prepare therefore pays zero added latency, while a loaded coordinator
-// amortizes framing, syscalls and cohort wakeups over the whole batch, the
-// way the replication pipeline (PR 1) amortizes ReplicateBatch.
+// PrepareReq, sent by its own caller, and while that call is in flight later
+// prepares queue up; the caller hands them to a pump goroutine before it
+// returns, and they leave together. An uncontended prepare therefore pays
+// zero added latency and no hand-off, while a loaded coordinator amortizes
+// framing, syscalls and cohort wakeups over the whole batch, the way the
+// replication pipeline amortizes ReplicateBatch.
 type prepareBatcher struct {
 	s *Server
+	// ctx is cancelled by shutdown: it releases calls in flight, so no
+	// caller waits out CallTimeout on a stopped server.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu       sync.Mutex
 	dests    map[topology.NodeID]*prepareDest
@@ -37,8 +42,9 @@ var ErrServerStopped = errors.New("server: stopped while preparing")
 
 // prepareDest is one cohort's outbound queue.
 type prepareDest struct {
-	// pumping is true while a goroutine is draining this queue; the caller
-	// that flips it spawns the pump.
+	// pumping is true while a goroutine is draining this queue: the caller
+	// that flips it, sending its own prepare, then the pump it spawns if
+	// others queued meanwhile.
 	pumping bool
 	queue   []*pendingPrepare
 }
@@ -57,14 +63,17 @@ type prepareReply struct {
 
 func (b *prepareBatcher) init(s *Server) {
 	b.s = s
+	b.ctx, b.cancel = context.WithCancel(context.Background())
 	b.dests = make(map[topology.NodeID]*prepareDest)
 }
 
 // call sends one prepare to node through the coalescer and waits for its
-// outcome.
+// outcome. When no call to node is in flight the caller sends its prepare
+// itself — that send is the destination's drain turn — and before returning
+// spawns the pump for whatever queued behind it; otherwise it queues and
+// waits for a pump turn to answer it.
 func (b *prepareBatcher) call(node topology.NodeID, req wire.PrepareReq) (wire.Message, error) {
 	s := b.s
-	pp := &pendingPrepare{req: req, done: make(chan prepareReply, 1)}
 	b.mu.Lock()
 	if b.stopping {
 		b.mu.Unlock()
@@ -75,15 +84,23 @@ func (b *prepareBatcher) call(node topology.NodeID, req wire.PrepareReq) (wire.M
 		d = &prepareDest{}
 		b.dests[node] = d
 	}
-	d.queue = append(d.queue, pp)
-	spawnPump := !d.pumping
-	if spawnPump {
+	if !d.pumping {
 		d.pumping = true
+		b.mu.Unlock()
+		s.metrics.prepPumpWakeups.Add(1)
+		resp, err := b.callOne(node, req)
+		b.mu.Lock()
+		queued := len(d.queue) > 0
+		d.pumping = queued
+		b.mu.Unlock()
+		if queued {
+			s.spawn(func() { b.pump(node, d) })
+		}
+		return resp, err
 	}
+	pp := &pendingPrepare{req: req, done: make(chan prepareReply, 1)}
+	d.queue = append(d.queue, pp)
 	b.mu.Unlock()
-	if spawnPump {
-		s.spawn(func() { b.pump(node, d) })
-	}
 	select {
 	case r := <-pp.done:
 		return r.resp, r.err
@@ -101,6 +118,7 @@ func (b *prepareBatcher) call(node topology.NodeID, req wire.PrepareReq) (wire.M
 func (b *prepareBatcher) shutdown() {
 	b.mu.Lock()
 	b.stopping = true
+	b.cancel()
 	var drained []*pendingPrepare
 	for _, d := range b.dests {
 		drained = append(drained, d.queue...)
@@ -143,16 +161,23 @@ func (b *prepareBatcher) pump(node topology.NodeID, d *prepareDest) {
 	}
 }
 
+// callOne makes one wire call to node, bounded by CallTimeout and released
+// early, as ErrServerStopped, when the server stops.
+func (b *prepareBatcher) callOne(node topology.NodeID, msg wire.Message) (wire.Message, error) {
+	resp, err := b.s.peer.CallTimeout(b.ctx, node, msg, b.s.cfg.CallTimeout)
+	if errors.Is(err, context.Canceled) {
+		err = ErrServerStopped
+	}
+	return resp, err
+}
+
 // send performs one wire call for a batch and distributes the per-prepare
 // outcomes. A single-entry batch travels as a plain PrepareReq, so a quiet
 // coordinator's prepares cost exactly what a direct call would.
 func (b *prepareBatcher) send(node topology.NodeID, batch []*pendingPrepare) {
 	s := b.s
-	cctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
-	defer cancel()
-
 	if len(batch) == 1 {
-		resp, err := s.peer.Call(cctx, node, batch[0].req)
+		resp, err := b.callOne(node, batch[0].req)
 		batch[0].done <- prepareReply{resp: resp, err: err}
 		return
 	}
@@ -161,7 +186,7 @@ func (b *prepareBatcher) send(node topology.NodeID, batch []*pendingPrepare) {
 	for i, pp := range batch {
 		reqs[i] = pp.req
 	}
-	resp, err := s.peer.Call(cctx, node, wire.PrepareBatch{Reqs: reqs})
+	resp, err := b.callOne(node, wire.PrepareBatch{Reqs: reqs})
 	switch m := resp.(type) {
 	case wire.PrepareBatchResp:
 		if len(m.Resps) != len(batch) {

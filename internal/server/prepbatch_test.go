@@ -14,9 +14,9 @@ import (
 // TestPrepareBatcherCoalesces drives the group-commit prepare path end to
 // end over a real (latency-bearing) MemNet link: a burst of concurrent
 // prepares from one coordinator to one cohort must coalesce into PrepareBatch
-// wire messages while the first in-flight call holds the pump, every caller
-// must still get its own correct PrepareResp, and the cohort must hold one
-// prepared entry per transaction afterwards.
+// wire messages while the first in-flight call holds the destination, every
+// caller must still get its own correct PrepareResp, and the cohort must hold
+// one prepared entry per transaction afterwards.
 func TestPrepareBatcherCoalesces(t *testing.T) {
 	topo, err := topology.New(3, 3, 2)
 	if err != nil {
@@ -195,7 +195,7 @@ func TestPrepareBatcherStopReleasesQueuedWaiters(t *testing.T) {
 	cohort := newServer(cohortID)
 	t.Cleanup(cohort.Stop)
 
-	// The cohort is unreachable: the pump's first call hangs until its
+	// The cohort is unreachable: the first caller's own call hangs until its
 	// timeout, so everything launched after it queues in the coalescer.
 	net.SetLinkFault(coord.self, cohortID, transport.FaultBlackhole)
 
@@ -214,7 +214,7 @@ func TestPrepareBatcherStopReleasesQueuedWaiters(t *testing.T) {
 			})
 		}(i)
 	}
-	time.Sleep(20 * time.Millisecond) // let the pump take flight and the rest queue
+	time.Sleep(20 * time.Millisecond) // let the first call take flight and the rest queue
 
 	released := make(chan struct{})
 	go func() {

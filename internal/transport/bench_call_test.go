@@ -23,7 +23,7 @@ func (inlineEchoHandler) HandleRequest(_ topology.NodeID, req wire.Message, repl
 
 func (inlineEchoHandler) HandleCast(topology.NodeID, wire.Message) {}
 
-func newBenchPeerPair(b *testing.B) (*Peer, topology.NodeID) {
+func newBenchPeerPair(b testing.TB) (*Peer, topology.NodeID) {
 	b.Helper()
 	net := NewMemNet(ZeroLatency{})
 	b.Cleanup(func() { _ = net.Close() })

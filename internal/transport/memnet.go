@@ -251,9 +251,10 @@ func (n *MemNet) releaseSlowBacklog(keys ...linkKey) {
 		l.nextFreeAt = time.Time{}
 		//lint:ignore paris/ctxdeadline simulated-fabric delivery time; MemNet models link latency on the host clock by design, outside the protocol's clock abstraction
 		at := time.Now().Add(l.delay)
-		for i := range l.queue {
-			if l.queue[i].deliverAt.After(at) {
-				l.queue[i].deliverAt = at
+		q := l.queue[l.head:]
+		for i := range q {
+			if q[i].deliverAt.After(at) {
+				q[i].deliverAt = at
 			}
 		}
 		l.cond.Signal()
@@ -447,9 +448,14 @@ type memLink struct {
 	key   linkKey
 	delay time.Duration
 
-	mu     sync.Mutex
-	cond   *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// queue[head:] is the FIFO of undelivered envelopes. Popping advances
+	// head and zeroes the slot, so a delivered envelope is not kept
+	// reachable through the backing array; a drained queue rewinds to
+	// queue[:0], so pushes reuse the array instead of reallocating it.
 	queue  []timedEnvelope
+	head   int
 	closed bool
 	// nextFreeAt is when the (slow-link-constrained) wire finishes
 	// serializing everything accepted so far; the next envelope's
@@ -475,13 +481,8 @@ func (l *memLink) push(env Envelope) {
 		size = wire.ApproxSize(env.Msg)
 	}
 	l.mu.Lock()
-	at := l.deliverAtLocked(slow, size)
-	// Guard FIFO even if the wall clock misbehaves: delivery times never
-	// regress along the queue.
-	if n := len(l.queue); n > 0 && l.queue[n-1].deliverAt.After(at) {
-		at = l.queue[n-1].deliverAt
-	}
-	l.queue = append(l.queue, timedEnvelope{env: env, deliverAt: at})
+	at := l.fifoAtLocked(l.deliverAtLocked(slow, size))
+	l.appendLocked(timedEnvelope{env: env, deliverAt: at})
 	l.cond.Signal()
 	l.mu.Unlock()
 }
@@ -497,15 +498,34 @@ func (l *memLink) pushAll(envs []Envelope) {
 		}
 	}
 	l.mu.Lock()
-	at := l.deliverAtLocked(slow, size)
-	if n := len(l.queue); n > 0 && l.queue[n-1].deliverAt.After(at) {
-		at = l.queue[n-1].deliverAt
-	}
+	at := l.fifoAtLocked(l.deliverAtLocked(slow, size))
 	for _, env := range envs {
-		l.queue = append(l.queue, timedEnvelope{env: env, deliverAt: at})
+		l.appendLocked(timedEnvelope{env: env, deliverAt: at})
 	}
 	l.cond.Signal()
 	l.mu.Unlock()
+}
+
+// appendLocked enqueues te. When the backing array is full and at least half
+// of it is delivered slots, the undelivered tail moves to the front instead
+// of the array growing: a link whose queue never drains (steady traffic over
+// a latency) keeps a bounded array.
+func (l *memLink) appendLocked(te timedEnvelope) {
+	if len(l.queue) == cap(l.queue) && l.head > 0 && 2*l.head >= len(l.queue) {
+		n := copy(l.queue, l.queue[l.head:])
+		clear(l.queue[n:])
+		l.queue, l.head = l.queue[:n], 0
+	}
+	l.queue = append(l.queue, te)
+}
+
+// fifoAtLocked guards FIFO even if the wall clock misbehaves: delivery times
+// never regress along the undelivered queue.
+func (l *memLink) fifoAtLocked(at time.Time) time.Time {
+	if n := len(l.queue); n > l.head && l.queue[n-1].deliverAt.After(at) {
+		return l.queue[n-1].deliverAt
+	}
+	return at
 }
 
 // deliverAtLocked computes a send's delivery time: base link latency, plus —
@@ -543,7 +563,7 @@ func (l *memLink) run() {
 	defer l.net.wg.Done()
 	for {
 		l.mu.Lock()
-		for len(l.queue) == 0 && !l.closed {
+		for l.head == len(l.queue) && !l.closed {
 			l.cond.Wait()
 		}
 		if l.closed {
@@ -552,13 +572,16 @@ func (l *memLink) run() {
 		}
 		// Peek rather than pop: releaseSlowBacklog may pull the head's
 		// delivery time in while we sleep.
-		if wait := time.Until(l.queue[0].deliverAt); wait > 0 {
+		if wait := time.Until(l.queue[l.head].deliverAt); wait > 0 {
 			l.mu.Unlock()
 			time.Sleep(min(wait, slowPollSlice))
 			continue
 		}
-		te := l.queue[0]
-		l.queue = l.queue[1:]
+		te := l.queue[l.head]
+		l.queue[l.head] = timedEnvelope{}
+		if l.head++; l.head == len(l.queue) {
+			l.queue, l.head = l.queue[:0], 0
+		}
 		l.mu.Unlock()
 
 		if !l.waitHealed() {

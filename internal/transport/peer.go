@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"github.com/paris-kv/paris/internal/topology"
 	"github.com/paris-kv/paris/internal/wire"
@@ -80,9 +81,31 @@ var respChanPool = sync.Pool{
 	New: func() interface{} { return make(chan wire.Message, 1) },
 }
 
+// timerPool recycles the timers CallTimeout bounds its wait with. A timer is
+// stopped before it goes back, and Stop leaves no stale tick for the next
+// call's Reset to deliver (see CallTimeout).
+var timerPool = sync.Pool{
+	New: func() interface{} {
+		t := time.NewTimer(time.Hour)
+		t.Stop()
+		return t
+	},
+}
+
 // Call sends req to node "to" and waits for the matching response or context
 // cancellation. A wire.ErrorResp response is converted into an error.
 func (p *Peer) Call(ctx context.Context, to topology.NodeID, req wire.Message) (wire.Message, error) {
+	return p.CallTimeout(ctx, to, req, 0)
+}
+
+// CallTimeout is Call with its wait bounded by d as well as by ctx; d ≤ 0
+// means no bound. When d elapses first the call is withdrawn and the error
+// is context.DeadlineExceeded, exactly what Call under a
+// context.WithTimeout(ctx, d) would return, but without allocating a
+// context: the bound is a timer drawn from a pool. Reusing those timers
+// relies on Go ≥ 1.23 timer semantics (no stale tick after Stop or Reset),
+// which the module's go 1.24 directive selects.
+func (p *Peer) CallTimeout(ctx context.Context, to topology.NodeID, req wire.Message, d time.Duration) (wire.Message, error) {
 	ch := respChanPool.Get().(chan wire.Message)
 	p.mu.Lock()
 	if p.closed {
@@ -116,6 +139,17 @@ func (p *Peer) Call(ctx context.Context, to topology.NodeID, req wire.Message) (
 		return nil, fmt.Errorf("transport: call %v→%v %v: %w", p.self, to, req.Kind(), err)
 	}
 
+	var expired <-chan time.Time
+	if d > 0 {
+		t := timerPool.Get().(*time.Timer)
+		t.Reset(d)
+		defer func() {
+			t.Stop()
+			timerPool.Put(t)
+		}()
+		expired = t.C
+	}
+
 	select {
 	case resp, ok := <-ch:
 		if !ok {
@@ -134,6 +168,10 @@ func (p *Peer) Call(ctx context.Context, to topology.NodeID, req wire.Message) (
 		// to send; the channel cannot be recycled safely. Let it go.
 		p.forget(id)
 		return nil, ctx.Err()
+	case <-expired:
+		// As on cancellation, the channel may still be targeted.
+		p.forget(id)
+		return nil, context.DeadlineExceeded
 	}
 }
 
