@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"github.com/paris-kv/paris/internal/hlc"
 	"github.com/paris-kv/paris/internal/topology"
@@ -549,13 +548,10 @@ func (s *Server) handleCommit(req wire.CommitReq) wire.Message {
 			// the cohort's prepare insert, which happened before its
 			// PrepareResp. When it is refused — the cohort crashed or its link
 			// errored in the window since the prepare — the decision exists
-			// only here, so hand it to an acknowledged retry loop; dropping it
-			// would silently lose this partition's slice of the transaction.
-			// The copy of commitTS keeps the closure from moving it to the
-			// heap on every commit.
-			node, writes, ct := out.acked, out.writes, commitTS
-			s.metrics.confirmStarted.Add(1)
-			s.spawn(func() { s.confirmCommit(node, id, ct, writes) })
+			// only here, so ask the cohort until it acknowledges it (an
+			// inquiry); dropping it would silently lose this partition's
+			// slice of the transaction.
+			s.inq.confirm(out.acked, id, commitTS, out.writes)
 		}
 	}
 	s.castAbort(id, outcomes, true) // release non-acked attempts only
@@ -652,58 +648,6 @@ func (s *Server) prepareOn(out *prepareOutcome, prep wire.PrepareReq, node topol
 	}
 	out.err = err
 	return !retryableOnReplica(err)
-}
-
-// confirmCommit re-delivers a commit decision whose CohortCommit cast was
-// refused, as an acknowledged CommitRecover call retried with backoff. The
-// loop runs until the cohort answers with a definitive fate, the server
-// stops, or the abort-retention budget — the horizon past which the cohort's
-// reaper may have acted and the decision memory is pruned — expires. The
-// carried writes let even a cohort that crashed and restarted since preparing
-// install the transaction.
-func (s *Server) confirmCommit(node topology.NodeID, id wire.TxID, ct hlc.Timestamp, writes []wire.KV) {
-	//lint:ignore paris/ctxdeadline local retry budget on the monotonic clock; never compared against protocol timestamps, so clock skew cannot affect it
-	deadline := time.Now().Add(s.cfg.abortedRetention())
-	backoff := s.cfg.ApplyInterval
-	if backoff < time.Millisecond {
-		backoff = time.Millisecond
-	}
-	msg := wire.CommitRecover{TxID: id, CommitTS: ct, Writes: writes}
-	for {
-		select {
-		case <-s.stopped:
-			return
-		case <-time.After(backoff):
-		}
-		cctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
-		watch := make(chan struct{})
-		go func() { // release the call promptly if the server stops mid-retry
-			select {
-			case <-s.stopped:
-				cancel()
-			case <-watch:
-			}
-		}()
-		resp, err := s.peer.Call(cctx, node, msg)
-		close(watch)
-		cancel()
-		if err == nil {
-			if st, ok := resp.(wire.TxStatusResp); ok && st.Status != wire.TxStatusPending {
-				// Committed: the slice landed (or already had). Aborted: the
-				// cohort reaped the id past its hard deadline while we were
-				// unreachable — re-installing is no longer safe, give up.
-				s.metrics.confirmDelivered.Add(1)
-				return
-			}
-		}
-		if s.isStopped() || time.Now().After(deadline) {
-			return
-		}
-		backoff *= 2
-		if backoff > 100*time.Millisecond {
-			backoff = 100 * time.Millisecond
-		}
-	}
 }
 
 // castAbort sends AbortTx for tx to every replica listed in the outcomes'

@@ -370,13 +370,11 @@ func TestReaperRecoversLostCommitViaStatusQuery(t *testing.T) {
 		Writes: []wire.KV{{Key: "lost", Value: []byte("v")}}})
 	agePrepared(cohort, cohort.cfg.PreparedTTL+time.Second)
 
-	cohort.reapTick() // queries the coordinator asynchronously
-	deadline := time.Now().Add(5 * time.Second)
-	for cohort.PendingCommitted() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("lost commit not recovered via status query")
-		}
-		time.Sleep(2 * time.Millisecond)
+	cohort.applyTick(1, 1) // the first round's sweep queries the coordinator
+	awaitReplies(t, cohort)
+	cohort.applyTick(2, 2) // and the next round acts on the answer
+	if cohort.PendingCommitted() != 1 {
+		t.Fatal("lost commit not recovered via status query")
 	}
 	if cohort.PendingPrepared() != 0 {
 		t.Fatal("recovered entry still prepared")
@@ -397,13 +395,12 @@ func TestReaperRecoversLostCommitViaStatusQuery(t *testing.T) {
 	cohort.handlePrepare(wire.PrepareReq{TxID: ghost, HT: 100,
 		Writes: []wire.KV{{Key: "ghost", Value: []byte("v")}}})
 	agePrepared(cohort, cohort.cfg.PreparedTTL+time.Second)
-	cohort.reapTick()
-	deadline = time.Now().Add(5 * time.Second)
-	for cohort.PendingPrepared() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("unknown orphan not reaped after status query")
-		}
-		time.Sleep(2 * time.Millisecond)
+	sweep := 1 + cohort.cfg.rounds(cohort.cfg.PreparedTTL/4) // the reaper's next sweep
+	cohort.applyTick(sweep, sweep)
+	awaitReplies(t, cohort)
+	cohort.applyTick(sweep+1, sweep+1)
+	if cohort.PendingPrepared() != 0 {
+		t.Fatal("unknown orphan not reaped after status query")
 	}
 	if got := cohort.Metrics().TxReaped; got != 1 {
 		t.Fatalf("TxReaped = %d, want 1", got)
@@ -427,13 +424,11 @@ func TestSupersededCohortReapsCommittedTransaction(t *testing.T) {
 		Writes: []wire.KV{{Key: "straggler", Value: []byte("v")}}})
 	agePrepared(cohort, cohort.cfg.PreparedTTL+time.Second)
 
-	cohort.reapTick()
-	deadline := time.Now().Add(5 * time.Second)
-	for cohort.PendingPrepared() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("superseded prepare not released")
-		}
-		time.Sleep(2 * time.Millisecond)
+	cohort.applyTick(1, 1) // the first round's sweep queries the coordinator
+	awaitReplies(t, cohort)
+	cohort.applyTick(2, 2) // and the next round acts on the answer
+	if cohort.PendingPrepared() != 0 {
+		t.Fatal("superseded prepare not released")
 	}
 	if cohort.PendingCommitted() != 0 {
 		t.Fatal("superseded cohort applied a transaction committed elsewhere")

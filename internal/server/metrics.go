@@ -104,8 +104,8 @@ type MetricsSnapshot struct {
 	PrepareBatches     uint64 // coalesced PrepareBatch messages sent (coordinator role)
 	PrepareBatchedReqs uint64 // prepares that travelled inside those batches
 
-	CommitConfirms  uint64 // CommitRecover retry loops started after a failed commit cast
-	CommitConfirmed uint64 // retry loops that reached a definitive cohort answer
+	CommitConfirms  uint64 // CommitRecover inquiries opened after a refused commit cast
+	CommitConfirmed uint64 // those inquiries a cohort answered with a definite fate
 
 	ReplSyncRequested uint64 // repair requests cast after replication-stream loss
 	ReplSyncServed    uint64 // store-backed repair responses served (sender role)

@@ -88,7 +88,7 @@ func (s *Server) ExportTwoPC() *TwoPCExport {
 func (s *Server) importTwoPC(e *TwoPCExport) {
 	for i := range e.prepared {
 		p := e.prepared[i] // copy; the export stays reusable
-		p.at, p.resolving = math.MinInt64, false
+		p.at = math.MinInt64
 		sh := s.twoPC.shard(p.id)
 		sh.mu.Lock()
 		sh.nPrepared.Add(1)

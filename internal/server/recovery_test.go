@@ -13,15 +13,15 @@ import (
 // TestRecoveredPrepareResolvesAfterRestart pins the crash window the nemesis
 // crash_restart scenario surfaced: a cohort acks a prepare, the coordinator
 // decides commit, and the cohort dies while the CohortCommit cast is in
-// flight. The cast was accepted (not refused), so the coordinator's
-// confirmCommit fallback never fires — the decision must instead be
-// recovered by the restarted cohort replaying its 2PC log: the exported
+// flight. The cast was accepted (not refused), so the coordinator never opens
+// a commit confirmation (a CommitRecover inquiry) — the decision must instead
+// be recovered by the restarted cohort replaying its 2PC log: the exported
 // prepared entry re-pins the version clock and the reaper sweep of the
 // restarted server's first round queries the coordinator's decision memory,
 // which promotes the entry at its true commit timestamp. Before TwoPCExport
 // the prepared entry died with the process and the acked slice was silently
-// lost forever. With a PreparedTTL of 10 s the reaper's next sweep is 2.5 s
-// away, so a resolution before then was the first round's.
+// lost forever. With a PreparedTTL of 10 s the reaper's next sweep is 2 500
+// rounds away, so a resolution before then was the first round's.
 func TestRecoveredPrepareResolvesAfterRestart(t *testing.T) {
 	for _, ttl := range []time.Duration{100 * time.Millisecond, 10 * time.Second} {
 		t.Run(ttl.String(), func(t *testing.T) { testRecoveredPrepareResolves(t, ttl) })
@@ -52,7 +52,6 @@ func testRecoveredPrepareResolves(t *testing.T, ttl time.Duration) {
 			t.Fatal(err)
 		}
 		srv.Peer().Attach(ep)
-		srv.Start()
 		return srv
 	}
 
@@ -97,36 +96,29 @@ func testRecoveredPrepareResolves(t *testing.T, ttl time.Duration) {
 	t.Cleanup(restarted.Stop)
 	started := restarted.label()
 
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		m := restarted.Metrics()
-		if m.CommitsRecovered >= 1 && restarted.PendingPrepared() == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("recovered prepare never resolved: metrics=%+v prepared=%d",
-				m, restarted.PendingPrepared())
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The rounds are driven by hand: the first one's sweep asks the
+	// coordinator, and the next acts on its answer.
+	restarted.applyTick(1, 1)
+	awaitReplies(t, restarted)
+	restarted.applyTick(2, 2)
+	if m := restarted.Metrics(); m.CommitsRecovered < 1 || restarted.PendingPrepared() != 0 {
+		t.Fatalf("recovered prepare not resolved in the round after the query: metrics=%+v prepared=%d",
+			m, restarted.PendingPrepared())
 	}
 	if every, took := restarted.cfg.rounds(ttl/4), restarted.label()-started; ttl >= 10*time.Second && took >= every {
-		t.Fatalf("recovered prepare resolved %d rounds after Start, not by the first reaper sweep (every %d rounds)", took, every)
+		t.Fatalf("recovered prepare resolved %d rounds after the restart, not by the first reaper sweep (every %d rounds)", took, every)
 	}
 
-	// The slice is installed at its true commit timestamp and readable.
-	deadline = time.Now().Add(2 * time.Second)
-	for {
-		if item, found := restarted.Store().Read(key, hlc.MaxTimestamp); found {
-			if string(item.Value) != "recovered" || item.UT != ct || item.TxID != id {
-				t.Fatalf("recovered item = %+v, want value %q at ct=%v id=%v",
-					item, "recovered", ct, id)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("recovered commit never applied to the store")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The slice is installed at its true commit timestamp, and readable, by
+	// the round after that.
+	restarted.applyTick(3, 3)
+	item, found := restarted.Store().Read(key, hlc.MaxTimestamp)
+	if !found {
+		t.Fatal("recovered commit not applied to the store by the next round")
+	}
+	if string(item.Value) != "recovered" || item.UT != ct || item.TxID != id {
+		t.Fatalf("recovered item = %+v, want value %q at ct=%v id=%v",
+			item, "recovered", ct, id)
 	}
 }
 

@@ -18,7 +18,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -259,9 +258,6 @@ type preparedTx struct {
 	// at is the round label of the insertion; the reaper resolves entries
 	// whose coordinator has gone silent for longer than PreparedTTL.
 	at int64
-	// resolving marks an in-flight TxStatus query so sweeps do not pile up
-	// duplicate resolution calls for the same entry.
-	resolving bool
 }
 
 // committedTx is an entry of the Committed queue, waiting to be applied.
@@ -341,6 +337,10 @@ type Server struct {
 	// cohort into PrepareBatch wire messages (group commit).
 	prepBatch prepareBatcher
 
+	// inq holds the questions the server asks peers until they answer
+	// (inquiry.go); the round steps it.
+	inq inquiries
+
 	// applyWorkers is how many store-apply goroutines a round's writes fan
 	// out to (min(GOMAXPROCS, 8)); the round's version-clock publication
 	// waits for all of them (store-then-publish).
@@ -411,6 +411,7 @@ func New(cfg Config) (*Server, error) {
 	s.txCtx.init()
 	s.twoPC.init()
 	s.prepBatch.init(s)
+	s.inq.init(s)
 	//lint:ignore paris/ctxdeadline incarnation id: needs uniqueness across restarts, not clock accuracy; never ordered against HLC timestamps
 	s.replEpoch = uint64(time.Now().UnixNano())
 	s.replIn = make([]replInStream, full.Topology.NumDCs())
@@ -537,7 +538,8 @@ func (s *Server) runLoop() {
 func (s *Server) label() int64 { return s.labelNow.Load() }
 
 // sweepTick runs the round's periodic steps, each on every k-th round counted
-// from the server's first (see the Config fields for each k). applyTick calls
+// from the server's first (see the Config fields for each k), and then the
+// inquiry table's step, which runs every round. applyTick calls
 // it last, so a sweep never delays the round's casts and push. GC, the one
 // step that walks the whole store, only starts there, on a goroutine of its
 // own, and not while the previous one still runs, so a large store does not
@@ -557,6 +559,7 @@ func (s *Server) sweepTick(now int64) {
 	if s.cfg.PreparedTTL > 0 && due(s.cfg.PreparedTTL/4, 0) {
 		s.reapTick()
 	}
+	s.inq.step(now)
 }
 
 func (s *Server) isStopped() bool {
@@ -698,7 +701,8 @@ func (s *Server) ctxCleanupTick() {
 // unilaterally: a prepared entry may belong to a commit whose
 // CohortCommit cast was lost in transit, or to a coordinator still grinding
 // through sequential prepare failovers, so the cohort first asks the
-// transaction's coordinator (embedded in the TxID) for its fate:
+// transaction's coordinator (embedded in the TxID) for its fate — an
+// inquiry (askFate) that the round repeats once per sweep until answered:
 //
 //   - committed → the transaction moves to the committed queue at its real
 //     commit timestamp — safe because the prepared entry kept the version
@@ -724,7 +728,7 @@ func (s *Server) ctxCleanupTick() {
 // finds the tombstone and is rejected — the transaction is never applied
 // after readers may have taken snapshots above its prepare time.
 func (s *Server) reapTick() {
-	now, ttl := s.label(), s.cfg.rounds(s.cfg.PreparedTTL)
+	now, ttl, every := s.label(), s.cfg.rounds(s.cfg.PreparedTTL), s.cfg.rounds(s.cfg.PreparedTTL/4)
 	softCutoff, hardCutoff := now-ttl, now-2*ttl
 	// No entry counts as older than one PreparedTTL at the server's first
 	// round — not one recovered from a crash, nor one stamped before any label
@@ -734,11 +738,7 @@ func (s *Server) reapTick() {
 	if s.first != 0 {
 		floor = s.first - ttl - 1
 	}
-	var (
-		reaped    int
-		recovered int
-		resolve   []wire.TxID
-	)
+	var reaped, recovered int
 	for i := range s.twoPC.shards {
 		sh := &s.twoPC.shards[i]
 		if sh.nPrepared.Load() == 0 {
@@ -775,10 +775,7 @@ func (s *Server) reapTick() {
 				reaped++
 				continue
 			}
-			if !p.resolving {
-				p.resolving = true
-				resolve = append(resolve, id)
-			}
+			s.inq.askFate(id, now, every)
 		}
 		sh.mu.Unlock()
 	}
@@ -787,10 +784,6 @@ func (s *Server) reapTick() {
 	}
 	if recovered > 0 {
 		s.metrics.commitsRecovered.Add(uint64(recovered))
-	}
-	for _, id := range resolve {
-		id := id
-		s.spawn(func() { s.resolveOrphan(id) })
 	}
 }
 
@@ -836,47 +829,6 @@ func (s *Server) promoteLocked(sh *twoPCShard, p *preparedTx, ct hlc.Timestamp) 
 	// Mark the recovery so a racing CommitRecover retry for the same id is
 	// acknowledged instead of installing the transaction a second time.
 	sh.done[p.id] = s.label()
-}
-
-// resolveOrphan asks a remote coordinator for an expired prepared
-// transaction's fate and acts on the answer.
-func (s *Server) resolveOrphan(id wire.TxID) {
-	cctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
-	watch := make(chan struct{})
-	go func() { // release the call promptly if the server stops mid-query
-		select {
-		case <-s.stopped:
-			cancel()
-		case <-watch:
-		}
-	}()
-	resp, err := s.peer.Call(cctx, id.Coordinator(), wire.TxStatusReq{TxID: id})
-	close(watch)
-	cancel()
-
-	sh := s.twoPC.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	p, present := sh.prepared[id]
-	if !present {
-		return // resolved meanwhile (commit, abort, or hard-deadline reap)
-	}
-	p.resolving = false
-	st, ok := resp.(wire.TxStatusResp)
-	if err != nil || !ok {
-		return // coordinator unreachable; the hard deadline bounds the wait
-	}
-	switch st.Status {
-	case wire.TxStatusCommitted:
-		s.promoteLocked(sh, p, st.CommitTS)
-		s.metrics.commitsRecovered.Add(1)
-	case wire.TxStatusPending:
-		// Decision still in flight (e.g. slow prepare failover on another
-		// partition); check again next sweep.
-	default: // aborted or unknown
-		s.reapLocked(sh, id, s.label())
-		s.metrics.txReaped.Add(1)
-	}
 }
 
 // Compile-time interface compliance.

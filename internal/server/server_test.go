@@ -22,6 +22,7 @@ type testRig struct {
 	topo  *topology.Topology
 	net   *transport.MemNet
 	srv   *Server
+	ep    transport.Endpoint // srv's endpoint
 	clk   *clock.Manual
 	peers map[topology.NodeID]*castCollector
 }
@@ -104,6 +105,7 @@ func newTestRigAt(t *testing.T, mode Mode, id topology.NodeID, opts ...func(*Con
 		t.Fatal(err)
 	}
 	srv.Peer().Attach(ep)
+	rig.ep = ep
 	t.Cleanup(srv.Stop)
 
 	// Register collectors for every other server the node might talk to.

@@ -107,36 +107,14 @@ func (p *Peer) Call(ctx context.Context, to topology.NodeID, req wire.Message) (
 // which the module's go 1.24 directive selects.
 func (p *Peer) CallTimeout(ctx context.Context, to topology.NodeID, req wire.Message, d time.Duration) (wire.Message, error) {
 	ch := respChanPool.Get().(chan wire.Message)
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		respChanPool.Put(ch)
-		return nil, ErrClosed
-	}
-	ep := p.ep
-	p.nextID++
-	id := p.nextID
-	//lint:ignore paris/poolescape pooled channel parked in pending by design; the recycle-safety protocol below (forget vs. Close ownership) guarantees exactly one party recycles it
-	p.pending[id] = ch
-	p.mu.Unlock()
-	// On the never-sent error paths the channel may be recycled only if the
-	// pending entry was still ours to remove: a concurrent Close() swaps the
-	// pending map and closes every channel it held, and a closed channel
-	// must never re-enter the pool (a later Call would Get it and the
-	// deliverer's send would panic).
-	if ep == nil {
-		if p.forget(id) {
-			respChanPool.Put(ch)
-		}
-		return nil, fmt.Errorf("transport: peer %v not attached", p.self)
-	}
-
-	err := ep.Send(Envelope{To: to, Class: ClassRequest, RequestID: id, Msg: req})
+	id, owned, err := p.send(to, req, ch)
 	if err != nil {
-		if p.forget(id) {
+		// A channel Close took and closed must never re-enter the pool: a
+		// later Call would Get it and the deliverer's send would panic.
+		if owned {
 			respChanPool.Put(ch)
 		}
-		return nil, fmt.Errorf("transport: call %v→%v %v: %w", p.self, to, req.Kind(), err)
+		return nil, err
 	}
 
 	var expired <-chan time.Time
@@ -166,13 +144,49 @@ func (p *Peer) CallTimeout(ctx context.Context, to topology.NodeID, req wire.Mes
 	case <-ctx.Done():
 		// A racing Deliver may have removed the pending entry and be about
 		// to send; the channel cannot be recycled safely. Let it go.
-		p.forget(id)
+		p.Forget(id)
 		return nil, ctx.Err()
 	case <-expired:
 		// As on cancellation, the channel may still be targeted.
-		p.forget(id)
+		p.Forget(id)
 		return nil, context.DeadlineExceeded
 	}
+}
+
+// Ask sends req to node "to" as a call it does not wait for: the response,
+// wire.ErrorResp included, arrives on the returned channel unless Forget(id)
+// withdraws the call first, and Close closes it. It is never pooled.
+func (p *Peer) Ask(to topology.NodeID, req wire.Message) (uint64, <-chan wire.Message, error) {
+	ch := make(chan wire.Message, 1)
+	id, _, err := p.send(to, req, ch)
+	if err != nil {
+		return 0, nil, err
+	}
+	return id, ch, nil
+}
+
+// send is the first half of every call: it parks ch, buffered, in pending
+// under a fresh request id and sends req. On failure the entry is withdrawn,
+// and owned reports whether ch is still the caller's: false when a concurrent
+// Close swapped the pending map and closed ch.
+func (p *Peer) send(to topology.NodeID, req wire.Message, ch chan wire.Message) (id uint64, owned bool, err error) {
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return 0, true, ErrClosed
+	}
+	ep := p.ep
+	p.nextID++
+	id = p.nextID
+	p.pending[id] = ch
+	p.mu.Unlock()
+	if ep == nil {
+		return 0, p.Forget(id), fmt.Errorf("transport: peer %v not attached", p.self)
+	}
+	if err := ep.Send(Envelope{To: to, Class: ClassRequest, RequestID: id, Msg: req}); err != nil {
+		return 0, p.Forget(id), fmt.Errorf("transport: call %v→%v %v: %w", p.self, to, req.Kind(), err)
+	}
+	return id, true, nil
 }
 
 // Cast sends a one-way message to node "to".
@@ -259,15 +273,22 @@ func (p *Peer) Deliver(env Envelope) {
 	}
 }
 
-// forget withdraws a pending call and reports whether the entry was still
-// present — false means Close() (or the deliverer) already took it, and the
-// caller no longer owns the channel.
-func (p *Peer) forget(id uint64) bool {
+// Forget withdraws a pending call, so that a late response is dropped, and
+// reports whether the entry was still present — false means Close() (or the
+// deliverer) already took it, and the caller no longer owns the channel.
+func (p *Peer) Forget(id uint64) bool {
 	p.mu.Lock()
 	_, ok := p.pending[id]
 	delete(p.pending, id)
 	p.mu.Unlock()
 	return ok
+}
+
+// Pending returns the number of calls awaiting a response.
+func (p *Peer) Pending() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.pending)
 }
 
 // Compile-time interface compliance.
