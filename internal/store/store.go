@@ -7,6 +7,7 @@
 package store
 
 import (
+	"strings"
 	"sync"
 
 	"github.com/paris-kv/paris/internal/hlc"
@@ -193,9 +194,18 @@ func (s *MVStore) ApplyBatchConcurrent(items []wire.Item, workers int) {
 	wg.Wait()
 }
 
-// apply inserts one version; the caller holds sh.mu.
+// apply inserts one version; the caller holds sh.mu. A decoded key is a
+// substring of its message's bytes, so the store never keeps the string a
+// version came with: a new key is cloned once, and every later version of it
+// shares the chain's string — in the item and in the map, since a string map
+// key is overwritten on every assignment. No stored key pins a message.
 func (sh *shard) apply(item wire.Item) {
 	chain := sh.chains[item.Key]
+	if len(chain) > 0 {
+		item.Key = chain[0].Key
+	} else {
+		item.Key = strings.Clone(item.Key)
+	}
 	// Fast path: strictly newer than the tail (the common case).
 	if n := len(chain); n == 0 || chain[n-1].Less(item) {
 		sh.chains[item.Key] = append(chain, item)

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/paris-kv/paris/internal/topology"
 	"github.com/paris-kv/paris/internal/wire"
@@ -34,6 +36,8 @@ type TCPNode struct {
 	handler  Handler
 	ln       net.Listener
 	nstripes int
+	// dial opens outbound connections; a test swaps it to observe the bound.
+	dial func(ctx context.Context, network, addr string) (net.Conn, error)
 
 	mu sync.Mutex
 	// conns holds the outbound stripe set per peer; slots dial lazily.
@@ -105,6 +109,7 @@ func ListenTCPOpts(self topology.NodeID, listenAddr string, book AddressBook, ha
 		handler:  handler,
 		ln:       ln,
 		nstripes: nstripes,
+		dial:     (&net.Dialer{}).DialContext,
 		conns:    make(map[topology.NodeID][]*tcpConn),
 		inbound:  make(map[net.Conn]*tcpConn),
 		routes:   make(map[topology.NodeID]*tcpConn),
@@ -280,7 +285,9 @@ func (n *TCPNode) conn(to topology.NodeID, stripe int) (*tcpConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw, err := net.Dial("tcp", addr)
+	ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
+	raw, err := n.dial(ctx, "tcp", addr)
+	cancel()
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %v at %s: %w", to, addr, err)
 	}
@@ -408,6 +415,11 @@ func (n *TCPNode) readLoop(raw net.Conn, wc *tcpConn) {
 	}
 }
 
+// dialTimeout bounds opening an outbound connection. Sends run on the
+// server's round (flow pumps, inquiries), so a blackholed peer must cost a
+// bounded stall, not the kernel's connect timeout; the next send redials.
+const dialTimeout = time.Second
+
 // maxRetainedFrame caps the per-connection reusable read buffer; a frame
 // above it is served by a one-off allocation instead (mirrors the encode
 // pool's maxPooledCap).
@@ -525,6 +537,10 @@ func (c *tcpConn) close() {
 }
 
 func (c *tcpConn) writeLoop() {
+	// spare is the array drained last; the next drain hands it back as the
+	// queue, so the two alternate and enqueueing stops allocating once both
+	// have grown.
+	var spare []*[]byte
 	for {
 		c.mu.Lock()
 		for len(c.queue) == 0 && !c.closed {
@@ -535,7 +551,7 @@ func (c *tcpConn) writeLoop() {
 			return
 		}
 		batch := c.queue
-		c.queue = nil
+		c.queue = spare
 		c.mu.Unlock()
 
 		for i, buf := range batch {
@@ -551,6 +567,8 @@ func (c *tcpConn) writeLoop() {
 				return
 			}
 		}
+		clear(batch) // the buffers went back to the pool; don't pin them
+		spare = batch[:0]
 	}
 }
 

@@ -191,6 +191,33 @@ func TestTCPUnknownAddress(t *testing.T) {
 	}
 }
 
+// TestTCPDialIsBounded checks that a send to a peer without a connection
+// dials under a deadline no later than dialTimeout, so a blackholed host
+// stalls the sender's round for a bounded time. The hook fails at once;
+// nothing is dialed.
+func TestTCPDialIsBounded(t *testing.T) {
+	pA, node := startTCPNode(t, nodeA, nopHandler{}, StaticBook{nodeB: "blackholed.invalid:7000"})
+	errRefused := errors.New("dial refused by the test")
+	dials := 0
+	node.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials++
+		deadline, ok := ctx.Deadline()
+		if !ok {
+			t.Fatalf("dial of %s %s carries no deadline", network, addr)
+		}
+		if left := time.Until(deadline); left <= 0 || left > dialTimeout {
+			t.Fatalf("dial deadline is %v away, want within (0, %v]", left, dialTimeout)
+		}
+		return nil, errRefused
+	}
+	if err := pA.Cast(nodeB, wire.FinishTx{TxID: 1}); !errors.Is(err, errRefused) {
+		t.Fatalf("cast to an undialable peer returned %v, want the dial's error", err)
+	}
+	if dials != 1 {
+		t.Fatalf("cast dialed %d times, want 1", dials)
+	}
+}
+
 func TestTCPSendAfterClose(t *testing.T) {
 	book := StaticBook{}
 	p := NewPeer(nodeA, nopHandler{})

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
@@ -106,16 +107,27 @@ func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Whatever the decoder accepts must re-encode and decode back to the
 		// same value: the codec is a bijection on its accepted inputs.
-		msg, err := Decode(data)
+		// Decoding a copy leaves the engine's input untouched.
+		in := bytes.Clone(data)
+		msg, err := Decode(in)
 		if err != nil {
 			return
 		}
-		msg2, err := Decode(Encode(msg))
+		first := Encode(msg)
+		msg2, err := Decode(first)
 		if err != nil {
 			t.Fatalf("re-decode of %v failed: %v", msg.Kind(), err)
 		}
 		if !equalMessages(msg, msg2) {
 			t.Fatalf("re-encode changed message:\n first %#v\n second %#v", msg, msg2)
+		}
+		// The message must not alias its input: scribbling over the input,
+		// as the transport's reused frame buffer does, changes nothing.
+		for i := range in {
+			in[i] = 0xFF
+		}
+		if again := Encode(msg); !bytes.Equal(first, again) {
+			t.Fatalf("%v changed when its input was overwritten:\n before %x\n after  %x", msg.Kind(), first, again)
 		}
 	})
 }

@@ -171,7 +171,10 @@ func AppendMessage(buf []byte, msg Message) []byte {
 	return e.buf
 }
 
-// Decode parses a message previously produced by Encode/AppendMessage.
+// Decode parses a message previously produced by Encode/AppendMessage. The
+// message never aliases data, which the caller may reuse at once. Its
+// strings share one copy of data and its byte values one arena, so a key or
+// value kept from it keeps that copy alive; copy what outlives the message.
 func Decode(data []byte) (Message, error) {
 	if len(data) == 0 {
 		return nil, ErrTruncated
@@ -395,10 +398,15 @@ func (e *enc) items(items []Item) {
 
 // reader consumes a buffer with sticky error handling: after the first
 // failure every accessor returns zero values and the error survives for the
-// caller to report. Byte-slice values are carved out of one lazily allocated
-// arena sized to the remaining buffer, so a payload message costs one value
-// allocation total instead of one per item (strings still allocate
-// individually — Go strings cannot share a mutable backing array).
+// caller to report.
+//
+// A decoded message never aliases its input (the transport reuses one frame
+// buffer per connection), yet costs a fixed number of allocations however
+// many keys it carries. Strings are substrings of one immutable copy of the
+// message's bytes, taken at its first non-empty string; byte values are
+// carved out of one mutable arena, taken at its first non-empty value. The
+// price is retention: a decoded key keeps its message's string copy alive,
+// just as a decoded value keeps its message's byte arena alive.
 type reader struct {
 	buf []byte
 	err error
@@ -406,6 +414,9 @@ type reader struct {
 	hasTS, hasID   bool
 	prevTS, prevID uint64
 
+	// strs copies the buffer as it stood at the first non-empty string, so a
+	// string starting with len(buf) bytes left lies at len(strs)-len(buf).
+	strs  string
 	arena []byte
 }
 
@@ -541,9 +552,15 @@ func (r *reader) string() string {
 		r.fail()
 		return ""
 	}
-	s := string(r.buf[:n])
+	if n == 0 {
+		return ""
+	}
+	if r.strs == "" {
+		r.strs = string(r.buf)
+	}
+	off := len(r.strs) - len(r.buf)
 	r.buf = r.buf[n:]
-	return s
+	return r.strs[off : off+n]
 }
 
 func (r *reader) bytes() []byte {

@@ -102,6 +102,25 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeDoesNotAliasInput overwrites each sample's encoding once it is
+// decoded, as the transport's reused frame buffer does with the next frame:
+// the decoded message must still equal the one sent.
+func TestDecodeDoesNotAliasInput(t *testing.T) {
+	for _, msg := range sampleMessages() {
+		data := Encode(msg)
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatalf("Decode(%v): %v", msg.Kind(), err)
+		}
+		for i := range data {
+			data[i] = 0xFF
+		}
+		if !equalMessages(msg, got) {
+			t.Fatalf("%v changed when its input was overwritten:\n sent %#v\n got  %#v", msg.Kind(), msg, got)
+		}
+	}
+}
+
 // equalMessages compares messages treating nil and empty slices as equal
 // (the codec does not distinguish them, and the protocol never needs to).
 func equalMessages(a, b Message) bool {
