@@ -1,7 +1,8 @@
 package server
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"github.com/paris-kv/paris/internal/hlc"
@@ -70,7 +71,7 @@ func (s *Server) applyTick(round, label int64) {
 
 	// Collect committed transactions with ct ≤ ub, ordered by (ct, id).
 	ready := s.twoPC.drainCommitted(s.applyReady[:0], ub)
-	sort.Sort(committedByCT(ready))
+	slices.SortFunc(ready, byCTThenID)
 
 	// Apply to the multi-version store before exposing ub: a reader that
 	// sees VV[self] = ub must find every version with ut ≤ ub. The round's
@@ -120,7 +121,7 @@ func (s *Server) applyTick(round, label int64) {
 	// wall-clock step leaves alone), coalescing and repair service for that
 	// peer. The builder's per-chunk sizes ride along so the pumps never
 	// re-walk the payload.
-	chunks, sizes := buildReplicateBatches(s.self.DC, round, ready, ub, s.cfg.BatchMaxBytes)
+	chunks, sizes := buildReplicateBatches(s.applyChunks[:0], s.applySizes[:0], s.self.DC, round, ready, ub, s.cfg.BatchMaxBytes)
 	for _, p := range s.pumps {
 		p.submit(chunks, sizes, ub)
 		p.step(label)
@@ -128,69 +129,93 @@ func (s *Server) applyTick(round, label int64) {
 	if len(ready) > 0 {
 		s.metrics.txApplied.Add(uint64(len(ready)))
 	}
-	// Recycle the drain scratch; the outbound messages hold their own
-	// references to the write-sets, so clearing only drops this loop's.
+	// Recycle the round's scratch; the pumps copied the chunks and the
+	// outbound messages hold their own references to the groups and
+	// write-sets, so clearing only drops this loop's.
 	clear(ready)
-	s.applyReady = ready[:0]
+	clear(chunks)
+	s.applyReady, s.applyChunks, s.applySizes = ready[:0], chunks[:0], sizes[:0]
 	s.stab.roundTick(round, true)
 }
 
 // buildReplicateBatches coalesces one ΔR round (ready, sorted by commit
 // timestamp) into ReplicateBatch chunks labelled round and bounded by
-// ~maxBytes of payload. Chunks split only between commit-timestamp groups so
-// every chunk's UpTo — the last carried CT for interior chunks, ub for the
-// final one — is a bound the receiver may safely advance its version vector
-// to; a single group larger than the cap still travels whole. The final
-// chunk doubles as the round's heartbeat: with nothing to replicate the result
-// is one empty batch carrying only UpTo = ub.
+// ~maxBytes of payload, appended to chunks. Chunks split only between
+// commit-timestamp groups so every chunk's UpTo — the last carried CT for
+// interior chunks, ub for the final one — is a bound the receiver may safely
+// advance its version vector to; a single group larger than the cap still
+// travels whole. The final chunk doubles as the round's heartbeat: with
+// nothing to replicate the result is one empty batch carrying only UpTo = ub.
 //
-// The second return value carries each chunk's wire.ApproxSize, accumulated
-// while the groups are built: the builder walks every key/value anyway, so
-// the flow pumps can account queue depth and credit charges without a
-// second full-payload walk per destination (replBatchBaseSize + the group
-// sums reproduce ApproxSize exactly; batchsize_test.go pins the equality).
-func buildReplicateBatches(src topology.DCID, round int64, ready []committedTx, ub hlc.Timestamp, maxBytes int) ([]wire.Message, []int) {
+// A round with data allocates two backings, one for every group's Txns and
+// one for every chunk's Groups, cut with three-index slices so that no group
+// or chunk can append into its neighbour; an empty round allocates nothing.
+// The chunks outlive the round in the pumps' queues, so the backings are
+// fresh every round; chunks and sizes are the caller's scratch.
+//
+// Each chunk's wire.ApproxSize is appended to sizes, accumulated while the
+// groups are built: the builder walks every key/value anyway, so the flow
+// pumps can account queue depth and credit charges without a second
+// full-payload walk per destination (emptyBatchSize + the group sums
+// reproduce ApproxSize exactly; batchsize_test.go pins the equality).
+func buildReplicateBatches(chunks []wire.ReplicateBatch, sizes []int, src topology.DCID, round int64, ready []committedTx, ub hlc.Timestamp, maxBytes int) ([]wire.ReplicateBatch, []int) {
 	var (
-		chunks []wire.Message
-		sizes  []int
-		cur    = wire.ReplicateBatch{SrcDC: src, Round: uint64(round)}
+		txns   []wire.TxUpdates
+		groups []wire.ReplicateGroup
+		first  int // index in groups of the current chunk's first group
 		bytes  int
 	)
+	if len(ready) > 0 {
+		txns = make([]wire.TxUpdates, len(ready))
+		n := 1
+		for i := 1; i < len(ready); i++ {
+			if ready[i].ct != ready[i-1].ct {
+				n++
+			}
+		}
+		groups = make([]wire.ReplicateGroup, 0, n)
+	}
+	cut := func(upTo hlc.Timestamp) {
+		chunks = append(chunks, wire.ReplicateBatch{
+			SrcDC:  src,
+			Round:  uint64(round),
+			UpTo:   upTo,
+			Groups: groups[first:len(groups):len(groups)],
+		})
+		sizes = append(sizes, emptyBatchSize+bytes)
+		first, bytes = len(groups), 0
+	}
 	for start := 0; start < len(ready); {
 		end := start
-		for end < len(ready) && ready[end].ct == ready[start].ct {
-			end++
-		}
-		group := wire.ReplicateGroup{
-			CT:   ready[start].ct,
-			Txns: make([]wire.TxUpdates, 0, end-start),
-		}
 		gBytes := replGroupHeadSize
-		for _, c := range ready[start:end] {
-			group.Txns = append(group.Txns, wire.TxUpdates{
-				TxID:   c.id,
-				SrcDC:  c.srcDC,
-				Writes: c.writes,
-			})
+		for ; end < len(ready) && ready[end].ct == ready[start].ct; end++ {
+			c := &ready[end]
+			txns[end] = wire.TxUpdates{TxID: c.id, SrcDC: c.srcDC, Writes: c.writes}
 			gBytes += replTxnHeadSize
 			for _, kv := range c.writes {
 				// Key/value bytes plus the codec's per-write framing.
 				gBytes += len(kv.Key) + len(kv.Value) + replWriteHeadSize
 			}
 		}
-		if len(cur.Groups) > 0 && bytes+gBytes > maxBytes {
-			cur.UpTo = cur.Groups[len(cur.Groups)-1].CT
-			chunks = append(chunks, cur)
-			sizes = append(sizes, emptyBatchSize+bytes)
-			cur = wire.ReplicateBatch{SrcDC: src, Round: uint64(round)}
-			bytes = 0
+		if len(groups) > first && bytes+gBytes > maxBytes {
+			cut(groups[len(groups)-1].CT)
 		}
-		cur.Groups = append(cur.Groups, group)
+		groups = append(groups, wire.ReplicateGroup{CT: ready[start].ct, Txns: txns[start:end:end]})
 		bytes += gBytes
 		start = end
 	}
-	cur.UpTo = ub
-	return append(chunks, cur), append(sizes, emptyBatchSize+bytes)
+	cut(ub)
+	return chunks, sizes
+}
+
+// byCTThenID orders a ΔR round's ready transactions by (ct, id): the apply
+// order that deterministic last-writer-wins and the store's chain-tail fast
+// path need.
+func byCTThenID(a, b committedTx) int {
+	if c := cmp.Compare(a.ct, b.ct); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
 }
 
 // Per-level framing constants of wire.ApproxSize's ReplicateBatch walk, so
@@ -224,7 +249,8 @@ func (s *Server) handleReplicateBatch(m wire.ReplicateBatch) {
 	}
 	if n := m.Items(); n > 0 {
 		s.stab.markData()
-		items := make([]wire.Item, 0, n)
+		st := &s.replIn[m.SrcDC] // in range: replInAccept took the chunk
+		items := st.takeItems()
 		for _, g := range m.Groups {
 			for _, tx := range g.Txns {
 				for _, kv := range tx.Writes {
@@ -239,6 +265,7 @@ func (s *Server) handleReplicateBatch(m wire.ReplicateBatch) {
 			}
 		}
 		s.store.ApplyBatchConcurrent(items, s.applyWorkers)
+		st.giveItems(items)
 		s.metrics.replItems.Add(uint64(n))
 	}
 	if s.vis != nil {

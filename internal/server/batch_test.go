@@ -123,11 +123,11 @@ func TestBuildReplicateBatchesCoalescesOneRound(t *testing.T) {
 		mkCommitted(2, 10, 1), // same CT: same group
 		mkCommitted(3, 11, 1),
 	}
-	chunks, _ := buildReplicateBatches(0, 7, ready, 50, 1<<20)
+	chunks, _ := buildReplicateBatches(nil, nil, 0, 7, ready, 50, 1<<20)
 	if len(chunks) != 1 {
 		t.Fatalf("got %d chunks, want 1", len(chunks))
 	}
-	b := chunks[0].(wire.ReplicateBatch)
+	b := chunks[0]
 	if len(b.Groups) != 2 || b.UpTo != 50 {
 		t.Fatalf("batch = %d groups UpTo %v, want 2 groups UpTo 50", len(b.Groups), b.UpTo)
 	}
@@ -137,11 +137,11 @@ func TestBuildReplicateBatchesCoalescesOneRound(t *testing.T) {
 }
 
 func TestBuildReplicateBatchesEmptyRoundIsHeartbeat(t *testing.T) {
-	chunks, _ := buildReplicateBatches(2, 7, nil, 99, 1<<20)
+	chunks, _ := buildReplicateBatches(nil, nil, 2, 7, nil, 99, 1<<20)
 	if len(chunks) != 1 {
 		t.Fatalf("got %d chunks, want 1", len(chunks))
 	}
-	b := chunks[0].(wire.ReplicateBatch)
+	b := chunks[0]
 	if len(b.Groups) != 0 || b.UpTo != 99 || b.SrcDC != 2 || b.Round != 7 {
 		t.Fatalf("heartbeat batch = %+v", b)
 	}
@@ -154,13 +154,12 @@ func TestBuildReplicateBatchesSplitsAtGroupBoundaries(t *testing.T) {
 		mkCommitted(3, 12, 3),
 	}
 	// A group of three one-byte writes is 66 bytes: a 100-byte cap fits one.
-	chunks, _ := buildReplicateBatches(0, 7, ready, 50, 100)
+	chunks, _ := buildReplicateBatches(nil, nil, 0, 7, ready, 50, 100)
 	if len(chunks) != 3 {
 		t.Fatalf("got %d chunks, want 3 (maxBytes=100, 66 bytes/group)", len(chunks))
 	}
 	// Interior chunks announce only their last CT; the final one carries ub.
-	for i, c := range chunks {
-		b := c.(wire.ReplicateBatch)
+	for i, b := range chunks {
 		if len(b.Groups) != 1 {
 			t.Fatalf("chunk %d has %d groups, want 1", i, len(b.Groups))
 		}
@@ -179,11 +178,11 @@ func TestBuildReplicateBatchesOversizedGroupTravelsWhole(t *testing.T) {
 		mkCommitted(1, 10, 100), // single group far above maxBytes
 		mkCommitted(2, 11, 1),
 	}
-	chunks, _ := buildReplicateBatches(0, 7, ready, 50, 80)
+	chunks, _ := buildReplicateBatches(nil, nil, 0, 7, ready, 50, 80)
 	if len(chunks) != 2 {
 		t.Fatalf("got %d chunks, want 2", len(chunks))
 	}
-	first := chunks[0].(wire.ReplicateBatch)
+	first := chunks[0]
 	if first.Items() != 100 || len(first.Groups) != 1 {
 		t.Fatalf("oversized group was split: %d items in %d groups",
 			first.Items(), len(first.Groups))
@@ -199,7 +198,7 @@ func TestBuildReplicateBatchesByteCap(t *testing.T) {
 		mkCommitted(2, 11, 1),
 	}
 	// Each write is ~10 encoded bytes; a 1-byte cap forces one group per chunk.
-	chunks, _ := buildReplicateBatches(0, 7, ready, 50, 1)
+	chunks, _ := buildReplicateBatches(nil, nil, 0, 7, ready, 50, 1)
 	if len(chunks) != 2 {
 		t.Fatalf("got %d chunks, want 2", len(chunks))
 	}

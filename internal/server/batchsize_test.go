@@ -52,7 +52,7 @@ func TestBuildReplicateBatchesSizesMatchApproxSize(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			chunks, sizes := buildReplicateBatches(2, 1, tc.ready, 50, tc.maxBytes)
+			chunks, sizes := buildReplicateBatches(nil, nil, 2, 1, tc.ready, 50, tc.maxBytes)
 			if len(chunks) != len(sizes) {
 				t.Fatalf("%d chunks but %d sizes", len(chunks), len(sizes))
 			}

@@ -538,12 +538,18 @@ func (s *Server) handleCommit(req wire.CommitReq) wire.Message {
 	// Commit phase: notify the acked cohorts (no ack needed) and answer the
 	// client. Replicas that were tried but superseded by a failover get an
 	// abort instead, so a prepare whose response (not request) was lost does
-	// not linger.
+	// not linger. Every cohort gets the same decision, boxed at most once.
+	cc := wire.CohortCommit{TxID: id, CommitTS: commitTS}
+	var boxed wire.Message
 	for _, out := range outcomes {
-		cc := wire.CohortCommit{TxID: id, CommitTS: commitTS}
 		if out.acked == s.self {
 			s.handleCohortCommit(cc)
-		} else if err := s.peer.Cast(out.acked, cc); err != nil {
+			continue
+		}
+		if boxed == nil {
+			boxed = cc
+		}
+		if err := s.peer.Cast(out.acked, boxed); err != nil {
 			// Lossless FIFO links: when the cast is accepted it arrives after
 			// the cohort's prepare insert, which happened before its
 			// PrepareResp. When it is refused — the cohort crashed or its link

@@ -196,13 +196,14 @@ func (s *Server) pumpFor(dc topology.DCID) *flowPump {
 	return nil
 }
 
-// submit hands one ΔR round's chunks to the pump. chunks are shared across
+// submit hands one ΔR round's chunks to the pump, which copies them: chunks
+// is the round's scratch, and the Groups backings behind it are shared across
 // destinations and must not be mutated in place. sizes, when non-nil,
 // carries each chunk's wire.ApproxSize as accumulated by
 // buildReplicateBatches — the builder walks every key/value anyway, so the
 // pumps skip the per-destination re-walk of the payload; a nil sizes (tests,
 // hand-built chunks) falls back to computing it here.
-func (p *flowPump) submit(chunks []wire.Message, sizes []int, ub hlc.Timestamp) {
+func (p *flowPump) submit(chunks []wire.ReplicateBatch, sizes []int, ub hlc.Timestamp) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.latestUB = ub
@@ -215,8 +216,7 @@ func (p *flowPump) submit(chunks []wire.Message, sizes []int, ub hlc.Timestamp) 
 		p.shedRounds++
 		return
 	}
-	for i, c := range chunks {
-		b := c.(wire.ReplicateBatch)
+	for i, b := range chunks {
 		var size int
 		if sizes != nil {
 			size = sizes[i]

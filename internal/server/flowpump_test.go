@@ -111,9 +111,9 @@ func testPump(high, low int) *flowPump {
 // coalesced batch carries the newest round's UpTo and label.
 func TestFlowPumpSubmitCoalescesUnderPressure(t *testing.T) {
 	p := testPump(1<<20, 1<<18)
-	p.submit([]wire.Message{flowChunk(1, 2, 32)}, nil, hlc.New(19, 0))
-	p.submit([]wire.Message{flowChunk(2, 2, 32)}, nil, hlc.New(29, 0))
-	p.submit([]wire.Message{flowChunk(3, 2, 32)}, nil, hlc.New(39, 0))
+	p.submit([]wire.ReplicateBatch{flowChunk(1, 2, 32)}, nil, hlc.New(19, 0))
+	p.submit([]wire.ReplicateBatch{flowChunk(2, 2, 32)}, nil, hlc.New(29, 0))
+	p.submit([]wire.ReplicateBatch{flowChunk(3, 2, 32)}, nil, hlc.New(39, 0))
 	if len(p.entries) != 1 {
 		t.Fatalf("queue grew to %d entries, want 1 coalesced", len(p.entries))
 	}
@@ -132,13 +132,13 @@ func TestFlowPumpShedsPastHighWater(t *testing.T) {
 	one := wire.ApproxSize(flowChunk(1, 1, 256))
 	p := testPump(one*2+10, 1) // room for two chunks, low water below one
 
-	p.submit([]wire.Message{flowChunk(1, 1, 256)}, nil, hlc.New(19, 0))
-	p.submit([]wire.Message{flowChunk(2, 1, 256)}, nil, hlc.New(29, 0))
+	p.submit([]wire.ReplicateBatch{flowChunk(1, 1, 256)}, nil, hlc.New(19, 0))
+	p.submit([]wire.ReplicateBatch{flowChunk(2, 1, 256)}, nil, hlc.New(29, 0))
 	if p.degraded {
 		t.Fatal("degraded before crossing high water")
 	}
-	p.submit([]wire.Message{flowChunk(3, 1, 256)}, nil, hlc.New(39, 0)) // crosses: shed
-	p.submit([]wire.Message{flowChunk(4, 1, 256)}, nil, hlc.New(49, 0)) // degraded: shed
+	p.submit([]wire.ReplicateBatch{flowChunk(3, 1, 256)}, nil, hlc.New(39, 0)) // crosses: shed
+	p.submit([]wire.ReplicateBatch{flowChunk(4, 1, 256)}, nil, hlc.New(49, 0)) // degraded: shed
 	if !p.degraded {
 		t.Fatal("not degraded after crossing high water")
 	}
@@ -159,7 +159,7 @@ func TestFlowPumpShedsPastHighWater(t *testing.T) {
 	p.entries = nil
 	p.queuedBytes = 0
 	p.mu.Unlock()
-	p.submit([]wire.Message{flowChunk(5, 1, 256)}, nil, hlc.New(59, 0))
+	p.submit([]wire.ReplicateBatch{flowChunk(5, 1, 256)}, nil, hlc.New(59, 0))
 	if p.degraded {
 		t.Fatal("still degraded after draining below low water")
 	}
@@ -290,7 +290,7 @@ func TestFlowCreditRate(t *testing.T) {
 	p := s.pumpFor(peer.DC)
 	for r := uint64(1); r <= rounds; r++ {
 		c := flowChunk(r, 1, 1000) // three times the budget's share of a round
-		p.submit([]wire.Message{c}, nil, c.UpTo)
+		p.submit([]wire.ReplicateBatch{c}, nil, c.UpTo)
 		p.step(int64(r))
 	}
 	p.mu.Lock()
@@ -442,7 +442,7 @@ func TestDegradedPumpCastsStatusEveryRounds(t *testing.T) {
 	var at []int64
 	for r := int64(1); r <= 60; r++ {
 		c := flowChunk(uint64(r), 1, 2000)
-		p.submit([]wire.Message{c}, nil, c.UpTo)
+		p.submit([]wire.ReplicateBatch{c}, nil, c.UpTo)
 		before := p.statusSent
 		p.step(r)
 		if p.statusSent != before {

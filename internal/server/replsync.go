@@ -63,6 +63,27 @@ type replInStream struct {
 	// the retries out and jitter desynchronizes them.
 	backoff int64
 	nextReq int64
+	// items is the receive path's flattening scratch. A delivery takes it
+	// and gives it back under mu, so two concurrent deliveries from one
+	// source never share it (the second makes its own).
+	items []wire.Item
+}
+
+// takeItems hands the stream's item scratch, emptied, to one delivery.
+func (st *replInStream) takeItems() []wire.Item {
+	st.mu.Lock()
+	items := st.items
+	st.items = nil
+	st.mu.Unlock()
+	return items[:0]
+}
+
+// giveItems returns a delivery's item scratch once the store has applied it.
+func (st *replInStream) giveItems(items []wire.Item) {
+	clear(items)
+	st.mu.Lock()
+	st.items = items[:0]
+	st.mu.Unlock()
 }
 
 // replInAccept decides whether a replication chunk is the next in-order

@@ -346,11 +346,14 @@ type Server struct {
 	// waits for all of them (store-then-publish).
 	applyWorkers int
 
-	// applyReady is the applyTick drain scratch, reused across rounds (the
-	// loop is single-goroutine). applyItems is the corresponding flattened
-	// write-item scratch handed to the store.
-	applyReady []committedTx
-	applyItems []wire.Item
+	// The apply round's scratch, reused across rounds and touched by the
+	// round alone: applyReady is the drain, applyItems the flattened
+	// write-items handed to the store, applyChunks and applySizes the
+	// replication chunks (and their sizes) the pumps copy from.
+	applyReady  []committedTx
+	applyItems  []wire.Item
+	applyChunks []wire.ReplicateBatch
+	applySizes  []int
 
 	stab stabilizer
 
@@ -641,7 +644,7 @@ func (s *Server) HandleCast(from topology.NodeID, msg wire.Message) {
 	case wire.GSTRoot:
 		s.stab.handleRoot(from, m)
 	case wire.USTDown:
-		s.stab.handleDown(from, m)
+		s.stab.handleDown(from, msg)
 	}
 }
 

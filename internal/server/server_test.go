@@ -2,6 +2,7 @@ package server
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,13 +28,20 @@ type testRig struct {
 	peers map[topology.NodeID]*castCollector
 }
 
-// castCollector records casts sent to a peer node.
+// castCollector records casts sent to a peer node and counts them. With
+// countOnly set it only counts, which allocates nothing (allocation budgets).
 type castCollector struct {
-	mu   sync.Mutex
-	msgs []wire.Message
+	mu        sync.Mutex
+	msgs      []wire.Message
+	delivered atomic.Int64
+	countOnly atomic.Bool
 }
 
 func (c *castCollector) Deliver(env transport.Envelope) {
+	c.delivered.Add(1)
+	if c.countOnly.Load() {
+		return
+	}
 	c.mu.Lock()
 	c.msgs = append(c.msgs, env.Msg)
 	c.mu.Unlock()

@@ -211,8 +211,8 @@ func (st *stabilizer) send(o *stabSends) {
 	if o.downMsg.UST != 0 {
 		s.applyStable(o.downMsg.UST, o.downMsg.Sold)
 	}
-	if o.down {
-		st.pushDown(o.downMsg)
+	if o.down && len(st.children) > 0 {
+		st.pushDown(o.downMsg) // boxed once for every child
 	}
 }
 
@@ -414,13 +414,16 @@ func (st *stabilizer) handleRoot(from topology.NodeID, m wire.GSTRoot) {
 
 // handleDown applies the parent's UST/Sold announcement and forwards it down
 // the tree unconditionally — withholding is the root's decision only, so a
-// forwarded announcement always reaches the leaves.
-func (st *stabilizer) handleDown(from topology.NodeID, m wire.USTDown) {
+// forwarded announcement always reaches the leaves. msg is the USTDown as
+// received: a boxed message is never mutated, so the relay forwards it as it
+// is instead of boxing it again.
+func (st *stabilizer) handleDown(from topology.NodeID, msg wire.Message) {
 	if st.isRoot || from != st.parent {
 		return
 	}
+	m := msg.(wire.USTDown)
 	st.srv.applyStable(m.UST, m.Sold)
-	st.pushDown(m)
+	st.pushDown(msg)
 	if m.Active {
 		// A relayed Down bit must never re-arm this node's own up-tree
 		// advertisement, or the bit would circulate forever.
@@ -429,8 +432,8 @@ func (st *stabilizer) handleDown(from topology.NodeID, m wire.USTDown) {
 	}
 }
 
-func (st *stabilizer) pushDown(m wire.USTDown) {
-	var msg wire.Message = m
+// pushDown casts a USTDown to every child.
+func (st *stabilizer) pushDown(msg wire.Message) {
 	for _, child := range st.children {
 		_ = st.srv.peer.Cast(child, msg)
 		st.srv.metrics.gossipSent.Add(1)

@@ -258,19 +258,3 @@ func (t *twoPCTable) pruneDecisions(cutoff int64) {
 		sh.mu.Unlock()
 	}
 }
-
-// committedByCT orders a ΔR round's ready transactions by (ct, id) — the
-// apply order required for deterministic last-writer-wins and the store's
-// chain-tail fast path. A named type instead of a sort.Slice closure: the
-// round runs 200×/s per server and the closure allocation showed up in the
-// PR 5 profiles.
-type committedByCT []committedTx
-
-func (a committedByCT) Len() int      { return len(a) }
-func (a committedByCT) Swap(i, j int) { a[i], a[j] = a[j], a[i] }
-func (a committedByCT) Less(i, j int) bool {
-	if a[i].ct != a[j].ct {
-		return a[i].ct < a[j].ct
-	}
-	return a[i].id < a[j].id
-}

@@ -140,6 +140,13 @@ func (s *MVStore) ApplyBatchConcurrent(items []wire.Item, workers int) {
 		s.ApplyBatch(items)
 		return
 	}
+	s.applyFannedOut(items, workers)
+}
+
+// applyFannedOut is ApplyBatchConcurrent's fan-out, kept out of its body: the
+// worker goroutines capture its state, which moves that state to the heap on
+// entry, and the serial fallback must not pay for that.
+func (s *MVStore) applyFannedOut(items []wire.Item, workers int) {
 	idx := make([]uint8, len(items))
 	var counts [numShards]int32
 	for i := range items {
