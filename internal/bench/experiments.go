@@ -25,15 +25,6 @@ type Options struct {
 	SaturationThreads int
 	// KeysPerPartition sizes the dataset.
 	KeysPerPartition int
-	// BatchMaxBytes overrides the replication chunk cap on every cluster
-	// the experiments build (0 = library default).
-	BatchMaxBytes int
-	// BandwidthBudget paces replication on every cluster the experiments
-	// build (0 = unlimited; see paris.Config.BandwidthBudget).
-	BandwidthBudget int
-	// ConnsPerPeer is the TCP stripe count per server pair in the loopback
-	// TCP arms (0 = default 4, 1 = single connection).
-	ConnsPerPeer int
 	// Out receives human-readable tables (nil discards them).
 	Out io.Writer
 }
@@ -57,9 +48,6 @@ func (o Options) withDefaults() Options {
 	if o.KeysPerPartition <= 0 {
 		o.KeysPerPartition = 100
 	}
-	if o.ConnsPerPeer <= 0 {
-		o.ConnsPerPeer = 4
-	}
 	if o.Out == nil {
 		o.Out = io.Discard
 	}
@@ -77,8 +65,6 @@ func paperCluster(o Options, mode paris.Mode, visSample int) (*paris.Cluster, er
 	cfg.Mode = mode
 	cfg.LatencyScale = o.LatencyScale
 	cfg.VisibilitySample = visSample
-	cfg.BatchMaxBytes = o.BatchMaxBytes
-	cfg.BandwidthBudget = o.BandwidthBudget
 	return paris.NewCluster(cfg)
 }
 
@@ -198,7 +184,6 @@ func runScalePoint(o Options, dcs, machines int) (ScalePoint, error) {
 	cfg.ApplyInterval = 5 * time.Millisecond
 	cfg.GossipInterval = 5 * time.Millisecond
 	cfg.USTInterval = 5 * time.Millisecond
-	cfg.BatchMaxBytes = o.BatchMaxBytes
 	cluster, err := paris.NewCluster(cfg)
 	if err != nil {
 		return ScalePoint{}, err

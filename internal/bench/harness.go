@@ -8,7 +8,6 @@ import (
 
 	"github.com/paris-kv/paris"
 	"github.com/paris-kv/paris/internal/topology"
-	"github.com/paris-kv/paris/internal/wire"
 	"github.com/paris-kv/paris/internal/workload"
 )
 
@@ -39,36 +38,13 @@ type Result struct {
 	Committed    uint64
 	ThroughputTx float64 // committed transactions per second
 	Latency      *Histogram
-	// BlockedReads / UnblockedReads aggregate the servers' BPR counters;
-	// BlockedTotal is the cumulative blocking time (§V-B "blocking time").
-	BlockedReads   uint64
-	UnblockedReads uint64
-	BlockedTotal   time.Duration
+	// BlockedReads aggregates the servers' BPR counters; BlockedTotal is
+	// the cumulative blocking time (§V-B "blocking time").
+	BlockedReads uint64
+	BlockedTotal time.Duration
 	// Visibility holds sampled update-visibility latencies when the cluster
 	// was built with VisibilitySample > 0.
 	Visibility []time.Duration
-	// Messages counts every network envelope sent during the measured
-	// interval; ReplMessages counts only the replication channel
-	// (ReplicateBatch). Both come from the cluster's MemNet.
-	Messages     uint64
-	ReplMessages uint64
-}
-
-// MsgsPerTx is the total network cost of one committed transaction.
-func (r Result) MsgsPerTx() float64 {
-	if r.Committed == 0 {
-		return 0
-	}
-	return float64(r.Messages) / float64(r.Committed)
-}
-
-// ReplMsgsPerTx is the replication-channel cost of one committed
-// transaction.
-func (r Result) ReplMsgsPerTx() float64 {
-	if r.Committed == 0 {
-		return 0
-	}
-	return float64(r.ReplMessages) / float64(r.Committed)
 }
 
 // MeanBlockingTime is the average wait of a blocked BPR read.
@@ -106,7 +82,7 @@ func Run(cfg RunConfig) (Result, error) {
 	ks := workload.NewKeyspace(topo, cfg.KeysPerPartition)
 
 	// Baseline BPR counters so the result reports only this run's blocking.
-	blocked0, free0, btotal0 := blockingCounters(cfg.Cluster)
+	blocked0, btotal0 := blockingCounters(cfg.Cluster)
 	drainVisibility(cfg.Cluster) // discard pre-run samples
 
 	type workerOut struct {
@@ -170,13 +146,11 @@ func Run(cfg RunConfig) (Result, error) {
 
 	time.Sleep(cfg.Warmup)
 	close(startGate)
-	msgs0, repl0 := messageCounters(cfg.Cluster)
 	measureStart := time.Now()
 	time.Sleep(cfg.Duration)
 	elapsed := time.Since(measureStart)
 	close(stopFlag)
 	wg.Wait()
-	msgs1, repl1 := messageCounters(cfg.Cluster)
 
 	res := Result{
 		Mode:    cfg.Cluster.Config().Mode,
@@ -193,11 +167,8 @@ func Run(cfg RunConfig) (Result, error) {
 		res.Latency.Merge(o.hist)
 	}
 	res.ThroughputTx = float64(res.Committed) / elapsed.Seconds()
-	res.Messages = msgs1 - msgs0
-	res.ReplMessages = repl1 - repl0
-	blocked1, free1, btotal1 := blockingCounters(cfg.Cluster)
+	blocked1, btotal1 := blockingCounters(cfg.Cluster)
 	res.BlockedReads = blocked1 - blocked0
-	res.UnblockedReads = free1 - free0
 	res.BlockedTotal = btotal1 - btotal0
 	res.Visibility = drainVisibility(cfg.Cluster)
 	return res, nil
@@ -226,23 +197,13 @@ func runTx(ctx context.Context, sess *paris.Session, plan workload.TxPlan) error
 	return err
 }
 
-// messageCounters snapshots the cluster's total and replication-channel
-// envelope counts.
-func messageCounters(c *paris.Cluster) (msgs, repl uint64) {
-	msgs = c.Net().MessagesSent()
-	byKind := c.Net().MessagesByKind()
-	repl = byKind[wire.KindReplicate] + byKind[wire.KindReplicateBatch] + byKind[wire.KindHeartbeat]
-	return msgs, repl
-}
-
-func blockingCounters(c *paris.Cluster) (blocked, free uint64, total time.Duration) {
+func blockingCounters(c *paris.Cluster) (blocked uint64, total time.Duration) {
 	for _, srv := range c.Servers() {
 		m := srv.Metrics()
 		blocked += m.ReadsBlocked
-		free += m.ReadsUnblocked
 		total += m.BlockedTotal
 	}
-	return blocked, free, total
+	return blocked, total
 }
 
 func drainVisibility(c *paris.Cluster) []time.Duration {

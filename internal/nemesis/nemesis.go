@@ -14,8 +14,8 @@
 // checker finds any violation, or if the cluster cannot drain.
 //
 // Every scenario that survives is pinned as a named regression
-// (TestNemesis_<scenario>); reproduce a run with
-// `paris-bench -experiment nemesis -seed N`.
+// (TestNemesis_<scenario>); replay a run with
+// `go test ./internal/nemesis -run TestNemesis_<Scenario> -args -nemesis.seed N`.
 package nemesis
 
 import (

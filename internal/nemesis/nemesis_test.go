@@ -1,28 +1,48 @@
 package nemesis
 
 import (
+	"flag"
 	"testing"
 	"time"
 
 	"github.com/paris-kv/paris"
 )
 
+// The pinned runs use seed 7 and a 1.2 s fault phase (400 ms under -short).
+// Both flags turn the suite into a soak: -nemesis.seed 0 draws a fresh
+// schedule per scenario and logs its seed, and -nemesis.fault lengthens the
+// fault phase. -run TestNemesis_<Scenario> picks the scenario, e.g.
+//
+//	go test ./internal/nemesis -run TestNemesis_CrashRestart -args -nemesis.seed 0 -nemesis.fault 2s
+var (
+	nemesisSeed  = flag.Int64("nemesis.seed", 7, "fault-schedule seed; the same seed replays the same schedule, 0 draws one and logs it")
+	nemesisFault = flag.Duration("nemesis.fault", 0, "fault phase per scenario (0 = 1.2s, or 400ms under -short)")
+)
+
 // runScenario executes one named scenario and fails the test on any checker
 // violation or a cluster that cannot drain after healing. Each TestNemesis_*
 // below pins one composed-fault schedule that once surfaced (or guards
-// against) a failure-path bug; reproduce outside the test suite with
-// `paris-bench -experiment nemesis -seed 7`.
+// against) a failure-path bug. The per-scenario line and the timed fault
+// events streamed through t.Logf are the run's report (go test -v shows them).
 func runScenario(t *testing.T, name string, mode paris.Mode) *Result {
 	t.Helper()
+	seed := *nemesisSeed
+	if seed == 0 {
+		seed = time.Now().UnixNano()&0x7fffffff + 1
+		t.Logf("drew seed %d (replay with -nemesis.seed %d)", seed, seed)
+	}
 	opts := Options{
 		Scenario:   name,
-		Seed:       7,
+		Seed:       seed,
 		Mode:       mode,
-		FaultPhase: 1200 * time.Millisecond,
+		FaultPhase: *nemesisFault,
 		Logf:       t.Logf,
 	}
-	if testing.Short() {
-		opts.FaultPhase = 400 * time.Millisecond
+	if opts.FaultPhase <= 0 {
+		opts.FaultPhase = 1200 * time.Millisecond
+		if testing.Short() {
+			opts.FaultPhase = 400 * time.Millisecond
+		}
 	}
 	res, err := Run(opts)
 	if err != nil {

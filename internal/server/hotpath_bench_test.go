@@ -137,7 +137,7 @@ func BenchmarkHandleStartTxParallel(b *testing.B) {
 
 // BenchmarkClientOpsParallel drives the full client-operation loop — StartTx,
 // one single-partition read, FinishTx — from parallel goroutines, the
-// closed-loop shape the hotpath experiment measures end-to-end.
+// closed-loop shape benchmark/'s mem-read workload measures end to end.
 func BenchmarkClientOpsParallel(b *testing.B) {
 	srv, topo := hotpathServer(b)
 	local := topo.PartitionsAt(0)

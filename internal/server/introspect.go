@@ -38,19 +38,6 @@ func (s *Server) InstalledLowerBound() hlc.Timestamp {
 	return s.installedLowerBound()
 }
 
-// DCAggregate returns, on the root of a DC's stabilization tree, the minimum
-// version-vector entry of the DC as the root last aggregated it — what it told
-// the other roots — and the round label that aggregate was complete through;
-// ok is false on any other server.
-func (s *Server) DCAggregate() (low hlc.Timestamp, round int64, ok bool) {
-	if !s.stab.isRoot {
-		return 0, 0, false
-	}
-	s.stab.mu.Lock()
-	defer s.stab.mu.Unlock()
-	return s.stab.dcMin[s.self.DC], s.stab.dcRound[s.self.DC], true
-}
-
 // Store exposes the underlying multi-version store for examples, benchmarks
 // and invariant checks.
 func (s *Server) Store() *store.MVStore { return s.store }

@@ -9,11 +9,12 @@ import (
 	"github.com/paris-kv/paris/internal/wire"
 )
 
-// TestAllocBudgetApplyBatchSerial pins that ApplyBatchConcurrent's serial
-// fallback — every batch below applyConcurrentMinItems, which is most apply
-// rounds and replicated chunks — allocates nothing beyond ApplyBatch itself:
-// the same 8-item batches, applied to two stores that start equal, cost the
-// same through either entry point.
+// TestAllocBudgetApplyBatchSerial pins that a small batch — most apply rounds
+// and replicated chunks — allocates nothing: ApplyBatch groups up to
+// applyConcurrentMinItems items on the stack, and ApplyBatchConcurrent's
+// serial fallback adds nothing to that. The same 8-item batches, applied to
+// two stores that start equal, cost 0 through either entry point (chain growth
+// amortizes to 0 per run over AllocsPerRun's runs).
 func TestAllocBudgetApplyBatchSerial(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -37,6 +38,9 @@ func TestAllocBudgetApplyBatchSerial(t *testing.T) {
 	}
 	serial := measure(func(s *MVStore, items []wire.Item) { s.ApplyBatch(items) })
 	fallback := measure(func(s *MVStore, items []wire.Item) { s.ApplyBatchConcurrent(items, 4) })
+	if serial != 0 {
+		t.Fatalf("ApplyBatch(8 items) allocates %.2f, want 0", serial)
+	}
 	if fallback != serial {
 		t.Fatalf("ApplyBatchConcurrent(8 items, 4 workers) allocates %.2f, ApplyBatch %.2f", fallback, serial)
 	}

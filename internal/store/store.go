@@ -86,40 +86,66 @@ func (s *MVStore) ApplyBatch(items []wire.Item) {
 		s.Apply(items[0])
 		return
 	}
-	// Group item indices by shard with a stable counting sort (one hash per
-	// item, no per-shard rescans), so each shard's write lock is held only
-	// for the items that actually land on it.
-	idx := make([]uint8, len(items))
-	var counts [numShards]int32
+	// Batches up to applyConcurrentMinItems items — most apply rounds and
+	// replicated chunks — group into stack arrays and allocate nothing.
+	var idxBuf [applyConcurrentMinItems]uint8
+	var orderBuf [applyConcurrentMinItems]int32
+	var g shardGroups
+	if len(items) <= applyConcurrentMinItems {
+		g = groupByShard(items, idxBuf[:len(items)], orderBuf[:len(items)])
+	} else {
+		g = groupByShard(items, make([]uint8, len(items)), make([]int32, len(items)))
+	}
+	for si := range g.counts {
+		if g.counts[si] > 0 {
+			s.shards[si].applyAll(items, g.shard(si))
+		}
+	}
+}
+
+// shardGroups is a batch's item indices grouped by shard: shard si's items
+// are order[starts[si] : starts[si]+counts[si]], in slice order.
+type shardGroups struct {
+	counts, starts [numShards]int32
+	order          []int32
+}
+
+func (g *shardGroups) shard(si int) []int32 {
+	return g.order[g.starts[si] : g.starts[si]+g.counts[si]]
+}
+
+// groupByShard groups item indices by shard with a stable counting sort (one
+// hash per item, no per-shard rescans), so each shard's write lock is held
+// only for the items that actually land on it. idx and order are scratch of
+// len(items); order is the result's backing array.
+func groupByShard(items []wire.Item, idx []uint8, order []int32) shardGroups {
+	g := shardGroups{order: order}
 	for i := range items {
 		si := shardIndex(items[i].Key)
 		idx[i] = uint8(si)
-		counts[si]++
+		g.counts[si]++
 	}
-	var starts [numShards]int32
 	sum := int32(0)
-	for si := range counts {
-		starts[si] = sum
-		sum += counts[si]
+	for si := range g.counts {
+		g.starts[si] = sum
+		sum += g.counts[si]
 	}
-	order := make([]int32, len(items))
-	next := starts
+	next := g.starts
 	for i := range items {
 		si := idx[i]
 		order[next[si]] = int32(i)
 		next[si]++
 	}
-	for si := range counts {
-		if counts[si] == 0 {
-			continue
-		}
-		sh := &s.shards[si]
-		sh.mu.Lock()
-		for _, i := range order[starts[si] : starts[si]+counts[si]] {
-			sh.apply(items[i])
-		}
-		sh.mu.Unlock()
+	return g
+}
+
+// applyAll applies items[i] for every i in which, under one hold of the lock.
+func (sh *shard) applyAll(items []wire.Item, which []int32) {
+	sh.mu.Lock()
+	for _, i := range which {
+		sh.apply(items[i])
 	}
+	sh.mu.Unlock()
 }
 
 // applyConcurrentMinItems is the batch size below which ApplyBatchConcurrent
@@ -129,8 +155,8 @@ const applyConcurrentMinItems = 64
 
 // ApplyBatchConcurrent is ApplyBatch with the per-shard apply work fanned out
 // over up to `workers` goroutines. Shards are disjoint, so workers never
-// contend on a chain; each worker takes a contiguous run of shards from the
-// same counting-sort grouping the serial path builds. The call returns only
+// contend on a chain; the workers share out the occupied shards of the same
+// counting-sort grouping the serial path builds. The call returns only
 // after every item has landed — callers that publish a version-clock bound
 // after the batch (the ΔR apply loop) get the same store-then-publish
 // ordering the serial path gives them, with the join acting as the round's
@@ -147,29 +173,12 @@ func (s *MVStore) ApplyBatchConcurrent(items []wire.Item, workers int) {
 // worker goroutines capture its state, which moves that state to the heap on
 // entry, and the serial fallback must not pay for that.
 func (s *MVStore) applyFannedOut(items []wire.Item, workers int) {
-	idx := make([]uint8, len(items))
-	var counts [numShards]int32
-	for i := range items {
-		si := shardIndex(items[i].Key)
-		idx[i] = uint8(si)
-		counts[si]++
-	}
-	var starts [numShards]int32
-	sum := int32(0)
+	g := groupByShard(items, make([]uint8, len(items)), make([]int32, len(items)))
 	occupied := 0
-	for si := range counts {
-		starts[si] = sum
-		sum += counts[si]
-		if counts[si] > 0 {
+	for _, c := range g.counts {
+		if c > 0 {
 			occupied++
 		}
-	}
-	order := make([]int32, len(items))
-	next := starts
-	for i := range items {
-		si := idx[i]
-		order[next[si]] = int32(i)
-		next[si]++
 	}
 	if workers > occupied {
 		workers = occupied
@@ -182,17 +191,12 @@ func (s *MVStore) applyFannedOut(items []wire.Item, workers int) {
 		go func(w int) {
 			defer wg.Done()
 			seen := 0
-			for si := range counts {
-				if counts[si] == 0 {
+			for si := range g.counts {
+				if g.counts[si] == 0 {
 					continue
 				}
 				if seen%workers == w {
-					sh := &s.shards[si]
-					sh.mu.Lock()
-					for _, i := range order[starts[si] : starts[si]+counts[si]] {
-						sh.apply(items[i])
-					}
-					sh.mu.Unlock()
+					s.shards[si].applyAll(items, g.shard(si))
 				}
 				seen++
 			}
