@@ -1,5 +1,5 @@
 // Command paris-vet is the repo's custom static-analysis multichecker. It
-// bundles the five invariant analyzers from internal/analysis/... and runs
+// bundles the four invariant analyzers from internal/analysis/... and runs
 // in two modes:
 //
 //   - as a `go vet` tool: `go vet -vettool=$(which paris-vet) ./...`. The go
@@ -35,7 +35,6 @@ import (
 	"github.com/paris-kv/paris/internal/analysis/lockhold"
 	"github.com/paris-kv/paris/internal/analysis/monotonicts"
 	"github.com/paris-kv/paris/internal/analysis/poolescape"
-	"github.com/paris-kv/paris/internal/analysis/wiresync"
 )
 
 // analyzers is the multichecker's suite, in reporting order.
@@ -43,7 +42,6 @@ var analyzers = []*analysis.Analyzer{
 	monotonicts.Analyzer,
 	poolescape.Analyzer,
 	lockhold.Analyzer,
-	wiresync.Analyzer,
 	ctxdeadline.Analyzer,
 }
 

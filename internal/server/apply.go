@@ -153,11 +153,11 @@ func (s *Server) applyTick(round, label int64) {
 // The chunks outlive the round in the pumps' queues, so the backings are
 // fresh every round; chunks and sizes are the caller's scratch.
 //
-// Each chunk's wire.ApproxSize is appended to sizes, accumulated while the
-// groups are built: the builder walks every key/value anyway, so the flow
-// pumps can account queue depth and credit charges without a second
-// full-payload walk per destination (emptyBatchSize + the group sums
-// reproduce ApproxSize exactly; batchsize_test.go pins the equality).
+// Each chunk's wire.ApproxSize is appended to sizes, summed from
+// wire.GroupSize while the groups are built, so the flow pumps can account
+// queue depth and credit charges without a second full-payload walk per
+// destination (emptyBatchSize + the group sums reproduce ApproxSize exactly;
+// batchsize_test.go pins the equality).
 func buildReplicateBatches(chunks []wire.ReplicateBatch, sizes []int, src topology.DCID, round int64, ready []committedTx, ub hlc.Timestamp, maxBytes int) ([]wire.ReplicateBatch, []int) {
 	var (
 		txns   []wire.TxUpdates
@@ -187,20 +187,16 @@ func buildReplicateBatches(chunks []wire.ReplicateBatch, sizes []int, src topolo
 	}
 	for start := 0; start < len(ready); {
 		end := start
-		gBytes := replGroupHeadSize
 		for ; end < len(ready) && ready[end].ct == ready[start].ct; end++ {
 			c := &ready[end]
 			txns[end] = wire.TxUpdates{TxID: c.id, SrcDC: c.srcDC, Writes: c.writes}
-			gBytes += replTxnHeadSize
-			for _, kv := range c.writes {
-				// Key/value bytes plus the codec's per-write framing.
-				gBytes += len(kv.Key) + len(kv.Value) + replWriteHeadSize
-			}
 		}
+		g := wire.ReplicateGroup{CT: ready[start].ct, Txns: txns[start:end:end]}
+		gBytes := wire.GroupSize(g)
 		if len(groups) > first && bytes+gBytes > maxBytes {
 			cut(groups[len(groups)-1].CT)
 		}
-		groups = append(groups, wire.ReplicateGroup{CT: ready[start].ct, Txns: txns[start:end:end]})
+		groups = append(groups, g)
 		bytes += gBytes
 		start = end
 	}
@@ -217,15 +213,6 @@ func byCTThenID(a, b committedTx) int {
 	}
 	return cmp.Compare(a.id, b.id)
 }
-
-// Per-level framing constants of wire.ApproxSize's ReplicateBatch walk, so
-// the builder's running byte count reproduces the estimate exactly (the base
-// is emptyBatchSize in flowpump.go).
-const (
-	replGroupHeadSize = 16 + 4    // CT, txn count
-	replTxnHeadSize   = 8 + 4 + 4 // TxID, SrcDC, write count
-	replWriteHeadSize = 4 + 4     // key/value length prefixes
-)
 
 // handleReplicateBatch implements Alg. 4 lines 23–33 for one chunk: it
 // applies every group of the chunk in a single store pass (one shard-lock acquisition per shard

@@ -199,10 +199,9 @@ func (s *Server) pumpFor(dc topology.DCID) *flowPump {
 // submit hands one ΔR round's chunks to the pump, which copies them: chunks
 // is the round's scratch, and the Groups backings behind it are shared across
 // destinations and must not be mutated in place. sizes, when non-nil,
-// carries each chunk's wire.ApproxSize as accumulated by
-// buildReplicateBatches — the builder walks every key/value anyway, so the
-// pumps skip the per-destination re-walk of the payload; a nil sizes (tests,
-// hand-built chunks) falls back to computing it here.
+// carries each chunk's wire.ApproxSize as summed by buildReplicateBatches,
+// so the pumps skip the per-destination re-walk of the payload; a nil sizes
+// (tests, hand-built chunks) falls back to computing it here.
 func (p *flowPump) submit(chunks []wire.ReplicateBatch, sizes []int, ub hlc.Timestamp) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -261,8 +260,9 @@ func (p *flowPump) resumeIfDrained() {
 	}
 }
 
-// emptyBatchSize is the approximate encoded size of a ReplicateBatch with
-// no groups — the fixed header a coalesced merge does not pay twice.
+// emptyBatchSize is wire.ApproxSize of a ReplicateBatch with no groups — the
+// fixed header a coalesced merge does not pay twice. The estimate is
+// additive, so a chunk's size less this header is its groups' wire.GroupSize.
 var emptyBatchSize = wire.ApproxSize(wire.ReplicateBatch{})
 
 // merge folds chunk b (of approximate size bytes) into the entry: groups

@@ -79,7 +79,7 @@ func TestBuildRepairChunksEmptyRangeIsSingleBound(t *testing.T) {
 // pump toward the requester's DC in the next apply round, in chunks of the
 // cap, all naming the stream position after the round's own chunk.
 func TestMaybeReplSyncServesChunkedRepair(t *testing.T) {
-	// Items cost 39 bytes each: a 40-byte cap holds one.
+	// Items cost 38 bytes each (wire.ItemSize): a 40-byte cap holds one.
 	rig := newTestRig(t, ModeNonBlocking, func(c *Config) { c.BatchMaxBytes = 40 })
 	s := rig.srv
 

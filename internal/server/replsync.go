@@ -206,7 +206,7 @@ func (s *Server) buildRepairChunks(items []wire.Item, nextSeq uint64, ub hlc.Tim
 	cur := newChunk()
 	bytes := 0
 	for i, it := range items {
-		itBytes := len(it.Key) + len(it.Value) + repairItemHeadSize
+		itBytes := wire.ItemSize(it)
 		// Split between UT groups only: a chunk may close here iff the next
 		// item's timestamp is strictly above the last included one.
 		if len(cur.Items) > 0 && it.UT != items[i-1].UT &&
@@ -222,10 +222,6 @@ func (s *Server) buildRepairChunks(items []wire.Item, nextSeq uint64, ub hlc.Tim
 	cur.UpTo = ub
 	return append(chunks, cur)
 }
-
-// repairItemHeadSize is wire.ApproxSize's per-item framing for ReplSyncResp
-// (length prefixes, UT, TxID, SrcDC).
-const repairItemHeadSize = 4 + 4 + 16 + 8 + 4
 
 // handleReplSyncResp installs a repair: apply the missing versions, thaw
 // the stream at the sender-designated position, and only then republish the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -55,7 +56,9 @@ func TestFrameQuickRoundTrip(t *testing.T) {
 			// of class are representable on the wire.
 			Class:     Class(class &^ frameTagBit),
 			RequestID: reqID,
-			Msg:       wire.ReplicateBatch{SrcDC: topology.DCID(dc), UpTo: hlc.Timestamp(ts)},
+			// The header carries any int32 DC; a message's DC id must be
+			// non-negative, or the decoder rejects it as malformed.
+			Msg: wire.ReplicateBatch{SrcDC: topology.DCID(dc & math.MaxInt32), UpTo: hlc.Timestamp(ts)},
 		}
 		got, err := decodeFrame(encodeFrame(env)[4:])
 		return err == nil && got.From == env.From && got.Class == env.Class &&

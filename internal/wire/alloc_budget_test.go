@@ -44,3 +44,21 @@ func TestAllocBudgetDecode(t *testing.T) {
 	check("a CommitReq of one write", CommitReq{TxID: NewTxID(0, 1, 7), HWT: hlc.New(950, 0),
 		Writes: []KV{{Key: "user:000001", Value: []byte("v")}}}, 4)
 }
+
+// TestAllocBudgetEncode pins that encoding a message into a buffer with room
+// and sizing it allocate nothing: the codec, and the message copy it walks,
+// stay on the stack.
+func TestAllocBudgetEncode(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	buf := make([]byte, 0, 1<<12)
+	for _, msg := range sampleMessages() {
+		if got := testing.AllocsPerRun(100, func() { buf = AppendMessage(buf[:0], msg) }); got != 0 {
+			t.Errorf("encoding %v allocates %.1f, budget 0", msg.Kind(), got)
+		}
+		if got := testing.AllocsPerRun(100, func() { _ = ApproxSize(msg) }); got != 0 {
+			t.Errorf("sizing %v allocates %.1f, budget 0", msg.Kind(), got)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"github.com/paris-kv/paris/internal/hlc"
@@ -105,13 +106,22 @@ func FuzzDecode(f *testing.F) {
 	// A retired kind with what used to be a well-formed Heartbeat body.
 	f.Add(binary.LittleEndian.AppendUint64([]byte{byte(KindHeartbeat), 1}, 5))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Whatever the decoder accepts must re-encode and decode back to the
-		// same value: the codec is a bijection on its accepted inputs.
-		// Decoding a copy leaves the engine's input untouched.
+		// Whatever the decoder accepts is the encoding of what it decodes to,
+		// and decodes back to the same value: the codec is a bijection on its
+		// accepted inputs. Decoding a copy leaves the engine's input
+		// untouched.
 		in := bytes.Clone(data)
 		msg, err := Decode(in)
 		if err != nil {
 			return
+		}
+		if again := Encode(msg); !bytes.Equal(again, data) {
+			t.Fatalf("%v: accepted %x, which re-encodes as %x", msg.Kind(), data, again)
+		}
+		// The size model bounds every frame the decoder accepts: flow
+		// control charges a message before it is encoded.
+		if size := ApproxSize(msg); size < len(data) {
+			t.Fatalf("%v: ApproxSize %d below its %d-byte frame %x", msg.Kind(), size, len(data), data)
 		}
 		first := Encode(msg)
 		msg2, err := Decode(first)
@@ -167,6 +177,13 @@ func FuzzReplicateBatch(f *testing.F) {
 		}
 		data := Encode(msg)
 		got, err := Decode(data)
+		if srcDC < 0 {
+			// A negative id encodes above MaxInt32, which no decoder accepts.
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("decode of a batch from DC %d = %v, want ErrMalformed", srcDC, err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("decode of encoded batch failed: %v", err)
 		}

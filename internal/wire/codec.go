@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"github.com/paris-kv/paris/internal/hlc"
 	"github.com/paris-kv/paris/internal/topology"
@@ -18,18 +20,25 @@ import (
 // previous one of the same type. Commit timestamps inside a batch are dense
 // and ascending, and TxIDs from one coordinator differ only in their low
 // sequence bits, so the chains collapse both to one or two bytes each.
+//
+// Each message type describes its body once, as a walk method that lists its
+// fields in wire order (message.go), and walkMsg is the one list of kinds.
+// Encode, Decode and ApproxSize all run that walk, over a codec in the
+// matching mode.
 
 // ErrTruncated reports a message shorter than its declared contents.
 var ErrTruncated = errors.New("wire: truncated message")
 
 // ErrMalformed reports a structurally invalid message: a varint that
-// overflows its field, a retired message kind, or a version this build does
-// not speak.
+// overflows its field or is not in its shortest form, an enum value out of
+// range, a retired message kind, or a version this build does not speak.
 var ErrMalformed = errors.New("wire: malformed message")
 
-// maxSliceLen bounds decoded slice lengths to keep a corrupt or malicious
-// length prefix from allocating unbounded memory.
-const maxSliceLen = 1 << 26 // 64 Mi elements / bytes
+var (
+	errRetiredKind = fmt.Errorf("%w: retired message kind", ErrMalformed)
+	errUnknownKind = errors.New("wire: unknown message kind")
+	errUnencodable = errors.New("wire: message type does not match its kind")
+)
 
 // Encode serializes msg (kind byte + body) into a fresh buffer.
 func Encode(msg Message) []byte {
@@ -40,135 +49,14 @@ func Encode(msg Message) []byte {
 // It is single-pass: the message is walked exactly once, appending as it
 // goes — there is no size pre-computation step.
 func AppendMessage(buf []byte, msg Message) []byte {
-	e := enc{buf: buf}
-	e.buf = append(e.buf, byte(msg.Kind()))
-	switch m := msg.(type) {
-	case StartTxReq:
-		e.ts(m.ClientUST)
-	case StartTxResp:
-		e.id(m.TxID)
-		e.ts(m.Snapshot)
-	case ReadReq:
-		e.id(m.TxID)
-		e.ts(m.ClientUST)
-		e.strings(m.Keys)
-		e.cached(m.Cached)
-	case ReadResp:
-		e.id(m.TxID)
-		e.ts(m.Snapshot)
-		e.items(m.Items)
-	case CommitReq:
-		e.id(m.TxID)
-		e.ts(m.ClientUST)
-		e.ts(m.HWT)
-		e.kvs(m.Writes)
-	case CommitResp:
-		e.id(m.TxID)
-		e.ts(m.Snapshot)
-		e.ts(m.CommitTS)
-	case FinishTx:
-		e.id(m.TxID)
-	case ReadSliceReq:
-		e.strings(m.Keys)
-		e.ts(m.Snapshot)
-	case ReadSliceResp:
-		e.items(m.Items)
-	case PrepareReq:
-		e.id(m.TxID)
-		e.ts(m.Snapshot)
-		e.ts(m.HT)
-		e.kvs(m.Writes)
-	case PrepareResp:
-		e.id(m.TxID)
-		e.ts(m.Proposed)
-	case PrepareBatch:
-		e.count(len(m.Reqs))
-		for _, p := range m.Reqs {
-			e.id(p.TxID)
-			e.ts(p.Snapshot)
-			e.ts(p.HT)
-			e.kvs(p.Writes)
-		}
-	case PrepareBatchResp:
-		e.count(len(m.Resps))
-		for _, r := range m.Resps {
-			e.id(r.TxID)
-			e.ts(r.Proposed)
-			e.u16(r.Code)
-			e.string(r.Msg)
-		}
-	case CohortCommit:
-		e.id(m.TxID)
-		e.ts(m.CommitTS)
-	case CommitRecover:
-		e.id(m.TxID)
-		e.ts(m.CommitTS)
-		e.kvs(m.Writes)
-	case AbortTx:
-		e.id(m.TxID)
-	case TxStatusReq:
-		e.id(m.TxID)
-	case TxStatusResp:
-		e.id(m.TxID)
-		e.u8(uint8(m.Status))
-		e.ts(m.CommitTS)
-	case ReplicateBatch:
-		e.u32(uint32(m.SrcDC))
-		e.u64(m.Epoch)
-		e.u64(m.Seq)
-		e.ts(m.UpTo)
-		e.ts(m.UST)
-		e.ts(m.Sold)
-		e.u64(m.Round)
-		e.count(len(m.Groups))
-		for _, g := range m.Groups {
-			e.ts(g.CT)
-			e.txns(g.Txns)
-		}
-	case ReplSyncReq:
-		e.u32(uint32(m.ReqDC))
-		e.ts(m.FromTS)
-	case ReplSyncResp:
-		e.u32(uint32(m.SrcDC))
-		e.u64(m.Epoch)
-		e.u64(m.NextSeq)
-		e.ts(m.UpTo)
-		e.items(m.Items)
-	case ReplStatus:
-		e.u32(uint32(m.SrcDC))
-		e.u64(m.Epoch)
-		e.u64(m.NextSeq)
-		e.ts(m.UpTo)
-		e.ts(m.UST)
-		e.ts(m.Sold)
-		e.u64(m.QueuedBytes)
-	case GSTUp:
-		e.bool(m.Active)
-		e.ts(m.Min)
-		e.ts(m.Oldest)
-		e.u64(m.Round)
-	case GSTRoot:
-		e.u32(uint32(m.DC))
-		e.bool(m.Active)
-		e.ts(m.Min)
-		e.ts(m.Oldest)
-		e.u64(m.Round)
-	case USTDown:
-		e.ts(m.UST)
-		e.ts(m.Sold)
-		e.bool(m.Active)
-	case ErrorResp:
-		e.u16(m.Code)
-		e.string(m.Msg)
-	default:
-		// Unreachable for the closed Message set; keep the byte stream valid
-		// by encoding an error so a peer fails loudly instead of hanging.
-		e.buf = e.buf[:len(e.buf)-1]
-		e.buf = append(e.buf, byte(KindError))
-		e.u16(0)
-		e.string(fmt.Sprintf("unencodable message %T", msg))
+	c := codec{mode: encoding, buf: append(buf, byte(msg.Kind()))}
+	if walkMsg(&c, msg.Kind(), msg); c.err != nil {
+		// msg's type is not the one its kind describes (a pointer to a
+		// message, say). Keep the byte stream valid by encoding an error, so
+		// a peer fails loudly instead of hanging.
+		return AppendMessage(buf, ErrorResp{Msg: fmt.Sprintf("unencodable message %T", msg)})
 	}
-	return e.buf
+	return c.buf
 }
 
 // Decode parses a message previously produced by Encode/AppendMessage. The
@@ -179,226 +67,145 @@ func Decode(data []byte) (Message, error) {
 	if len(data) == 0 {
 		return nil, ErrTruncated
 	}
-	kind, r := Kind(data[0]), reader{buf: data[1:]}
-	var msg Message
-	switch kind {
-	case KindStartTxReq:
-		msg = StartTxReq{ClientUST: r.ts()}
-	case KindStartTxResp:
-		msg = StartTxResp{TxID: r.id(), Snapshot: r.ts()}
-	case KindReadReq:
-		msg = ReadReq{TxID: r.id(), ClientUST: r.ts(), Keys: r.strings(), Cached: r.cached()}
-	case KindReadResp:
-		msg = ReadResp{TxID: r.id(), Snapshot: r.ts(), Items: r.items()}
-	case KindCommitReq:
-		msg = CommitReq{TxID: r.id(), ClientUST: r.ts(), HWT: r.ts(), Writes: r.kvs()}
-	case KindCommitResp:
-		msg = CommitResp{TxID: r.id(), Snapshot: r.ts(), CommitTS: r.ts()}
-	case KindFinishTx:
-		msg = FinishTx{TxID: r.id()}
-	case KindReadSliceReq:
-		msg = ReadSliceReq{Keys: r.strings(), Snapshot: r.ts()}
-	case KindReadSliceResp:
-		msg = ReadSliceResp{Items: r.items()}
-	case KindPrepareReq:
-		msg = PrepareReq{TxID: r.id(), Snapshot: r.ts(), HT: r.ts(), Writes: r.kvs()}
-	case KindPrepareResp:
-		msg = PrepareResp{TxID: r.id(), Proposed: r.ts()}
-	case KindPrepareBatch:
-		pb := PrepareBatch{}
-		if n := r.sliceLen(); n > 0 {
-			pb.Reqs = make([]PrepareReq, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				pb.Reqs = append(pb.Reqs, PrepareReq{
-					TxID: r.id(), Snapshot: r.ts(), HT: r.ts(), Writes: r.kvs(),
-				})
-			}
-		}
-		msg = pb
-	case KindPrepareBatchResp:
-		pr := PrepareBatchResp{}
-		if n := r.sliceLen(); n > 0 {
-			pr.Resps = make([]PrepareResult, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				pr.Resps = append(pr.Resps, PrepareResult{
-					TxID: r.id(), Proposed: r.ts(), Code: r.u16(), Msg: r.string(),
-				})
-			}
-		}
-		msg = pr
-	case KindCohortCommit:
-		msg = CohortCommit{TxID: r.id(), CommitTS: r.ts()}
-	case KindCommitRecover:
-		msg = CommitRecover{TxID: r.id(), CommitTS: r.ts(), Writes: r.kvs()}
-	case KindAbortTx:
-		msg = AbortTx{TxID: r.id()}
-	case KindTxStatusReq:
-		msg = TxStatusReq{TxID: r.id()}
-	case KindTxStatusResp:
-		msg = TxStatusResp{TxID: r.id(), Status: TxStatus(r.u8()), CommitTS: r.ts()}
-	case KindReplicateBatch:
-		rep := ReplicateBatch{SrcDC: topology.DCID(r.u32()), Epoch: r.u64(), Seq: r.u64(),
-			UpTo: r.ts(), UST: r.ts(), Sold: r.ts(), Round: r.u64()}
-		n := r.sliceLen()
-		if n > 0 {
-			rep.Groups = make([]ReplicateGroup, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				rep.Groups = append(rep.Groups, ReplicateGroup{CT: r.ts(), Txns: r.txns()})
-			}
-		}
-		msg = rep
-	case KindReplSyncReq:
-		msg = ReplSyncReq{ReqDC: topology.DCID(r.u32()), FromTS: r.ts()}
-	case KindReplSyncResp:
-		msg = ReplSyncResp{SrcDC: topology.DCID(r.u32()), Epoch: r.u64(), NextSeq: r.u64(), UpTo: r.ts(), Items: r.items()}
-	case KindReplStatus:
-		msg = ReplStatus{SrcDC: topology.DCID(r.u32()), Epoch: r.u64(), NextSeq: r.u64(),
-			UpTo: r.ts(), UST: r.ts(), Sold: r.ts(), QueuedBytes: r.u64()}
-	case KindGSTUp:
-		msg = GSTUp{Active: r.bool(), Min: r.ts(), Oldest: r.ts(), Round: r.u64()}
-	case KindGSTRoot:
-		msg = GSTRoot{DC: topology.DCID(r.u32()), Active: r.bool(), Min: r.ts(), Oldest: r.ts(), Round: r.u64()}
-	case KindUSTDown:
-		msg = USTDown{UST: r.ts(), Sold: r.ts(), Active: r.bool()}
-	case KindError:
-		msg = ErrorResp{Code: r.u16(), Msg: r.string()}
-	case KindReplicate, KindHeartbeat, KindHello:
-		return nil, fmt.Errorf("%w: retired message kind %v", ErrMalformed, kind)
-	default:
-		return nil, fmt.Errorf("wire: unknown message kind %d", kind)
+	kind, c := Kind(data[0]), codec{mode: decoding, buf: data[1:]}
+	msg := walkMsg(&c, kind, nil)
+	if c.err != nil {
+		return nil, fmt.Errorf("wire: decoding %v: %w", kind, c.err)
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("wire: decoding %v: %w", kind, r.err)
-	}
-	if len(r.buf) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %v", len(r.buf), kind)
+	if len(c.buf) != 0 {
+		return nil, fmt.Errorf("wire: %d trailing bytes after %v", len(c.buf), kind)
 	}
 	return msg, nil
 }
 
-// zigzag folds a signed delta into an unsigned varint-friendly value
-// (0, -1, 1, -2, ... → 0, 1, 2, 3, ...).
-func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
-
-// unzigzag inverts zigzag.
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// --- encode side ---
-
-// enc is the writer. Delta chains (prevTS/prevID) reset per message: an enc
-// value encodes exactly one message body.
-type enc struct {
-	buf []byte
-
-	hasTS, hasID   bool
-	prevTS, prevID uint64
+// ApproxSize bounds a message's encoded size from above without encoding
+// it: every field is charged its widest encoding. The flow-control layer
+// uses it to charge token buckets and account send-queue depth, and MemNet
+// uses it to model link serialization time. The bound is additive: a
+// ReplicateBatch's is that of the batch without its groups plus GroupSize of
+// each group, and a ReplSyncResp's that of the response without its items
+// plus ItemSize of each item.
+func ApproxSize(msg Message) int {
+	c := codec{mode: sizing, size: 1} // the kind byte
+	walkMsg(&c, msg.Kind(), msg)
+	return c.size
 }
 
-func (e *enc) u8(v uint8) { e.buf = append(e.buf, v) }
+// GroupSize is ApproxSize's charge for one group of a ReplicateBatch.
+func GroupSize(g ReplicateGroup) int {
+	c := codec{mode: sizing}
+	c.group(&g)
+	return c.size
+}
 
-func (e *enc) bool(v bool) {
-	if v {
-		e.buf = append(e.buf, 1)
-	} else {
-		e.buf = append(e.buf, 0)
+// ItemSize is ApproxSize's charge for one item of a ReplSyncResp, ReadResp
+// or ReadSliceResp.
+func ItemSize(it Item) int {
+	c := codec{mode: sizing}
+	c.item(&it)
+	return c.size
+}
+
+// walkMsg walks the body of a message of kind k. Encoding and sizing walk
+// msg, which must have kind k's type; decoding walks a zero message of that
+// type and returns it.
+func walkMsg(c *codec, k Kind, msg Message) Message {
+	switch k {
+	case KindStartTxReq:
+		return as(c, msg, (*StartTxReq).walk)
+	case KindStartTxResp:
+		return as(c, msg, (*StartTxResp).walk)
+	case KindReadReq:
+		return as(c, msg, (*ReadReq).walk)
+	case KindReadResp:
+		return as(c, msg, (*ReadResp).walk)
+	case KindCommitReq:
+		return as(c, msg, (*CommitReq).walk)
+	case KindCommitResp:
+		return as(c, msg, (*CommitResp).walk)
+	case KindFinishTx:
+		return as(c, msg, (*FinishTx).walk)
+	case KindReadSliceReq:
+		return as(c, msg, (*ReadSliceReq).walk)
+	case KindReadSliceResp:
+		return as(c, msg, (*ReadSliceResp).walk)
+	case KindPrepareReq:
+		return as(c, msg, (*PrepareReq).walk)
+	case KindPrepareResp:
+		return as(c, msg, (*PrepareResp).walk)
+	case KindCohortCommit:
+		return as(c, msg, (*CohortCommit).walk)
+	case KindGSTUp:
+		return as(c, msg, (*GSTUp).walk)
+	case KindGSTRoot:
+		return as(c, msg, (*GSTRoot).walk)
+	case KindUSTDown:
+		return as(c, msg, (*USTDown).walk)
+	case KindError:
+		return as(c, msg, (*ErrorResp).walk)
+	case KindReplicateBatch:
+		return as(c, msg, (*ReplicateBatch).walk)
+	case KindAbortTx:
+		return as(c, msg, (*AbortTx).walk)
+	case KindTxStatusReq:
+		return as(c, msg, (*TxStatusReq).walk)
+	case KindTxStatusResp:
+		return as(c, msg, (*TxStatusResp).walk)
+	case KindPrepareBatch:
+		return as(c, msg, (*PrepareBatch).walk)
+	case KindPrepareBatchResp:
+		return as(c, msg, (*PrepareBatchResp).walk)
+	case KindCommitRecover:
+		return as(c, msg, (*CommitRecover).walk)
+	case KindReplSyncReq:
+		return as(c, msg, (*ReplSyncReq).walk)
+	case KindReplSyncResp:
+		return as(c, msg, (*ReplSyncResp).walk)
+	case KindReplStatus:
+		return as(c, msg, (*ReplStatus).walk)
+	case KindReplicate, KindHeartbeat, KindHello:
+		c.fail(errRetiredKind)
+	default:
+		c.fail(errUnknownKind)
 	}
+	return nil
 }
 
-func (e *enc) u16(v uint16) { e.buf = binary.AppendUvarint(e.buf, uint64(v)) }
-
-func (e *enc) u32(v uint32) { e.buf = binary.AppendUvarint(e.buf, uint64(v)) }
-
-func (e *enc) u64(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-
-// ts writes a timestamp: the first timestamp of the message is fixed 8 bytes
-// and every later one is a zigzag varint delta against the previous
-// timestamp written.
-func (e *enc) ts(t hlc.Timestamp) {
-	if !e.hasTS {
-		e.hasTS, e.prevTS = true, uint64(t)
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(t))
-		return
+// as walks msg as a T with T's walk method. Decoding returns the decoded T;
+// encoding and sizing return nothing, and fail unless msg is a T. Only
+// decoding boxes: as is inlined into walkMsg, where walk becomes a direct
+// call and T stays on the stack, so encoding and sizing allocate nothing
+// (TestAllocBudgetEncode). A switch over walk methods called through an
+// interface or a table would move every message and codec to the heap.
+func as[T Message](c *codec, msg Message, walk func(*T, *codec)) Message {
+	m, ok := msg.(T)
+	walk(&m, c)
+	if c.mode == decoding {
+		return m
 	}
-	d := int64(uint64(t) - e.prevTS)
-	e.prevTS = uint64(t)
-	e.buf = binary.AppendUvarint(e.buf, zigzag(d))
-}
-
-// id writes a TxID the same way ts writes timestamps, on its own chain:
-// consecutive ids from one coordinator differ only in the low sequence
-// bits, so the deltas are tiny.
-func (e *enc) id(v TxID) {
-	if !e.hasID {
-		e.hasID, e.prevID = true, uint64(v)
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v))
-		return
+	if !ok {
+		c.fail(errUnencodable)
 	}
-	d := int64(uint64(v) - e.prevID)
-	e.prevID = uint64(v)
-	e.buf = binary.AppendUvarint(e.buf, zigzag(d))
+	return nil
 }
 
-// count writes a slice length (or string/bytes length) prefix.
-func (e *enc) count(n int) { e.u32(uint32(n)) }
+type mode uint8
 
-func (e *enc) string(s string) {
-	e.count(len(s))
-	e.buf = append(e.buf, s...)
-}
+const (
+	encoding mode = iota
+	decoding
+	sizing
+)
 
-func (e *enc) bytes(b []byte) {
-	e.count(len(b))
-	e.buf = append(e.buf, b...)
-}
-
-func (e *enc) strings(ss []string) {
-	e.count(len(ss))
-	for _, s := range ss {
-		e.string(s)
-	}
-}
-
-func (e *enc) cached(cks []CachedKey) {
-	e.count(len(cks))
-	for _, ck := range cks {
-		e.string(ck.Key)
-		e.ts(ck.UT)
-	}
-}
-
-func (e *enc) kvs(kvs []KV) {
-	e.count(len(kvs))
-	for _, kv := range kvs {
-		e.string(kv.Key)
-		e.bytes(kv.Value)
-	}
-}
-
-func (e *enc) txns(txns []TxUpdates) {
-	e.count(len(txns))
-	for _, tx := range txns {
-		e.id(tx.TxID)
-		e.u32(uint32(tx.SrcDC))
-		e.kvs(tx.Writes)
-	}
-}
-
-func (e *enc) items(items []Item) {
-	e.count(len(items))
-	for _, it := range items {
-		e.string(it.Key)
-		e.bytes(it.Value)
-		e.ts(it.UT)
-		e.id(it.TxID)
-		e.u32(uint32(it.SrcDC))
-	}
-}
-
-// --- decode side ---
-
-// reader consumes a buffer with sticky error handling: after the first
-// failure every accessor returns zero values and the error survives for the
-// caller to report.
+// codec walks one message body. Encoding appends each field to buf.
+// Decoding consumes buf with sticky error handling: after the first failure
+// every field is left zero and err survives for the caller to report.
+// Sizing adds each field's widest encoding to size. The timestamp and TxID
+// delta chains reset per message, so a codec walks exactly one body.
+//
+// Only decoding writes through the field pointers it is walked with:
+// encoding and sizing read the message, which may be shared by goroutines
+// encoding it for different peers.
 //
 // A decoded message never aliases its input (the transport reuses one frame
 // buffer per connection), yet costs a fixed number of allocations however
@@ -407,9 +214,11 @@ func (e *enc) items(items []Item) {
 // carved out of one mutable arena, taken at its first non-empty value. The
 // price is retention: a decoded key keeps its message's string copy alive,
 // just as a decoded value keeps its message's byte arena alive.
-type reader struct {
-	buf []byte
-	err error
+type codec struct {
+	mode mode
+	buf  []byte
+	size int
+	err  error
 
 	hasTS, hasID   bool
 	prevTS, prevID uint64
@@ -420,237 +229,253 @@ type reader struct {
 	arena []byte
 }
 
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = ErrTruncated
+func (c *codec) fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
 }
 
-// failMalformed marks a structural error (varint overflow) rather than a
-// short buffer.
-func (r *reader) failMalformed() {
-	if r.err == nil {
-		r.err = ErrMalformed
+// store sets a decoded field.
+func store[T any](c *codec, p *T, v T) {
+	if c.mode == decoding {
+		*p = v
 	}
 }
 
-func (r *reader) u8() uint8 {
-	if r.err != nil || len(r.buf) < 1 {
-		r.fail()
-		return 0
+// u8 walks a one-byte field of value v; decoding rejects a value outside
+// [lo, hi].
+func (c *codec) u8(v, lo, hi uint8) uint8 {
+	switch {
+	case c.mode == encoding:
+		c.buf = append(c.buf, v)
+	case c.mode == sizing:
+		c.size++
+	case c.err != nil:
+	case len(c.buf) == 0:
+		c.fail(ErrTruncated)
+	case c.buf[0] < lo || c.buf[0] > hi:
+		c.fail(ErrMalformed)
+	default:
+		v, c.buf = c.buf[0], c.buf[1:]
 	}
-	v := r.buf[0]
-	r.buf = r.buf[1:]
 	return v
 }
 
-func (r *reader) bool() bool { return r.u8() != 0 }
-
-// fix64 reads a fixed-width little-endian u64 (the head of a delta chain).
-func (r *reader) fix64() uint64 {
-	if r.err != nil || len(r.buf) < 8 {
-		r.fail()
-		return 0
+func (c *codec) bool(p *bool) {
+	var v uint8
+	if *p {
+		v = 1
 	}
-	v := binary.LittleEndian.Uint64(r.buf)
-	r.buf = r.buf[8:]
-	return v
+	store(c, p, c.u8(v, 0, 1) == 1)
 }
 
-// uvarint reads an unsigned varint.
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		if n == 0 {
-			r.fail() // ran out of bytes mid-varint
-		} else {
-			r.failMalformed() // > 64-bit overflow
+// status walks a TxStatus; decoding rejects a value that names no status.
+func (c *codec) status(p *TxStatus) {
+	store(c, p, TxStatus(c.u8(uint8(*p), uint8(TxStatusPending), uint8(TxStatusUnknown))))
+}
+
+func (c *codec) u16(p *uint16) { store(c, p, uint16(c.varint(uint64(*p), math.MaxUint16))) }
+
+func (c *codec) u64(p *uint64) { store(c, p, c.varint(*p, math.MaxUint64)) }
+
+// dc walks a data center id; decoding rejects a value above MaxInt32, which
+// would become a negative DCID.
+func (c *codec) dc(p *topology.DCID) {
+	store(c, p, topology.DCID(c.varint(uint64(uint32(*p)), math.MaxInt32)))
+}
+
+func (c *codec) ts(p *hlc.Timestamp) {
+	store(c, p, hlc.Timestamp(c.chain(uint64(*p), &c.hasTS, &c.prevTS)))
+}
+
+// id walks a TxID on a chain of its own: consecutive ids from one
+// coordinator differ only in the low sequence bits, so the deltas are tiny.
+func (c *codec) id(p *TxID) { store(c, p, TxID(c.chain(uint64(*p), &c.hasID, &c.prevID))) }
+
+// varint walks an unsigned varint of value v, at most limit. Decoding
+// returns the value read and rejects one above limit or not in its shortest
+// form; sizing charges the encoding of limit.
+func (c *codec) varint(v, limit uint64) uint64 {
+	switch c.mode {
+	case encoding:
+		c.buf = binary.AppendUvarint(c.buf, v)
+	case sizing:
+		c.size += (bits.Len64(limit) + 6) / 7
+	default:
+		if c.err != nil {
+			return 0
 		}
-		return 0
+		v, n := binary.Uvarint(c.buf)
+		if n == 0 {
+			c.fail(ErrTruncated) // ran out of bytes mid-varint
+			return 0
+		}
+		if n < 0 || v > limit || n > 1 && c.buf[n-1] == 0 {
+			c.fail(ErrMalformed)
+			return 0
+		}
+		c.buf = c.buf[n:]
+		return v
 	}
-	r.buf = r.buf[n:]
 	return v
 }
 
-func (r *reader) u16() uint16 {
-	v := r.uvarint()
-	if v > 1<<16-1 {
-		r.failMalformed()
-		return 0
+// chain walks value v of a delta chain whose state is (started, prev): the
+// chain's first value is a fixed 8 bytes, little-endian, every later one a
+// zigzag varint of its difference from the value before (which varint
+// returns as written when encoding). Sizing charges a ten-byte delta.
+func (c *codec) chain(v uint64, started *bool, prev *uint64) uint64 {
+	switch {
+	case c.mode == sizing:
+		c.size += binary.MaxVarintLen64
+	case *started:
+		v = *prev + uint64(unzigzag(c.varint(zigzag(int64(v-*prev)), math.MaxUint64)))
+	case c.mode == encoding:
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, v)
+	case c.err != nil || len(c.buf) < 8:
+		c.fail(ErrTruncated)
+	default:
+		v, c.buf = binary.LittleEndian.Uint64(c.buf), c.buf[8:]
 	}
-	return uint16(v)
+	*started, *prev = true, v
+	return v
 }
 
-func (r *reader) u32() uint32 {
-	v := r.uvarint()
-	if v > 1<<32-1 {
-		r.failMalformed()
-		return 0
-	}
-	return uint32(v)
-}
+// zigzag folds a signed delta into an unsigned varint-friendly value
+// (0, -1, 1, -2, ... → 0, 1, 2, 3, ...).
+func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 
-func (r *reader) u64() uint64 { return r.uvarint() }
+// unzigzag inverts zigzag.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// ts reads a timestamp, inverting enc.ts's per-message delta chain.
-func (r *reader) ts() hlc.Timestamp {
-	if !r.hasTS {
-		r.hasTS = true
-		r.prevTS = r.fix64()
-		return hlc.Timestamp(r.prevTS)
-	}
-	r.prevTS += uint64(unzigzag(r.uvarint()))
-	return hlc.Timestamp(r.prevTS)
-}
-
-// id reads a TxID, inverting enc.id's chain.
-func (r *reader) id() TxID {
-	if !r.hasID {
-		r.hasID = true
-		r.prevID = r.fix64()
-		return TxID(r.prevID)
-	}
-	r.prevID += uint64(unzigzag(r.uvarint()))
-	return TxID(r.prevID)
-}
-
-// length reads a string/bytes/slice length prefix with the sanity cap
-// applied.
-func (r *reader) length() int {
-	n := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if n > maxSliceLen {
-		r.failMalformed()
-		return 0
-	}
-	return int(n)
-}
-
-// sliceLen reads a count prefix and validates it against the bytes actually
-// remaining (each element needs ≥1 byte), rejecting absurd counts before
-// anything is allocated.
-func (r *reader) sliceLen() int {
-	n := r.length()
-	if r.err != nil {
-		return 0
-	}
-	if n > len(r.buf) {
-		r.fail()
+// count walks the length prefix of a list, string or byte slice of n
+// elements. Decoding returns the count read, rejecting one larger than the
+// bytes left (every element takes at least one) before anything is
+// allocated.
+func (c *codec) count(n int) int {
+	n = int(c.varint(uint64(n), math.MaxUint32))
+	if c.mode == decoding && n > len(c.buf) {
+		c.fail(ErrTruncated)
 		return 0
 	}
 	return n
 }
 
-func (r *reader) string() string {
-	n := r.length()
-	if r.err != nil || len(r.buf) < n {
-		r.fail()
-		return ""
+// list walks a list's count and returns its length; decoding allocates the
+// list, whose elements the caller then walks in place.
+func list[T any](c *codec, p *[]T) int {
+	n := c.count(len(*p))
+	if c.mode == decoding && n > 0 {
+		*p = make([]T, n)
 	}
-	if n == 0 {
-		return ""
-	}
-	if r.strs == "" {
-		r.strs = string(r.buf)
-	}
-	off := len(r.strs) - len(r.buf)
-	r.buf = r.buf[n:]
-	return r.strs[off : off+n]
+	return n
 }
 
-func (r *reader) bytes() []byte {
-	n := r.length()
-	if r.err != nil || len(r.buf) < n {
-		r.fail()
-		return nil
+func (c *codec) string(p *string) {
+	n := c.count(len(*p))
+	switch {
+	case c.mode == encoding:
+		c.buf = append(c.buf, *p...)
+	case c.mode == sizing:
+		c.size += n
+	case c.err == nil && n > 0:
+		if c.strs == "" {
+			c.strs = string(c.buf)
+		}
+		off := len(c.strs) - len(c.buf)
+		*p, c.buf = c.strs[off:off+n], c.buf[n:]
 	}
-	if n == 0 {
-		return nil
-	}
-	// All byte values of a message are disjoint subslices of the remaining
-	// buffer, so an arena with the remaining length always fits every later
-	// value too: one allocation per payload message.
-	if r.arena == nil {
-		r.arena = make([]byte, 0, len(r.buf))
-	}
-	start := len(r.arena)
-	r.arena = append(r.arena, r.buf[:n]...)
-	b := r.arena[start : start+n : start+n] // capped: appends must not clobber neighbours
-	r.buf = r.buf[n:]
-	return b
 }
 
-func (r *reader) strings() []string {
-	n := r.sliceLen()
-	if n == 0 {
-		return nil
+func (c *codec) bytes(p *[]byte) {
+	n := c.count(len(*p))
+	switch {
+	case c.mode == encoding:
+		c.buf = append(c.buf, *p...)
+	case c.mode == sizing:
+		c.size += n
+	case c.err == nil && n > 0:
+		// All byte values of a message are disjoint subslices of the
+		// remaining buffer, so an arena with the remaining length always fits
+		// every later value too: one allocation per payload message.
+		if c.arena == nil {
+			c.arena = make([]byte, 0, len(c.buf))
+		}
+		start := len(c.arena)
+		c.arena = append(c.arena, c.buf[:n]...)
+		// Capped: appends must not clobber neighbours.
+		*p, c.buf = c.arena[start:start+n:start+n], c.buf[n:]
 	}
-	ss := make([]string, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		ss = append(ss, r.string())
-	}
-	return ss
 }
 
-func (r *reader) cached() []CachedKey {
-	n := r.sliceLen()
-	if n == 0 {
-		return nil
+func (c *codec) keys(p *[]string) {
+	for i := range list(c, p) {
+		c.string(&(*p)[i])
 	}
-	cks := make([]CachedKey, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		cks = append(cks, CachedKey{Key: r.string(), UT: r.ts()})
-	}
-	return cks
 }
 
-func (r *reader) kvs() []KV {
-	n := r.sliceLen()
-	if n == 0 {
-		return nil
+func (c *codec) cached(p *[]CachedKey) {
+	for i := range list(c, p) {
+		ck := &(*p)[i]
+		c.string(&ck.Key)
+		c.ts(&ck.UT)
 	}
-	kvs := make([]KV, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		kvs = append(kvs, KV{Key: r.string(), Value: r.bytes()})
-	}
-	return kvs
 }
 
-func (r *reader) txns() []TxUpdates {
-	n := r.sliceLen()
-	if n == 0 {
-		return nil
+func (c *codec) kvs(p *[]KV) {
+	for i := range list(c, p) {
+		kv := &(*p)[i]
+		c.string(&kv.Key)
+		c.bytes(&kv.Value)
 	}
-	txns := make([]TxUpdates, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		txns = append(txns, TxUpdates{
-			TxID:   r.id(),
-			SrcDC:  topology.DCID(r.u32()),
-			Writes: r.kvs(),
-		})
-	}
-	return txns
 }
 
-func (r *reader) items() []Item {
-	n := r.sliceLen()
-	if n == 0 {
-		return nil
+func (c *codec) items(p *[]Item) {
+	for i := range list(c, p) {
+		c.item(&(*p)[i])
 	}
-	items := make([]Item, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		items = append(items, Item{
-			Key:   r.string(),
-			Value: r.bytes(),
-			UT:    r.ts(),
-			TxID:  r.id(),
-			SrcDC: topology.DCID(r.u32()),
-		})
+}
+
+func (c *codec) item(it *Item) {
+	c.string(&it.Key)
+	c.bytes(&it.Value)
+	c.ts(&it.UT)
+	c.id(&it.TxID)
+	c.dc(&it.SrcDC)
+}
+
+func (c *codec) txns(p *[]TxUpdates) {
+	for i := range list(c, p) {
+		tx := &(*p)[i]
+		c.id(&tx.TxID)
+		c.dc(&tx.SrcDC)
+		c.kvs(&tx.Writes)
 	}
-	return items
+}
+
+func (c *codec) groups(p *[]ReplicateGroup) {
+	for i := range list(c, p) {
+		c.group(&(*p)[i])
+	}
+}
+
+func (c *codec) group(g *ReplicateGroup) {
+	c.ts(&g.CT)
+	c.txns(&g.Txns)
+}
+
+func (c *codec) prepareReqs(p *[]PrepareReq) {
+	for i := range list(c, p) {
+		(*p)[i].walk(c)
+	}
+}
+
+func (c *codec) prepareResults(p *[]PrepareResult) {
+	for i := range list(c, p) {
+		r := &(*p)[i]
+		c.id(&r.TxID)
+		c.ts(&r.Proposed)
+		c.u16(&r.Code)
+		c.string(&r.Msg)
+	}
 }

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -118,6 +121,27 @@ func TestDecodeDoesNotAliasInput(t *testing.T) {
 		if !equalMessages(msg, got) {
 			t.Fatalf("%v changed when its input was overwritten:\n sent %#v\n got  %#v", msg.Kind(), msg, got)
 		}
+	}
+}
+
+// TestEncodeSharedMessageConcurrently encodes and sizes each sample from
+// several goroutines at once, as the transport does with a message boxed once
+// for many peers: the walk only reads the message when encoding and sizing,
+// which the race detector checks here.
+func TestEncodeSharedMessageConcurrently(t *testing.T) {
+	for _, msg := range sampleMessages() {
+		want := Encode(msg)
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := Encode(msg); !bytes.Equal(got, want) || ApproxSize(msg) < len(got) {
+					t.Errorf("%v: concurrent encode %x, want %x", msg.Kind(), got, want)
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 
@@ -253,6 +277,102 @@ func TestDecodeRejectsUnknownKind(t *testing.T) {
 	}
 }
 
+// TestKindTable walks every Kind value. A live kind has a name and at least
+// one sample, and each of its samples round-trips and is bounded by
+// ApproxSize; a retired kind decodes to ErrMalformed; any other value is an
+// unknown kind. A lone kind byte tells them apart: every live message has at
+// least one field, so its empty body is truncated.
+func TestKindTable(t *testing.T) {
+	samples := make(map[Kind][]Message)
+	for _, msg := range sampleMessages() {
+		samples[msg.Kind()] = append(samples[msg.Kind()], msg)
+	}
+	for k := Kind(1); k != 0; k++ {
+		named := k.String() != fmt.Sprintf("Kind(%d)", uint8(k))
+		_, err := Decode([]byte{byte(k)})
+		switch {
+		case k == KindReplicate || k == KindHeartbeat || k == KindHello:
+			if !errors.Is(err, ErrMalformed) || len(samples[k]) > 0 {
+				t.Errorf("retired kind %v: Decode = %v, %d samples", k, err, len(samples[k]))
+			}
+		case errors.Is(err, errUnknownKind):
+			if named || len(samples[k]) > 0 {
+				t.Errorf("kind %d decodes as unknown but has name %q and %d samples", k, k, len(samples[k]))
+			}
+		default:
+			if !named || len(samples[k]) == 0 {
+				t.Errorf("live kind %d has name %q and %d samples", k, k, len(samples[k]))
+			}
+			for _, msg := range samples[k] {
+				data := Encode(msg)
+				if got, err := Decode(data); err != nil || !equalMessages(msg, got) {
+					t.Errorf("%v does not round-trip: %#v -> %#v, %v", k, msg, got, err)
+				}
+				if size := ApproxSize(msg); size < len(data) {
+					t.Errorf("%v: ApproxSize %d below its %d-byte frame", k, size, len(data))
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeRejectsOutOfRangeEnums: a data center id above MaxInt32 would
+// decode to a negative DCID, which servers use as an index, and a status
+// outside TxStatusPending..TxStatusUnknown names no fate; a frame carrying
+// either in any field is malformed.
+func TestDecodeRejectsOutOfRangeEnums(t *testing.T) {
+	for _, dc := range []topology.DCID{-1, math.MinInt32} { // 0xFFFFFFFF, 0x80000000 on the wire
+		for _, msg := range []Message{
+			ReplicateBatch{SrcDC: dc},
+			ReplicateBatch{Groups: []ReplicateGroup{{Txns: []TxUpdates{{TxID: 1, SrcDC: dc}}}}},
+			ReplSyncResp{Items: []Item{{Key: "k", SrcDC: dc}}},
+			ReadResp{Items: []Item{{Key: "k", SrcDC: dc}}},
+			ReplSyncReq{ReqDC: dc},
+			ReplSyncResp{SrcDC: dc},
+			ReplStatus{SrcDC: dc},
+			GSTRoot{DC: dc},
+		} {
+			if got, err := Decode(Encode(msg)); !errors.Is(err, ErrMalformed) {
+				t.Errorf("Decode(%#v) = %#v, %v; want ErrMalformed", msg, got, err)
+			}
+		}
+	}
+	for _, st := range []TxStatus{0, TxStatusUnknown + 1, 255} {
+		msg := TxStatusResp{TxID: 1, Status: st}
+		if got, err := Decode(Encode(msg)); !errors.Is(err, ErrMalformed) {
+			t.Errorf("Decode(%#v) = %#v, %v; want ErrMalformed", msg, got, err)
+		}
+	}
+	// The bounds themselves are valid.
+	for _, msg := range []Message{
+		GSTRoot{DC: math.MaxInt32},
+		TxStatusResp{Status: TxStatusPending},
+		TxStatusResp{Status: TxStatusUnknown},
+	} {
+		if got, err := Decode(Encode(msg)); err != nil || !equalMessages(msg, got) {
+			t.Errorf("Decode(%#v) = %#v, %v", msg, got, err)
+		}
+	}
+}
+
+// TestDecodeRejectsNonMinimalVarint: a varint padded with a redundant
+// continuation byte is malformed, so every frame Decode accepts is the
+// encoding of what it decodes to, and ApproxSize, which charges each field
+// its widest shortest form, bounds every accepted frame.
+func TestDecodeRejectsNonMinimalVarint(t *testing.T) {
+	if _, err := Decode([]byte{byte(KindError), 0x01, 0x00}); err != nil {
+		t.Fatalf("Decode(ErrorResp{Code: 1}) = %v", err)
+	}
+	for _, data := range [][]byte{
+		{byte(KindError), 0x81, 0x00, 0x00},       // Code 1 in two bytes
+		{byte(KindError), 0x01, 0x80, 0x80, 0x00}, // an empty Msg's length in three
+	} {
+		if got, err := Decode(data); !errors.Is(err, ErrMalformed) {
+			t.Errorf("Decode(%x) = %#v, %v; want ErrMalformed", data, got, err)
+		}
+	}
+}
+
 func TestDecodeRejectsEmpty(t *testing.T) {
 	if _, err := Decode(nil); err == nil {
 		t.Fatal("Decode accepted empty buffer")
@@ -331,6 +451,16 @@ func TestAppendMessageAppends(t *testing.T) {
 	}
 	if hb, ok := msg.(ReplicateBatch); !ok || hb.SrcDC != 1 || hb.UpTo != 2 {
 		t.Fatalf("decoded %#v", msg)
+	}
+}
+
+// TestEncodeUnencodable: a Message whose type its kind does not describe (a
+// pointer to a message, say) encodes as an ErrorResp naming the type, so the
+// peer fails loudly instead of reading zeros.
+func TestEncodeUnencodable(t *testing.T) {
+	got, err := Decode(Encode(&ReadReq{Keys: []string{"k"}}))
+	if e, ok := got.(ErrorResp); err != nil || !ok || e.Msg != "unencodable message *wire.ReadReq" {
+		t.Fatalf("Decode(Encode(&ReadReq{})) = %#v, %v", got, err)
 	}
 }
 

@@ -197,7 +197,9 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Message is implemented by every payload type.
+// Message is implemented by every payload type. Each one also describes its
+// wire body, once: a walk method lists its fields in wire order, and the
+// codec (codec.go) runs that walk to encode, decode and size it.
 type Message interface {
 	Kind() Kind
 }
@@ -214,6 +216,8 @@ type StartTxReq struct {
 // Kind implements Message.
 func (StartTxReq) Kind() Kind { return KindStartTxReq }
 
+func (m *StartTxReq) walk(c *codec) { c.ts(&m.ClientUST) }
+
 // StartTxResp returns the new transaction's id and its snapshot timestamp.
 type StartTxResp struct {
 	TxID     TxID
@@ -222,6 +226,11 @@ type StartTxResp struct {
 
 // Kind implements Message.
 func (StartTxResp) Kind() Kind { return KindStartTxResp }
+
+func (m *StartTxResp) walk(c *codec) {
+	c.id(&m.TxID)
+	c.ts(&m.Snapshot)
+}
 
 // ReadReq asks the coordinator to read Keys within transaction TxID. A zero
 // TxID makes it the transaction's first operation: the coordinator starts the
@@ -251,6 +260,13 @@ type CachedKey struct {
 // Kind implements Message.
 func (ReadReq) Kind() Kind { return KindReadReq }
 
+func (m *ReadReq) walk(c *codec) {
+	c.id(&m.TxID)
+	c.ts(&m.ClientUST)
+	c.keys(&m.Keys)
+	c.cached(&m.Cached)
+}
+
 // ReadResp returns the versions visible to the transaction, with the
 // transaction's id and snapshot (news to the client when the request started
 // the transaction). Keys that have never been written are absent from Items.
@@ -262,6 +278,12 @@ type ReadResp struct {
 
 // Kind implements Message.
 func (ReadResp) Kind() Kind { return KindReadResp }
+
+func (m *ReadResp) walk(c *codec) {
+	c.id(&m.TxID)
+	c.ts(&m.Snapshot)
+	c.items(&m.Items)
+}
 
 // CommitReq finalizes a transaction with a non-empty write-set. HWT is the
 // client's highest prior commit timestamp (hwtc), threaded through 2PC so
@@ -277,6 +299,13 @@ type CommitReq struct {
 // Kind implements Message.
 func (CommitReq) Kind() Kind { return KindCommitReq }
 
+func (m *CommitReq) walk(c *codec) {
+	c.id(&m.TxID)
+	c.ts(&m.ClientUST)
+	c.ts(&m.HWT)
+	c.kvs(&m.Writes)
+}
+
 // CommitResp returns the transaction's commit timestamp, with its id and
 // snapshot as in ReadResp.
 type CommitResp struct {
@@ -288,6 +317,12 @@ type CommitResp struct {
 // Kind implements Message.
 func (CommitResp) Kind() Kind { return KindCommitResp }
 
+func (m *CommitResp) walk(c *codec) {
+	c.id(&m.TxID)
+	c.ts(&m.Snapshot)
+	c.ts(&m.CommitTS)
+}
+
 // FinishTx tells the coordinator to discard the context of a transaction
 // that committed no writes. (The paper cleans abandoned contexts with a
 // timeout; explicit cleanup is the common case.)
@@ -298,6 +333,8 @@ type FinishTx struct {
 // Kind implements Message.
 func (FinishTx) Kind() Kind { return KindFinishTx }
 
+func (m *FinishTx) walk(c *codec) { c.id(&m.TxID) }
+
 // ReadSliceReq reads Keys on a single partition within snapshot Snapshot.
 type ReadSliceReq struct {
 	Keys     []string
@@ -307,6 +344,11 @@ type ReadSliceReq struct {
 // Kind implements Message.
 func (ReadSliceReq) Kind() Kind { return KindReadSliceReq }
 
+func (m *ReadSliceReq) walk(c *codec) {
+	c.keys(&m.Keys)
+	c.ts(&m.Snapshot)
+}
+
 // ReadSliceResp carries the freshest visible version of each present key.
 type ReadSliceResp struct {
 	Items []Item
@@ -314,6 +356,8 @@ type ReadSliceResp struct {
 
 // Kind implements Message.
 func (ReadSliceResp) Kind() Kind { return KindReadSliceResp }
+
+func (m *ReadSliceResp) walk(c *codec) { c.items(&m.Items) }
 
 // PrepareReq is the 2PC prepare message for the writes landing on one
 // partition. Snapshot is the transaction's snapshot time, HT the maximum
@@ -328,6 +372,13 @@ type PrepareReq struct {
 // Kind implements Message.
 func (PrepareReq) Kind() Kind { return KindPrepareReq }
 
+func (m *PrepareReq) walk(c *codec) {
+	c.id(&m.TxID)
+	c.ts(&m.Snapshot)
+	c.ts(&m.HT)
+	c.kvs(&m.Writes)
+}
+
 // PrepareResp returns the cohort's proposed commit time.
 type PrepareResp struct {
 	TxID     TxID
@@ -336,6 +387,11 @@ type PrepareResp struct {
 
 // Kind implements Message.
 func (PrepareResp) Kind() Kind { return KindPrepareResp }
+
+func (m *PrepareResp) walk(c *codec) {
+	c.id(&m.TxID)
+	c.ts(&m.Proposed)
+}
 
 // PrepareBatch carries several independent 2PC prepares from one coordinator
 // to one cohort in a single wire message. The cohort processes each request
@@ -351,6 +407,8 @@ type PrepareBatch struct {
 
 // Kind implements Message.
 func (PrepareBatch) Kind() Kind { return KindPrepareBatch }
+
+func (m *PrepareBatch) walk(c *codec) { c.prepareReqs(&m.Reqs) }
 
 // PrepareResult is one transaction's outcome inside a PrepareBatchResp.
 // Code == 0 means the prepare was accepted and Proposed carries the cohort's
@@ -372,6 +430,8 @@ type PrepareBatchResp struct {
 // Kind implements Message.
 func (PrepareBatchResp) Kind() Kind { return KindPrepareBatchResp }
 
+func (m *PrepareBatchResp) walk(c *codec) { c.prepareResults(&m.Resps) }
+
 // CohortCommit finalizes a prepared transaction at the chosen commit time.
 // It needs no reply: the coordinator answers the client as soon as all
 // cohorts are notified (Alg. 2 lines 27–29).
@@ -382,6 +442,11 @@ type CohortCommit struct {
 
 // Kind implements Message.
 func (CohortCommit) Kind() Kind { return KindCohortCommit }
+
+func (m *CohortCommit) walk(c *codec) {
+	c.id(&m.TxID)
+	c.ts(&m.CommitTS)
+}
 
 // CommitRecover re-delivers a commit decision, with the transaction's writes
 // for the receiving cohort, as a request/response call. The coordinator falls
@@ -401,6 +466,12 @@ type CommitRecover struct {
 // Kind implements Message.
 func (CommitRecover) Kind() Kind { return KindCommitRecover }
 
+func (m *CommitRecover) walk(c *codec) {
+	c.id(&m.TxID)
+	c.ts(&m.CommitTS)
+	c.kvs(&m.Writes)
+}
+
 // ReplSyncReq asks the peer replica serving partition traffic for the
 // requester's DC to repair the replication stream. FromTS is the requester's
 // current version-vector entry for the sender's DC — the watermark below
@@ -415,6 +486,11 @@ type ReplSyncReq struct {
 
 // Kind implements Message.
 func (ReplSyncReq) Kind() Kind { return KindReplSyncReq }
+
+func (m *ReplSyncReq) walk(c *codec) {
+	c.dc(&m.ReqDC)
+	c.ts(&m.FromTS)
+}
 
 // ReplSyncResp repairs a broken replication stream from the sender's store:
 // Items is every version the sender has installed with timestamp in
@@ -433,6 +509,14 @@ type ReplSyncResp struct {
 
 // Kind implements Message.
 func (ReplSyncResp) Kind() Kind { return KindReplSyncResp }
+
+func (m *ReplSyncResp) walk(c *codec) {
+	c.dc(&m.SrcDC)
+	c.u64(&m.Epoch)
+	c.u64(&m.NextSeq)
+	c.ts(&m.UpTo)
+	c.items(&m.Items)
+}
 
 // ReplStatus is the heartbeat-only summary a sender degrades to when its
 // flow-controlled queue for a destination crosses the high-water mark:
@@ -468,6 +552,16 @@ type ReplStatus struct {
 // Kind implements Message.
 func (ReplStatus) Kind() Kind { return KindReplStatus }
 
+func (m *ReplStatus) walk(c *codec) {
+	c.dc(&m.SrcDC)
+	c.u64(&m.Epoch)
+	c.u64(&m.NextSeq)
+	c.ts(&m.UpTo)
+	c.ts(&m.UST)
+	c.ts(&m.Sold)
+	c.u64(&m.QueuedBytes)
+}
+
 // AbortTx releases a prepared transaction on a cohort. The coordinator casts
 // it to every cohort it sent a prepare to when the prepare phase fails on any
 // of them (peer down, link fault, refusal), so the surviving cohorts' Prepared
@@ -480,6 +574,8 @@ type AbortTx struct {
 
 // Kind implements Message.
 func (AbortTx) Kind() Kind { return KindAbortTx }
+
+func (m *AbortTx) walk(c *codec) { c.id(&m.TxID) }
 
 // TxStatus is a coordinator's answer about a transaction's fate.
 type TxStatus uint8
@@ -509,6 +605,8 @@ type TxStatusReq struct {
 // Kind implements Message.
 func (TxStatusReq) Kind() Kind { return KindTxStatusReq }
 
+func (m *TxStatusReq) walk(c *codec) { c.id(&m.TxID) }
+
 // TxStatusResp carries the decision; CommitTS is set when Status is
 // TxStatusCommitted.
 type TxStatusResp struct {
@@ -519,6 +617,12 @@ type TxStatusResp struct {
 
 // Kind implements Message.
 func (TxStatusResp) Kind() Kind { return KindTxStatusResp }
+
+func (m *TxStatusResp) walk(c *codec) {
+	c.id(&m.TxID)
+	c.status(&m.Status)
+	c.ts(&m.CommitTS)
+}
 
 // TxUpdates is one transaction's writes for a partition, as shipped by the
 // replication protocol.
@@ -583,6 +687,17 @@ type ReplicateBatch struct {
 // Kind implements Message.
 func (ReplicateBatch) Kind() Kind { return KindReplicateBatch }
 
+func (m *ReplicateBatch) walk(c *codec) {
+	c.dc(&m.SrcDC)
+	c.u64(&m.Epoch)
+	c.u64(&m.Seq)
+	c.ts(&m.UpTo)
+	c.ts(&m.UST)
+	c.ts(&m.Sold)
+	c.u64(&m.Round)
+	c.groups(&m.Groups)
+}
+
 // Items returns the total number of write items carried by the batch.
 func (b ReplicateBatch) Items() int {
 	n := 0
@@ -622,6 +737,13 @@ type GSTUp struct {
 // Kind implements Message.
 func (GSTUp) Kind() Kind { return KindGSTUp }
 
+func (m *GSTUp) walk(c *codec) {
+	c.bool(&m.Active)
+	c.ts(&m.Min)
+	c.ts(&m.Oldest)
+	c.u64(&m.Round)
+}
+
 // GSTRoot carries one DC root's aggregate — the minimum over every server of
 // data center DC — to the roots of the other data centers. Active behaves as
 // on GSTUp.
@@ -639,6 +761,14 @@ type GSTRoot struct {
 // Kind implements Message.
 func (GSTRoot) Kind() Kind { return KindGSTRoot }
 
+func (m *GSTRoot) walk(c *codec) {
+	c.dc(&m.DC)
+	c.bool(&m.Active)
+	c.ts(&m.Min)
+	c.ts(&m.Oldest)
+	c.u64(&m.Round)
+}
+
 // USTDown propagates the universal stable time and the garbage-collection
 // watermark from the DC root down the tree to every partition. Active
 // behaves as on GSTUp: a root that has seen recent activity (its own or a
@@ -652,6 +782,12 @@ type USTDown struct {
 // Kind implements Message.
 func (USTDown) Kind() Kind { return KindUSTDown }
 
+func (m *USTDown) walk(c *codec) {
+	c.ts(&m.UST)
+	c.ts(&m.Sold)
+	c.bool(&m.Active)
+}
+
 // ErrorResp reports a request failure (e.g. server shutting down, unknown
 // transaction). Callers convert it into an error.
 type ErrorResp struct {
@@ -661,6 +797,11 @@ type ErrorResp struct {
 
 // Kind implements Message.
 func (ErrorResp) Kind() Kind { return KindError }
+
+func (m *ErrorResp) walk(c *codec) {
+	c.u16(&m.Code)
+	c.string(&m.Msg)
+}
 
 // Error codes carried by ErrorResp.
 const (
@@ -692,33 +833,3 @@ func (e *RemoteError) Error() string {
 func (e ErrorResp) Err() error {
 	return &RemoteError{Code: e.Code, Msg: e.Msg}
 }
-
-// Compile-time interface compliance checks.
-var (
-	_ Message = StartTxReq{}
-	_ Message = StartTxResp{}
-	_ Message = ReadReq{}
-	_ Message = ReadResp{}
-	_ Message = CommitReq{}
-	_ Message = CommitResp{}
-	_ Message = FinishTx{}
-	_ Message = ReadSliceReq{}
-	_ Message = ReadSliceResp{}
-	_ Message = PrepareReq{}
-	_ Message = PrepareResp{}
-	_ Message = PrepareBatch{}
-	_ Message = PrepareBatchResp{}
-	_ Message = CohortCommit{}
-	_ Message = CommitRecover{}
-	_ Message = ReplSyncReq{}
-	_ Message = ReplSyncResp{}
-	_ Message = ReplStatus{}
-	_ Message = AbortTx{}
-	_ Message = TxStatusReq{}
-	_ Message = TxStatusResp{}
-	_ Message = ReplicateBatch{}
-	_ Message = GSTUp{}
-	_ Message = GSTRoot{}
-	_ Message = USTDown{}
-	_ Message = ErrorResp{}
-)

@@ -30,11 +30,11 @@ func TestApproxSizeTracksEncodedSize(t *testing.T) {
 }
 
 // checkApproxSize holds ApproxSize to the frame it estimates. The estimate
-// prices every field at fixed width, where the codec writes varints and
-// deltas, so it may never fall below the frame — a flow-controlled link is
-// never overcommitted — and may exceed it only by framing: at most 80 bytes
-// of header plus 32 per record (group, transaction, write or item), never
-// by payload.
+// charges every field its widest encoding, where the codec writes varints
+// and deltas, so it may never fall below the frame — a flow-controlled link
+// is never overcommitted — and may exceed it only by framing: at most 80
+// bytes of header plus 32 per record (group, transaction, write or item),
+// never by payload.
 func checkApproxSize(t testing.TB, msg Message, encoded int) {
 	t.Helper()
 	records := 0
@@ -55,9 +55,40 @@ func checkApproxSize(t testing.TB, msg Message, encoded int) {
 	}
 }
 
-// TestApproxSizeDefault: header-sized messages get a flat estimate.
-func TestApproxSizeDefault(t *testing.T) {
-	if got := ApproxSize(GSTUp{Min: hlc.New(7, 0)}); got != 64 {
-		t.Errorf("ApproxSize(GSTUp) = %d, want 64", got)
+// TestApproxSizeWidestFields pins the charge of a header-sized message: the
+// kind byte and each field at its widest encoding (a bool one byte, a
+// timestamp a ten-byte delta, a u64 a ten-byte varint), whatever the values.
+func TestApproxSizeWidestFields(t *testing.T) {
+	for _, m := range []GSTUp{{}, {Active: true, Min: hlc.New(7, 0), Oldest: hlc.MaxTimestamp, Round: 1<<64 - 1}} {
+		if got := ApproxSize(m); got != 1+1+10+10+10 {
+			t.Errorf("ApproxSize(%+v) = %d, want 32", m, got)
+		}
+	}
+}
+
+// TestApproxSizeAdditive pins what the replication builders rely on to size
+// their chunks without walking them twice: a batch's estimate is its empty
+// header's plus GroupSize of each group, and a repair response's is its
+// empty header's plus ItemSize of each item.
+func TestApproxSizeAdditive(t *testing.T) {
+	for _, msg := range sampleMessages() {
+		switch m := msg.(type) {
+		case ReplicateBatch:
+			want := ApproxSize(ReplicateBatch{})
+			for _, g := range m.Groups {
+				want += GroupSize(g)
+			}
+			if got := ApproxSize(m); got != want {
+				t.Errorf("ApproxSize(%+v) = %d, header + GroupSize sum = %d", m, got, want)
+			}
+		case ReplSyncResp:
+			want := ApproxSize(ReplSyncResp{})
+			for _, it := range m.Items {
+				want += ItemSize(it)
+			}
+			if got := ApproxSize(m); got != want {
+				t.Errorf("ApproxSize(%+v) = %d, header + ItemSize sum = %d", m, got, want)
+			}
+		}
 	}
 }
