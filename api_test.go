@@ -40,6 +40,37 @@ func TestConfigValidationTable(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsRetiredKnobs: the deprecated ΔG and ΔU fields take only 0
+// or ApplyInterval, and a negative PreparedTTL no longer switches the reaper
+// off.
+func TestConfigRejectsRetiredKnobs(t *testing.T) {
+	const dR = 2 * time.Millisecond
+	cases := []struct {
+		name string
+		set  func(*Config)
+		ok   bool
+	}{
+		{"intervals at ΔR", func(c *Config) { c.GossipInterval, c.USTInterval = dR, dR }, true},
+		{"gossip interval above ΔR", func(c *Config) { c.GossipInterval = 10 * dR }, false},
+		{"UST interval above ΔR", func(c *Config) { c.USTInterval = 10 * dR }, false},
+		{"negative prepared TTL", func(c *Config) { c.PreparedTTL = -time.Second }, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{NumDCs: 2, NumPartitions: 2, ReplicationFactor: 1,
+				Latency: transport.ZeroLatency{}, ApplyInterval: dR}
+			c.set(&cfg)
+			cluster, err := NewCluster(cfg)
+			if (err == nil) != c.ok {
+				t.Fatalf("NewCluster err=%v, want ok=%v", err, c.ok)
+			}
+			if cluster != nil {
+				_ = cluster.Close()
+			}
+		})
+	}
+}
+
 func TestConfigDefaultsApplied(t *testing.T) {
 	c := newTestCluster(t, Config{NumDCs: 3, NumPartitions: 6})
 	cfg := c.Config()
@@ -49,7 +80,7 @@ func TestConfigDefaultsApplied(t *testing.T) {
 	if cfg.Mode != ModeNonBlocking {
 		t.Errorf("default mode = %v", cfg.Mode)
 	}
-	if cfg.Latency == nil || cfg.ApplyInterval <= 0 || cfg.GossipInterval <= 0 || cfg.USTInterval <= 0 {
+	if cfg.Latency == nil || cfg.ApplyInterval <= 0 {
 		t.Error("defaults not filled in")
 	}
 }
@@ -243,8 +274,6 @@ func TestPreferNearestReplicaRouting(t *testing.T) {
 		ReplicationFactor:    2,
 		LatencyScale:         0.01,
 		ApplyInterval:        time.Millisecond,
-		GossipInterval:       time.Millisecond,
-		USTInterval:          time.Millisecond,
 		PreferNearestReplica: true,
 	}
 	c := newTestCluster(t, cfg)

@@ -180,14 +180,13 @@ func BenchmarkFig4VisibilityBPR(b *testing.B) {
 
 // --- Ablations (beyond the paper; see DESIGN.md §3) ---
 
-// BenchmarkAblationStabilizationInterval sweeps ΔG/ΔU: faster gossip buys
-// fresher snapshots (lower visibility latency) at higher message cost.
+// BenchmarkAblationStabilizationInterval sweeps ΔR, the round that paces
+// replication and stabilization alike: shorter rounds buy fresher snapshots
+// (lower visibility latency) at higher message cost.
 func BenchmarkAblationStabilizationInterval(b *testing.B) {
 	for _, interval := range []time.Duration{time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond} {
 		b.Run(interval.String(), func(b *testing.B) {
 			cfg := paperConfig(paris.ModeNonBlocking)
-			cfg.GossipInterval = interval
-			cfg.USTInterval = interval
 			cfg.ApplyInterval = interval
 			cfg.VisibilitySample = 4
 			c := benchCluster(b, cfg)

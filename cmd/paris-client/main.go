@@ -55,8 +55,12 @@ func main() {
 	}
 
 	cmode := client.ModeNonBlocking
-	if *mode == "bpr" {
+	switch *mode {
+	case "paris":
+	case "bpr":
 		cmode = client.ModeBlocking
+	default:
+		fatalf("unknown mode %q", *mode)
 	}
 	id := topology.ClientID(topology.DCID(*dc), int32(*clientIdx))
 	cl, err := client.New(client.Config{

@@ -41,17 +41,13 @@ func main() {
 		peersFile  = flag.String("peers", "peers.txt", "peer address file")
 		mode       = flag.String("mode", "paris", `visibility protocol: "paris" or "bpr"`)
 		applyInt   = flag.Duration("apply-interval", 5*time.Millisecond, "ΔR, the round: apply, replicate and start the stabilization push at its wall-clock multiples (whole milliseconds)")
-		gossipInt  = flag.Duration("gossip-interval", 5*time.Millisecond, "ΔG: push up the stabilization tree every ⌈ΔG/ΔR⌉-th round")
-		ustInt     = flag.Duration("ust-interval", 5*time.Millisecond, "ΔU: roots compute the UST every ⌈ΔU/ΔR⌉-th round")
 		gcInt      = flag.Duration("gc-interval", time.Second, "version GC every ⌈gc-interval/ΔR⌉-th round (0 disables)")
 		batchBytes = flag.Int("batch-max-bytes", 0,
 			"max approximate payload bytes per replication batch (0 = default 1 MiB)")
 		callTimeout = flag.Duration("call-timeout", 0,
 			"coordinator→cohort round-trip bound (0 = default 60s)")
 		preparedTTL = flag.Duration("prepared-ttl", 0,
-			"reap prepared transactions with no commit/abort decision after this long (0 = default 2×call-timeout, negative disables)")
-		connsPerPeer = flag.Int("conns-per-peer", 1,
-			"outbound TCP connections (stripes) per peer; casts keep one FIFO stripe, requests spread by id")
+			"reap prepared transactions with no commit/abort decision after this long (0 = default 2×call-timeout)")
 		bandwidthBudget = flag.Int("bandwidth-budget", 0,
 			"replication bandwidth budget per peer in bytes/second (0 = unlimited)")
 	)
@@ -82,8 +78,6 @@ func main() {
 		Mode:            srvMode,
 		ApplyInterval:   *applyInt,
 		BatchMaxBytes:   *batchBytes,
-		GossipInterval:  *gossipInt,
-		USTInterval:     *ustInt,
 		GCInterval:      *gcInt,
 		CallTimeout:     *callTimeout,
 		PreparedTTL:     *preparedTTL,
@@ -93,8 +87,7 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	node, err := transport.ListenTCPOpts(id, *listen, book, srv.Peer(),
-		transport.TCPOptions{ConnsPerPeer: *connsPerPeer})
+	node, err := transport.ListenTCP(id, *listen, book, srv.Peer())
 	if err != nil {
 		fatalf("%v", err)
 	}

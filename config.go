@@ -22,7 +22,10 @@ const (
 	ModeBlocking = server.ModeBlocking
 )
 
-// Config describes an embedded PaRiS deployment.
+// Config describes an embedded PaRiS deployment. ApplyInterval (ΔR) is the
+// one cadence of the background plane: every server applies, replicates,
+// pushes up its stabilization tree and, at a root, recomputes the UST once
+// per round.
 type Config struct {
 	// NumDCs is M, the number of data centers (replication sites).
 	NumDCs int
@@ -61,18 +64,20 @@ type Config struct {
 	// budget × ΔR of credit, up to a burst of max(budget/4, 4 KiB).
 	// 0 means unlimited. Cluster.SetFlowBudget changes it at runtime.
 	BandwidthBudget int
-	// GossipInterval is ΔG, the spacing of a server's stabilization pushes
-	// up its DC's tree and between DC roots, rounded up to whole rounds (one
-	// push every ⌈ΔG/ΔR⌉-th round). Default like ApplyInterval: every round.
+	// GossipInterval must be 0 or ApplyInterval; NewCluster rejects any
+	// other value.
+	//
+	// Deprecated: ΔG is ΔR. Every server pushes up its DC's tree and between
+	// DC roots on every round, and once per 32 rounds while idle. The field
+	// stays for the frozen composite literal in benchmark/cluster.go, which
+	// passes ΔR.
 	GossipInterval time.Duration
-	// USTInterval is ΔU, the spacing of a root's UST computations, rounded
-	// up to whole rounds like GossipInterval. Default like ApplyInterval.
+	// USTInterval must be 0 or ApplyInterval; NewCluster rejects any other
+	// value.
+	//
+	// Deprecated: ΔU is ΔR. A root recomputes the UST on every round. The
+	// field stays for the same frozen caller as GossipInterval.
 	USTInterval time.Duration
-	// GossipIdleMax spaces the stabilization pushes of a server that has
-	// seen no data activity for a while: one per GossipIdleMax instead of
-	// one per round, until the next write. 0 selects 32×GossipInterval; a
-	// value at or below GossipInterval means the plane never goes quiet.
-	GossipIdleMax time.Duration
 	// GCInterval is the version garbage-collection cadence, rounded up to
 	// whole rounds (a sweep every ⌈GCInterval/ΔR⌉-th round). 0 disables GC.
 	GCInterval time.Duration
@@ -89,7 +94,7 @@ type Config struct {
 	// coordinator's orphans would otherwise freeze the UST system-wide),
 	// rounded up to whole rounds (the reaper sweeps every
 	// ⌈PreparedTTL/4/ΔR⌉-th round). 0 selects the default (2×CallTimeout);
-	// negative disables the reaper.
+	// NewCluster rejects a negative value.
 	PreparedTTL time.Duration
 
 	// ClockSkew, when positive, gives each server a fixed clock offset drawn
@@ -160,12 +165,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if cfg.ApplyInterval <= 0 {
 		cfg.ApplyInterval = scaledInterval(cfg.LatencyScale)
-	}
-	if cfg.GossipInterval <= 0 {
-		cfg.GossipInterval = scaledInterval(cfg.LatencyScale)
-	}
-	if cfg.USTInterval <= 0 {
-		cfg.USTInterval = scaledInterval(cfg.LatencyScale)
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1

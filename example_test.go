@@ -17,8 +17,6 @@ func quietConfig() paris.Config {
 		ReplicationFactor: 2,
 		Latency:           transport.Uniform{IntraDC: 0, InterDC: time.Millisecond},
 		ApplyInterval:     time.Millisecond,
-		GossipInterval:    time.Millisecond,
-		USTInterval:       time.Millisecond,
 	}
 }
 

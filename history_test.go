@@ -189,9 +189,8 @@ func TestCacheAblationBreaksReadYourWrites(t *testing.T) {
 	// the cache exists to prevent (and validates the checker against a live
 	// failure, not a synthetic one).
 	cfg := testConfig()
-	// Slow stabilization widens the window between commit and stability.
-	cfg.GossipInterval = 20 * time.Millisecond
-	cfg.USTInterval = 20 * time.Millisecond
+	// Long rounds widen the window between commit and stability.
+	cfg.ApplyInterval = 20 * time.Millisecond
 	c := newTestCluster(t, cfg)
 	ctx := context.Background()
 

@@ -182,8 +182,6 @@ func runScalePoint(o Options, dcs, machines int) (ScalePoint, error) {
 	// simulated deployment grows, so the scale sweep measures the protocol
 	// rather than host timer pressure.
 	cfg.ApplyInterval = 5 * time.Millisecond
-	cfg.GossipInterval = 5 * time.Millisecond
-	cfg.USTInterval = 5 * time.Millisecond
 	cluster, err := paris.NewCluster(cfg)
 	if err != nil {
 		return ScalePoint{}, err

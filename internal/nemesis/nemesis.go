@@ -212,8 +212,6 @@ func baseConfig(mode paris.Mode, seed int64) paris.Config {
 		Mode:              mode,
 		Latency:           transport.Uniform{IntraDC: 0, InterDC: 2 * time.Millisecond},
 		ApplyInterval:     time.Millisecond,
-		GossipInterval:    time.Millisecond,
-		USTInterval:       time.Millisecond,
 		GCInterval:        5 * time.Millisecond,
 		CallTimeout:       400 * time.Millisecond,
 		PreparedTTL:       2 * time.Second,

@@ -91,7 +91,7 @@ func TestNemesis_FlappingLinksLargeValues(t *testing.T) {
 
 // TestNemesis_FlappingLinksDeltaGossip pins the stabilization plane under
 // lossy tree edges: with deadline pushes standing in for lost inputs, the
-// Active-bit idle rule and a long (64×ΔG) idle spacing, the run's drain — a
+// Active-bit idle rule and its 32-round idle spacing, the run's drain — a
 // probe write that must become universally stable — is exactly the
 // UST-convergence assertion. The counters additionally prove the idle rule
 // was engaged: pushes flowed AND idle pushes were withheld.

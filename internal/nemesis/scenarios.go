@@ -207,12 +207,8 @@ var scenarios = []Scenario{
 		Name: "flapping_links_delta_gossip",
 		Info: "directed link errors flapping across the stabilization tree with short DC isolations; the round-driven plane must go quiet while idle yet still converge the UST after healing",
 		Mix:  workload.Variable,
-		Configure: func(cfg *paris.Config) {
-			// A long idle spacing (64×ΔG, double the default): the drain can
-			// only pass if a plane that has gone quiet — one push per 64 ms —
-			// returns to one per round when the probe write lands.
-			cfg.GossipIdleMax = 64 * time.Millisecond
-		},
+		// The drain can only pass if a plane that has gone quiet — one push
+		// per 32 rounds — returns to one per round when the probe write lands.
 		Script: func(e *Env) {
 			numDCs := e.Topo.NumDCs()
 			for {

@@ -39,8 +39,6 @@ func testRecoveredPrepareResolves(t *testing.T, ttl time.Duration) {
 	newServer := func(id topology.NodeID, st Config) *Server {
 		st.ID, st.Topology, st.Mode = id, topo, ModeNonBlocking
 		st.ApplyInterval = time.Millisecond
-		st.GossipInterval = time.Millisecond
-		st.USTInterval = time.Millisecond
 		st.CallTimeout = 100 * time.Millisecond
 		st.PreparedTTL = ttl
 		srv, err := New(st)

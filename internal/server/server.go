@@ -57,7 +57,10 @@ func (m Mode) String() string {
 	}
 }
 
-// Config parameterizes a Server.
+// Config parameterizes a Server. ApplyInterval (ΔR) is the one cadence of
+// the background plane: the server applies, replicates, pushes up its
+// stabilization tree and, at a root, recomputes the UST once per round; the
+// periodic sweeps run every k-th round, k rounded up from their intervals.
 type Config struct {
 	// ID is the server's identity (DC + partition). Required.
 	ID topology.NodeID
@@ -92,20 +95,18 @@ type Config struct {
 	// every round's chunks leave inside the round. Server.SetFlowBudget
 	// changes it at runtime.
 	BandwidthBudget int
-	// GossipInterval is ΔG, the spacing of a server's pushes toward its tree
-	// parent (at a root: toward the other DC roots). Pushes are driven by the
-	// ΔR round, so this is rounded up to whole rounds — one push every
-	// ⌈ΔG/ΔR⌉-th round — and anything at or below ΔR means every round.
+	// GossipInterval must be 0 or ApplyInterval; New rejects any other value.
+	//
+	// Deprecated: ΔG is ΔR. A server pushes toward its tree parent (at a
+	// root: toward the other DC roots) on every round, and once per 32 rounds
+	// while idle (stability.go). The field stays for the frozen composite
+	// literals in benchmark/cluster.go and benchmark/probes.go, which pass ΔR.
 	GossipInterval time.Duration
-	// USTInterval is ΔU, the spacing of a root's UST computations and down
-	// pushes, rounded up to whole rounds like GossipInterval.
+	// USTInterval must be 0 or ApplyInterval; New rejects any other value.
+	//
+	// Deprecated: ΔU is ΔR. A root recomputes the UST on every round. The
+	// field stays for the same frozen callers as GossipInterval.
 	USTInterval time.Duration
-	// GossipIdleMax spaces the pushes of a server that has seen no data
-	// activity (its own, or an Active bit from a neighbour) for a while: it
-	// lets one go per GossipIdleMax instead of one per round, and returns to
-	// every round with the next write. 0 selects 32×GossipInterval; a value at
-	// or below GossipInterval means the plane never goes quiet.
-	GossipIdleMax time.Duration
 	// GCInterval is the cadence of version-chain garbage collection, a step
 	// of the ΔR round rounded up to whole rounds: one sweep every
 	// ⌈GCInterval/ΔR⌉-th round. 0 disables GC.
@@ -132,7 +133,7 @@ type Config struct {
 	// that into a bounded stall. It is rounded up to whole rounds, and the
 	// reaper sweeps every ⌈PreparedTTL/4/ΔR⌉-th round. 0 selects the default
 	// (2×CallTimeout, so a live coordinator's decision always wins the race);
-	// negative disables reaping.
+	// New rejects a negative value.
 	PreparedTTL time.Duration
 	// Store, when non-nil, is the multi-version store the server serves from
 	// instead of a fresh one. The restart half of a crash/restart cycle hands
@@ -167,14 +168,11 @@ type Config struct {
 
 // Defaults mirror the paper's 5 ms stabilization cadence.
 const (
-	defaultApplyInterval  = 5 * time.Millisecond
-	defaultGossipInterval = 5 * time.Millisecond
-	defaultUSTInterval    = 5 * time.Millisecond
-	defaultGossipIdleMult = 32
-	defaultTxContextTTL   = 30 * time.Second
-	defaultCallTimeout    = 60 * time.Second
-	defaultBatchMaxBytes  = 1 << 20
-	applyWorkerCap        = 8
+	defaultApplyInterval = 5 * time.Millisecond
+	defaultTxContextTTL  = 30 * time.Second
+	defaultCallTimeout   = 60 * time.Second
+	defaultBatchMaxBytes = 1 << 20
+	applyWorkerCap       = 8
 )
 
 func (c *Config) withDefaults() (Config, error) {
@@ -204,23 +202,20 @@ func (c *Config) withDefaults() (Config, error) {
 	if cfg.BatchMaxBytes <= 0 {
 		cfg.BatchMaxBytes = defaultBatchMaxBytes
 	}
-	if cfg.GossipInterval <= 0 {
-		cfg.GossipInterval = defaultGossipInterval
+	if d := cfg.GossipInterval; d != 0 && d != cfg.ApplyInterval {
+		return cfg, fmt.Errorf("server: GossipInterval %v must be 0 or ApplyInterval (%v)", d, cfg.ApplyInterval)
 	}
-	if cfg.USTInterval <= 0 {
-		cfg.USTInterval = defaultUSTInterval
-	}
-	if cfg.GossipIdleMax == 0 {
-		cfg.GossipIdleMax = defaultGossipIdleMult * cfg.GossipInterval
-	}
-	if cfg.GossipIdleMax < cfg.GossipInterval {
-		cfg.GossipIdleMax = cfg.GossipInterval
+	if d := cfg.USTInterval; d != 0 && d != cfg.ApplyInterval {
+		return cfg, fmt.Errorf("server: USTInterval %v must be 0 or ApplyInterval (%v)", d, cfg.ApplyInterval)
 	}
 	if cfg.TxContextTTL <= 0 {
 		cfg.TxContextTTL = defaultTxContextTTL
 	}
 	if cfg.CallTimeout <= 0 {
 		cfg.CallTimeout = defaultCallTimeout
+	}
+	if cfg.PreparedTTL < 0 {
+		return cfg, fmt.Errorf("server: negative PreparedTTL %v", cfg.PreparedTTL)
 	}
 	if cfg.PreparedTTL == 0 {
 		cfg.PreparedTTL = 2 * cfg.CallTimeout
@@ -242,12 +237,7 @@ func (c *Config) rounds(d time.Duration) int64 {
 // so a straggling CohortCommit or PrepareReq for it can be rejected. Long
 // enough to outlive any in-flight decision for the transaction by a wide
 // margin, yet bounded so the set cannot grow without limit.
-func (c *Config) abortedRetention() time.Duration {
-	if c.PreparedTTL > 0 {
-		return 4 * c.PreparedTTL
-	}
-	return 4 * c.CallTimeout
-}
+func (c *Config) abortedRetention() time.Duration { return 4 * c.PreparedTTL }
 
 // preparedTx is an entry of the pending (Prepared) queue.
 type preparedTx struct {
@@ -462,8 +452,9 @@ func (s *Server) Mode() Mode { return s.cfg.Mode }
 // idempotent.
 func (s *Server) Start() { s.startOnce.Do(s.runLoop) }
 
-// Stop terminates the background loops and waits for in-flight request
-// handlers. It is idempotent and safe to call before Start.
+// Stop terminates the background loops, fails the server's pending calls and
+// waits for in-flight request handlers. It is idempotent and safe to call
+// before Start.
 func (s *Server) Stop() {
 	s.stopOnce.Do(func() {
 		// The write lock excludes every in-flight spawn: each holds the read
@@ -477,8 +468,11 @@ func (s *Server) Stop() {
 		s.prepBatch.shutdown()              // fail queued prepares deterministically
 	})
 	s.loopWG.Wait()
-	s.reqWG.Wait()
+	// Fail the pending calls before waiting for the request goroutines: a
+	// coordinator waiting on an unreachable cohort would otherwise hold Stop
+	// for its CallTimeout, and again for each failover.
 	s.peer.Close()
+	s.reqWG.Wait()
 }
 
 // runLoop starts the round: a loop bound to the stop channel that runs
@@ -559,7 +553,7 @@ func (s *Server) sweepTick(now int64) {
 	if due(s.cfg.TxContextTTL/2, 0) {
 		s.ctxCleanupTick()
 	}
-	if s.cfg.PreparedTTL > 0 && due(s.cfg.PreparedTTL/4, 0) {
+	if due(s.cfg.PreparedTTL/4, 0) {
 		s.reapTick()
 	}
 	s.inq.step(now)

@@ -151,6 +151,37 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsRetiredKnobs: ΔG and ΔU are ΔR, so the deprecated
+// intervals are accepted only at 0 or ApplyInterval, and there is no way to
+// switch the prepared-transaction reaper off.
+func TestConfigRejectsRetiredKnobs(t *testing.T) {
+	topo, _ := topology.New(3, 3, 2)
+	const dR = 2 * time.Millisecond
+	cases := []struct {
+		name string
+		set  func(*Config)
+		ok   bool
+	}{
+		{"intervals at ΔR", func(c *Config) { c.GossipInterval, c.USTInterval = dR, dR }, true},
+		{"intervals unset", func(*Config) {}, true},
+		{"gossip interval above ΔR", func(c *Config) { c.GossipInterval = 5 * dR }, false},
+		{"UST interval above ΔR", func(c *Config) { c.USTInterval = 5 * dR }, false},
+		{"gossip interval below ΔR", func(c *Config) { c.GossipInterval = dR / 2 }, false},
+		{"negative prepared TTL", func(c *Config) { c.PreparedTTL = -time.Second }, false},
+	}
+	for _, c := range cases {
+		cfg := Config{ID: topology.ServerID(0, 0), Topology: topo, ApplyInterval: dR}
+		c.set(&cfg)
+		srv, err := New(cfg)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: New err=%v, want ok=%v", c.name, err, c.ok)
+		}
+		if srv != nil {
+			srv.Stop()
+		}
+	}
+}
+
 func TestStartTxSnapshotsMonotonicAndClientDriven(t *testing.T) {
 	rig := newTestRig(t, ModeNonBlocking)
 	s := rig.srv

@@ -48,18 +48,22 @@ import (
 // and the USTDown bit never feeds back into up-tree advertisements, or it
 // would echo around the Up/Down/Root cycles forever. The rule is evaluated
 // when a push is due: a node nothing has marked active lets it go at most once
-// per Config.GossipIdleMax and otherwise holds it. After a quiet spell liveness
+// per idleRounds rounds and otherwise holds it. After a quiet spell liveness
 // pushes carry the bit to the root past idle siblings, and a node the parent's
 // bit wakes lets its held push go at once.
 // UST/Sold additionally ride on replication traffic (ReplicateBatch, ReplStatus).
 
-// activeWindowMult is how many pushes a server counts as data-active after
+// activeWindowMult is how many rounds a server counts as data-active after
 // the last observed write activity. Long enough to span a full up-root-down
 // stabilization round with margin, short enough that a quiescent cluster goes
-// quiet within a few tens of milliseconds at the default ΔG.
+// quiet within a few tens of milliseconds at the default ΔR.
 const activeWindowMult = 16
 
-// livenessTicks is how many push rounds a plane may go without completing one
+// idleRounds spaces the pushes of a server the idle rule holds: one per that
+// many rounds instead of one per round, until the next write.
+const idleRounds = 32
+
+// livenessTicks is how many rounds a plane may go without completing one
 // before it pushes what is there at every tick (a liveness push). Three: with
 // two, a WAN batch landing just after the next tick sets it off every other
 // round.
@@ -73,7 +77,6 @@ const pushesPerTick = 2
 // plane is the round bookkeeping of one push: the up plane's (GSTUp, at a root
 // GSTRoot) or the root plane's (UST computation and USTDown).
 type plane struct {
-	every int64 // one push per that many rounds (⌈ΔG/ΔR⌉, ⌈ΔU/ΔR⌉)
 	done  int64 // the round the last push was complete through
 	stall int64 // own ticks since the plane last completed a push round
 	sent  int   // pushes since the last tick
@@ -81,14 +84,14 @@ type plane struct {
 	held  int64 // round of the last push it withheld, counted once
 }
 
-// ready: the inputs are complete through a later push round than the last push.
-func (p *plane) ready(complete int64) bool { return complete/p.every > p.done/p.every }
+// ready: the inputs are complete through a later round than the last push.
+func (p *plane) ready(complete int64) bool { return complete > p.done }
 
 // due: ready (for the current round or under pushesPerTick), or at a tick
-// stalled for livenessTicks push rounds.
+// stalled for livenessTicks rounds.
 func (p *plane) due(complete, current int64, tick bool) bool {
 	return p.ready(complete) && (complete >= current || p.sent < pushesPerTick) ||
-		tick && p.stall >= livenessTicks*p.every
+		tick && p.stall >= livenessTicks
 }
 
 // pushed records a push complete through round complete.
@@ -111,9 +114,6 @@ type stabilizer struct {
 	// remoteRoots are the roots of the other DCs that host at least one
 	// partition and hence take part in the UST exchange (roots only).
 	remoteRoots []topology.NodeID
-
-	// idleEvery is GossipIdleMax in ticks.
-	idleEvery int64
 
 	// round is the label of this server's last tick; it is the only clock the
 	// plane reads. The four activity marks hold the round until which one
@@ -152,10 +152,9 @@ type stabilizer struct {
 func (st *stabilizer) init(s *Server) {
 	st.srv = s
 	topo, numDCs := s.cfg.Topology, s.cfg.Topology.NumDCs()
-	st.idleEvery = s.cfg.rounds(s.cfg.GossipIdleMax)
 	// The first push is never withheld.
-	st.up = plane{every: s.cfg.rounds(s.cfg.GossipInterval), let: -st.idleEvery, held: -1}
-	st.ust = plane{every: s.cfg.rounds(s.cfg.USTInterval), let: -st.idleEvery, held: -1}
+	st.up = plane{let: -idleRounds, held: -1}
+	st.ust = plane{let: -idleRounds, held: -1}
 
 	local := topo.PartitionsAt(s.self.DC) // ascending
 	idx := max(0, slices.Index(local, s.self.Partition()))
@@ -256,11 +255,11 @@ func (st *stabilizer) woken() {
 }
 
 // idleHold applies the idle rule to a push that is due: a node nothing marks
-// active lets one go only every idleEvery rounds. However often a held push is
+// active lets one go only every idleRounds rounds. However often a held push is
 // re-evaluated, it counts as one suppression per round.
 func (st *stabilizer) idleHold(p *plane) bool {
 	r := st.round.Load()
-	if st.activeNow() || r-p.let >= st.idleEvery {
+	if st.activeNow() || r-p.let >= idleRounds {
 		p.let = r
 		return false
 	}
@@ -345,7 +344,7 @@ func (st *stabilizer) computeUSTLocked(out *stabSends, tick bool) {
 
 // noteActivity extends one activity mark by the active window.
 func (st *stabilizer) noteActivity(until *atomic.Int64) {
-	until.Store(st.round.Load() + activeWindowMult*st.up.every)
+	until.Store(st.round.Load() + activeWindowMult)
 }
 
 // markData records local data activity (an apply or a data-bearing

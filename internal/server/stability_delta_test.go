@@ -317,35 +317,11 @@ func TestLostGSTUpDelaysThatRoundOnly(t *testing.T) {
 	}
 }
 
-func TestGossipIntervalStretchesTheRound(t *testing.T) {
-	// ΔG = 3·ΔR: one push per three rounds — those whose label crosses a
-	// multiple of three — however often the inputs refresh.
-	l := newLabelled(t, topology.ServerID(0, 5), func(c *Config) {
-		c.ApplyInterval = 5 * time.Millisecond
-		c.GossipInterval = 15 * time.Millisecond
-	})
-	l.st.keepActive()
-	for r := int64(1); r <= 12; r++ {
-		l.tick(r)
-		l.peer(r, uint64(r))
-	}
-	ups := l.parent.waitKind(t, wire.KindGSTUp, 4)
-	l.parent.quiet(t, wire.KindGSTUp, 4)
-	for i, m := range ups {
-		if up := m.(wire.GSTUp); up.Round != uint64(3*(i+1)) {
-			t.Fatalf("push %d = %+v, want round %d", i, up, 3*(i+1))
-		}
-	}
-}
-
 func TestGossipSuppressedWhenQuiescent(t *testing.T) {
 	// Partition 2 at DC 0 is a leaf under the DC-0 root. Its peer replica
 	// never answers here, so no round completes and every push is a liveness
 	// push.
-	rig := newTestRigAt(t, ModeNonBlocking, topology.ServerID(0, 2), func(c *Config) {
-		c.ApplyInterval = 5 * time.Millisecond
-		c.GossipIdleMax = 20 * time.Millisecond // 4 rounds
-	})
+	rig := newTestRigAt(t, ModeNonBlocking, topology.ServerID(0, 2))
 	s := rig.srv
 	st := &s.stab
 	if st.isRoot {
@@ -362,16 +338,18 @@ func TestGossipSuppressedWhenQuiescent(t *testing.T) {
 		t.Fatalf("first push = %+v, want inactive", first)
 	}
 
-	// No activity: the next three rounds' pushes are withheld, one count
-	// each, and the fourth goes — one per GossipIdleMax.
-	for r := int64(4); r <= 6; r++ {
+	// No activity: the pushes of the next idleRounds-1 rounds are withheld,
+	// one count each, and the one after goes — one per idleRounds rounds.
+	let := int64(3)
+	for r := let + 1; r < let+idleRounds; r++ {
 		s.applyTick(r, r)
 	}
 	parent.quiet(t, wire.KindGSTUp, 1)
-	if got := s.Metrics().GossipSuppressed; got != 3 {
-		t.Fatalf("GossipSuppressed = %d, want one for each of the 3 rounds", got)
+	if got := s.Metrics().GossipSuppressed; got != idleRounds-1 {
+		t.Fatalf("GossipSuppressed = %d, want one for each of the %d rounds", got, idleRounds-1)
 	}
-	s.applyTick(7, 7)
+	let += idleRounds
+	s.applyTick(let, let)
 	parent.waitKind(t, wire.KindGSTUp, 2)
 
 	// With the peer answering, each withheld push is re-evaluated at the tick
@@ -380,26 +358,27 @@ func TestGossipSuppressedWhenQuiescent(t *testing.T) {
 	batch := func(r int64) {
 		s.handleReplicateBatch(sequenced(s, wire.ReplicateBatch{SrcDC: 2, UpTo: hlc.New(900+uint64(r), 0), Round: uint64(r)}))
 	}
-	for r := int64(8); r <= 10; r++ {
+	for r := let + 1; r < let+idleRounds; r++ {
 		s.applyTick(r, r)
 		batch(r)
 	}
 	parent.quiet(t, wire.KindGSTUp, 2)
-	if got := s.Metrics().GossipSuppressed; got != 6 {
-		t.Fatalf("GossipSuppressed = %d, want 6: one per withheld round", got)
+	if got := s.Metrics().GossipSuppressed; got != 2*(idleRounds-1) {
+		t.Fatalf("GossipSuppressed = %d, want %d: one per withheld round", got, 2*(idleRounds-1))
 	}
-	s.applyTick(11, 11)
+	let += idleRounds
+	s.applyTick(let, let)
 	parent.waitKind(t, wire.KindGSTUp, 3)
 
 	// Data activity makes every round push, with the Active bit set, while
 	// the window lasts.
 	st.markData()
-	for r := int64(11); r <= 13; r++ {
-		if r > 11 {
+	for r := let; r <= let+2; r++ {
+		if r > let {
 			s.applyTick(r, r)
 		}
 		batch(r)
-		if up := parent.waitKind(t, wire.KindGSTUp, int(r-7))[r-8].(wire.GSTUp); !up.Active || up.Round != uint64(r) {
+		if up := parent.waitKind(t, wire.KindGSTUp, int(r-let)+4)[r-let+3].(wire.GSTUp); !up.Active || up.Round != uint64(r) {
 			t.Fatalf("active push = %+v, want active, round %d", up, r)
 		}
 	}
@@ -439,7 +418,7 @@ func TestActiveBitMarksReceiverActive(t *testing.T) {
 		t.Fatal("Active GSTUp did not mark the receiver active")
 	}
 	// The window is counted in rounds and runs out.
-	for r := int64(1); r <= activeWindowMult*st.up.every; r++ {
+	for r := int64(1); r <= activeWindowMult; r++ {
 		st.roundTick(r, false)
 	}
 	if st.activeNow() {

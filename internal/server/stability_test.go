@@ -104,7 +104,7 @@ func (st *stabilizer) takeUp() stabSends {
 	var out stabSends
 	st.markData()
 	st.mu.Lock()
-	st.up.stall = livenessTicks * st.up.every
+	st.up.stall = livenessTicks
 	st.pushUpLocked(&out, true)
 	st.mu.Unlock()
 	return out
@@ -115,7 +115,7 @@ func (st *stabilizer) takeUp() stabSends {
 func (st *stabilizer) takeUST() {
 	var out stabSends
 	st.mu.Lock()
-	st.ust.stall = livenessTicks * st.ust.every
+	st.ust.stall = livenessTicks
 	st.computeUSTLocked(&out, true)
 	st.mu.Unlock()
 	st.send(&out)

@@ -30,7 +30,7 @@ type txShard struct {
 	mu sync.Mutex
 	m  map[wire.TxID]txContext
 	// n mirrors len(m) atomically so whole-table scans — the stabilization
-	// aggregate runs every ΔG on every server — skip empty shards without
+	// aggregate runs every round on every server — skip empty shards without
 	// taking their locks, and len() costs no locks at all.
 	n atomic.Int64
 }

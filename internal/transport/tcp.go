@@ -16,32 +16,25 @@ import (
 )
 
 // TCPNode attaches one node to a real TCP network: it listens for inbound
-// connections from peers and lazily dials up to ConnsPerPeer outbound
-// connections (stripes) per peer. Each outbound connection is written by a
-// single goroutine, so per-connection FIFO order is inherited from TCP
-// itself; stripe selection (see stripe) keeps every message class that
-// depends on the protocol's FIFO-channel assumption — casts, i.e.
-// replication, CohortCommit and AbortTx — on one fixed stripe per peer pair,
-// while request/response traffic, which is matched by RequestID and needs no
-// ordering, spreads across the rest. Striping exists because a single TCP
-// connection serializes all RPCs between two servers through one write queue
-// and one kernel socket; under multi-core load that single writer becomes
-// the bottleneck long before the NIC does.
+// connections from peers and lazily dials one outbound connection per peer.
+// Each outbound connection is written by a single goroutine, so every message
+// to a peer — casts (replication, CohortCommit before a later AbortTx)
+// included — keeps the FIFO order the protocol assumes, inherited from TCP
+// itself.
 //
 // TCPNode implements Endpoint; unlike MemNet there is no central Network
 // object because each node lives in its own process (see cmd/paris-server).
 type TCPNode struct {
-	self     topology.NodeID
-	book     AddressBook
-	handler  Handler
-	ln       net.Listener
-	nstripes int
+	self    topology.NodeID
+	book    AddressBook
+	handler Handler
+	ln      net.Listener
 	// dial opens outbound connections; a test swaps it to observe the bound.
 	dial func(ctx context.Context, network, addr string) (net.Conn, error)
 
 	mu sync.Mutex
-	// conns holds the outbound stripe set per peer; slots dial lazily.
-	conns   map[topology.NodeID][]*tcpConn
+	// conns holds the outbound connection per peer, dialed lazily.
+	conns   map[topology.NodeID]*tcpConn
 	inbound map[net.Conn]*tcpConn
 	// routes maps a peer to the write side of an inbound connection it
 	// opened to us. Nodes absent from the address book — clients, which
@@ -58,14 +51,6 @@ type TCPNode struct {
 	batchedEnvs atomic.Uint64
 	byKindMu    sync.Mutex
 	byKind      map[wire.Kind]uint64
-}
-
-// TCPOptions tunes a TCPNode beyond the required constructor arguments.
-type TCPOptions struct {
-	// ConnsPerPeer is the number of outbound connections (stripes) dialed
-	// per peer. 0 or 1 keeps the single-connection behavior. Casts always
-	// share one stripe (FIFO); requests and responses hash by RequestID.
-	ConnsPerPeer int
 }
 
 // AddressBook resolves node ids to dialable addresses.
@@ -90,30 +75,20 @@ func (b StaticBook) Addr(id topology.NodeID) (string, error) {
 // returned node delivers inbound envelopes to handler and must be closed by
 // the caller.
 func ListenTCP(self topology.NodeID, listenAddr string, book AddressBook, handler Handler) (*TCPNode, error) {
-	return ListenTCPOpts(self, listenAddr, book, handler, TCPOptions{})
-}
-
-// ListenTCPOpts is ListenTCP with explicit options.
-func ListenTCPOpts(self topology.NodeID, listenAddr string, book AddressBook, handler Handler, opts TCPOptions) (*TCPNode, error) {
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", listenAddr, err)
 	}
-	nstripes := opts.ConnsPerPeer
-	if nstripes < 1 {
-		nstripes = 1
-	}
 	n := &TCPNode{
-		self:     self,
-		book:     book,
-		handler:  handler,
-		ln:       ln,
-		nstripes: nstripes,
-		dial:     (&net.Dialer{}).DialContext,
-		conns:    make(map[topology.NodeID][]*tcpConn),
-		inbound:  make(map[net.Conn]*tcpConn),
-		routes:   make(map[topology.NodeID]*tcpConn),
-		byKind:   make(map[wire.Kind]uint64),
+		self:    self,
+		book:    book,
+		handler: handler,
+		ln:      ln,
+		dial:    (&net.Dialer{}).DialContext,
+		conns:   make(map[topology.NodeID]*tcpConn),
+		inbound: make(map[net.Conn]*tcpConn),
+		routes:  make(map[topology.NodeID]*tcpConn),
+		byKind:  make(map[wire.Kind]uint64),
 	}
 	n.wg.Add(1)
 	go n.acceptLoop()
@@ -122,21 +97,6 @@ func ListenTCPOpts(self topology.NodeID, listenAddr string, book AddressBook, ha
 
 // ListenAddr returns the bound listen address (useful with ":0").
 func (n *TCPNode) ListenAddr() string { return n.ln.Addr().String() }
-
-// stripe picks the outbound connection index for an envelope. Casts carry
-// the protocol's FIFO-channel assumption (replication order, CohortCommit
-// before a later AbortTx), so every cast between one pair of nodes maps to
-// the same stripe; requests and responses are matched by RequestID on the
-// receiving side and may fan out across all stripes.
-func (n *TCPNode) stripe(env Envelope) int {
-	if n.nstripes == 1 {
-		return 0
-	}
-	if env.Class == ClassCast {
-		return int(uint32(env.From.Index)) % n.nstripes
-	}
-	return int(env.RequestID % uint64(n.nstripes))
-}
 
 // countSend tallies one sent envelope (sent total + per-kind).
 func (n *TCPNode) countSend(env *Envelope) {
@@ -190,8 +150,6 @@ func (n *TCPNode) SendBatch(envs []Envelope) error {
 	for i := range envs {
 		envs[i].From = n.self
 	}
-	// The whole batch rides the first envelope's stripe: batches are cast
-	// traffic (replication) and must stay in one FIFO.
 	c, err := n.connOrRoute(&envs[0])
 	if err != nil {
 		return err
@@ -211,11 +169,11 @@ func (n *TCPNode) SendBatch(envs []Envelope) error {
 	return c.enqueueBuf(buf)
 }
 
-// connOrRoute resolves the connection for an envelope's destination and
-// stripe, falling back to the reverse route: the destination may have dialed
-// us even though the address book cannot resolve it (clients).
+// connOrRoute resolves the connection for an envelope's destination,
+// falling back to the reverse route: the destination may have dialed us even
+// though the address book cannot resolve it (clients).
 func (n *TCPNode) connOrRoute(env *Envelope) (*tcpConn, error) {
-	c, err := n.conn(env.To, n.stripe(*env))
+	c, err := n.conn(env.To)
 	if err != nil {
 		n.mu.Lock()
 		rc, ok := n.routes[env.To]
@@ -237,13 +195,9 @@ func (n *TCPNode) Close() error {
 		return nil
 	}
 	n.closed = true
-	conns := make([]*tcpConn, 0, len(n.conns)*n.nstripes)
-	for _, stripes := range n.conns {
-		for _, c := range stripes {
-			if c != nil {
-				conns = append(conns, c)
-			}
-		}
+	conns := make([]*tcpConn, 0, len(n.conns))
+	for _, c := range n.conns {
+		conns = append(conns, c)
 	}
 	// Inbound connections must be closed explicitly or their read loops
 	// block in ReadFull until the remote side closes — which may itself be
@@ -268,14 +222,13 @@ func (n *TCPNode) Close() error {
 	return nil
 }
 
-func (n *TCPNode) conn(to topology.NodeID, stripe int) (*tcpConn, error) {
+func (n *TCPNode) conn(to topology.NodeID) (*tcpConn, error) {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if cs, ok := n.conns[to]; ok && cs[stripe] != nil {
-		c := cs[stripe]
+	if c, ok := n.conns[to]; ok {
 		n.mu.Unlock()
 		return c, nil
 	}
@@ -298,19 +251,13 @@ func (n *TCPNode) conn(to topology.NodeID, stripe int) (*tcpConn, error) {
 		_ = raw.Close()
 		return nil, ErrClosed
 	}
-	cs := n.conns[to]
-	if cs == nil {
-		cs = make([]*tcpConn, n.nstripes)
-		n.conns[to] = cs
-	}
-	if cs[stripe] != nil { // lost the race; reuse the winner
-		c := cs[stripe]
+	if c, ok := n.conns[to]; ok { // lost the race; reuse the winner
 		n.mu.Unlock()
 		_ = raw.Close()
 		return c, nil
 	}
 	c := newTCPConn(raw)
-	cs[stripe] = c
+	n.conns[to] = c
 	n.wg.Add(2)
 	go func() {
 		defer n.wg.Done()
@@ -365,12 +312,10 @@ func (n *TCPNode) readLoop(raw net.Conn, wc *tcpConn) {
 		if n.routes[from] == wc {
 			delete(n.routes, from)
 		}
-		// Evict a dead outbound stripe so future sends redial it.
-		for _, stripes := range n.conns {
-			for i, c := range stripes {
-				if c == wc {
-					stripes[i] = nil
-				}
+		// Evict a dead outbound connection so future sends redial it.
+		for to, c := range n.conns {
+			if c == wc {
+				delete(n.conns, to)
 			}
 		}
 		n.mu.Unlock()

@@ -346,3 +346,134 @@ func TestTCPReverseRouteForUnresolvableCaller(t *testing.T) {
 		t.Fatalf("bad response %+v", resp)
 	}
 }
+
+// requestEchoHandler answers every request with itself and records casts in
+// order.
+type requestEchoHandler struct {
+	collectHandler
+}
+
+func (h *requestEchoHandler) HandleRequest(_ topology.NodeID, msg wire.Message, reply func(wire.Message)) {
+	reply(msg)
+}
+
+// TestTCPCastFIFOWithConcurrentRequests is the ordering contract of the TCP
+// transport: with request traffic sharing the one connection per peer, casts
+// between one pair of nodes still arrive in send order.
+func TestTCPCastFIFOWithConcurrentRequests(t *testing.T) {
+	a := topology.ServerID(0, 0)
+	b := topology.ServerID(1, 0)
+	h := &requestEchoHandler{}
+	receiver := NewPeer(b, h)
+
+	book := StaticBook{}
+	nodeB, err := ListenTCP(b, "127.0.0.1:0", book, receiver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = nodeB.Close() }()
+	book[b] = nodeB.ListenAddr()
+
+	sender := NewPeer(a, &collectHandler{})
+	nodeA, err := ListenTCP(a, "127.0.0.1:0", book, sender)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = nodeA.Close() }()
+	sender.Attach(nodeA)
+	receiver.Attach(nodeB)
+
+	// Request chatter in the background, interleaved with the casts below on
+	// the same connection.
+	stopReq := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := context.Background()
+			for {
+				select {
+				case <-stopReq:
+					return
+				default:
+				}
+				if _, err := sender.Call(ctx, b, wire.ReplicateBatch{SrcDC: 9, UpTo: 1}); err != nil {
+					return
+				}
+			}
+		}()
+	}
+
+	const n = 400
+	for i := 1; i <= n; i++ {
+		if err := sender.Cast(b, wire.ReplicateBatch{SrcDC: 1, UpTo: hlc.Timestamp(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := h.wait(t, n)
+	close(stopReq)
+	wg.Wait()
+
+	for i, m := range got {
+		hb, ok := m.(wire.ReplicateBatch)
+		if !ok || hb.SrcDC != 1 || hb.UpTo != hlc.Timestamp(i+1) {
+			t.Fatalf("cast %d = %#v, want ReplicateBatch UpTo=%d", i, m, i+1)
+		}
+	}
+
+	// Requests and casts shared one outbound connection.
+	nodeA.mu.Lock()
+	dialed := len(nodeA.conns)
+	nodeA.mu.Unlock()
+	if dialed != 1 {
+		t.Fatalf("%d outbound connections, want 1", dialed)
+	}
+}
+
+// TestTCPCounters checks the MemNet-compatible counter surface on
+// TCPNode: totals, per-kind counts and batch accounting.
+func TestTCPCounters(t *testing.T) {
+	a := topology.ServerID(0, 0)
+	b := topology.ServerID(1, 0)
+	var h collectHandler
+	receiver := NewPeer(b, &h)
+
+	book := StaticBook{}
+	nodeB, err := ListenTCP(b, "127.0.0.1:0", book, receiver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = nodeB.Close() }()
+	book[b] = nodeB.ListenAddr()
+
+	sender := NewPeer(a, &collectHandler{})
+	nodeA, err := ListenTCP(a, "127.0.0.1:0", book, sender)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = nodeA.Close() }()
+	sender.Attach(nodeA)
+	receiver.Attach(nodeB)
+
+	if err := sender.Cast(b, wire.ReplicateBatch{SrcDC: 1, UpTo: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sender.CastBatch(b, batchOf(5)); err != nil {
+		t.Fatal(err)
+	}
+	h.wait(t, 6)
+
+	if got := nodeA.MessagesSent(); got != 6 {
+		t.Fatalf("MessagesSent = %d, want 6", got)
+	}
+	if got := nodeA.BatchesSent(); got != 1 {
+		t.Fatalf("BatchesSent = %d, want 1", got)
+	}
+	if got := nodeA.BatchedEnvelopes(); got != 5 {
+		t.Fatalf("BatchedEnvelopes = %d, want 5", got)
+	}
+	if got := nodeA.MessagesByKind()[wire.KindReplicateBatch]; got != 6 {
+		t.Fatalf("byKind[ReplicateBatch] = %d, want 6", got)
+	}
+}

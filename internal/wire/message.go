@@ -721,8 +721,8 @@ func (b ReplicateBatch) Items() int {
 // Active propagates data activity through the stabilization plane: it is set
 // while the sender has recently committed or applied remote data, or heard an
 // Active GSTUp from its own subtree. A receiver that hears an Active message
-// keeps pushing every round; without one it falls back to one push per
-// Config.GossipIdleMax.
+// keeps pushing every round; without one it falls back to one push per 32
+// rounds.
 type GSTUp struct {
 	Active bool
 	Min    hlc.Timestamp

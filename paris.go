@@ -130,7 +130,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			BandwidthBudget:  budget,
 			GossipInterval:   full.GossipInterval,
 			USTInterval:      full.USTInterval,
-			GossipIdleMax:    full.GossipIdleMax,
 			GCInterval:       full.GCInterval,
 			TxContextTTL:     full.TxContextTTL,
 			CallTimeout:      full.CallTimeout,

@@ -17,8 +17,6 @@ func testConfig() Config {
 		ReplicationFactor: 2,
 		Latency:           transport.Uniform{IntraDC: 0, InterDC: 2 * time.Millisecond},
 		ApplyInterval:     time.Millisecond,
-		GossipInterval:    time.Millisecond,
-		USTInterval:       time.Millisecond,
 	}
 }
 

@@ -23,8 +23,6 @@ func benchCluster(b *testing.B) *Cluster {
 	cfg.ReplicationFactor = 2
 	cfg.Latency = transport.ZeroLatency{}
 	cfg.ApplyInterval = 5 * time.Millisecond
-	cfg.GossipInterval = 5 * time.Millisecond
-	cfg.USTInterval = 5 * time.Millisecond
 	cluster, err := NewCluster(cfg)
 	if err != nil {
 		b.Fatal(err)

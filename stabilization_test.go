@@ -25,7 +25,7 @@ import (
 // safety: under faults the UST stands still, never regresses, and resumes.
 
 // stabConfig is the benchmark's deployment — 3 DCs × 6 partitions × RF 2,
-// every interval 5 ms — on zero-latency links.
+// ΔR 5 ms — on zero-latency links.
 func stabConfig() Config {
 	return Config{
 		NumDCs:            3,
@@ -33,8 +33,6 @@ func stabConfig() Config {
 		ReplicationFactor: 2,
 		Latency:           transport.ZeroLatency{},
 		ApplyInterval:     5 * time.Millisecond,
-		GossipInterval:    5 * time.Millisecond,
-		USTInterval:       5 * time.Millisecond,
 	}
 }
 
@@ -311,7 +309,7 @@ func TestStabilizationFaults(t *testing.T) {
 }
 
 // TestStabilizationIdle: a cluster nobody writes to falls back to one push
-// per GossipIdleMax and edge — the rate BENCH_PR10.json recorded for the plane
+// per 32 rounds and edge — the rate BENCH_PR10.json recorded for the plane
 // this one replaced — and the first write after the quiet spell wakes it up:
 // the liveness pushes of nodes whose idle children held their rounds back
 // carry the Active bit past idle siblings to the root, one round per tree

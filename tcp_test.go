@@ -39,11 +39,9 @@ func TestTCPDeploymentEndToEnd(t *testing.T) {
 	})
 	for _, id := range topo.AllServers() {
 		srv, err := server.New(server.Config{
-			ID:             id,
-			Topology:       topo,
-			ApplyInterval:  time.Millisecond,
-			GossipInterval: time.Millisecond,
-			USTInterval:    time.Millisecond,
+			ID:            id,
+			Topology:      topo,
+			ApplyInterval: time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
