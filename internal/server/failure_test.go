@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -484,5 +485,168 @@ func TestStatusPendingSurvivesContextEviction(t *testing.T) {
 	resp = s.handleTxStatus(topology.ServerID(1, 1), wire.TxStatusReq{TxID: start.TxID})
 	if st := resp.(wire.TxStatusResp); st.Status != wire.TxStatusAborted {
 		t.Fatalf("post-abort status = %v, want aborted", st.Status)
+	}
+}
+
+// slowCohort stands in for a remote cohort that is reachable but slow: it
+// answers every prepare after delay and records the transactions it prepared
+// and the decisions it was sent.
+type slowCohort struct {
+	ep    transport.Endpoint
+	delay time.Duration
+
+	mu        sync.Mutex
+	prepared  map[wire.TxID]bool
+	committed map[wire.TxID]bool
+	aborted   map[wire.TxID]bool
+}
+
+func newSlowCohort(delay time.Duration) *slowCohort {
+	return &slowCohort{
+		delay:     delay,
+		prepared:  make(map[wire.TxID]bool),
+		committed: make(map[wire.TxID]bool),
+		aborted:   make(map[wire.TxID]bool),
+	}
+}
+
+func (c *slowCohort) Deliver(env transport.Envelope) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch m := env.Msg.(type) {
+	case wire.PrepareReq:
+		c.prepared[m.TxID] = true
+		c.answer(env, wire.PrepareResp{TxID: m.TxID, Proposed: m.HT})
+	case wire.PrepareBatch:
+		resps := make([]wire.PrepareResult, len(m.Reqs))
+		for i, r := range m.Reqs {
+			c.prepared[r.TxID] = true
+			resps[i] = wire.PrepareResult{TxID: r.TxID, Proposed: r.HT}
+		}
+		c.answer(env, wire.PrepareBatchResp{Resps: resps})
+	case wire.CohortCommit:
+		c.committed[m.TxID] = true
+	case wire.AbortTx:
+		c.aborted[m.TxID] = true
+	}
+}
+
+func (c *slowCohort) answer(req transport.Envelope, resp wire.Message) {
+	time.AfterFunc(c.delay, func() {
+		_ = c.ep.Send(transport.Envelope{To: req.From, Class: transport.ClassResponse,
+			RequestID: req.RequestID, Msg: resp})
+	})
+}
+
+// undecided names a transaction the cohort prepared but got no decision
+// for, or one of acked it was not told to commit; "" when there is none.
+func (c *slowCohort) undecided(acked map[wire.TxID]bool) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for id := range c.prepared {
+		if !c.committed[id] && !c.aborted[id] {
+			return fmt.Sprintf("tx %v prepared and never decided", id)
+		}
+		if acked[id] && !c.committed[id] {
+			return fmt.Sprintf("tx %v acknowledged to its client but not committed here", id)
+		}
+	}
+	return ""
+}
+
+// TestStopDecidesInFlightCommits: stopping a coordinator while its commits
+// wait on a slow but reachable cohort fails their pending prepares at once,
+// and every transaction that reached the cohort still gets its decision — an
+// AbortTx for one whose prepare was cut off, a CohortCommit for one its
+// client was told committed. A closed peer would refuse those casts, and the
+// cohort would hold its entry until the reaper gave up on the coordinator
+// (2×PreparedTTL), freezing the UST meanwhile, or lose an acknowledged
+// transaction's slice.
+func TestStopDecidesInFlightCommits(t *testing.T) {
+	const callTimeout = 5 * time.Second
+	rig := newTestRig(t, ModeNonBlocking, func(c *Config) { c.CallTimeout = callTimeout })
+	s := rig.srv
+	var cohorts []*slowCohort
+	for _, dc := range rig.topo.ReplicaDCs(1) {
+		id := topology.ServerID(dc, 1)
+		rig.net.Deregister(id)
+		c := newSlowCohort(2 * time.Millisecond)
+		ep, err := rig.net.Register(id, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.ep = ep
+		cohorts = append(cohorts, c)
+	}
+	writes := []wire.KV{
+		{Key: keyForPartition(t, rig.topo, 0), Value: []byte("v")},
+		{Key: keyForPartition(t, rig.topo, 1), Value: []byte("v")},
+	}
+
+	var (
+		mu    sync.Mutex
+		acked = make(map[wire.TxID]bool)
+		wg    sync.WaitGroup
+	)
+	from := topology.ClientID(0, 0)
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp := make(chan wire.Message, 1)
+			reply := func(m wire.Message) { resp <- m }
+			for {
+				s.HandleRequest(from, wire.StartTxReq{}, reply)
+				start, ok := (<-resp).(wire.StartTxResp)
+				if !ok {
+					return // stopped
+				}
+				s.HandleRequest(from, wire.CommitReq{TxID: start.TxID, Writes: writes}, reply)
+				switch m := (<-resp).(type) {
+				case wire.CommitResp:
+					mu.Lock()
+					acked[m.TxID] = true
+					mu.Unlock()
+				case wire.ErrorResp:
+					if m.Code == wire.CodeShuttingDown {
+						return
+					}
+				}
+			}
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		n := len(acked)
+		mu.Unlock()
+		if n >= 8 && s.Peer().Pending() > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no commit in flight: %d acknowledged, %d calls pending", n, s.Peer().Pending())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	start := time.Now()
+	s.Stop()
+	if took := time.Since(start); took >= callTimeout/10 {
+		t.Fatalf("Stop took %v with prepares pending, want well under CallTimeout (%v)", took, callTimeout)
+	}
+	wg.Wait()
+
+	deadline = time.Now().Add(2 * time.Second)
+	for _, c := range cohorts {
+		for {
+			msg := c.undecided(acked)
+			if msg == "" {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal(msg)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }

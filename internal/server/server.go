@@ -470,9 +470,13 @@ func (s *Server) Stop() {
 	s.loopWG.Wait()
 	// Fail the pending calls before waiting for the request goroutines: a
 	// coordinator waiting on an unreachable cohort would otherwise hold Stop
-	// for its CallTimeout, and again for each failover.
-	s.peer.Close()
+	// for its CallTimeout, and again for each failover. Casts stay open until
+	// the handlers are done, so a commit that aborts on a failed prepare
+	// still releases its cohorts, and one that decided still delivers its
+	// CohortCommits.
+	s.peer.FailCalls()
 	s.reqWG.Wait()
+	s.peer.Close()
 }
 
 // runLoop starts the round: a loop bound to the stop channel that runs

@@ -30,7 +30,9 @@ type Peer struct {
 	ep      Endpoint
 	nextID  uint64
 	pending map[uint64]chan wire.Message
-	closed  bool
+	// callsFailed refuses calls (FailCalls ran), closed casts as well.
+	callsFailed bool
+	closed      bool
 }
 
 // NewPeer creates the Peer for node self, dispatching inbound requests and
@@ -54,21 +56,31 @@ func (p *Peer) Attach(ep Endpoint) {
 // Self returns the node id this peer speaks for.
 func (p *Peer) Self() topology.NodeID { return p.self }
 
-// Close fails all pending calls and detaches. The underlying endpoint is the
-// owner's to close.
-func (p *Peer) Close() {
+// FailCalls fails every pending call and refuses new ones with ErrClosed,
+// but leaves casts open: a server that is stopping still has to send the 2PC
+// decisions (CohortCommit, AbortTx) of the commits its handlers finish.
+func (p *Peer) FailCalls() {
 	p.mu.Lock()
-	if p.closed {
+	if p.callsFailed {
 		p.mu.Unlock()
 		return
 	}
-	p.closed = true
+	p.callsFailed = true
 	pending := p.pending
 	p.pending = make(map[uint64]chan wire.Message)
 	p.mu.Unlock()
 	for _, ch := range pending {
 		close(ch)
 	}
+}
+
+// Close fails all pending calls and refuses further calls and casts. The
+// underlying endpoint is the owner's to close.
+func (p *Peer) Close() {
+	p.FailCalls()
+	p.mu.Lock()
+	p.closed = true
+	p.mu.Unlock()
 }
 
 // respChanPool recycles the buffered response channels Call parks on — one
@@ -109,7 +121,7 @@ func (p *Peer) CallTimeout(ctx context.Context, to topology.NodeID, req wire.Mes
 	ch := respChanPool.Get().(chan wire.Message)
 	id, owned, err := p.send(to, req, ch)
 	if err != nil {
-		// A channel Close took and closed must never re-enter the pool: a
+		// A channel FailCalls took and closed must never re-enter the pool: a
 		// later Call would Get it and the deliverer's send would panic.
 		if owned {
 			respChanPool.Put(ch)
@@ -131,7 +143,7 @@ func (p *Peer) CallTimeout(ctx context.Context, to topology.NodeID, req wire.Mes
 	select {
 	case resp, ok := <-ch:
 		if !ok {
-			// Closed by Close(); the channel is dead — never reuse it.
+			// Closed by FailCalls; the channel is dead — never reuse it.
 			return nil, ErrClosed
 		}
 		// The response was consumed and the pending entry is gone, so no
@@ -155,7 +167,7 @@ func (p *Peer) CallTimeout(ctx context.Context, to topology.NodeID, req wire.Mes
 
 // Ask sends req to node "to" as a call it does not wait for: the response,
 // wire.ErrorResp included, arrives on the returned channel unless Forget(id)
-// withdraws the call first, and Close closes it. It is never pooled.
+// withdraws the call first, and FailCalls closes it. It is never pooled.
 func (p *Peer) Ask(to topology.NodeID, req wire.Message) (uint64, <-chan wire.Message, error) {
 	ch := make(chan wire.Message, 1)
 	id, _, err := p.send(to, req, ch)
@@ -168,10 +180,10 @@ func (p *Peer) Ask(to topology.NodeID, req wire.Message) (uint64, <-chan wire.Me
 // send is the first half of every call: it parks ch, buffered, in pending
 // under a fresh request id and sends req. On failure the entry is withdrawn,
 // and owned reports whether ch is still the caller's: false when a concurrent
-// Close swapped the pending map and closed ch.
+// FailCalls swapped the pending map and closed ch.
 func (p *Peer) send(to topology.NodeID, req wire.Message, ch chan wire.Message) (id uint64, owned bool, err error) {
 	p.mu.Lock()
-	if p.closed {
+	if p.callsFailed {
 		p.mu.Unlock()
 		return 0, true, ErrClosed
 	}
@@ -274,7 +286,7 @@ func (p *Peer) Deliver(env Envelope) {
 }
 
 // Forget withdraws a pending call, so that a late response is dropped, and
-// reports whether the entry was still present — false means Close() (or the
+// reports whether the entry was still present — false means FailCalls (or the
 // deliverer) already took it, and the caller no longer owns the channel.
 func (p *Peer) Forget(id uint64) bool {
 	p.mu.Lock()

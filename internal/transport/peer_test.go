@@ -193,6 +193,37 @@ func TestPeerCloseFailsPendingCalls(t *testing.T) {
 	}
 }
 
+// TestPeerFailCallsKeepsCasts: FailCalls releases the pending calls and
+// refuses new ones, but casts still go out until Close.
+func TestPeerFailCallsKeepsCasts(t *testing.T) {
+	silent := HandlerFuncs{
+		Request: func(_ topology.NodeID, _ wire.Message, _ func(wire.Message)) {},
+	}
+	pA, _, _ := newPeerPair(t, nopHandler{}, silent)
+	done := make(chan error, 1)
+	go func() {
+		_, err := pA.Call(context.Background(), nodeB, wire.StartTxReq{})
+		done <- err
+	}()
+	for pA.Pending() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	pA.FailCalls()
+	if err := <-done; !errors.Is(err, ErrClosed) {
+		t.Fatalf("pending call after FailCalls: err=%v, want ErrClosed", err)
+	}
+	if _, err := pA.Call(context.Background(), nodeB, wire.StartTxReq{}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("call after FailCalls: err=%v, want ErrClosed", err)
+	}
+	if err := pA.Cast(nodeB, wire.ReplicateBatch{}); err != nil {
+		t.Fatalf("cast after FailCalls: %v", err)
+	}
+	pA.Close()
+	if err := pA.Cast(nodeB, wire.ReplicateBatch{}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("cast after Close: err=%v, want ErrClosed", err)
+	}
+}
+
 func TestPeerUnattachedFailsFast(t *testing.T) {
 	p := NewPeer(nodeA, nopHandler{})
 	if _, err := p.Call(context.Background(), nodeB, wire.StartTxReq{}); err == nil {

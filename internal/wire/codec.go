@@ -285,22 +285,12 @@ func (c *codec) dc(p *topology.DCID) {
 }
 
 func (c *codec) ts(p *hlc.Timestamp) {
-	if c.mode == encoding {
-		c.link(uint64(*p), &c.hasTS, &c.prevTS)
-		return
-	}
 	store(c, p, hlc.Timestamp(c.chain(uint64(*p), &c.hasTS, &c.prevTS)))
 }
 
 // id walks a TxID on a chain of its own: consecutive ids from one
 // coordinator differ only in the low sequence bits, so the deltas are tiny.
-func (c *codec) id(p *TxID) {
-	if c.mode == encoding {
-		c.link(uint64(*p), &c.hasID, &c.prevID)
-		return
-	}
-	store(c, p, TxID(c.chain(uint64(*p), &c.hasID, &c.prevID)))
-}
+func (c *codec) id(p *TxID) { store(c, p, TxID(c.chain(uint64(*p), &c.hasID, &c.prevID))) }
 
 // varint walks an unsigned varint of value v, at most limit. Decoding
 // returns the value read and rejects one above limit or not in its shortest
@@ -330,16 +320,18 @@ func (c *codec) varint(v, limit uint64) uint64 {
 	return v
 }
 
-// chain decodes or sizes value v of a delta chain whose state is (started,
-// prev): the chain's first value is a fixed 8 bytes, little-endian, every
-// later one a zigzag varint of its difference from the value before (link
-// encodes them). Sizing charges a ten-byte delta.
+// chain walks value v of a delta chain whose state is (started, prev): the
+// chain's first value is a fixed 8 bytes, little-endian, every later one a
+// zigzag varint of its difference from the value before (which varint
+// returns as written when encoding). Sizing charges a ten-byte delta.
 func (c *codec) chain(v uint64, started *bool, prev *uint64) uint64 {
 	switch {
 	case c.mode == sizing:
 		c.size += binary.MaxVarintLen64
 	case *started:
-		v = *prev + uint64(unzigzag(c.varint(0, math.MaxUint64)))
+		v = *prev + uint64(unzigzag(c.varint(zigzag(int64(v-*prev)), math.MaxUint64)))
+	case c.mode == encoding:
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, v)
 	case c.err != nil || len(c.buf) < 8:
 		c.fail(ErrTruncated)
 	default:
@@ -347,17 +339,6 @@ func (c *codec) chain(v uint64, started *bool, prev *uint64) uint64 {
 	}
 	*started, *prev = true, v
 	return v
-}
-
-// link encodes value v of the delta chain (started, prev), in chain's format,
-// without chain's mode switches: encoding is the hot path.
-func (c *codec) link(v uint64, started *bool, prev *uint64) {
-	if *started {
-		c.buf = binary.AppendUvarint(c.buf, zigzag(int64(v-*prev)))
-	} else {
-		c.buf = binary.LittleEndian.AppendUint64(c.buf, v)
-	}
-	*started, *prev = true, v
 }
 
 // zigzag folds a signed delta into an unsigned varint-friendly value
@@ -391,12 +372,10 @@ func list[T any](c *codec, p *[]T) int {
 }
 
 func (c *codec) string(p *string) {
-	if c.mode == encoding { // the hot path, past count's mode switches
-		c.buf = append(binary.AppendUvarint(c.buf, uint64(len(*p))), *p...)
-		return
-	}
 	n := c.count(len(*p))
 	switch {
+	case c.mode == encoding:
+		c.buf = append(c.buf, *p...)
 	case c.mode == sizing:
 		c.size += n
 	case c.err == nil && n > 0:
@@ -409,12 +388,10 @@ func (c *codec) string(p *string) {
 }
 
 func (c *codec) bytes(p *[]byte) {
-	if c.mode == encoding { // as in string
-		c.buf = append(binary.AppendUvarint(c.buf, uint64(len(*p))), *p...)
-		return
-	}
 	n := c.count(len(*p))
 	switch {
+	case c.mode == encoding:
+		c.buf = append(c.buf, *p...)
 	case c.mode == sizing:
 		c.size += n
 	case c.err == nil && n > 0:
