@@ -2,6 +2,7 @@ package paris
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -315,49 +316,72 @@ func TestCheckedWorkloadWithDownedReplica(t *testing.T) {
 }
 
 // TestCrashServerFailsPendingCalls: crashing a coordinator whose remote read
-// waits on blackholed replicas returns at once. Stop fails the server's
-// pending calls before it waits for its request goroutines, so it sits out
-// neither the read's CallTimeout nor its failover's.
+// or remote prepare waits on blackholed replicas returns at once. Stop fails
+// the server's pending calls before it waits for its request goroutines, so
+// it sits out neither the call's CallTimeout nor its failover's, and the
+// operation fails: a commit never returns a commit timestamp.
 func TestCrashServerFailsPendingCalls(t *testing.T) {
-	cfg := testConfig()
-	cfg.CallTimeout = 400 * time.Millisecond
-	c := newTestCluster(t, cfg)
-	p := c.Topology().PartitionsAt(0)[0]
-	coord := topology.ServerID(0, p)
-	s, err := c.NewSessionAt(0, int(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	remoteP, kRemote := remotePartition(t, c, 0)
-	for _, dc := range c.Topology().ReplicaDCs(topology.PartitionID(remoteP)) {
-		c.Net().SetLinkFault(coord, topology.ServerID(dc, topology.PartitionID(remoteP)), transport.FaultBlackhole)
-	}
+	for _, tc := range []struct {
+		name string
+		// op runs the operation on key and describes how it went wrong, if
+		// it did.
+		op func(ctx context.Context, s *Session, key string) error
+	}{
+		{"read", func(ctx context.Context, s *Session, key string) error {
+			if _, err := s.Get(ctx, key); err == nil {
+				return errors.New("a read through a crashed coordinator succeeded")
+			}
+			return nil
+		}},
+		{"commit", func(ctx context.Context, s *Session, key string) error {
+			ts, err := s.Put(ctx, map[string][]byte{key: []byte("v")})
+			if err == nil || ts != 0 {
+				return fmt.Errorf("commit through a crashed coordinator returned ts %v, err %v", ts, err)
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.CallTimeout = 400 * time.Millisecond
+			c := newTestCluster(t, cfg)
+			p := c.Topology().PartitionsAt(0)[0]
+			coord := topology.ServerID(0, p)
+			s, err := c.NewSessionAt(0, int(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			remoteP, kRemote := remotePartition(t, c, 0)
+			for _, dc := range c.Topology().ReplicaDCs(topology.PartitionID(remoteP)) {
+				c.Net().SetLinkFault(coord, topology.ServerID(dc, topology.PartitionID(remoteP)), transport.FaultBlackhole)
+			}
 
-	read := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_, err := s.Get(ctx, kRemote)
-		read <- err
-	}()
-	srv := c.Server(0, int(p))
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Peer().Pending() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("the remote read never left the coordinator")
-		}
-		time.Sleep(time.Millisecond)
-	}
+			done := make(chan error, 1)
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				done <- tc.op(ctx, s, kRemote)
+			}()
+			srv := c.Server(0, int(p))
+			deadline := time.Now().Add(5 * time.Second)
+			for srv.Peer().Pending() == 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("the remote %s never left the coordinator", tc.name)
+				}
+				time.Sleep(time.Millisecond)
+			}
 
-	start := time.Now()
-	if err := c.CrashServer(coord); err != nil {
-		t.Fatal(err)
-	}
-	if took := time.Since(start); took >= cfg.CallTimeout/4 {
-		t.Fatalf("CrashServer took %v with a read pending, want well under CallTimeout (%v)", took, cfg.CallTimeout)
-	}
-	if err := <-read; err == nil {
-		t.Fatal("a read through a crashed coordinator succeeded")
+			start := time.Now()
+			if err := c.CrashServer(coord); err != nil {
+				t.Fatal(err)
+			}
+			if took := time.Since(start); took >= cfg.CallTimeout/4 {
+				t.Fatalf("CrashServer took %v with a %s pending, want well under CallTimeout (%v)", took, tc.name, cfg.CallTimeout)
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -126,25 +126,6 @@ func (s *Server) handlePrepare(req wire.PrepareReq) wire.Message {
 	return wire.PrepareResp{TxID: req.TxID, Proposed: proposed}
 }
 
-// handlePrepareBatch serves a group-committed prepare fan-out: each carried
-// prepare runs through the ordinary handler (one shard visit each) and the
-// per-transaction outcomes travel back in one message.
-func (s *Server) handlePrepareBatch(req wire.PrepareBatch) wire.Message {
-	resps := make([]wire.PrepareResult, 0, len(req.Reqs))
-	for _, p := range req.Reqs {
-		switch m := s.handlePrepare(p).(type) {
-		case wire.PrepareResp:
-			resps = append(resps, wire.PrepareResult{TxID: p.TxID, Proposed: m.Proposed})
-		case wire.ErrorResp:
-			resps = append(resps, wire.PrepareResult{TxID: p.TxID, Code: m.Code, Msg: m.Msg})
-		default:
-			resps = append(resps, wire.PrepareResult{TxID: p.TxID,
-				Code: wire.CodeUnavailable, Msg: "unexpected prepare response"})
-		}
-	}
-	return wire.PrepareBatchResp{Resps: resps}
-}
-
 // dedupWrites collapses duplicate keys in a write-set, last writer wins — the
 // apply order of a transaction's own writes must not depend on map iteration
 // or wire ordering quirks. The client dedups through its write-set map, but

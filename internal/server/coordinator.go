@@ -637,9 +637,7 @@ func (s *Server) prepareOn(out *prepareOutcome, prep wire.PrepareReq, node topol
 	if node == s.self {
 		resp = s.handlePrepare(prep)
 	} else {
-		// Remote prepares go through the group-commit coalescer: concurrent
-		// prepares to the same cohort leave as one PrepareBatch message.
-		resp, err = s.prepBatch.call(node, prep)
+		resp, err = s.peer.CallTimeout(context.Background(), node, prep, s.cfg.CallTimeout)
 	}
 	if err == nil {
 		switch m := resp.(type) {

@@ -517,13 +517,6 @@ func (c *slowCohort) Deliver(env transport.Envelope) {
 	case wire.PrepareReq:
 		c.prepared[m.TxID] = true
 		c.answer(env, wire.PrepareResp{TxID: m.TxID, Proposed: m.HT})
-	case wire.PrepareBatch:
-		resps := make([]wire.PrepareResult, len(m.Reqs))
-		for i, r := range m.Reqs {
-			c.prepared[r.TxID] = true
-			resps[i] = wire.PrepareResult{TxID: r.TxID, Proposed: r.HT}
-		}
-		c.answer(env, wire.PrepareBatchResp{Resps: resps})
 	case wire.CohortCommit:
 		c.committed[m.TxID] = true
 	case wire.AbortTx:

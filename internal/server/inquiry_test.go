@@ -84,7 +84,7 @@ type refuseOnPrepare struct {
 }
 
 func (r refuseOnPrepare) Deliver(env transport.Envelope) {
-	if k := env.Msg.Kind(); k == wire.KindPrepareReq || k == wire.KindPrepareBatch {
+	if env.Msg.Kind() == wire.KindPrepareReq {
 		r.net.SetLinkFault(r.coord, r.cohort, transport.FaultError)
 	}
 	r.Handler.Deliver(env)

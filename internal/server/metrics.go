@@ -26,8 +26,6 @@ type Metrics struct {
 	commitsRejected  atomic.Uint64
 	readFailovers    atomic.Uint64
 	prepareFailovers atomic.Uint64
-	prepBatches      atomic.Uint64
-	prepBatched      atomic.Uint64
 	confirmStarted   atomic.Uint64
 	confirmDelivered atomic.Uint64
 	replSyncReq      atomic.Uint64
@@ -42,9 +40,6 @@ type Metrics struct {
 	// Chunked repair serving (replsync.go / flowpump.go).
 	repairChunks   atomic.Uint64
 	repairChunkMax atomic.Uint64 // bytes; high-water mark, not monotone-add
-
-	// Prepare-pump handoff (prepbatch.go).
-	prepPumpWakeups atomic.Uint64
 
 	blockMu    sync.Mutex
 	blockCount uint64
@@ -101,8 +96,11 @@ type MetricsSnapshot struct {
 	ReadFailovers    uint64 // slice reads retried on an alternate replica
 	PrepareFailovers uint64 // prepares that succeeded on an alternate replica
 
-	PrepareBatches     uint64 // coalesced PrepareBatch messages sent (coordinator role)
-	PrepareBatchedReqs uint64 // prepares that travelled inside those batches
+	// Deprecated: always 0, as each remote prepare is one PrepareReq call.
+	// The frozen benchmark/load.go reads it.
+	PrepareBatches uint64
+	// Deprecated: always 0. The frozen benchmark/load.go reads it.
+	PrepareBatchedReqs uint64
 
 	CommitConfirms  uint64 // CommitRecover inquiries opened after a refused commit cast
 	CommitConfirmed uint64 // those inquiries a cohort answered with a definite fate
@@ -125,7 +123,8 @@ type MetricsSnapshot struct {
 	RepairChunksServed  uint64 // ReplSyncResp chunks cast (sender role)
 	RepairChunkMaxBytes uint64 // largest single ReplSyncResp chunk (approx encoded size)
 
-	PrepPumpWakeups uint64 // prepare-pump goroutine wakeups (drain-all handoff)
+	// Deprecated: always 0. The frozen benchmark/load.go reads it.
+	PrepPumpWakeups uint64
 }
 
 // Metrics returns a snapshot of the server's counters.
@@ -156,9 +155,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 		ReadFailovers:    s.metrics.readFailovers.Load(),
 		PrepareFailovers: s.metrics.prepareFailovers.Load(),
 
-		PrepareBatches:     s.metrics.prepBatches.Load(),
-		PrepareBatchedReqs: s.metrics.prepBatched.Load(),
-
 		CommitConfirms:  s.metrics.confirmStarted.Load(),
 		CommitConfirmed: s.metrics.confirmDelivered.Load(),
 
@@ -173,8 +169,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 
 		RepairChunksServed:  s.metrics.repairChunks.Load(),
 		RepairChunkMaxBytes: s.metrics.repairChunkMax.Load(),
-
-		PrepPumpWakeups: s.metrics.prepPumpWakeups.Load(),
 	}
 	// Flow events are counted once, by the pump they happen in.
 	for _, st := range s.FlowStats() {

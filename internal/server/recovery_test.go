@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -61,10 +62,10 @@ func testRecoveredPrepareResolves(t *testing.T, ttl time.Duration) {
 	// Prepare on the cohort; it acks and holds the entry.
 	key := keysOn(t, topo, topology.PartitionID(1), 1)[0]
 	id := wire.NewTxID(coord.self.DC, coord.self.Partition(), 42)
-	resp, err := coord.prepBatch.call(cohortID, wire.PrepareReq{
+	resp, err := coord.peer.CallTimeout(context.Background(), cohortID, wire.PrepareReq{
 		TxID: id, HT: coord.clock.Now(),
 		Writes: []wire.KV{{Key: key, Value: []byte("recovered")}},
-	})
+	}, coord.cfg.CallTimeout)
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}

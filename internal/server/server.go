@@ -323,10 +323,6 @@ type Server struct {
 	// under one Server.mu, which serialized the whole commit plane.
 	twoPC twoPCTable
 
-	// prepBatch coalesces concurrent outbound 2PC prepares per destination
-	// cohort into PrepareBatch wire messages (group commit).
-	prepBatch prepareBatcher
-
 	// inq holds the questions the server asks peers until they answer
 	// (inquiry.go); the round steps it.
 	inq inquiries
@@ -403,7 +399,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.txCtx.init()
 	s.twoPC.init()
-	s.prepBatch.init(s)
 	s.inq.init(s)
 	//lint:ignore paris/ctxdeadline incarnation id: needs uniqueness across restarts, not clock accuracy; never ordered against HLC timestamps
 	s.replEpoch = uint64(time.Now().UnixNano())
@@ -465,7 +460,6 @@ func (s *Server) Stop() {
 		close(s.stopped)
 		s.reqMu.Unlock()
 		s.notifyInstalled(hlc.MaxTimestamp) // release blocked BPR readers
-		s.prepBatch.shutdown()              // fail queued prepares deterministically
 	})
 	s.loopWG.Wait()
 	// Fail the pending calls before waiting for the request goroutines: a
@@ -605,8 +599,6 @@ func (s *Server) HandleRequest(from topology.NodeID, req wire.Message, reply fun
 		}
 	case wire.PrepareReq:
 		reply(s.handlePrepare(m))
-	case wire.PrepareBatch:
-		reply(s.handlePrepareBatch(m))
 	case wire.TxStatusReq:
 		reply(s.handleTxStatus(from, m))
 	case wire.CommitRecover:

@@ -151,10 +151,6 @@ func walkMsg(c *codec, k Kind, msg Message) Message {
 		return as(c, msg, (*TxStatusReq).walk)
 	case KindTxStatusResp:
 		return as(c, msg, (*TxStatusResp).walk)
-	case KindPrepareBatch:
-		return as(c, msg, (*PrepareBatch).walk)
-	case KindPrepareBatchResp:
-		return as(c, msg, (*PrepareBatchResp).walk)
 	case KindCommitRecover:
 		return as(c, msg, (*CommitRecover).walk)
 	case KindReplSyncReq:
@@ -163,10 +159,12 @@ func walkMsg(c *codec, k Kind, msg Message) Message {
 		return as(c, msg, (*ReplSyncResp).walk)
 	case KindReplStatus:
 		return as(c, msg, (*ReplStatus).walk)
-	case KindReplicate, KindHeartbeat, KindHello:
-		c.fail(errRetiredKind)
 	default:
-		c.fail(errUnknownKind)
+		if k.retired() {
+			c.fail(errRetiredKind)
+		} else {
+			c.fail(errUnknownKind)
+		}
 	}
 	return nil
 }
@@ -462,20 +460,4 @@ func (c *codec) groups(p *[]ReplicateGroup) {
 func (c *codec) group(g *ReplicateGroup) {
 	c.ts(&g.CT)
 	c.txns(&g.Txns)
-}
-
-func (c *codec) prepareReqs(p *[]PrepareReq) {
-	for i := range list(c, p) {
-		(*p)[i].walk(c)
-	}
-}
-
-func (c *codec) prepareResults(p *[]PrepareResult) {
-	for i := range list(c, p) {
-		r := &(*p)[i]
-		c.id(&r.TxID)
-		c.ts(&r.Proposed)
-		c.u16(&r.Code)
-		c.string(&r.Msg)
-	}
 }

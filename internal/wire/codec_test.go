@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -44,16 +45,6 @@ func sampleMessages() []Message {
 		ReadSliceResp{Items: []Item{{Key: "z", Value: []byte{}, UT: 1, TxID: 2, SrcDC: 1}}},
 		PrepareReq{TxID: 3, Snapshot: 10, HT: 20, Writes: []KV{{Key: "a", Value: []byte("xy")}, {Key: "b"}}},
 		PrepareResp{TxID: 3, Proposed: hlc.New(21, 0)},
-		PrepareBatch{Reqs: []PrepareReq{
-			{TxID: 4, Snapshot: 11, HT: 21, Writes: []KV{{Key: "c", Value: []byte("z")}}},
-			{TxID: 5, Snapshot: 12, HT: 22},
-		}},
-		PrepareBatch{},
-		PrepareBatchResp{Resps: []PrepareResult{
-			{TxID: 4, Proposed: hlc.New(23, 1)},
-			{TxID: 5, Code: CodeTxAborted, Msg: "conflict"},
-		}},
-		PrepareBatchResp{},
 		CohortCommit{TxID: 3, CommitTS: hlc.New(25, 2)},
 		CommitRecover{TxID: 6, CommitTS: hlc.New(26, 0), Writes: []KV{{Key: "r", Value: []byte("w")}}},
 		CommitRecover{},
@@ -174,19 +165,6 @@ func normalize(m Message) Message {
 	case PrepareReq:
 		v.Writes = normKVs(v.Writes)
 		return v
-	case PrepareBatch:
-		if len(v.Reqs) == 0 {
-			v.Reqs = nil
-		}
-		for i := range v.Reqs {
-			v.Reqs[i].Writes = normKVs(v.Reqs[i].Writes)
-		}
-		return v
-	case PrepareBatchResp:
-		if len(v.Resps) == 0 {
-			v.Resps = nil
-		}
-		return v
 	case CommitRecover:
 		v.Writes = normKVs(v.Writes)
 		return v
@@ -263,13 +241,17 @@ func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 	}
 }
 
+// retiredKinds are the reserved values of compat.go, which no message may
+// take again.
+var retiredKinds = []Kind{KindReplicate, KindHeartbeat, KindPrepareBatch, KindPrepareBatchResp, KindHello}
+
 func TestDecodeRejectsUnknownKind(t *testing.T) {
 	if _, err := Decode([]byte{0xEE, 1, 2, 3}); err == nil {
 		t.Fatal("Decode accepted unknown kind")
 	}
 	// The retired kinds are rejected as malformed whatever their body: a
 	// well-formed Heartbeat body (SrcDC, TS) after each of them.
-	for _, k := range []Kind{KindReplicate, KindHeartbeat, KindHello} {
+	for _, k := range retiredKinds {
 		data := binary.LittleEndian.AppendUint64([]byte{byte(k), 1}, 5)
 		if _, err := Decode(data); !errors.Is(err, ErrMalformed) {
 			t.Fatalf("Decode(%v) = %v, want ErrMalformed", k, err)
@@ -291,7 +273,7 @@ func TestKindTable(t *testing.T) {
 		named := k.String() != fmt.Sprintf("Kind(%d)", uint8(k))
 		_, err := Decode([]byte{byte(k)})
 		switch {
-		case k == KindReplicate || k == KindHeartbeat || k == KindHello:
+		case slices.Contains(retiredKinds, k):
 			if !errors.Is(err, ErrMalformed) || len(samples[k]) > 0 {
 				t.Errorf("retired kind %v: Decode = %v, %d samples", k, err, len(samples[k]))
 			}
@@ -501,7 +483,8 @@ func TestKindStrings(t *testing.T) {
 		KindCommitReq, KindCommitResp, KindFinishTx, KindReadSliceReq,
 		KindReadSliceResp, KindPrepareReq, KindPrepareResp, KindCohortCommit,
 		KindReplicate, KindReplicateBatch, KindHeartbeat, KindGSTUp, KindGSTRoot,
-		KindUSTDown, KindHello, KindError, KindReplStatus,
+		KindUSTDown, KindHello, KindError, KindReplStatus, KindPrepareBatch,
+		KindPrepareBatchResp,
 	}
 	seen := make(map[string]bool, len(kinds))
 	for _, k := range kinds {
@@ -521,7 +504,8 @@ func TestKindStrings(t *testing.T) {
 func TestKindValuesStable(t *testing.T) {
 	for k, want := range map[Kind]Kind{
 		KindCohortCommit: 12, KindReplicate: 13, KindHeartbeat: 14, KindGSTUp: 15,
-		KindReplStatus: 28, KindHello: 29,
+		KindTxStatusResp: 22, KindPrepareBatch: 23, KindPrepareBatchResp: 24,
+		KindCommitRecover: 25, KindReplStatus: 28, KindHello: 29,
 	} {
 		if k != want {
 			t.Errorf("%v = %d, want %d", k, k, want)

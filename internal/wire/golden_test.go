@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/hex"
+	"errors"
 	"testing"
 )
 
@@ -42,21 +43,17 @@ func TestGoldenBytes(t *testing.T) {
 		"0901017a000100000000000000020000000000000001",                                               // ReadSliceResp
 		"0a03000000000000000a0000000000000014020161027879016200",                                     // PrepareReq
 		"0b03000000000000000000150000000000",                                                         // PrepareResp
-		"170204000000000000000b0000000000000014010163017a02111400",                                   // PrepareBatch
-		"1700", // PrepareBatch
-		"1802040000000000000001001700000000000000028180b8010408636f6e666c696374", // PrepareBatchResp
-		"1800",                               // PrepareBatchResp
-		"0c03000000000000000200190000000000", // CohortCommit
-		"19060000000000000000001a00000000000101720177",               // CommitRecover
-		"190000000000000000000000000000000000",                       // CommitRecover
-		"1a0200002a0000000000",                                       // ReplSyncReq
-		"1b01092100002b00000000000101730174fbff0f070000000004000101", // ReplSyncResp
-		"1b000000000000000000000000",                                 // ReplSyncResp
-		"142900000000070002",                                         // AbortTx
-		"140000000000000000",                                         // AbortTx
-		"151100000000030001",                                         // TxStatusReq
-		"1611000000000300010201005a0000000000",                       // TxStatusResp
-		"160000000000000000040000000000000000",                       // TxStatusResp
+		"0c03000000000000000200190000000000",                                                         // CohortCommit
+		"19060000000000000000001a00000000000101720177",                                               // CommitRecover
+		"190000000000000000000000000000000000",                                                       // CommitRecover
+		"1a0200002a0000000000",                                                                       // ReplSyncReq
+		"1b01092100002b00000000000101730174fbff0f070000000004000101",                                 // ReplSyncResp
+		"1b000000000000000000000000",                                                                 // ReplSyncResp
+		"142900000000070002",                                                                         // AbortTx
+		"140000000000000000",                                                                         // AbortTx
+		"151100000000030001",                                                                         // TxStatusReq
+		"1611000000000300010201005a0000000000",                                                       // TxStatusResp
+		"160000000000000000040000000000000000",                                                       // TxStatusResp
 		"1303021100003c0000000000ffff0fffff17ceea9ee6a60a02ffffbf010215000000000000000301016101310203008080080102010201620001630100", // ReplicateBatch
 		"130000000000460000000000ffffaf04000000",       // ReplicateBatch
 		"130100000000470000000000ffffb704000100",       // ReplicateBatch
@@ -80,4 +77,25 @@ func TestGoldenBytes(t *testing.T) {
 		"0f000000000000000080fffff3ffffffffffff0100", // GSTUp
 		"1b01010200006300000000000301610131ffffc705e8030000000500020201620132808008c90f02016301338080088580808080c082800400", // ReplSyncResp
 	})
+}
+
+// TestRetiredGoldenBytes keeps the last encodings of the retired
+// PrepareBatch and PrepareBatchResp kinds: a peer of an older build may still
+// send them, and they must decode to ErrMalformed, never to a message of a
+// later kind that reused 23 or 24.
+func TestRetiredGoldenBytes(t *testing.T) {
+	for _, golden := range []string{
+		"170204000000000000000b0000000000000014010163017a02111400", // PrepareBatch
+		"1700", // PrepareBatch
+		"1802040000000000000001001700000000000000028180b8010408636f6e666c696374", // PrepareBatchResp
+		"1800", // PrepareBatchResp
+	} {
+		data, err := hex.DecodeString(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg, err := Decode(data); !errors.Is(err, ErrMalformed) {
+			t.Errorf("Decode(%s) = %v, %v; want ErrMalformed", golden, msg, err)
+		}
+	}
 }

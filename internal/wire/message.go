@@ -130,13 +130,10 @@ const (
 	KindTxStatusReq
 	// KindTxStatusResp answers with the decision (or its absence).
 	KindTxStatusResp
-	// KindPrepareBatch coalesces several concurrent 2PC prepares from one
-	// coordinator to one cohort into a single wire message (group commit for
-	// the prepare fan-out, amortizing per-message framing like
-	// KindReplicateBatch does for replication).
-	KindPrepareBatch
-	// KindPrepareBatchResp answers every prepare of a batch in one message.
-	KindPrepareBatchResp
+	// Values 23 and 24 belong to the two retired prepare-batch kinds
+	// (compat.go); each remote prepare is one PrepareReq call.
+	_
+	_
 	// KindCommitRecover re-delivers a commit decision as a request/response
 	// call when the fire-and-forget CohortCommit cast fails; it carries the
 	// cohort's writes so even a cohort that restarted since preparing can
@@ -392,45 +389,6 @@ func (m *PrepareResp) walk(c *codec) {
 	c.id(&m.TxID)
 	c.ts(&m.Proposed)
 }
-
-// PrepareBatch carries several independent 2PC prepares from one coordinator
-// to one cohort in a single wire message. The cohort processes each request
-// exactly as it would a standalone PrepareReq and answers all of them with
-// one PrepareBatchResp in the same order. Coordinators coalesce prepares
-// adaptively: while a batch to a cohort is in flight, newly arriving
-// prepares for the same cohort queue up and ship together when the response
-// frees the link — group commit with no timer and no added latency for an
-// uncontended prepare.
-type PrepareBatch struct {
-	Reqs []PrepareReq
-}
-
-// Kind implements Message.
-func (PrepareBatch) Kind() Kind { return KindPrepareBatch }
-
-func (m *PrepareBatch) walk(c *codec) { c.prepareReqs(&m.Reqs) }
-
-// PrepareResult is one transaction's outcome inside a PrepareBatchResp.
-// Code == 0 means the prepare was accepted and Proposed carries the cohort's
-// proposal; a non-zero Code carries the refusal (the same codes an ErrorResp
-// would use for a standalone prepare).
-type PrepareResult struct {
-	TxID     TxID
-	Proposed hlc.Timestamp
-	Code     uint16
-	Msg      string
-}
-
-// PrepareBatchResp answers a PrepareBatch, one result per carried request,
-// in request order.
-type PrepareBatchResp struct {
-	Resps []PrepareResult
-}
-
-// Kind implements Message.
-func (PrepareBatchResp) Kind() Kind { return KindPrepareBatchResp }
-
-func (m *PrepareBatchResp) walk(c *codec) { c.prepareResults(&m.Resps) }
 
 // CohortCommit finalizes a prepared transaction at the chosen commit time.
 // It needs no reply: the coordinator answers the client as soon as all

@@ -47,7 +47,7 @@ func testMessageBudget(t *testing.T, mode Mode) {
 	// spent runs fn and returns what it sent, by kind: the client kinds, plus
 	// the slice and 2PC kinds a local single-partition transaction must not
 	// need. Background replication and gossip are not the transaction's.
-	watched := append([]wire.Kind{wire.KindReadSliceReq, wire.KindPrepareReq, wire.KindPrepareBatch, wire.KindCohortCommit}, clientKinds...)
+	watched := append([]wire.Kind{wire.KindReadSliceReq, wire.KindPrepareReq, wire.KindCohortCommit}, clientKinds...)
 	spent := func(fn func()) map[wire.Kind]uint64 {
 		before := c.Net().MessagesByKind()
 		fn()

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Multi-process smoke test over loopback TCP: builds ./cmd/..., starts the six
-# paris-server processes of a 3-DC × 3-partition × RF-2 deployment, writes one
-# key through a paris-client in DC 0, reads it back through one in DC 2 (with
-# a bounded retry while replication and the UST catch up), then sends SIGTERM
-# to every server and requires each to exit, cleanly, within 5 s.
+# paris-server processes of a 3-DC × 3-partition × RF-2 deployment, commits
+# one transaction that writes two keys on two partitions through a
+# paris-client in DC 0, reads both back in one transaction through one in
+# DC 2 (with a bounded retry while replication and the UST catch up, failing
+# at once on a fractured read), then sends SIGTERM to every server and
+# requires each to exit, cleanly, within 5 s.
 #
 # Usage: bash scripts/tcp-smoke.sh   (TCP_SMOKE_PORT sets the first of the six
 # consecutive ports, default 7100)
@@ -58,14 +60,26 @@ client() { # dc coordinator command
 		timeout 30 "$dir/paris-client" "${flags[@]}" -dc "$1" -coordinator "$2"
 }
 
+# With -partitions 3, topology.PartitionOf puts smoke:a on partition 0, whose
+# DC-0 replica is the coordinator s0.0, and smoke:c on partition 1, replicated
+# in DC 1 and DC 2 only: the commit prepares locally and on another process,
+# the PrepareReq → CohortCommit path of a multi-cohort 2PC over TCP.
 value="v$$"
-out=$(client 0 0 "put smoke:key $value") || fail "put failed: $out"
-grep -q "committed at" <<<"$out" || fail "put did not commit: $out"
+out=$(client 0 0 "$(printf 'begin\nput smoke:a %s\nput smoke:c %s\ncommit' "$value" "$value")") ||
+	fail "commit failed: $out"
+grep -q "committed at" <<<"$out" || fail "the two-partition transaction did not commit: $out"
 
 for attempt in $(seq 50); do
-	out=$(client 2 1 "get smoke:key") || fail "get failed: $out"
-	if grep -qF "smoke:key = \"$value\"" <<<"$out"; then
-		echo "tcp-smoke: read back $value in DC 2 (attempt $attempt)"
+	out=$(client 2 1 "get smoke:a smoke:c") || fail "get failed: $out"
+	seen=0
+	for k in smoke:a smoke:c; do
+		if grep -qF "$k = \"$value\"" <<<"$out"; then
+			seen=$((seen + 1))
+		fi
+	done
+	[ "$seen" -ne 1 ] || fail "fractured read: DC 2 saw one write of the transaction but not the other: $out"
+	if [ "$seen" -eq 2 ]; then
+		echo "tcp-smoke: read back both writes in DC 2 (attempt $attempt)"
 		break
 	fi
 	[ "$attempt" -lt 50 ] || fail "DC 2 never read $value: $out"
