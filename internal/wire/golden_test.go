@@ -79,17 +79,20 @@ func TestGoldenBytes(t *testing.T) {
 	})
 }
 
+// retiredGolden holds the last encodings of the retired kinds.
+var retiredGolden = []string{
+	"170204000000000000000b0000000000000014010163017a02111400", // PrepareBatch
+	"1700", // PrepareBatch
+	"1802040000000000000001001700000000000000028180b8010408636f6e666c696374", // PrepareBatchResp
+	"1800", // PrepareBatchResp
+}
+
 // TestRetiredGoldenBytes keeps the last encodings of the retired
 // PrepareBatch and PrepareBatchResp kinds: a peer of an older build may still
 // send them, and they must decode to ErrMalformed, never to a message of a
 // later kind that reused 23 or 24.
 func TestRetiredGoldenBytes(t *testing.T) {
-	for _, golden := range []string{
-		"170204000000000000000b0000000000000014010163017a02111400", // PrepareBatch
-		"1700", // PrepareBatch
-		"1802040000000000000001001700000000000000028180b8010408636f6e666c696374", // PrepareBatchResp
-		"1800", // PrepareBatchResp
-	} {
+	for _, golden := range retiredGolden {
 		data, err := hex.DecodeString(golden)
 		if err != nil {
 			t.Fatal(err)
