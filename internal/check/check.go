@@ -2,15 +2,33 @@
 // It replays a recorded history of committed transactions and verifies the
 // guarantees of §II-B against it:
 //
-//  1. session monotonicity — a session's snapshots never regress;
+//  1. session monotonicity — no snapshot of a session is below an earlier one;
 //  2. read-your-writes — a session observes its own prior committed writes
 //     (or newer versions);
 //  3. atomic (non-fractured) reads — when a transaction reads two keys
 //     written together by another transaction, it sees both or neither of
 //     that transaction's versions, never a mix with older versions;
-//  4. causal snapshots — if a read observes version Y and X → Y (session
-//     order or read-from, transitively), no key is observed at a version
-//     older than what X wrote.
+//  4. causal snapshots, checked over direct edges only as two rules:
+//     (a) commit order extends causal order — along a session, each update
+//     commits above the session's previous update and above every recorded
+//     writer the session has read from since, and a version read from
+//     another session committed at or below the reader's snapshot;
+//     (b) every read is a snapshot read — a read at snapshot s that
+//     observed version v ≤ s (0 when nothing was found) skipped no recorded
+//     writer of the key that committed in (v, s].
+//
+// Rules (a) and (b), with 1 and 2, imply the transitive property: if a read
+// at snapshot s observes Y and X → Y (session order or read-from,
+// transitively), no key X wrote is observed older than what X wrote. By (a),
+// commit timestamps rise along every edge, so ct(X) < ct(Y). If Y's writer is
+// in another session, (a) also gives ct(Y) ≤ s. If it is in the reader's
+// session and so is X, read-your-writes covers X's keys. Otherwise the path
+// from X enters the reader's session through a read by an earlier
+// transaction R of a writer Z, and ct(X) ≤ ct(Z) ≤ snapshot(R) ≤ s by (a) and
+// monotonicity. Either way ct(X) ≤ s, and (b) forbids seeing X's key below
+// ct(X). Rule (b) is also PaRiS's own promise: a read returns the freshest
+// version at or below one snapshot, which the UST makes universally
+// installed (and which BPR waits for before serving).
 //
 // Test suites record histories from live clusters; the ablation experiments
 // use the checker to demonstrate that removing the client cache breaks
@@ -95,63 +113,78 @@ func (h *History) Len() int { return len(h.txs) }
 // Check validates the history and returns all violations found (nil when
 // consistent).
 func (h *History) Check() []Violation {
-	var out []Violation
-	out = append(out, h.checkSessions()...)
-	out = append(out, h.checkAtomicity()...)
-	out = append(out, h.checkCausality()...)
-	return out
+	writers := h.writerOf()
+	out := checkSessions(h.bySession(), writers)
+	out = append(out, h.checkAtomicity(writers)...)
+	return append(out, h.checkSnapshotReads()...)
 }
 
+// violation reports kind against tx.
+func violation(kind string, tx *Tx, format string, args ...any) Violation {
+	return Violation{Kind: kind, Session: tx.Session, Seq: tx.Seq, Detail: fmt.Sprintf(format, args...)}
+}
+
+// isWriter reports whether tx is a recorded update: one with an id and writes.
+func isWriter(tx *Tx) bool { return tx.ID != 0 && len(tx.Writes) > 0 }
+
 // bySession returns the transactions grouped by session, ordered by Seq.
-func (h *History) bySession() map[int][]Tx {
-	sessions := make(map[int][]Tx)
-	for _, tx := range h.txs {
+func (h *History) bySession() map[int][]*Tx {
+	sessions := make(map[int][]*Tx)
+	for i := range h.txs {
+		tx := &h.txs[i]
 		sessions[tx.Session] = append(sessions[tx.Session], tx)
 	}
-	for s := range sessions {
-		txs := sessions[s]
+	for _, txs := range sessions {
 		sort.Slice(txs, func(i, j int) bool { return txs[i].Seq < txs[j].Seq })
 	}
 	return sessions
 }
 
 // writerOf indexes committed write transactions by id.
-func (h *History) writerOf() map[wire.TxID]Tx {
-	idx := make(map[wire.TxID]Tx, len(h.txs))
-	for _, tx := range h.txs {
-		if tx.ID != 0 && len(tx.Writes) > 0 {
+func (h *History) writerOf() map[wire.TxID]*Tx {
+	idx := make(map[wire.TxID]*Tx, len(h.txs))
+	for i := range h.txs {
+		if tx := &h.txs[i]; isWriter(tx) {
 			idx[tx.ID] = tx
 		}
 	}
 	return idx
 }
 
-// checkSessions verifies monotonicity and read-your-writes per session.
-func (h *History) checkSessions() []Violation {
+// checkSessions walks each session in order and verifies monotonicity,
+// read-your-writes and rule (a). For rule (a), floor is the highest commit
+// timestamp among the session's last update and the recorded writers read
+// since: the direct causal predecessors of the session's next update.
+func checkSessions(sessions map[int][]*Tx, writers map[wire.TxID]*Tx) []Violation {
 	var out []Violation
-	for _, txs := range h.bySession() {
-		var prevSnap hlc.Timestamp
+	for _, txs := range sessions {
+		var prevSnap, floor hlc.Timestamp
+		var floorTx wire.TxID
 		lastWrite := make(map[string]hlc.Timestamp) // key → commit ts of own last write
 		for _, tx := range txs {
 			if tx.Snapshot < prevSnap {
-				out = append(out, Violation{
-					Kind: KindMonotonicity, Session: tx.Session, Seq: tx.Seq,
-					Detail: fmt.Sprintf("snapshot %v after %v", tx.Snapshot, prevSnap),
-				})
+				out = append(out, violation(KindMonotonicity, tx, "snapshot %v after %v", tx.Snapshot, prevSnap))
 			}
-			prevSnap = tx.Snapshot
+			prevSnap = max(prevSnap, tx.Snapshot)
 
 			for _, r := range tx.Reads {
-				own, wrote := lastWrite[r.Key]
-				if !wrote {
+				if own, wrote := lastWrite[r.Key]; wrote && (!r.Found || r.UT < own) {
+					out = append(out, violation(KindReadYourWrites, tx,
+						"key %q read at %v but own write committed at %v", r.Key, r.UT, own))
+				}
+				w, ok := writers[r.Writer]
+				if !r.Found || !ok {
 					continue
 				}
-				if !r.Found || r.UT < own {
-					out = append(out, Violation{
-						Kind: KindReadYourWrites, Session: tx.Session, Seq: tx.Seq,
-						Detail: fmt.Sprintf("key %q read at %v but own write committed at %v",
-							r.Key, r.UT, own),
-					})
+				// Only the session's own-write cache may serve a version
+				// above the snapshot.
+				if w.Session != tx.Session && w.CommitTS > tx.Snapshot {
+					out = append(out, violation(KindCausality, tx,
+						"rule (a): read %q from tx %v committed at %v, above snapshot %v",
+						r.Key, w.ID, w.CommitTS, tx.Snapshot))
+				}
+				if w.CommitTS > floor {
+					floor, floorTx = w.CommitTS, w.ID
 				}
 			}
 			if tx.CommitTS != 0 {
@@ -159,6 +192,15 @@ func (h *History) checkSessions() []Violation {
 					lastWrite[k] = tx.CommitTS
 				}
 			}
+			if !isWriter(tx) {
+				continue
+			}
+			if tx.CommitTS <= floor {
+				out = append(out, violation(KindCausality, tx,
+					"rule (a): committed at %v, not above %v of its causal predecessor tx %v",
+					tx.CommitTS, floor, floorTx))
+			}
+			floor, floorTx = tx.CommitTS, tx.ID
 		}
 	}
 	return out
@@ -167,10 +209,10 @@ func (h *History) checkSessions() []Violation {
 // checkAtomicity verifies that no transaction observes a fractured write:
 // reading writer W's version for one key but an older version for another
 // key W also wrote and the reader also read.
-func (h *History) checkAtomicity() []Violation {
-	writers := h.writerOf()
+func (h *History) checkAtomicity(writers map[wire.TxID]*Tx) []Violation {
 	var out []Violation
-	for _, tx := range h.txs {
+	for i := range h.txs {
+		tx := &h.txs[i]
 		// Index this transaction's observations.
 		obs := make(map[string]ReadObs, len(tx.Reads))
 		for _, r := range tx.Reads {
@@ -192,11 +234,8 @@ func (h *History) checkAtomicity() []Violation {
 				// The reader read wk too; it must see w's version (same
 				// commit ts) or anything newer — never older.
 				if !other.Found || other.UT < w.CommitTS {
-					out = append(out, Violation{
-						Kind: KindAtomicity, Session: tx.Session, Seq: tx.Seq,
-						Detail: fmt.Sprintf("saw tx %v for %q(@%v) but %q at %v < %v",
-							r.Writer, r.Key, r.UT, wk, other.UT, w.CommitTS),
-					})
+					out = append(out, violation(KindAtomicity, tx, "at snapshot %v saw tx %v for %q(@%v) but %q at %v < %v",
+						tx.Snapshot, r.Writer, r.Key, r.UT, wk, other.UT, w.CommitTS))
 				}
 			}
 		}
@@ -204,123 +243,43 @@ func (h *History) checkAtomicity() []Violation {
 	return out
 }
 
-// checkCausality verifies causal snapshots: for each observed version Y,
-// every transaction in Y's causal past that wrote a key the reader also read
-// must be reflected at least at its commit timestamp.
-//
-// The causal past is computed transitively over (i) session order among
-// write transactions and (ii) read-from edges recorded in the history.
-func (h *History) checkCausality() []Violation {
-	writers := h.writerOf()
-	deps := h.causalPasts(writers)
-
+// checkSnapshotReads verifies rule (b) by binary search in each key's
+// recorded writers, sorted once by commit timestamp. A read above its
+// snapshot comes from the own-write cache and is left to rule (a) and
+// read-your-writes. Writers the history never recorded are not indexed, so
+// they can hide no violation and raise none.
+func (h *History) checkSnapshotReads() []Violation {
+	versions := make(map[string][]*Tx)
+	for i := range h.txs {
+		if w := &h.txs[i]; isWriter(w) {
+			for _, k := range w.Writes {
+				versions[k] = append(versions[k], w)
+			}
+		}
+	}
+	for _, ws := range versions {
+		sort.SliceStable(ws, func(i, j int) bool { return ws[i].CommitTS < ws[j].CommitTS })
+	}
 	var out []Violation
-	for _, tx := range h.txs {
-		obs := make(map[string]ReadObs, len(tx.Reads))
+	for i := range h.txs {
+		tx := &h.txs[i]
 		for _, r := range tx.Reads {
-			obs[r.Key] = r
-		}
-		for _, r := range tx.Reads {
-			if !r.Found || r.Writer == 0 {
+			var v hlc.Timestamp
+			if r.Found {
+				v = r.UT
+			}
+			if v > tx.Snapshot {
 				continue
 			}
-			for depID := range deps[r.Writer] {
-				dep, ok := writers[depID]
-				if !ok {
-					continue
-				}
-				for _, dk := range dep.Writes {
-					other, read := obs[dk]
-					if !read {
-						continue
-					}
-					if !other.Found || other.UT < dep.CommitTS {
-						out = append(out, Violation{
-							Kind: KindCausality, Session: tx.Session, Seq: tx.Seq,
-							Detail: fmt.Sprintf("saw %v (dep of observed %v) missing: key %q at %v < %v",
-								depID, r.Writer, dk, other.UT, dep.CommitTS),
-						})
-					}
-				}
+			ws := versions[r.Key]
+			j := sort.Search(len(ws), func(j int) bool { return ws[j].CommitTS > v })
+			if j < len(ws) && ws[j].CommitTS <= tx.Snapshot {
+				w := ws[j]
+				out = append(out, violation(KindCausality, tx,
+					"rule (b): read %q at snapshot %v observed %v, skipping tx %v of session %d committed at %v",
+					r.Key, tx.Snapshot, v, w.ID, w.Session, w.CommitTS))
 			}
 		}
 	}
 	return out
-}
-
-// causalPasts returns, for every write transaction, the set of write
-// transactions in its causal past (excluding itself).
-func (h *History) causalPasts(writers map[wire.TxID]Tx) map[wire.TxID]map[wire.TxID]bool {
-	// Direct dependencies: per session order and read-from. Session order is
-	// transitive, so a write's direct deps are just the session's previous
-	// write (whose own deps cover everything earlier) plus the distinct
-	// writers observed since it — keeping the dep lists short. The naive
-	// encoding (every prior write and every observation, duplicates and all)
-	// made closure construction effectively cubic and a few thousand
-	// transactions took minutes to validate, which starved the nemesis live
-	// checker.
-	direct := make(map[wire.TxID][]wire.TxID)
-	for _, txs := range h.bySession() {
-		var prevWrite wire.TxID
-		observed := make(map[wire.TxID]bool)
-		for _, tx := range txs {
-			for _, r := range tx.Reads {
-				if r.Found && r.Writer != 0 {
-					observed[r.Writer] = true
-				}
-			}
-			if tx.ID != 0 && len(tx.Writes) > 0 {
-				deps := make([]wire.TxID, 0, len(observed)+1)
-				if prevWrite != 0 {
-					deps = append(deps, prevWrite)
-				}
-				for id := range observed {
-					deps = append(deps, id)
-				}
-				direct[tx.ID] = deps
-				prevWrite = tx.ID
-				observed = make(map[wire.TxID]bool)
-			}
-		}
-	}
-
-	// Transitive closure by DFS with memoization.
-	closure := make(map[wire.TxID]map[wire.TxID]bool, len(direct))
-	var visit func(id wire.TxID) map[wire.TxID]bool
-	visiting := make(map[wire.TxID]bool)
-	visit = func(id wire.TxID) map[wire.TxID]bool {
-		if c, ok := closure[id]; ok {
-			return c
-		}
-		if visiting[id] {
-			return nil // cycle guard; well-formed histories are acyclic
-		}
-		visiting[id] = true
-		set := make(map[wire.TxID]bool)
-		for _, dep := range direct[id] {
-			if dep == id {
-				continue
-			}
-			set[dep] = true
-			for d := range visit(dep) {
-				if d != id {
-					set[d] = true
-				}
-			}
-		}
-		visiting[id] = false
-		closure[id] = set
-		return set
-	}
-	for id := range direct {
-		visit(id)
-	}
-	// Transactions that only appear as writers (read-from targets recorded
-	// by other sessions) have empty pasts by construction.
-	for id := range writers {
-		if _, ok := closure[id]; !ok {
-			closure[id] = map[wire.TxID]bool{}
-		}
-	}
-	return closure
 }

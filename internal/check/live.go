@@ -4,10 +4,10 @@ import "sync"
 
 // Live is a concurrency-safe history recorder for long-running harnesses:
 // many workload workers Add committed transactions while a checker goroutine
-// periodically validates the prefix recorded so far. Every prefix of a valid
-// history is valid — PaRiS serves reads from stable snapshots and the
-// session's own cache, so the §II-B guarantees hold continuously, not just
-// after quiescence — which is what lets the nemesis harness check *during*
+// periodically validates the prefix recorded so far. A violation in a prefix
+// is one in every longer history: reads of writers not yet recorded are
+// skipped, and rule (b) searches only recorded writers, as it ignores a
+// failed commit that took effect. So the nemesis harness checks *during*
 // fault episodes instead of only at the end.
 type Live struct {
 	mu sync.Mutex
