@@ -18,7 +18,7 @@ func TestAllocBudgetSessionTx(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const budget = 23
+	const budget = 20
 	cfg := DefaultConfig()
 	cfg.NumDCs, cfg.NumPartitions, cfg.ReplicationFactor = 3, 6, 2
 	cfg.Latency = transport.ZeroLatency{}

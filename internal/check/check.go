@@ -92,6 +92,10 @@ const (
 	KindReadYourWrites = "read-your-writes"
 	KindAtomicity      = "atomic-reads"
 	KindCausality      = "causal-snapshot"
+	// KindLostWrite: a read-back taken once every recorded write was
+	// visible found a key older than its newest acknowledged write
+	// (CheckReadBack).
+	KindLostWrite = "lost-write"
 )
 
 // History accumulates transactions for validation. It is not safe for

@@ -10,8 +10,10 @@
 // heals faults on a seeded schedule), a heal phase (everything force-healed,
 // crashed nodes restarted, workload still running so recovery becomes part
 // of the checked history), and a drain (a probe write must become
-// universally stable, proving the UST plane survived). The run fails if the
-// checker finds any violation, or if the cluster cannot drain.
+// universally stable, proving the UST plane survived) followed by a
+// read-back of every written key, which must hold its newest acknowledged
+// write or a newer one. The run fails if the checker or the read-back finds
+// any violation, or if the cluster cannot drain.
 //
 // Every scenario that survives is pinned as a named regression
 // (TestNemesis_<scenario>); replay a run with
@@ -354,8 +356,13 @@ func (r *runner) run() (*Result, error) {
 	res.Checks = <-checkDone
 
 	// Drain: a probe write must become universally stable — the UST plane
-	// recovered and every server is advancing again.
+	// recovered and every server is advancing again. Then no acknowledged
+	// write may be missing: every key must read back its newest recorded
+	// write or a newer version.
 	res.Drained = r.drain()
+	if res.Drained {
+		res.Violations = append(res.Violations, readBack(r.cluster, r.live.Snapshot())...)
+	}
 
 	// Final validation over the complete history, including everything
 	// committed during faults and recovery.
@@ -464,6 +471,54 @@ func (r *runner) drain() bool {
 	ok := r.cluster.WaitForUST(ct, 10*time.Second)
 	r.logf("drain: probe ct=%v stable=%v", ct, ok)
 	return ok
+}
+
+// readBack reads every key the history writes in one transaction of a fresh
+// session in DC 0, once the UST covers every recorded commit, and checks the
+// values against the history's newest acknowledged writes
+// (check.History.CheckReadBack). A read-back that cannot run, or whose
+// snapshot does not cover the newest recorded commit, is reported as a
+// violation too: it proves nothing either way.
+func readBack(cluster *paris.Cluster, h *check.History) []check.Violation {
+	last := h.LastWrites()
+	if len(last) == 0 {
+		return nil
+	}
+	var newest paris.Timestamp
+	keys := make([]string, 0, len(last))
+	for k, tx := range last {
+		keys = append(keys, k)
+		newest = max(newest, tx.CommitTS)
+	}
+	failed := func(format string, args ...any) []check.Violation {
+		return []check.Violation{{Kind: check.KindLostWrite, Session: -1, Detail: "read-back: " + fmt.Sprintf(format, args...)}}
+	}
+	if !cluster.WaitForUST(newest, 10*time.Second) {
+		return failed("the UST did not reach the newest recorded commit %v", newest)
+	}
+	sess, err := cluster.NewSession(0)
+	if err != nil {
+		return failed("session: %v", err)
+	}
+	defer sess.Close()
+	ctx := context.Background()
+	tx, err := sess.Begin(ctx)
+	if err != nil {
+		return failed("begin: %v", err)
+	}
+	defer tx.Abandon()
+	if _, err := tx.Read(ctx, keys...); err != nil {
+		return failed("%v", err)
+	}
+	if snap := sess.Client().Snapshot(); snap < newest {
+		return failed("snapshot %v is below the newest recorded commit %v", snap, newest)
+	}
+	got := make(map[string]check.ReadObs, len(keys))
+	for _, k := range keys {
+		item, found := sess.Client().Observed(k)
+		got[k] = check.ReadObs{Key: k, Writer: item.TxID, UT: item.UT, Found: found}
+	}
+	return h.CheckReadBack(got)
 }
 
 // worker is one closed-loop recorded session: it runs workload transactions

@@ -1,11 +1,14 @@
 package nemesis
 
 import (
+	"context"
 	"flag"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/paris-kv/paris"
+	"github.com/paris-kv/paris/internal/check"
 )
 
 // The pinned runs use seed 7 and a 1.2 s fault phase (400 ms under -short).
@@ -183,5 +186,46 @@ func TestScenarioTableWellFormed(t *testing.T) {
 	}
 	if len(Scenarios()) < 6 {
 		t.Errorf("want at least 6 scenarios, have %d", len(Scenarios()))
+	}
+}
+
+// TestReadBackCatchesLostWrite plants an acknowledged write the cluster never
+// received: a recorded transaction whose write of one key is absent. The
+// history checker cannot see it, since nothing read that key, and the
+// read-back must: it reports that key and nothing else.
+func TestReadBackCatchesLostWrite(t *testing.T) {
+	cluster, err := paris.NewCluster(baseConfig(paris.ModeNonBlocking, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	sess, err := cluster.NewSession(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	ctx := context.Background()
+	var h check.History
+	for seq, key := range []string{"rb-a", "rb-b", "rb-a"} {
+		ct, err := sess.Put(ctx, map[string][]byte{key: []byte{byte(seq)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Add(check.Tx{Session: 0, Seq: seq, ID: sess.Client().TxID(), Snapshot: sess.Client().Snapshot(),
+			CommitTS: ct, Writes: []string{key}})
+	}
+	if vs := readBack(cluster, &h); len(vs) != 0 {
+		t.Fatalf("read-back of a faithful history flagged %v", vs)
+	}
+
+	last := h.LastWrites()["rb-a"]
+	h.Add(check.Tx{Session: 1, Seq: 0, ID: last.ID + 1, Snapshot: last.Snapshot,
+		CommitTS: last.CommitTS, Writes: []string{"rb-planted"}})
+	if vs := h.Check(); len(vs) != 0 {
+		t.Fatalf("the history checker flagged %v; the planted loss should be invisible to it", vs)
+	}
+	vs := readBack(cluster, &h)
+	if len(vs) != 1 || vs[0].Kind != check.KindLostWrite || !strings.Contains(vs[0].Detail, `"rb-planted"`) {
+		t.Fatalf("read-back reported %v, want one lost write of rb-planted", vs)
 	}
 }

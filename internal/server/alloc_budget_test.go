@@ -15,13 +15,13 @@ import (
 // transaction that stays on its own partition: a ReadReq that starts it and
 // a CommitReq with one write, both through HandleRequest as a client's would
 // arrive, with no round running and no network. Each request costs its
-// request goroutine; the commit prepares on the calling goroutine with no
-// grouping map.
+// request goroutine; the commit is a sole commit on the calling goroutine,
+// with no grouping map, no prepared entry and no decision record.
 func TestAllocBudgetLocalReadCommit(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const budget = 16
+	const budget = 13
 	srv := newBenchServer(t)
 	key := keysOn(t, srv.cfg.Topology, srv.self.Partition(), 1)[0]
 	from := topology.ClientID(0, 0)

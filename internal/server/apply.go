@@ -37,8 +37,9 @@ import (
 // reading taken before any shard is visited — the ordering that makes the
 // per-shard scan safe against concurrent prepares (see twoPCTable). The
 // committed drain then visits shards a second time; entries that move from
-// Prepared to Committed between the two passes carry ct > ub by the same
-// argument, so the drain misses nothing the published ub covers.
+// Prepared to Committed between the two passes carry ct > ub, because a move
+// publishes the committed entry before it retires the prepared one, so the
+// drain misses nothing the published ub covers (collectReady).
 func (s *Server) applyTick(round, label int64) {
 	s.labelNow.Store(label)
 	if s.first == 0 {
@@ -58,20 +59,7 @@ func (s *Server) applyTick(round, label int64) {
 		s.stab.roundTick(round, false)
 		return
 	}
-	// ub0 ← max{Clock, HLC}, advanced as a local event so that any prepare
-	// not seen by the scan below proposes strictly above it. MUST precede
-	// the minPrepared scan.
-	ub0 := s.clock.Now()
-	ub := ub0
-	if minPT, ok := s.twoPC.minPrepared(); ok && minPT-1 < ub {
-		// ub ← min{p.pt} − 1: nothing can commit at or below the smallest
-		// prepared proposal (commit times are maxima over proposals).
-		ub = minPT - 1
-	}
-
-	// Collect committed transactions with ct ≤ ub, ordered by (ct, id).
-	ready := s.twoPC.drainCommitted(s.applyReady[:0], ub)
-	slices.SortFunc(ready, byCTThenID)
+	ub, ready := s.collectReady()
 
 	// Apply to the multi-version store before exposing ub: a reader that
 	// sees VV[self] = ub must find every version with ut ≤ ub. The round's
@@ -202,6 +190,25 @@ func buildReplicateBatches(chunks []wire.ReplicateBatch, sizes []int, src topolo
 	}
 	cut(ub)
 	return chunks, sizes
+}
+
+// collectReady computes the round's upper bound ub below which no future
+// transaction can commit, and drains the committed transactions with
+// ct ≤ ub, ordered by (ct, id), into the round's scratch slice.
+func (s *Server) collectReady() (hlc.Timestamp, []committedTx) {
+	// ub0 ← max{Clock, HLC}, advanced as a local event so that any prepare
+	// not seen by the scan below proposes strictly above it. MUST precede
+	// the minPrepared scan.
+	ub0 := s.clock.Now()
+	ub := ub0
+	if minPT, ok := s.twoPC.minPrepared(); ok && minPT-1 < ub {
+		// ub ← min{p.pt} − 1: nothing can commit at or below the smallest
+		// prepared proposal (commit times are maxima over proposals).
+		ub = minPT - 1
+	}
+	ready := s.twoPC.drainCommitted(s.applyReady[:0], ub)
+	slices.SortFunc(ready, byCTThenID)
+	return ub, ready
 }
 
 // byCTThenID orders a ΔR round's ready transactions by (ct, id): the apply

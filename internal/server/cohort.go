@@ -84,6 +84,12 @@ func (s *Server) observeUST(ts hlc.Timestamp) {
 // causality, and park the transaction in the Prepared queue — all under the
 // transaction's twoPC shard lock, so prepares on different shards proceed in
 // parallel.
+//
+// A sole prepare (the transaction writes only this partition) is also the
+// decision: ct = max{pt} over one proposal is the proposal itself, so the
+// transaction goes straight onto the Committed queue at pt (Alg. 3 lines
+// 15–19 with ct = pt). It never holds a prepared entry, so nothing pins ub,
+// nothing can be reaped, and no coordinator is ever asked about it.
 func (s *Server) handlePrepare(req wire.PrepareReq) wire.Message {
 	sh := s.twoPC.shard(req.TxID)
 	sh.mu.Lock()
@@ -99,9 +105,13 @@ func (s *Server) handlePrepare(req wire.PrepareReq) wire.Message {
 	// Publish the shard's non-emptiness BEFORE drawing the proposal from the
 	// clock: applyTick reads its clock upper bound ub0 first and then skips
 	// shards whose counter reads zero, so the seq-cst order (counter add →
-	// clock update versus clock read → counter load) guarantees any prepare
-	// the scan misses proposes strictly above ub0. See twoPCTable.
-	sh.nPrepared.Add(1)
+	// clock update versus clock read → counter load) guarantees any entry
+	// the scan misses carries a timestamp strictly above ub0. See twoPCTable.
+	if req.Sole {
+		sh.nCommitted.Add(1)
+	} else {
+		sh.nPrepared.Add(1)
+	}
 
 	// HLC mn ← max(Clock, ht+1, HLC+1).
 	proposed := s.clock.Update(req.HT)
@@ -113,6 +123,17 @@ func (s *Server) handlePrepare(req wire.PrepareReq) wire.Message {
 		proposed = ust
 		s.clock.Observe(proposed)
 	}
+	s.metrics.prepares.Add(1)
+	if req.Sole {
+		// Counted above, before the clock was read.
+		sh.committed = append(sh.committed, committedTx{
+			id:     req.TxID,
+			ct:     proposed,
+			srcDC:  s.self.DC,
+			writes: dedupWrites(req.Writes),
+		})
+		return wire.PrepareResp{TxID: req.TxID, Proposed: proposed}
+	}
 	if !sh.insertPreparedLocked(&preparedTx{
 		id:     req.TxID,
 		pt:     proposed,
@@ -122,7 +143,6 @@ func (s *Server) handlePrepare(req wire.PrepareReq) wire.Message {
 	}) {
 		sh.nPrepared.Add(-1) // replaced a duplicate; size is unchanged
 	}
-	s.metrics.prepares.Add(1)
 	return wire.PrepareResp{TxID: req.TxID, Proposed: proposed}
 }
 
@@ -196,18 +216,9 @@ func (s *Server) handleCohortCommit(m wire.CohortCommit) {
 		s.metrics.commitsRejected.Add(1)
 		return
 	}
-	p, ok := sh.removePreparedLocked(m.TxID)
-	if !ok {
-		// Duplicate or post-shutdown commit; FIFO links make this unreachable
-		// in normal operation.
-		return
-	}
-	sh.pushCommittedLocked(committedTx{
-		id:     p.id,
-		ct:     m.CommitTS,
-		srcDC:  p.srcDC,
-		writes: p.writes,
-	})
+	// A missing entry means a duplicate or post-shutdown commit; FIFO links
+	// make it unreachable in normal operation.
+	sh.commitPreparedLocked(m.TxID, m.CommitTS)
 }
 
 // handleCommitRecover is the acknowledged fallback for a commit decision
@@ -243,10 +254,7 @@ func (s *Server) handleCommitRecover(m wire.CommitRecover) wire.Message {
 		s.metrics.commitsRejected.Add(1)
 		return aborted
 	}
-	if p, ok := sh.removePreparedLocked(m.TxID); ok {
-		sh.pushCommittedLocked(committedTx{
-			id: p.id, ct: m.CommitTS, srcDC: p.srcDC, writes: p.writes,
-		})
+	if sh.commitPreparedLocked(m.TxID, m.CommitTS) {
 		sh.done[m.TxID] = s.label()
 		s.metrics.commitsRecovered.Add(1)
 		return committed

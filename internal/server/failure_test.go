@@ -316,9 +316,11 @@ func TestReaperHardDeadlineWithSilentCoordinator(t *testing.T) {
 	}
 }
 
-// twoServerRig wires two real servers (a cohort and a remote coordinator)
-// into one MemNet for status-query tests.
-func newCoordinatorAndCohort(t *testing.T) (coord, cohort *Server) {
+// newCommitServers wires real servers with the given ids, none started,
+// into one MemNet for status-query and commit tests. wrap, when not nil,
+// stands between the network and each server's peer.
+func newCommitServers(t *testing.T, callTimeout time.Duration, wrap func(*transport.MemNet, transport.Handler) transport.Handler,
+	ids ...topology.NodeID) (*transport.MemNet, []*Server) {
 	t.Helper()
 	topo, err := topology.New(3, 3, 2)
 	if err != nil {
@@ -326,49 +328,61 @@ func newCoordinatorAndCohort(t *testing.T) (coord, cohort *Server) {
 	}
 	net := transport.NewMemNet(nil)
 	t.Cleanup(func() { _ = net.Close() })
-	for _, id := range []topology.NodeID{topology.ServerID(0, 0), topology.ServerID(1, 1)} {
-		srv, err := New(Config{ID: id, Topology: topo, Mode: ModeNonBlocking,
-			CallTimeout: 2 * time.Second})
+	srvs := make([]*Server, len(ids))
+	for i, id := range ids {
+		srv, err := New(Config{ID: id, Topology: topo, Mode: ModeNonBlocking, CallTimeout: callTimeout})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ep, err := net.Register(id, srv.Peer())
+		var h transport.Handler = srv.Peer()
+		if wrap != nil {
+			h = wrap(net, h)
+		}
+		ep, err := net.Register(id, h)
 		if err != nil {
 			t.Fatal(err)
 		}
 		srv.Peer().Attach(ep)
 		t.Cleanup(srv.Stop)
-		if id == topology.ServerID(0, 0) {
-			coord = srv
-		} else {
-			cohort = srv
-		}
+		srvs[i] = srv
 	}
-	return coord, cohort
+	return net, srvs
+}
+
+// loseCohortCommits stands between the network and a server's peer and
+// loses every CohortCommit: the decision a coordinator casts to its remote
+// cohorts never arrives.
+func loseCohortCommits(_ *transport.MemNet, h transport.Handler) transport.Handler {
+	return transport.HandlerFunc(func(env transport.Envelope) {
+		if env.Msg.Kind() != wire.KindCohortCommit {
+			h.Deliver(env)
+		}
+	})
+}
+
+// newCoordinatorAndCohort wires a coordinator (DC 0, partition 0) and its
+// preferred replica of partition 1 (DC 1), whose CohortCommit casts are lost.
+func newCoordinatorAndCohort(t *testing.T) (coord, cohort *Server) {
+	t.Helper()
+	_, srvs := newCommitServers(t, 2*time.Second, loseCohortCommits, topology.ServerID(0, 0), topology.ServerID(1, 1))
+	return srvs[0], srvs[1]
 }
 
 func TestReaperRecoversLostCommitViaStatusQuery(t *testing.T) {
 	coord, cohort := newCoordinatorAndCohort(t)
 
-	// The coordinator runs a real single-partition commit (all local), so it
-	// holds the decision in its memory.
-	kLocal := keyForPartition(t, coord.cfg.Topology, 0)
+	// The coordinator runs a real two-partition commit, so it holds the
+	// decision in its memory. The cohort acknowledged its prepare, and the
+	// CohortCommit cast was then lost.
+	topo := coord.cfg.Topology
 	start := coord.handleStartTx(wire.StartTxReq{}).(wire.StartTxResp)
-	cresp := coord.handleCommit(wire.CommitReq{TxID: start.TxID,
-		Writes: []wire.KV{{Key: kLocal, Value: []byte("v")}}})
+	cresp := coord.handleCommit(wire.CommitReq{TxID: start.TxID, Writes: []wire.KV{
+		{Key: keyForPartition(t, topo, 0), Value: []byte("v")},
+		{Key: keyForPartition(t, topo, 1), Value: []byte("lost")}}})
 	ct := cresp.(wire.CommitResp).CommitTS
-
-	// The cohort holds a prepared entry for the same transaction — as if its
-	// prepare had been acknowledged and the CohortCommit cast was then lost.
-	// Mark it acked in the coordinator's decision memory accordingly.
-	csh := coord.twoPC.shard(start.TxID)
-	csh.mu.Lock()
-	d := csh.decided[start.TxID]
-	d.acked = append(d.acked, cohort.self)
-	csh.decided[start.TxID] = d
-	csh.mu.Unlock()
-	cohort.handlePrepare(wire.PrepareReq{TxID: start.TxID, HT: 100,
-		Writes: []wire.KV{{Key: "lost", Value: []byte("v")}}})
+	if cohort.PendingPrepared() != 1 {
+		t.Fatalf("cohort holds %d prepared entries, want 1", cohort.PendingPrepared())
+	}
 	agePrepared(cohort, cohort.cfg.PreparedTTL+time.Second)
 
 	cohort.applyTick(1, 1) // the first round's sweep queries the coordinator
@@ -408,23 +422,14 @@ func TestReaperRecoversLostCommitViaStatusQuery(t *testing.T) {
 	}
 }
 
-func TestSupersededCohortReapsCommittedTransaction(t *testing.T) {
-	// A replica whose prepare was superseded by a failover alternate (its
-	// PrepareResp — and the follow-up AbortTx — were lost) must NOT recover
-	// the commit: only the acked cohort may apply, or two replicas of one
-	// partition would both apply and re-replicate the same transaction.
-	coord, cohort := newCoordinatorAndCohort(t)
-
-	kLocal := keyForPartition(t, coord.cfg.Topology, 0)
-	start := coord.handleStartTx(wire.StartTxReq{}).(wire.StartTxResp)
-	coord.handleCommit(wire.CommitReq{TxID: start.TxID,
-		Writes: []wire.KV{{Key: kLocal, Value: []byte("v")}}})
-	// The decision's acked set holds only the coordinator itself; the cohort
-	// below is a superseded straggler.
-	cohort.handlePrepare(wire.PrepareReq{TxID: start.TxID, HT: 100,
-		Writes: []wire.KV{{Key: "straggler", Value: []byte("v")}}})
+// reapsAsStraggler ages the cohort's one prepared entry, lets its reaper ask
+// the coordinator, and requires it released without a commit.
+func reapsAsStraggler(t *testing.T, cohort *Server) {
+	t.Helper()
+	if cohort.PendingPrepared() != 1 {
+		t.Fatalf("cohort holds %d prepared entries, want 1", cohort.PendingPrepared())
+	}
 	agePrepared(cohort, cohort.cfg.PreparedTTL+time.Second)
-
 	cohort.applyTick(1, 1) // the first round's sweep queries the coordinator
 	awaitReplies(t, cohort)
 	cohort.applyTick(2, 2) // and the next round acts on the answer
@@ -440,6 +445,48 @@ func TestSupersededCohortReapsCommittedTransaction(t *testing.T) {
 	if got := cohort.Metrics().TxReaped; got != 1 {
 		t.Fatalf("TxReaped = %d, want 1", got)
 	}
+}
+
+func TestSupersededCohortReapsCommittedTransaction(t *testing.T) {
+	// A replica whose prepare was superseded by a failover alternate (its
+	// PrepareResp — and the follow-up AbortTx — were lost) must NOT recover
+	// the commit: only the acked cohort may apply, or two replicas of one
+	// partition would both apply (and re-replicate) the same transaction.
+	// Here the coordinator's link to the preferred replica of partition 1
+	// refuses the prepare, which fails over to the DC 2 replica; the
+	// straggler entry is then planted on the preferred one.
+	net, srvs := newCommitServers(t, 2*time.Second, loseCohortCommits,
+		topology.ServerID(0, 0), topology.ServerID(1, 1), topology.ServerID(2, 1))
+	coord, cohort, alt := srvs[0], srvs[1], srvs[2]
+	topo := coord.cfg.Topology
+	net.SetLinkFault(coord.self, cohort.self, transport.FaultError)
+	start := coord.handleStartTx(wire.StartTxReq{}).(wire.StartTxResp)
+	if _, ok := coord.handleCommit(wire.CommitReq{TxID: start.TxID, Writes: []wire.KV{
+		{Key: keyForPartition(t, topo, 0), Value: []byte("v")},
+		{Key: keyForPartition(t, topo, 1), Value: []byte("v")}}}).(wire.CommitResp); !ok {
+		t.Fatal("commit failed")
+	}
+	if alt.PendingPrepared() != 1 {
+		t.Fatal("the prepare did not fail over to the DC 2 replica")
+	}
+	net.SetLinkFault(coord.self, cohort.self, transport.FaultNone)
+	cohort.handlePrepare(wire.PrepareReq{TxID: start.TxID, HT: 100,
+		Writes: []wire.KV{{Key: "straggler", Value: []byte("v")}}})
+	reapsAsStraggler(t, cohort)
+}
+
+// TestSoleCommitStragglerIsReaped is the one-partition twin: a transaction
+// that wrote only the coordinator's own partition committed there without a
+// decision record, so a stray prepared entry for its id elsewhere is
+// unknown to the coordinator and is reaped, never applied.
+func TestSoleCommitStragglerIsReaped(t *testing.T) {
+	coord, cohort := newCoordinatorAndCohort(t)
+	start := coord.handleStartTx(wire.StartTxReq{}).(wire.StartTxResp)
+	coord.handleCommit(wire.CommitReq{TxID: start.TxID,
+		Writes: []wire.KV{{Key: keyForPartition(t, coord.cfg.Topology, 0), Value: []byte("v")}}})
+	cohort.handlePrepare(wire.PrepareReq{TxID: start.TxID, HT: 100,
+		Writes: []wire.KV{{Key: "straggler", Value: []byte("v")}}})
+	reapsAsStraggler(t, cohort)
 }
 
 func TestStatusPendingSurvivesContextEviction(t *testing.T) {

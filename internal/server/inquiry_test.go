@@ -90,11 +90,12 @@ func (r refuseOnPrepare) Deliver(env transport.Envelope) {
 	r.Handler.Deliver(env)
 }
 
-// commitWithRefusedCast commits one write to partition 1 at a coordinator in
-// DC 0 whose CohortCommit cast to the cohort (DC 1) is refused. It returns
-// both servers, neither started, the network, the coordinator's send log and
-// the transaction's id.
-func commitWithRefusedCast(t *testing.T, preparedTTL time.Duration) (coord, cohort *Server, net *transport.MemNet, log *sendLog, id wire.TxID) {
+// refusingPair wires a coordinator in DC 0 (partition 0) and a cohort of
+// partition 1 in DC 1, the coordinator's preferred replica of it, whose link
+// from the coordinator refuses every send once a prepare has arrived. It
+// returns both servers, neither started, the network and the coordinator's
+// send log.
+func refusingPair(t *testing.T, preparedTTL time.Duration) (coord, cohort *Server, net *transport.MemNet, log *sendLog) {
 	t.Helper()
 	topo, err := topology.New(3, 3, 2)
 	if err != nil {
@@ -122,9 +123,20 @@ func commitWithRefusedCast(t *testing.T, preparedTTL time.Duration) (coord, coho
 		t.Fatal(err)
 	}
 	cohort.Peer().Attach(ep)
+	return coord, cohort, net, log
+}
 
+// commitWithRefusedCast commits one write to partition 0 (the coordinator's
+// own) and one to partition 1 through refusingPair, so the CohortCommit cast
+// to the cohort of partition 1 is refused. It returns both servers, neither
+// started, the network, the coordinator's send log and the transaction's id.
+func commitWithRefusedCast(t *testing.T, preparedTTL time.Duration) (coord, cohort *Server, net *transport.MemNet, log *sendLog, id wire.TxID) {
+	t.Helper()
+	coord, cohort, net, log = refusingPair(t, preparedTTL)
+	topo := coord.cfg.Topology
 	start := coord.handleStartTx(wire.StartTxReq{}).(wire.StartTxResp)
 	resp := coord.handleCommit(wire.CommitReq{TxID: start.TxID, Writes: []wire.KV{
+		{Key: keyForPartition(t, topo, 0), Value: []byte("v")},
 		{Key: keyForPartition(t, topo, 1), Value: []byte("v")}}})
 	if _, ok := resp.(wire.CommitResp); !ok {
 		t.Fatalf("commit answered %#v", resp)
@@ -136,6 +148,36 @@ func commitWithRefusedCast(t *testing.T, preparedTTL time.Duration) (coord, coho
 		t.Fatalf("cohort holds %d prepared entries, want 1", cohort.PendingPrepared())
 	}
 	return coord, cohort, net, log, start.TxID
+}
+
+// TestSoleCommitLeavesNothingToConfirm is the one-partition twin of
+// commitWithRefusedCast: the cohort commits in the prepare itself, so the
+// link refused after it costs nothing — no cast is tried, no confirmation is
+// opened, and the cohort holds the commit, not a prepared entry.
+func TestSoleCommitLeavesNothingToConfirm(t *testing.T) {
+	coord, cohort, _, _ := refusingPair(t, 0)
+	start := coord.handleStartTx(wire.StartTxReq{}).(wire.StartTxResp)
+	resp := coord.handleCommit(wire.CommitReq{TxID: start.TxID, Writes: []wire.KV{
+		{Key: keyForPartition(t, coord.cfg.Topology, 1), Value: []byte("v")}}})
+	cr, ok := resp.(wire.CommitResp)
+	if !ok {
+		t.Fatalf("commit answered %#v", resp)
+	}
+	coord.applyTick(1, 1)
+	if got := coord.Metrics().CommitConfirms; got != 0 || len(coord.inq.open) != 0 {
+		t.Fatalf("CommitConfirms = %d, %d inquiries open; want none", got, len(coord.inq.open))
+	}
+	if cohort.PendingPrepared() != 0 || cohort.PendingCommitted() != 1 {
+		t.Fatalf("cohort holds %d prepared and %d committed, want 0 and 1",
+			cohort.PendingPrepared(), cohort.PendingCommitted())
+	}
+	sh := cohort.twoPC.shard(start.TxID)
+	sh.mu.Lock()
+	ct := sh.committed[0].ct
+	sh.mu.Unlock()
+	if ct != cr.CommitTS {
+		t.Fatalf("cohort committed at %v, the client was told %v", ct, cr.CommitTS)
+	}
 }
 
 // TestRefusedCohortCommitConfirmedOnItsRounds: a CohortCommit cast refused

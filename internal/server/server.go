@@ -811,14 +811,8 @@ func nodeListed(list []topology.NodeID, node topology.NodeID) bool {
 // recovery path for a commit whose notification was lost. Caller holds sh.mu,
 // the entry's twoPC shard.
 func (s *Server) promoteLocked(sh *twoPCShard, p *preparedTx, ct hlc.Timestamp) {
-	sh.removePreparedLocked(p.id)
 	s.clock.Observe(ct)
-	sh.pushCommittedLocked(committedTx{
-		id:     p.id,
-		ct:     ct,
-		srcDC:  p.srcDC,
-		writes: p.writes,
-	})
+	sh.commitPreparedLocked(p.id, ct)
 	// Mark the recovery so a racing CommitRecover retry for the same id is
 	// acknowledged instead of installing the transaction a second time.
 	sh.done[p.id] = s.label()

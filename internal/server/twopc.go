@@ -23,15 +23,29 @@ import (
 //
 // Correctness of the sharded ub computation (applyTick): the version-clock
 // upper bound is ub = min(ub0, min{prepared.pt} − 1) where ub0 is a clock
-// reading taken BEFORE any shard is scanned. The shared hybrid clock is the
-// synchronization point: handlePrepare publishes the shard's non-empty state
-// (nPrepared) before it draws its proposal from the clock, so a scanner that
-// skips a shard after loading nPrepared == 0 is guaranteed — by the seq-cst
-// total order of the atomics and the clock's monotonicity — that any prepare
-// it failed to see will propose strictly above ub0, hence above ub. A prepare
-// that inserts after the scanner visited its shard is ordered behind the scan
-// by the shard mutex and proposes above ub0 for the same reason. Either way
-// no future commit can land at or below the published ub.
+// reading taken BEFORE any shard is scanned, and the round then drains every
+// committed entry with ct ≤ ub. Both passes skip a shard whose size mirror
+// (nPrepared in the first, nCommitted in the second) reads zero, without its
+// lock. Two ordering rules make the skips safe:
+//
+//   - An entry enters the table by publishing its shard's count BEFORE it
+//     draws its timestamp from the clock: nPrepared for a prepare,
+//     nCommitted for a sole cohort's commit (handlePrepare). A scan that
+//     loads zero therefore loaded before the add; by the seq-cst total
+//     order of the atomics and the clock's monotonicity the timestamp is
+//     drawn after ub0 and lies strictly above it, hence above ub. An entry
+//     inserted after the scan visited its shard is ordered behind the visit
+//     by the shard mutex and lies above ub0 for the same reason.
+//   - An entry moves from Prepared to Committed (commitPreparedLocked) by
+//     publishing nCommitted BEFORE it retires nPrepared. Otherwise a scan
+//     whose first load fell after the retirement and whose second fell
+//     before the publication would see neither the pin nor the entry,
+//     publish ub ≥ ct, and apply the write a round late. With the rule, a
+//     first pass that no longer sees the pin is followed by a second pass
+//     that sees the entry; a first pass that sees the pin keeps ub < pt ≤ ct.
+//
+// Either way no commit can land in the Committed queue at or below a
+// published ub after the round that published it drained the queue.
 type twoPCTable struct {
 	shards [twoPCShardCount]twoPCShard
 }
@@ -68,9 +82,10 @@ type twoPCShard struct {
 	minValid bool
 
 	// nPrepared and nCommitted mirror the queue sizes so scans skip empty
-	// shards without locking and introspection is lock-free. nPrepared MUST
-	// be incremented before the prepare draws its proposal from the hybrid
-	// clock (see the ub correctness note on twoPCTable).
+	// shards without locking and introspection is lock-free. An entry's
+	// count MUST be published before it draws its timestamp from the hybrid
+	// clock, and a move MUST publish nCommitted before it retires nPrepared
+	// (see the ub correctness note on twoPCTable).
 	nPrepared  atomic.Int64
 	nCommitted atomic.Int64
 }
@@ -152,6 +167,20 @@ func (sh *twoPCShard) pushCommittedLocked(c committedTx) {
 	sh.nCommitted.Add(1)
 }
 
+// commitPreparedLocked moves id's prepared entry to the Committed queue at
+// ct, reporting false when no entry is prepared. It publishes the committed
+// entry before it retires the prepared one, the move rule of the note on
+// twoPCTable. The caller holds sh.mu.
+func (sh *twoPCShard) commitPreparedLocked(id wire.TxID, ct hlc.Timestamp) bool {
+	p, ok := sh.prepared[id]
+	if !ok {
+		return false
+	}
+	sh.pushCommittedLocked(committedTx{id: p.id, ct: ct, srcDC: p.srcDC, writes: p.writes})
+	sh.removePreparedLocked(id)
+	return true
+}
+
 // minPrepared folds every shard's prepared minimum into one value; ok is
 // false when no shard holds a prepared entry. Shards whose size mirror reads
 // zero are skipped without locking — safe under the clock protocol described
@@ -175,10 +204,10 @@ func (t *twoPCTable) minPrepared() (min hlc.Timestamp, ok bool) {
 }
 
 // drainCommitted moves every committed transaction with ct ≤ ub into dst and
-// returns the result. Shards are drained one at a time; entries moved from
-// Prepared to Committed concurrently with the drain necessarily carry
-// ct > ub (their prepare either pinned the pass-1 minimum or proposed above
-// ub0), so missing them here is not a hole — they apply next round.
+// returns the result. Shards are drained one at a time; an entry that
+// reaches the Committed queue after the drain visited its shard necessarily
+// carries ct > ub (see twoPCTable), so missing it here is not a hole — it
+// applies next round.
 func (t *twoPCTable) drainCommitted(dst []committedTx, ub hlc.Timestamp) []committedTx {
 	for i := range t.shards {
 		sh := &t.shards[i]

@@ -116,7 +116,8 @@ func (p *Peer) Call(ctx context.Context, to topology.NodeID, req wire.Message) (
 // context.WithTimeout(ctx, d) would return, but without allocating a
 // context: the bound is a timer drawn from a pool. Reusing those timers
 // relies on Go ≥ 1.23 timer semantics (no stale tick after Stop or Reset),
-// which the module's go 1.24 directive selects.
+// which the module's go 1.24 directive selects. A request that was refused
+// before it left returns an error that wraps ErrNotSent as well as the cause.
 func (p *Peer) CallTimeout(ctx context.Context, to topology.NodeID, req wire.Message, d time.Duration) (wire.Message, error) {
 	ch := respChanPool.Get().(chan wire.Message)
 	id, owned, err := p.send(to, req, ch)
@@ -126,7 +127,7 @@ func (p *Peer) CallTimeout(ctx context.Context, to topology.NodeID, req wire.Mes
 		if owned {
 			respChanPool.Put(ch)
 		}
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrNotSent, err)
 	}
 
 	var expired <-chan time.Time

@@ -224,6 +224,44 @@ func TestPeerFailCallsKeepsCasts(t *testing.T) {
 	}
 }
 
+// TestCallNotSentIsMarked: a call refused before its request left — an
+// unknown destination, a refusing link, calls failed — wraps ErrNotSent
+// beside its cause; calls whose request left and got no answer, whether
+// they time out or FailCalls releases them, do not.
+func TestCallNotSentIsMarked(t *testing.T) {
+	silent := HandlerFuncs{
+		Request: func(_ topology.NodeID, _ wire.Message, _ func(wire.Message)) {},
+	}
+	pA, _, net := newPeerPair(t, nopHandler{}, silent)
+	ctx := context.Background()
+	if _, err := pA.Call(ctx, topology.ServerID(9, 9), wire.StartTxReq{}); !errors.Is(err, ErrNotSent) || !errors.Is(err, ErrUnknownNode) {
+		t.Fatalf("call to an unknown node: err=%v, want ErrNotSent and ErrUnknownNode", err)
+	}
+	net.SetLinkFault(nodeA, nodeB, FaultError)
+	if _, err := pA.Call(ctx, nodeB, wire.StartTxReq{}); !errors.Is(err, ErrNotSent) || !errors.Is(err, ErrLinkDown) {
+		t.Fatalf("call over a refusing link: err=%v, want ErrNotSent and ErrLinkDown", err)
+	}
+	net.SetLinkFault(nodeA, nodeB, FaultNone)
+	if _, err := pA.CallTimeout(ctx, nodeB, wire.StartTxReq{}, time.Millisecond); !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrNotSent) {
+		t.Fatalf("unanswered call: err=%v, want DeadlineExceeded without ErrNotSent", err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := pA.Call(ctx, nodeB, wire.StartTxReq{})
+		done <- err
+	}()
+	for pA.Pending() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	pA.FailCalls()
+	if err := <-done; !errors.Is(err, ErrClosed) || errors.Is(err, ErrNotSent) {
+		t.Fatalf("call released by FailCalls: err=%v, want ErrClosed without ErrNotSent", err)
+	}
+	if _, err := pA.Call(ctx, nodeB, wire.StartTxReq{}); !errors.Is(err, ErrNotSent) || !errors.Is(err, ErrClosed) {
+		t.Fatalf("call after FailCalls: err=%v, want ErrNotSent and ErrClosed", err)
+	}
+}
+
 func TestPeerUnattachedFailsFast(t *testing.T) {
 	p := NewPeer(nodeA, nopHandler{})
 	if _, err := p.Call(context.Background(), nodeB, wire.StartTxReq{}); err == nil {

@@ -109,6 +109,11 @@ var (
 	ErrUnknownNode = errors.New("transport: unknown destination node")
 	// ErrDuplicateNode reports a second registration of a node id.
 	ErrDuplicateNode = errors.New("transport: node already registered")
+	// ErrNotSent marks a call whose request never left this node: the peer
+	// refused it, or the endpoint's send failed synchronously. Peer.CallTimeout
+	// wraps it around the underlying error. Any other call error leaves open
+	// whether the request was delivered.
+	ErrNotSent = errors.New("transport: request not sent")
 )
 
 // Compile-time interface compliance.

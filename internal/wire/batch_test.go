@@ -113,6 +113,13 @@ func FuzzDecode(f *testing.F) {
 		f.Add(data[:len(data)-1])
 		f.Add(append(data, 0))
 	}
+	// A PrepareReq as encoded before it carried Sole: one byte short of a
+	// well-formed body, which the decoder rejects as truncated.
+	if data, err := hex.DecodeString(preSolePrepareReq); err != nil {
+		f.Fatal(err)
+	} else {
+		f.Add(data)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(KindReplicateBatch)})
 	// A retired kind with what used to be a well-formed Heartbeat body.

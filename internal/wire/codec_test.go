@@ -44,6 +44,7 @@ func sampleMessages() []Message {
 		ReadSliceReq{Keys: []string{"p", "q"}, Snapshot: hlc.New(77, 3)},
 		ReadSliceResp{Items: []Item{{Key: "z", Value: []byte{}, UT: 1, TxID: 2, SrcDC: 1}}},
 		PrepareReq{TxID: 3, Snapshot: 10, HT: 20, Writes: []KV{{Key: "a", Value: []byte("xy")}, {Key: "b"}}},
+		PrepareReq{TxID: 4, Snapshot: 10, HT: 20, Writes: []KV{{Key: "c", Value: []byte("z")}}, Sole: true}, // the only written partition
 		PrepareResp{TxID: 3, Proposed: hlc.New(21, 0)},
 		CohortCommit{TxID: 3, CommitTS: hlc.New(25, 2)},
 		CommitRecover{TxID: 6, CommitTS: hlc.New(26, 0), Writes: []KV{{Key: "r", Value: []byte("w")}}},

@@ -41,7 +41,8 @@ func TestGoldenBytes(t *testing.T) {
 		"070000000080f40109",                                                                         // FinishTx
 		"08020170017103004d0000000000",                                                               // ReadSliceReq
 		"0901017a000100000000000000020000000000000001",                                               // ReadSliceResp
-		"0a03000000000000000a0000000000000014020161027879016200",                                     // PrepareReq
+		"0a03000000000000000a000000000000001402016102787901620000",                                   // PrepareReq
+		"0a04000000000000000a0000000000000014010163017a01",                                           // PrepareReq
 		"0b03000000000000000000150000000000",                                                         // PrepareResp
 		"0c03000000000000000200190000000000",                                                         // CohortCommit
 		"19060000000000000000001a00000000000101720177",                                               // CommitRecover
@@ -79,6 +80,11 @@ func TestGoldenBytes(t *testing.T) {
 	})
 }
 
+// preSolePrepareReq is sampleMessages' first PrepareReq as encoded before
+// the message carried Sole. A peer of that build sends a body one byte
+// short, which must not decode.
+const preSolePrepareReq = "0a03000000000000000a0000000000000014020161027879016200"
+
 // retiredGolden holds the last encodings of the retired kinds.
 var retiredGolden = []string{
 	"170204000000000000000b0000000000000014010163017a02111400", // PrepareBatch
@@ -100,5 +106,17 @@ func TestRetiredGoldenBytes(t *testing.T) {
 		if msg, err := Decode(data); !errors.Is(err, ErrMalformed) {
 			t.Errorf("Decode(%s) = %v, %v; want ErrMalformed", golden, msg, err)
 		}
+	}
+}
+
+// TestPreSolePrepareReqRefused: a PrepareReq without its Sole byte is
+// truncated, not a prepare that silently defaults to two-phase commit.
+func TestPreSolePrepareReqRefused(t *testing.T) {
+	data, err := hex.DecodeString(preSolePrepareReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := Decode(data); !errors.Is(err, ErrTruncated) {
+		t.Errorf("Decode(%s) = %v, %v; want ErrTruncated", preSolePrepareReq, msg, err)
 	}
 }

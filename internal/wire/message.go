@@ -359,11 +359,18 @@ func (m *ReadSliceResp) walk(c *codec) { c.items(&m.Items) }
 // PrepareReq is the 2PC prepare message for the writes landing on one
 // partition. Snapshot is the transaction's snapshot time, HT the maximum
 // timestamp the client has observed (max of snapshot and hwtc).
+//
+// Sole marks the transaction's only written partition. The decision of a
+// one-cohort commit is that cohort's own proposal, so a sole cohort commits
+// at once: its PrepareResp.Proposed is the commit timestamp, and no
+// CohortCommit follows. A sole prepare is therefore not retried on another
+// replica once it may have been delivered.
 type PrepareReq struct {
 	TxID     TxID
 	Snapshot hlc.Timestamp
 	HT       hlc.Timestamp
 	Writes   []KV
+	Sole     bool
 }
 
 // Kind implements Message.
@@ -374,6 +381,7 @@ func (m *PrepareReq) walk(c *codec) {
 	c.ts(&m.Snapshot)
 	c.ts(&m.HT)
 	c.kvs(&m.Writes)
+	c.bool(&m.Sole)
 }
 
 // PrepareResp returns the cohort's proposed commit time.

@@ -2,10 +2,12 @@ package paris
 
 import (
 	"context"
+	"maps"
 	"testing"
 	"time"
 
 	"github.com/paris-kv/paris/internal/check"
+	"github.com/paris-kv/paris/internal/topology"
 	"github.com/paris-kv/paris/internal/transport"
 	"github.com/paris-kv/paris/internal/wire"
 	"github.com/paris-kv/paris/internal/workload"
@@ -30,7 +32,9 @@ func TestMessageBudgetBPR(t *testing.T)   { testMessageBudget(t, ModeBlocking) }
 // testMessageBudget counts, by kind, what one session's transactions put on
 // the network. The session's coordinator replicates the partition all keys
 // live on, so the client↔coordinator messages are the transaction's only
-// ones: no slice read, no remote prepare.
+// ones: no slice read, no remote prepare. Then it writes other partitions: a
+// write to one remote partition is one prepare call, which commits it, and
+// a write to several still costs one CohortCommit per remote cohort.
 func testMessageBudget(t *testing.T, mode Mode) {
 	cfg := testConfig()
 	cfg.Mode = mode
@@ -47,7 +51,8 @@ func testMessageBudget(t *testing.T, mode Mode) {
 	// spent runs fn and returns what it sent, by kind: the client kinds, plus
 	// the slice and 2PC kinds a local single-partition transaction must not
 	// need. Background replication and gossip are not the transaction's.
-	watched := append([]wire.Kind{wire.KindReadSliceReq, wire.KindPrepareReq, wire.KindCohortCommit}, clientKinds...)
+	watched := append([]wire.Kind{wire.KindReadSliceReq, wire.KindPrepareReq, wire.KindPrepareResp,
+		wire.KindCohortCommit, wire.KindAbortTx}, clientKinds...)
 	spent := func(fn func()) map[wire.Kind]uint64 {
 		before := c.Net().MessagesByKind()
 		fn()
@@ -152,6 +157,38 @@ func testMessageBudget(t *testing.T, mode Mode) {
 	}
 	if n := c.Net().MessagesByKind()[wire.KindStartTxReq]; n != 0 {
 		t.Errorf("%d StartTxReq sent; a transaction starts with its first operation", n)
+	}
+
+	// Writes to partitions the coordinator does not replicate. The sole
+	// cohort of a one-partition write decides the commit in its prepare; a
+	// write to two remote partitions is a two-phase commit.
+	var remote [2]string
+	for i, q := 0, topology.PartitionID(0); i < len(remote); q++ {
+		if q != p {
+			remote[i] = benchKeysOn(c.Topology(), q, 1)[0]
+			i++
+		}
+	}
+	put := func(keys ...string) func() {
+		return func() {
+			ws := make(map[string][]byte, len(keys))
+			for _, k := range keys {
+				ws[k] = []byte("r")
+			}
+			if _, err := s.Put(ctx, ws); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	expect("remote one-partition Put", spent(put(remote[0])),
+		wire.KindCommitReq, wire.KindCommitResp, wire.KindPrepareReq, wire.KindPrepareResp)
+	expect("local+remote Put", spent(put(keys[0], remote[0])),
+		wire.KindCommitReq, wire.KindCommitResp, wire.KindPrepareReq, wire.KindPrepareResp, wire.KindCohortCommit)
+	if got, want := spent(put(remote[0], remote[1])), map[wire.Kind]uint64{
+		wire.KindCommitReq: 1, wire.KindCommitResp: 1,
+		wire.KindPrepareReq: 2, wire.KindPrepareResp: 2, wire.KindCohortCommit: 2,
+	}; !maps.Equal(got, want) {
+		t.Errorf("two-remote-partition Put sent %v, want %v", got, want)
 	}
 }
 

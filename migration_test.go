@@ -3,9 +3,13 @@ package paris
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
+
+	"github.com/paris-kv/paris/internal/wire"
 )
 
 // Cross-DC session migration: a session that moves between data centers
@@ -19,7 +23,8 @@ func migrationConfig(mode Mode) Config {
 	cfg := testConfig()
 	cfg.Mode = mode
 	// Keep cohort failover snappy: the partition variants drive 2PC prepares
-	// into a blocked DC and rely on timely failover to the surviving replica.
+	// into a blocked DC and rely on timely failover to the surviving replica,
+	// and a sole prepare into it on a timely unknown outcome.
 	cfg.CallTimeout = 400 * time.Millisecond
 	return cfg
 }
@@ -93,12 +98,27 @@ func TestMigrationReadYourWritesBPR(t *testing.T) {
 	testMigrationReadYourWrites(t, ModeBlocking)
 }
 
+// keyOffPartitionOf returns a key on a partition other than key's.
+func keyOffPartitionOf(t *testing.T, c *Cluster, key string) string {
+	t.Helper()
+	topo := c.Topology()
+	for i := 0; i < 1000; i++ {
+		if k := fmt.Sprintf("%s-other-%d", key, i); topo.PartitionOf(k) != topo.PartitionOf(key) {
+			return k
+		}
+	}
+	t.Fatalf("no key off the partition of %q", key)
+	return ""
+}
+
 // testMigrationUnderPartition commits in DC 0 while DC 0 and DC 1 are
 // partitioned, migrates into the isolated DC 1, and requires the migrated
 // session to still read its own write: the handoff carries the causal state
 // the network cannot deliver (PaRiS serves it from the client cache; BPR
 // blocks on the carried ust until the partition heals and replication
-// catches up).
+// catches up). The commit writes two partitions, so its prepares into the
+// blocked DC fail over (a one-partition commit cannot; see
+// TestSoleCommitUnderPartitionOutcomeUnknown).
 func testMigrationUnderPartition(t *testing.T, mode Mode) {
 	c := newTestCluster(t, migrationConfig(mode))
 	ctx := context.Background()
@@ -109,7 +129,8 @@ func testMigrationUnderPartition(t *testing.T, mode Mode) {
 	defer func() { sess.Close() }()
 
 	c.Net().SetPartitioned(0, 1, true)
-	if _, err := sess.Put(ctx, map[string][]byte{"part-key": []byte("before-heal")}); err != nil {
+	if _, err := sess.Put(ctx, map[string][]byte{"part-key": []byte("before-heal"),
+		keyOffPartitionOf(t, c, "part-key"): []byte("before-heal")}); err != nil {
 		t.Fatalf("put under partition: %v", err)
 	}
 	sess = testMigrate(t, c, sess, 1)
@@ -154,6 +175,70 @@ func TestMigrationUnderPartitionPaRiS(t *testing.T) {
 
 func TestMigrationUnderPartitionBPR(t *testing.T) {
 	testMigrationUnderPartition(t, ModeBlocking)
+}
+
+// TestSoleCommitUnderPartitionOutcomeUnknown is the one-partition twin of
+// the partitioned put above: DC 0 is cut off from both other DCs, and the
+// session writes one key of a partition DC 0 does not replicate. The sole
+// prepare is queued behind the partition and its call times out; it may
+// still commit once delivered, so the coordinator fails over to no other
+// replica and answers that the outcome is unknown. The partition queues
+// rather than drops, so after the heal the write lands, exactly once.
+func TestSoleCommitUnderPartitionOutcomeUnknown(t *testing.T) {
+	c := newTestCluster(t, migrationConfig(ModeNonBlocking))
+	ctx := context.Background()
+	topo := c.Topology()
+	var key, after string // two keys of one partition DC 0 does not replicate
+	for i := 0; after == ""; i++ {
+		k := fmt.Sprintf("sole-part-%d", i)
+		switch p := topo.PartitionOf(k); {
+		case topo.IsReplicatedAt(p, 0):
+		case key == "":
+			key = k
+		case p == topo.PartitionOf(key):
+			after = k
+		}
+	}
+	sess, err := c.NewSession(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	c.Net().SetPartitioned(0, 1, true)
+	c.Net().SetPartitioned(0, 2, true)
+	_, err = sess.Put(ctx, map[string][]byte{key: []byte("queued")})
+	var re *wire.RemoteError
+	if !errors.As(err, &re) || re.Code != wire.CodeUnavailable || !strings.Contains(re.Msg, "outcome unknown") {
+		t.Fatalf("put under partition = %v, want an unknown outcome (CodeUnavailable)", err)
+	}
+	c.Net().SetPartitioned(0, 1, false)
+	c.Net().SetPartitioned(0, 2, false)
+
+	// The session carries on. Its next write goes to the same replica over
+	// the same link, behind the queued prepare, so once it is universally
+	// stable the queued write is too.
+	ct, err := sess.Put(ctx, map[string][]byte{after: []byte("v")})
+	if err != nil {
+		t.Fatalf("put after heal: %v", err)
+	}
+	if !c.WaitForUST(ct, 5*time.Second) {
+		t.Fatal("UST stalled after heal")
+	}
+	vals, err := sess.Get(ctx, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(vals[key], []byte("queued")) {
+		t.Fatalf("read %q after heal, want the queued write", vals[key])
+	}
+	versions := 0
+	for _, srv := range c.Servers() {
+		versions += srv.Store().VersionCount(key)
+	}
+	if versions != 2 {
+		t.Fatalf("%d versions of %q across the replicas, want one on each of 2", versions, key)
+	}
 }
 
 // TestMigrationRejectsOpenTransaction pins the handoff guard: a session with
