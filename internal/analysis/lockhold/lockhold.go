@@ -7,10 +7,12 @@
 //     default, time.Sleep, WaitGroup/Cond waits, and transport calls
 //     (Peer.Call/Cast/CastBatch, Endpoint.Send/SendBatch, net conn
 //     Read/Write) — executed while a tracked mutex is held;
-//   - lock-ordering violations against the repo's DAG: the sharded tables
-//     (txShard, twoPCShard, the store's shard) are *leaf* locks — code
+//   - lock-ordering violations against the repo's DAG: the server's tables
+//     (txTable, twoPCTable, the store's shard) are *leaf* locks — code
 //     holding one must not acquire any other tracked lock — and non-leaf
-//     locks must not nest within each other.
+//     locks must not nest within each other. The one edge between two
+//     tables, twoPCTable → txTable (decidingLocked), goes through a helper
+//     call, which this intra-procedural analysis does not follow.
 //
 // The analysis is intra-procedural and path-sensitive enough for the
 // codebase's idioms: early-return branches that unlock before returning do
@@ -42,9 +44,10 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// leafOwner matches the struct types whose mutexes are leaf locks. The
-// repo's sharded tables all match; fixtures reuse the same names.
-var leafOwner = regexp.MustCompile(`^(txShard|twoPCShard|shard|.*Shard)$`)
+// leafOwner matches the struct types whose mutexes are leaf locks: the
+// server's context and 2PC tables and the store's shards. Fixtures reuse
+// the same names.
+var leafOwner = regexp.MustCompile(`^(txTable|twoPCTable|shard|.*Shard)$`)
 
 // blockingRecv matches the named types whose Call/Cast/Send-family methods
 // perform network I/O or otherwise block.

@@ -13,10 +13,16 @@ type txShard struct {
 	m  map[uint64]int
 }
 
+type twoPCTable struct {
+	mu       sync.Mutex
+	prepared map[uint64]int
+}
+
 type Server struct {
 	waitMu sync.Mutex
 	sh     txShard
 	sh2    txShard
+	twoPC  twoPCTable
 	ch     chan int
 	wg     sync.WaitGroup
 }
@@ -69,6 +75,23 @@ func badShardThenServer(s *Server) {
 	s.waitMu.Lock() // want `acquiring Server.waitMu while holding leaf lock txShard.mu`
 	s.waitMu.Unlock()
 	s.sh.mu.Unlock()
+}
+
+// badUnderTwoPC takes another table's lock directly under the 2PC table's:
+// both are leaves.
+func badUnderTwoPC(s *Server) {
+	s.twoPC.mu.Lock()
+	s.sh.mu.Lock() // want `acquiring txShard.mu while holding leaf lock twoPCTable.mu`
+	s.sh.mu.Unlock()
+	s.twoPC.mu.Unlock()
+}
+
+// badServerUnderTwoPC: nor may a server-level lock nest under it.
+func badServerUnderTwoPC(s *Server) {
+	s.twoPC.mu.Lock()
+	defer s.twoPC.mu.Unlock()
+	s.waitMu.Lock() // want `acquiring Server.waitMu while holding leaf lock twoPCTable.mu`
+	s.waitMu.Unlock()
 }
 
 func badSelect(s *Server) {

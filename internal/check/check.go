@@ -96,6 +96,9 @@ const (
 	// visible found a key older than its newest acknowledged write
 	// (CheckReadBack).
 	KindLostWrite = "lost-write"
+	// KindDivergence: once replication quiesced, the replicas of a written
+	// key still held different newest versions.
+	KindDivergence = "replica-divergence"
 )
 
 // History accumulates transactions for validation. It is not safe for

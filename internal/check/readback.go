@@ -21,6 +21,12 @@ func (h *History) LastWrites() map[string]*Tx {
 	return last
 }
 
+// Covers reports whether o observed tx's write or a newer version, in the
+// store's (timestamp, id) order.
+func (o ReadObs) Covers(tx *Tx) bool {
+	return o.Found && (o.UT > tx.CommitTS || o.UT == tx.CommitTS && o.Writer >= tx.ID)
+}
+
 // CheckReadBack checks that no acknowledged write was lost. got is a final
 // read of every key in LastWrites, taken at a snapshot that covers every
 // recorded commit. Each key must read its newest acknowledged write or a
@@ -42,7 +48,7 @@ func (h *History) CheckReadBack(got map[string]ReadObs) []Violation {
 		switch {
 		case !ok:
 			out = append(out, violation(KindLostWrite, tx, "key %q was not read back", k))
-		case !obs.Found || obs.UT < tx.CommitTS || obs.UT == tx.CommitTS && obs.Writer < tx.ID:
+		case !obs.Covers(tx):
 			out = append(out, violation(KindLostWrite, tx,
 				"key %q read back at %v by tx %v (found=%v), but the write of tx %v committed at %v was acknowledged",
 				k, obs.UT, obs.Writer, obs.Found, tx.ID, tx.CommitTS))

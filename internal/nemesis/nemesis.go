@@ -12,8 +12,10 @@
 // of the checked history), and a drain (a probe write must become
 // universally stable, proving the UST plane survived) followed by a
 // read-back of every written key, which must hold its newest acknowledged
-// write or a newer one. The run fails if the checker or the read-back finds
-// any violation, or if the cluster cannot drain.
+// write or a newer one, and a convergence check: every replica of a written
+// key must hold the same newest version. The run fails if the checker, the
+// read-back or the convergence check finds any violation, or if the cluster
+// cannot drain.
 //
 // Every scenario that survives is pinned as a named regression
 // (TestNemesis_<scenario>); replay a run with
@@ -23,7 +25,10 @@ package nemesis
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,6 +37,7 @@ import (
 	"github.com/paris-kv/paris/internal/check"
 	"github.com/paris-kv/paris/internal/topology"
 	"github.com/paris-kv/paris/internal/transport"
+	"github.com/paris-kv/paris/internal/wire"
 	"github.com/paris-kv/paris/internal/workload"
 )
 
@@ -361,7 +367,9 @@ func (r *runner) run() (*Result, error) {
 	// write or a newer version.
 	res.Drained = r.drain()
 	if res.Drained {
-		res.Violations = append(res.Violations, readBack(r.cluster, r.live.Snapshot())...)
+		h := r.live.Snapshot()
+		res.Violations = append(res.Violations, readBack(r.cluster, h)...)
+		res.Violations = append(res.Violations, checkConvergence(r.cluster, h, 5*time.Second)...)
 	}
 
 	// Final validation over the complete history, including everything
@@ -478,7 +486,9 @@ func (r *runner) drain() bool {
 // values against the history's newest acknowledged writes
 // (check.History.CheckReadBack). A read-back that cannot run, or whose
 // snapshot does not cover the newest recorded commit, is reported as a
-// violation too: it proves nothing either way.
+// violation too: it proves nothing either way. Each lost write's detail
+// gains one line per replica of the key's partition (replicaLines), which
+// tells a write lost for good from one read that missed it.
 func readBack(cluster *paris.Cluster, h *check.History) []check.Violation {
 	last := h.LastWrites()
 	if len(last) == 0 {
@@ -518,7 +528,84 @@ func readBack(cluster *paris.Cluster, h *check.History) []check.Violation {
 		item, found := sess.Client().Observed(k)
 		got[k] = check.ReadObs{Key: k, Writer: item.TxID, UT: item.UT, Found: found}
 	}
-	return h.CheckReadBack(got)
+	vs := h.CheckReadBack(got)
+	// CheckReadBack reports one violation per key that fails Covers, in key
+	// order.
+	slices.Sort(keys)
+	i := 0
+	for _, k := range keys {
+		if i < len(vs) && !got[k].Covers(last[k]) {
+			vs[i].Detail += replicaLines(cluster, k, last[k])
+			i++
+		}
+	}
+	return vs
+}
+
+// replicaLines describes each replica of key's partition, one line apiece:
+// its newest version of key, whether a read at the acknowledged commit's
+// timestamp returns acked's write, and the replica's UST, version vector and
+// installed lower bound.
+func replicaLines(cluster *paris.Cluster, key string, acked *check.Tx) string {
+	topo := cluster.Topology()
+	p := topo.PartitionOf(key)
+	var b strings.Builder
+	for _, dc := range topo.ReplicaDCs(p) {
+		fmt.Fprintf(&b, "\n  replica %v: ", topology.ServerID(dc, p))
+		srv := cluster.Server(dc, int(p))
+		if srv == nil {
+			b.WriteString("down")
+			continue
+		}
+		latest, ok := srv.Store().ReadLatest(key)
+		at, _ := srv.Store().Read(key, acked.CommitTS)
+		fmt.Fprintf(&b, "latest (%v, %v, dc %v) found=%v; read at %v returns the acked write: %v; ust %v vv %v installed %v",
+			latest.UT, latest.TxID, latest.SrcDC, ok, acked.CommitTS, at.UT == acked.CommitTS && at.TxID == acked.ID,
+			srv.UST(), srv.VersionVector(), srv.InstalledLowerBound())
+	}
+	return b.String()
+}
+
+// checkConvergence checks that every replica of each key the history writes
+// returns the same newest version (UT, TxID, SrcDC). Replication still in
+// flight when the drain ends lands within a few rounds, so the check polls
+// for up to wait before it reports the keys whose replicas still differ,
+// with one line per replica (replicaLines).
+func checkConvergence(cluster *paris.Cluster, h *check.History, wait time.Duration) []check.Violation {
+	last := h.LastWrites()
+	keys := slices.Sorted(maps.Keys(last))
+	topo := cluster.Topology()
+	split := func(key string) bool {
+		p := topo.PartitionOf(key)
+		var first wire.Item
+		for i, dc := range topo.ReplicaDCs(p) {
+			srv := cluster.Server(dc, int(p))
+			if srv == nil {
+				return true
+			}
+			it, _ := srv.Store().ReadLatest(key)
+			if i == 0 {
+				first = it
+			} else if it.UT != first.UT || it.TxID != first.TxID || it.SrcDC != first.SrcDC {
+				return true
+			}
+		}
+		return false
+	}
+	deadline := time.Now().Add(wait)
+	for {
+		var out []check.Violation
+		for _, k := range keys {
+			if split(k) {
+				out = append(out, check.Violation{Kind: check.KindDivergence, Session: -1,
+					Detail: fmt.Sprintf("key %q: replicas hold different newest versions%s", k, replicaLines(cluster, k, last[k]))})
+			}
+		}
+		if len(out) == 0 || time.Now().After(deadline) {
+			return out
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // worker is one closed-loop recorded session: it runs workload transactions

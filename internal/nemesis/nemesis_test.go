@@ -9,6 +9,8 @@ import (
 
 	"github.com/paris-kv/paris"
 	"github.com/paris-kv/paris/internal/check"
+	"github.com/paris-kv/paris/internal/topology"
+	"github.com/paris-kv/paris/internal/wire"
 )
 
 // The pinned runs use seed 7 and a 1.2 s fault phase (400 ms under -short).
@@ -192,7 +194,8 @@ func TestScenarioTableWellFormed(t *testing.T) {
 // TestReadBackCatchesLostWrite plants an acknowledged write the cluster never
 // received: a recorded transaction whose write of one key is absent. The
 // history checker cannot see it, since nothing read that key, and the
-// read-back must: it reports that key and nothing else.
+// read-back must: it reports that key and nothing else, with a line for
+// each replica of the key's partition.
 func TestReadBackCatchesLostWrite(t *testing.T) {
 	cluster, err := paris.NewCluster(baseConfig(paris.ModeNonBlocking, 1))
 	if err != nil {
@@ -227,5 +230,69 @@ func TestReadBackCatchesLostWrite(t *testing.T) {
 	vs := readBack(cluster, &h)
 	if len(vs) != 1 || vs[0].Kind != check.KindLostWrite || !strings.Contains(vs[0].Detail, `"rb-planted"`) {
 		t.Fatalf("read-back reported %v, want one lost write of rb-planted", vs)
+	}
+	topo := cluster.Topology()
+	p := topo.PartitionOf("rb-planted")
+	for _, dc := range topo.ReplicaDCs(p) {
+		if line := "replica " + topology.ServerID(dc, p).String() + ": latest"; !strings.Contains(vs[0].Detail, line) {
+			t.Fatalf("lost-write detail lacks %q:\n%s", line, vs[0].Detail)
+		}
+	}
+}
+
+// TestConvergenceCatchesDivergentReplica plants a version on one replica
+// only, newer than every recorded write of its key. Neither the history
+// checker nor the read-back can see it — nothing recorded read it, and a
+// newer version satisfies the read-back — and the convergence check must:
+// it reports that key, naming both replicas.
+func TestConvergenceCatchesDivergentReplica(t *testing.T) {
+	cluster, err := paris.NewCluster(baseConfig(paris.ModeNonBlocking, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	sess, err := cluster.NewSession(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	ctx := context.Background()
+	var h check.History
+	for seq, key := range []string{"cv-a", "cv-b"} {
+		ct, err := sess.Put(ctx, map[string][]byte{key: []byte{byte(seq)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Add(check.Tx{Session: 0, Seq: seq, ID: sess.Client().TxID(), Snapshot: sess.Client().Snapshot(),
+			CommitTS: ct, Writes: []string{key}})
+	}
+	if vs := readBack(cluster, &h); len(vs) != 0 {
+		t.Fatalf("read-back of a faithful history flagged %v", vs)
+	}
+	if vs := checkConvergence(cluster, &h, 5*time.Second); len(vs) != 0 {
+		t.Fatalf("convergence flagged a faithful cluster: %v", vs)
+	}
+
+	topo := cluster.Topology()
+	p := topo.PartitionOf("cv-a")
+	dcs := topo.ReplicaDCs(p)
+	last := h.LastWrites()["cv-a"]
+	cluster.Server(dcs[len(dcs)-1], int(p)).Store().Apply(wire.Item{
+		Key: "cv-a", Value: []byte("planted"), UT: last.CommitTS + 1, TxID: last.ID + 1, SrcDC: dcs[len(dcs)-1]})
+
+	if vs := h.Check(); len(vs) != 0 {
+		t.Fatalf("the history checker flagged %v; the planted version should be invisible to it", vs)
+	}
+	if vs := readBack(cluster, &h); len(vs) != 0 {
+		t.Fatalf("the read-back flagged %v; a newer version should satisfy it", vs)
+	}
+	vs := checkConvergence(cluster, &h, 100*time.Millisecond)
+	if len(vs) != 1 || vs[0].Kind != check.KindDivergence || !strings.Contains(vs[0].Detail, `"cv-a"`) {
+		t.Fatalf("convergence reported %v, want one divergence on cv-a", vs)
+	}
+	for _, dc := range dcs {
+		if name := topology.ServerID(dc, p).String(); !strings.Contains(vs[0].Detail, name) {
+			t.Fatalf("divergence detail lacks replica %s:\n%s", name, vs[0].Detail)
+		}
 	}
 }

@@ -109,10 +109,10 @@ func TestAllocBudgetRound(t *testing.T) {
 				ct := s.clock.Now()
 				for range 8 {
 					id++
-					sh := s.twoPC.shard(id)
-					sh.mu.Lock()
-					sh.pushCommittedLocked(committedTx{id: id, ct: ct, srcDC: s.self.DC})
-					sh.mu.Unlock()
+					tab := &s.twoPC
+					tab.mu.Lock()
+					tab.pushCommittedLocked(committedTx{id: id, ct: ct, srcDC: s.self.DC})
+					tab.mu.Unlock()
 				}
 			}
 		}

@@ -32,14 +32,10 @@ import (
 // strictly below every prepared timestamp and the hybrid clock, hence below
 // any future commit timestamp.
 //
-// The loop no longer takes a server-wide lock. ub is assembled from the
-// sharded 2PC table as min(ub0, min{prepared.pt} − 1), where ub0 is a clock
-// reading taken before any shard is visited — the ordering that makes the
-// per-shard scan safe against concurrent prepares (see twoPCTable). The
-// committed drain then visits shards a second time; entries that move from
-// Prepared to Committed between the two passes carry ct > ub, because a move
-// publishes the committed entry before it retires the prepared one, so the
-// drain misses nothing the published ub covers (collectReady).
+// ub and the drain come from one critical section of the 2PC table's lock
+// (collectReady), which every prepare, sole commit and Prepared→Committed
+// move also holds while it draws or assigns its timestamp: the drain misses
+// nothing the published ub covers (see twoPCTable).
 func (s *Server) applyTick(round, label int64) {
 	s.labelNow.Store(label)
 	if s.first == 0 {
@@ -194,19 +190,31 @@ func buildReplicateBatches(chunks []wire.ReplicateBatch, sizes []int, src topolo
 
 // collectReady computes the round's upper bound ub below which no future
 // transaction can commit, and drains the committed transactions with
-// ct ≤ ub, ordered by (ct, id), into the round's scratch slice.
+// ct ≤ ub, ordered by (ct, id), into the round's scratch slice. The clock
+// read, the bound and the drain are one critical section of the 2PC table's
+// lock (see twoPCTable).
 func (s *Server) collectReady() (hlc.Timestamp, []committedTx) {
+	t, ready := &s.twoPC, s.applyReady[:0]
+	t.mu.Lock()
 	// ub0 ← max{Clock, HLC}, advanced as a local event so that any prepare
-	// not seen by the scan below proposes strictly above it. MUST precede
-	// the minPrepared scan.
-	ub0 := s.clock.Now()
-	ub := ub0
-	if minPT, ok := s.twoPC.minPrepared(); ok && minPT-1 < ub {
+	// not yet in the table proposes strictly above it.
+	ub := s.clock.Now()
+	for _, p := range t.prepared {
 		// ub ← min{p.pt} − 1: nothing can commit at or below the smallest
 		// prepared proposal (commit times are maxima over proposals).
-		ub = minPT - 1
+		ub = min(ub, p.pt-1)
 	}
-	ready := s.twoPC.drainCommitted(s.applyReady[:0], ub)
+	rest := t.committed[:0]
+	for _, c := range t.committed {
+		if c.ct <= ub {
+			ready = append(ready, c)
+		} else {
+			rest = append(rest, c)
+		}
+	}
+	clear(t.committed[len(rest):])
+	t.committed = rest
+	t.mu.Unlock()
 	slices.SortFunc(ready, byCTThenID)
 	return ub, ready
 }

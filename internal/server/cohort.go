@@ -82,8 +82,8 @@ func (s *Server) observeUST(ts hlc.Timestamp) {
 // handlePrepare implements Alg. 3 lines 9–14: advance the hybrid clock past
 // everything the client has seen, propose a commit time that reflects
 // causality, and park the transaction in the Prepared queue — all under the
-// transaction's twoPC shard lock, so prepares on different shards proceed in
-// parallel.
+// 2PC table's lock, so the apply round's bound never misses it (see
+// twoPCTable).
 //
 // A sole prepare (the transaction writes only this partition) is also the
 // decision: ct = max{pt} over one proposal is the proposal itself, so the
@@ -91,26 +91,15 @@ func (s *Server) observeUST(ts hlc.Timestamp) {
 // 15–19 with ct = pt). It never holds a prepared entry, so nothing pins ub,
 // nothing can be reaped, and no coordinator is ever asked about it.
 func (s *Server) handlePrepare(req wire.PrepareReq) wire.Message {
-	sh := s.twoPC.shard(req.TxID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	t := &s.twoPC
+	t.mu.Lock()
+	defer t.mu.Unlock()
 
-	if _, dead := sh.aborted[req.TxID]; dead {
+	if _, dead := t.aborted[req.TxID]; dead {
 		// The transaction was already aborted or reaped here; accepting the
 		// prepare would recreate an orphan that no commit can ever resolve.
 		return wire.ErrorResp{Code: wire.CodeTxAborted,
 			Msg: "prepare: transaction " + req.TxID.String() + " already aborted"}
-	}
-
-	// Publish the shard's non-emptiness BEFORE drawing the proposal from the
-	// clock: applyTick reads its clock upper bound ub0 first and then skips
-	// shards whose counter reads zero, so the seq-cst order (counter add →
-	// clock update versus clock read → counter load) guarantees any entry
-	// the scan misses carries a timestamp strictly above ub0. See twoPCTable.
-	if req.Sole {
-		sh.nCommitted.Add(1)
-	} else {
-		sh.nPrepared.Add(1)
 	}
 
 	// HLC mn ← max(Clock, ht+1, HLC+1).
@@ -125,8 +114,7 @@ func (s *Server) handlePrepare(req wire.PrepareReq) wire.Message {
 	}
 	s.metrics.prepares.Add(1)
 	if req.Sole {
-		// Counted above, before the clock was read.
-		sh.committed = append(sh.committed, committedTx{
+		t.pushCommittedLocked(committedTx{
 			id:     req.TxID,
 			ct:     proposed,
 			srcDC:  s.self.DC,
@@ -134,14 +122,12 @@ func (s *Server) handlePrepare(req wire.PrepareReq) wire.Message {
 		})
 		return wire.PrepareResp{TxID: req.TxID, Proposed: proposed}
 	}
-	if !sh.insertPreparedLocked(&preparedTx{
+	t.prepared[req.TxID] = &preparedTx{
 		id:     req.TxID,
 		pt:     proposed,
 		srcDC:  s.self.DC,
 		writes: dedupWrites(req.Writes),
 		at:     s.label(),
-	}) {
-		sh.nPrepared.Add(-1) // replaced a duplicate; size is unchanged
 	}
 	return wire.PrepareResp{TxID: req.TxID, Proposed: proposed}
 }
@@ -199,14 +185,14 @@ func dedupWrites(kvs []wire.KV) []wire.KV {
 // handleCohortCommit implements Alg. 3 lines 15–19: move the transaction from
 // the Prepared queue to the Committed queue under its final commit timestamp.
 func (s *Server) handleCohortCommit(m wire.CohortCommit) {
-	sh := s.twoPC.shard(m.TxID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	t := &s.twoPC
+	t.mu.Lock()
+	defer t.mu.Unlock()
 
 	// HLC mn ← max(HLC, ct, Clock).
 	s.clock.Observe(m.CommitTS)
 
-	if _, dead := sh.aborted[m.TxID]; dead {
+	if _, dead := t.aborted[m.TxID]; dead {
 		// The reaper (or an abort) already released this transaction and the
 		// version-clock upper bound may have advanced past its prepare time;
 		// applying it now would plant a version inside already-served
@@ -218,11 +204,11 @@ func (s *Server) handleCohortCommit(m wire.CohortCommit) {
 	}
 	// A missing entry means a duplicate or post-shutdown commit; FIFO links
 	// make it unreachable in normal operation.
-	sh.commitPreparedLocked(m.TxID, m.CommitTS)
+	t.commitPreparedLocked(m.TxID, m.CommitTS)
 }
 
 // handleCommitRecover is the acknowledged fallback for a commit decision
-// whose CohortCommit cast failed. Three cases, all under the id's shard lock:
+// whose CohortCommit cast failed. Three cases, all under the 2PC table's lock:
 //
 //   - the prepared entry is still here → promote it exactly as a CohortCommit
 //     would (the carried writes are ignored; the prepared ones are canonical);
@@ -242,20 +228,20 @@ func (s *Server) handleCommitRecover(m wire.CommitRecover) wire.Message {
 	committed := wire.TxStatusResp{TxID: m.TxID, Status: wire.TxStatusCommitted, CommitTS: m.CommitTS}
 	aborted := wire.TxStatusResp{TxID: m.TxID, Status: wire.TxStatusAborted}
 
-	sh := s.twoPC.shard(m.TxID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	t := &s.twoPC
+	t.mu.Lock()
+	defer t.mu.Unlock()
 
 	s.clock.Observe(m.CommitTS)
-	if _, ok := sh.done[m.TxID]; ok {
+	if _, ok := t.done[m.TxID]; ok {
 		return committed // an earlier recovery attempt already landed
 	}
-	if _, dead := sh.aborted[m.TxID]; dead {
+	if _, dead := t.aborted[m.TxID]; dead {
 		s.metrics.commitsRejected.Add(1)
 		return aborted
 	}
-	if sh.commitPreparedLocked(m.TxID, m.CommitTS) {
-		sh.done[m.TxID] = s.label()
+	if t.commitPreparedLocked(m.TxID, m.CommitTS) {
+		t.doneLocked(m.TxID, s.label())
 		s.metrics.commitsRecovered.Add(1)
 		return committed
 	}
@@ -263,10 +249,10 @@ func (s *Server) handleCommitRecover(m wire.CommitRecover) wire.Message {
 		s.metrics.commitsRejected.Add(1)
 		return aborted
 	}
-	sh.pushCommittedLocked(committedTx{
+	t.pushCommittedLocked(committedTx{
 		id: m.TxID, ct: m.CommitTS, srcDC: s.self.DC, writes: dedupWrites(m.Writes),
 	})
-	sh.done[m.TxID] = s.label()
+	t.doneLocked(m.TxID, s.label())
 	s.metrics.commitsRecovered.Add(1)
 	return committed
 }
@@ -277,11 +263,12 @@ func (s *Server) handleCommitRecover(m wire.CommitRecover) wire.Message {
 // that was retried through another path, and a later CohortCommit or
 // PrepareReq for the id must find the tombstone.
 func (s *Server) handleAbortTx(m wire.AbortTx) {
-	sh := s.twoPC.shard(m.TxID)
-	sh.mu.Lock()
-	if _, ok := sh.removePreparedLocked(m.TxID); ok {
+	t := &s.twoPC
+	t.mu.Lock()
+	if _, ok := t.prepared[m.TxID]; ok {
+		delete(t.prepared, m.TxID)
 		s.metrics.cohortAborts.Add(1)
 	}
-	sh.aborted[m.TxID] = s.label()
-	sh.mu.Unlock()
+	t.abortLocked(m.TxID, s.label())
+	t.mu.Unlock()
 }

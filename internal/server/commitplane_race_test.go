@@ -12,13 +12,13 @@ import (
 	"github.com/paris-kv/paris/internal/wire"
 )
 
-// TestCommitPlaneParallelApplyStress hammers the PR 6 commit plane — the
-// TxID-sharded 2PC table and the pipelined multi-worker apply — from every
-// direction at once: concurrent cohort prepares and commits across the
-// shards, the apply loop draining with parallel store workers, replication
-// heartbeats advancing the remote version-vector entry, and the abort path
-// planting tombstones. Under -race it is the regression net for the sharded
-// ub computation (clock-before-scan protocol) and the apply sequencer.
+// TestCommitPlaneParallelApplyStress hammers the commit plane — the 2PC
+// table and the pipelined multi-worker apply — from every direction at once:
+// concurrent cohort prepares and commits, the apply loop draining with
+// parallel store workers, replication heartbeats advancing the remote
+// version-vector entry, and the abort path planting tombstones. Under -race
+// it guards the one-lock rule of the round's bound and drain (collectReady)
+// and the apply sequencer.
 //
 // Invariants asserted while the storm runs:
 //
@@ -111,9 +111,8 @@ func TestCommitPlaneParallelApplyStress(t *testing.T) {
 		}
 	}()
 
-	// Writers: remote-coordinated prepare→commit pairs spread across the
-	// 2PC shards, with a sprinkling of aborts exercising the tombstone path
-	// against the same shards.
+	// Writers: remote-coordinated prepare→commit pairs, with a sprinkling of
+	// aborts exercising the tombstone path.
 	var (
 		seq      atomic.Uint64
 		writerWG sync.WaitGroup

@@ -26,11 +26,14 @@ import (
 // startTx implements Alg. 2 lines 1–5: it assigns the snapshot and the
 // transaction id and installs the context. A transaction starts with its
 // first ReadReq or CommitReq (TxID zero), so this runs at the head of
-// handleRead/handleCommit rather than in a round trip of its own. It is
-// lock-free apart from one context-table shard visit: the snapshot comes from
-// an atomic UST load, the transaction id from an atomic sequence.
+// handleRead/handleCommit rather than in a round trip of its own. The
+// transaction id comes from an atomic sequence; the context goes in with one
+// critical section of the context table's lock.
 func (s *Server) startTx(clientUST hlc.Timestamp) (wire.TxID, hlc.Timestamp) {
-	var snapshot hlc.Timestamp
+	var (
+		snapshot hlc.Timestamp
+		ust      *atomicTS
+	)
 	if s.cfg.Mode == ModeBlocking {
 		// BPR: snapshot is the max of the client's highest snapshot and the
 		// coordinator's clock — fresher than the UST, but reads will block.
@@ -40,32 +43,14 @@ func (s *Server) startTx(clientUST hlc.Timestamp) (wire.TxID, hlc.Timestamp) {
 		// stable snapshot on another coordinator. (In BPR the client value is
 		// clock-derived and not evidence of universal stability.) Folding
 		// before loading keeps the session monotonic: the snapshot handed
-		// back is at least the client's own stable time.
+		// back is at least the client's own stable time. The snapshot is the
+		// UST loaded inside the critical section that inserts the context
+		// (txTable.put), which keeps the GC watermark below it.
 		s.observeUST(clientUST)
-		snapshot = s.ust.Load()
+		ust = &s.ust
 	}
 	id := wire.NewTxID(s.self.DC, s.self.Partition(), s.txSeq.Add(1))
-	now := s.label()
-	s.txCtx.put(id, txContext{snapshot: snapshot, lastActive: now})
-	if s.cfg.Mode == ModeNonBlocking {
-		// GC-watermark hazard: between the UST load above and the put, this
-		// context was invisible to the stabilization aggregate, so a gossip
-		// scan in that window reported an oldest-active snapshot above our
-		// choice, and the watermark (Sold) it feeds could eventually overtake
-		// the snapshot — letting GC trim versions this transaction needs. One
-		// reload after the put closes the hazard for every in-flight round:
-		// any Sold this server ever applies is bounded by its own UST at the
-		// Sold's contributing scan, and such a scan either ran before this
-		// reload (its UST ≤ the value read here) or after the put (it saw
-		// the context, so its contribution ≤ our snapshot). Raising the
-		// snapshot to the reloaded UST therefore dominates both cases. The
-		// pre-shard code made the choice and the insert atomic under one
-		// server-wide mutex; this reload buys the same safety without it.
-		if ust := s.ust.Load(); ust > snapshot {
-			snapshot = ust
-			s.txCtx.put(id, txContext{snapshot: snapshot, lastActive: now})
-		}
-	}
+	snapshot = s.txCtx.put(id, txContext{snapshot: snapshot, lastActive: s.label()}, ust)
 	s.metrics.txStarted.Add(1)
 	return id, snapshot
 }
@@ -101,7 +86,7 @@ func (s *Server) handleFinishTx(m wire.FinishTx) {
 //
 // The common case under a sharded keyspace — every key on one partition —
 // takes a fast path that skips the grouping, the goroutine fan-out, and the
-// merge entirely: one context-shard touch, one slice read, done. The
+// merge entirely: one context-table touch, one slice read, done. The
 // multi-partition path draws its grouping scratch state from a pool and runs
 // the first partition on the calling goroutine, so a P-partition read costs
 // P−1 goroutines and no per-read map.
@@ -493,10 +478,10 @@ func (s *Server) handleCommit(req wire.CommitReq) wire.Message {
 	// moment until a decision is recorded, cohort status queries must be
 	// answered "pending" — even if the transaction context is TTL-evicted
 	// while a long failover chain grinds on.
-	csh := s.twoPC.shard(id)
-	csh.mu.Lock()
-	csh.committing[id] = struct{}{}
-	csh.mu.Unlock()
+	t := &s.twoPC
+	t.mu.Lock()
+	t.committing[id] = struct{}{}
+	t.mu.Unlock()
 
 	// Prepare phase, in parallel across partitions, with per-partition
 	// replica failover. The first partition prepares on the calling
@@ -537,9 +522,9 @@ func (s *Server) handleCommit(req wire.CommitReq) wire.Message {
 		s.castAbort(id, outcomes, false)
 		s.handleAbortTx(wire.AbortTx{TxID: id})
 		s.txCtx.delete(id)
-		csh.mu.Lock()
-		delete(csh.committing, id) // the tombstone above now answers queries
-		csh.mu.Unlock()
+		t.mu.Lock()
+		delete(t.committing, id) // the tombstone above now answers queries
+		t.mu.Unlock()
 		s.metrics.txAborted.Add(1)
 		return wire.ErrorResp{Code: wire.CodeTxAborted, Msg: "commit aborted: " + firstErr.Error()}
 	}
@@ -576,14 +561,14 @@ func (s *Server) handleCommit(req wire.CommitReq) wire.Message {
 		acked = append(acked, out.acked)
 	}
 	s.txCtx.delete(id)
-	csh.mu.Lock()
+	t.mu.Lock()
 	// Remember the decision (bounded; pruned with the tombstones) so a
 	// cohort whose CohortCommit cast was lost recovers the commit through a
 	// status query instead of reaping an acknowledged transaction. The
 	// in-flight marker comes off only now that the decision is queryable.
-	csh.decided[id] = decidedTx{ct: commitTS, at: s.label(), acked: acked}
-	delete(csh.committing, id)
-	csh.mu.Unlock()
+	t.decideLocked(id, decidedTx{ct: commitTS, at: s.label(), acked: acked})
+	delete(t.committing, id)
+	t.mu.Unlock()
 	s.metrics.txCommitted.Add(1)
 	return wire.CommitResp{TxID: id, Snapshot: snapshot, CommitTS: commitTS}
 }
@@ -596,19 +581,19 @@ func (s *Server) handleCommit(req wire.CommitReq) wire.Message {
 // superseded by a failover alternate must discard its entry, or two replicas
 // of one partition would both apply (and re-replicate) the transaction.
 func (s *Server) handleTxStatus(from topology.NodeID, req wire.TxStatusReq) wire.Message {
-	sh := s.twoPC.shard(req.TxID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if d, ok := sh.decided[req.TxID]; ok {
+	t := &s.twoPC
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if d, ok := t.decided[req.TxID]; ok {
 		if nodeListed(d.acked, from) {
 			return wire.TxStatusResp{TxID: req.TxID, Status: wire.TxStatusCommitted, CommitTS: d.ct}
 		}
 		return wire.TxStatusResp{TxID: req.TxID, Status: wire.TxStatusAborted}
 	}
-	if _, ok := sh.aborted[req.TxID]; ok {
+	if _, ok := t.aborted[req.TxID]; ok {
 		return wire.TxStatusResp{TxID: req.TxID, Status: wire.TxStatusAborted}
 	}
-	if s.decidingLocked(sh, req.TxID) {
+	if s.decidingLocked(req.TxID) {
 		return wire.TxStatusResp{TxID: req.TxID, Status: wire.TxStatusPending}
 	}
 	return wire.TxStatusResp{TxID: req.TxID, Status: wire.TxStatusUnknown}

@@ -20,14 +20,12 @@ import (
 // the server's current label — so reaper tests can cross the TTL without
 // running rounds.
 func agePrepared(s *Server, age time.Duration) {
-	for i := range s.twoPC.shards {
-		sh := &s.twoPC.shards[i]
-		sh.mu.Lock()
-		for _, p := range sh.prepared {
-			p.at = s.label() - s.cfg.rounds(age)
-		}
-		sh.mu.Unlock()
+	tab := &s.twoPC
+	tab.mu.Lock()
+	for _, p := range tab.prepared {
+		p.at = s.label() - s.cfg.rounds(age)
 	}
+	tab.mu.Unlock()
 }
 
 func keyForPartition(t *testing.T, topo *topology.Topology, p topology.PartitionID) string {
@@ -144,11 +142,13 @@ func TestAbortedTombstonesArePruned(t *testing.T) {
 	rig := newTestRig(t, ModeNonBlocking)
 	s := rig.srv
 	s.HandleCast(topology.ServerID(1, 0), wire.AbortTx{TxID: 7})
-	sh := s.twoPC.shard(7)
-	sh.mu.Lock()
-	sh.aborted[7] = s.label() - s.cfg.rounds(24*time.Hour)
-	sh.mu.Unlock()
-	s.ctxCleanupTick()
+	s.nextRound()
+	if s.AbortedCount() != 1 {
+		t.Fatal("a live tombstone was pruned")
+	}
+	// Age the tombstone past the retention horizon; the next round prunes it.
+	s.labelNow.Add(s.cfg.rounds(s.cfg.abortedRetention()))
+	s.nextRound()
 	if s.AbortedCount() != 0 {
 		t.Fatal("expired tombstone survived pruning")
 	}
@@ -209,10 +209,10 @@ func TestPrepareDedupsWriteSetLastWriterWins(t *testing.T) {
 		{Key: "a", Value: []byte("3")},
 		{Key: "a", Value: []byte("4")},
 	}})
-	sh := s.twoPC.shard(5)
-	sh.mu.Lock()
-	p := sh.prepared[5]
-	sh.mu.Unlock()
+	tab := &s.twoPC
+	tab.mu.Lock()
+	p := tab.prepared[5]
+	tab.mu.Unlock()
 	if len(p.writes) != 2 {
 		t.Fatalf("deduped write-set has %d entries, want 2", len(p.writes))
 	}
@@ -244,10 +244,10 @@ func TestReaperRecoversLostCommitSelfCoordinated(t *testing.T) {
 	id := wire.NewTxID(0, 0, 5) // coordinator == s0.0 == self
 	s.handlePrepare(wire.PrepareReq{TxID: id, HT: 100,
 		Writes: []wire.KV{{Key: "recov", Value: []byte("v")}}})
-	sh := s.twoPC.shard(id)
-	sh.mu.Lock()
-	sh.decided[id] = decidedTx{ct: 12345, at: s.label(), acked: []topology.NodeID{s.self}}
-	sh.mu.Unlock()
+	tab := &s.twoPC
+	tab.mu.Lock()
+	tab.decideLocked(id, decidedTx{ct: 12345, at: s.label(), acked: []topology.NodeID{s.self}})
+	tab.mu.Unlock()
 	agePrepared(s, time.Hour)
 
 	s.reapTick()
@@ -397,10 +397,10 @@ func TestReaperRecoversLostCommitViaStatusQuery(t *testing.T) {
 	if got := cohort.Metrics().CommitsRecovered; got != 1 {
 		t.Fatalf("CommitsRecovered = %d, want 1", got)
 	}
-	ssh := cohort.twoPC.shard(start.TxID)
-	ssh.mu.Lock()
-	recoveredCT := ssh.committed[0].ct
-	ssh.mu.Unlock()
+	tab := &cohort.twoPC
+	tab.mu.Lock()
+	recoveredCT := tab.committed[0].ct
+	tab.mu.Unlock()
 	if recoveredCT != ct {
 		t.Fatalf("recovered at %v, want the coordinator's decision %v", recoveredCT, ct)
 	}

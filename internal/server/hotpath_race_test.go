@@ -10,21 +10,25 @@ import (
 	"github.com/paris-kv/paris/internal/wire"
 )
 
-// TestSnapshotMonotonicityUnderConcurrency hammers the sharded context table
-// and the lock-free UST from every direction at once — StartTx/Read/Commit
-// sessions, piggybacked UST observations, and the round with its sweeps (GC,
-// the context cleaner and the prepared-transaction reaper every round) — and
-// asserts the invariants the old server-wide mutex used to enforce wholesale:
+// TestSnapshotMonotonicityUnderConcurrency hammers the context table and the
+// lock-free UST from every direction at once — StartTx/Read/Commit sessions,
+// piggybacked UST observations, and the round with its sweeps (GC, the
+// context cleaner and the prepared-transaction reaper every round) — and
+// asserts:
 //
 //   - session monotonicity: a StartTx carrying the session's last snapshot
 //     as ClientUST is answered with a snapshot at least that high;
+//   - GC safety: while a transaction is open, the GC watermark (Sold) is at
+//     most its snapshot. startTx loads the UST in the critical section that
+//     inserts the context; a load outside it lets a watermark scan miss the
+//     context and pass the snapshot;
 //   - snapshot containment: every item a read returns is within the
 //     transaction's snapshot;
 //   - causality: a commit timestamp is strictly above the snapshot it
 //     depends on;
 //   - global UST monotonicity under concurrent advancement.
 //
-// Run under -race this is the regression net for the sharded refactor.
+// Run under -race it guards the one-lock rule of the context table.
 func TestSnapshotMonotonicityUnderConcurrency(t *testing.T) {
 	// The loop below advances the label by one per round, far fewer rounds
 	// than the context TTL holds, so the cleaner never evicts a live session's
@@ -109,6 +113,10 @@ func TestSnapshotMonotonicityUnderConcurrency(t *testing.T) {
 					return
 				}
 				lastSnapshot = start.Snapshot
+				if sold := s.sold.Load(); sold > start.Snapshot {
+					t.Errorf("session %d: GC watermark %v passed open snapshot %v", c, sold, start.Snapshot)
+					return
+				}
 
 				switch resp := s.handleRead(wire.ReadReq{TxID: start.TxID, Keys: keys}).(type) {
 				case wire.ReadResp:
@@ -120,6 +128,10 @@ func TestSnapshotMonotonicityUnderConcurrency(t *testing.T) {
 					}
 				default:
 					t.Errorf("session %d: read failed: %+v", c, resp)
+					return
+				}
+				if sold := s.sold.Load(); sold > start.Snapshot {
+					t.Errorf("session %d: GC watermark %v passed open snapshot %v after a read", c, sold, start.Snapshot)
 					return
 				}
 

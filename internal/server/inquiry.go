@@ -124,14 +124,14 @@ func (q *inquiries) askFate(id wire.TxID, now, every int64) {
 	if _, ok := q.open[key]; ok {
 		return
 	}
-	s, sh := q.s, q.s.twoPC.shard(id)
+	s, t := q.s, &q.s.twoPC
 	q.open[key] = &inquiry{
 		key: key, msg: wire.TxStatusReq{TxID: id},
 		next: now, every: every, maxEvery: every, giveUp: math.MaxInt64,
 		settled: func(resp wire.Message) bool {
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			p, present := sh.prepared[id]
+			t.mu.Lock()
+			defer t.mu.Unlock()
+			p, present := t.prepared[id]
 			st, answered := resp.(wire.TxStatusResp)
 			switch {
 			case !present:
@@ -141,10 +141,10 @@ func (q *inquiries) askFate(id wire.TxID, now, every int64) {
 				// decision is still in flight: ask again next sweep.
 				return false
 			case st.Status == wire.TxStatusCommitted:
-				s.promoteLocked(sh, p, st.CommitTS)
+				s.promoteLocked(p, st.CommitTS)
 				s.metrics.commitsRecovered.Add(1)
 			default: // aborted or unknown
-				s.reapLocked(sh, id, s.label())
+				s.reapLocked(id, s.label())
 				s.metrics.txReaped.Add(1)
 			}
 			return true

@@ -171,10 +171,10 @@ func TestSoleCommitLeavesNothingToConfirm(t *testing.T) {
 		t.Fatalf("cohort holds %d prepared and %d committed, want 0 and 1",
 			cohort.PendingPrepared(), cohort.PendingCommitted())
 	}
-	sh := cohort.twoPC.shard(start.TxID)
-	sh.mu.Lock()
-	ct := sh.committed[0].ct
-	sh.mu.Unlock()
+	tab := &cohort.twoPC
+	tab.mu.Lock()
+	ct := tab.committed[0].ct
+	tab.mu.Unlock()
 	if ct != cr.CommitTS {
 		t.Fatalf("cohort committed at %v, the client was told %v", ct, cr.CommitTS)
 	}
@@ -284,10 +284,10 @@ func TestReaperQueriesOrphansOncePerSweep(t *testing.T) {
 	orphan := func(seq uint64) wire.TxID {
 		id := wire.NewTxID(1, 0, seq)
 		s.handlePrepare(wire.PrepareReq{TxID: id, HT: 100, Writes: []wire.KV{{Key: "k", Value: []byte("v")}}})
-		sh := s.twoPC.shard(id)
-		sh.mu.Lock()
-		sh.prepared[id].at = -6
-		sh.mu.Unlock()
+		tab := &s.twoPC
+		tab.mu.Lock()
+		tab.prepared[id].at = -6
+		tab.mu.Unlock()
 		return id
 	}
 	ids := []wire.TxID{orphan(1)}

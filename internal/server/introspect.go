@@ -44,19 +44,22 @@ func (s *Server) Store() *store.MVStore { return s.store }
 
 // PendingPrepared returns the number of transactions in the prepared queue.
 func (s *Server) PendingPrepared() int {
-	return s.twoPC.preparedCount()
+	n, _, _ := s.twoPC.counts()
+	return n
 }
 
 // PendingCommitted returns the number of committed-but-unapplied
 // transactions.
 func (s *Server) PendingCommitted() int {
-	return s.twoPC.committedCount()
+	_, n, _ := s.twoPC.counts()
+	return n
 }
 
 // AbortedCount returns the number of aborted/reaped transaction tombstones
 // currently retained (they age out after the abort retention window).
 func (s *Server) AbortedCount() int {
-	return s.twoPC.abortedCount()
+	_, _, n := s.twoPC.counts()
+	return n
 }
 
 // ActiveTxContexts returns the number of live coordinator transaction

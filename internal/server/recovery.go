@@ -1,7 +1,10 @@
 package server
 
 import (
+	"cmp"
+	"maps"
 	"math"
+	"slices"
 
 	"github.com/paris-kv/paris/internal/wire"
 )
@@ -53,28 +56,17 @@ type TwoPCExport struct {
 // answerable from decided/aborted alone; carrying them over would wedge
 // status queries on "pending" forever.
 func (s *Server) ExportTwoPC() *TwoPCExport {
+	t := &s.twoPC
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	e := &TwoPCExport{
-		aborted: make(map[wire.TxID]int64),
-		decided: make(map[wire.TxID]decidedTx),
-		done:    make(map[wire.TxID]int64),
+		committed: slices.Clone(t.committed),
+		aborted:   maps.Clone(t.aborted),
+		decided:   maps.Clone(t.decided),
+		done:      maps.Clone(t.done),
 	}
-	for i := range s.twoPC.shards {
-		sh := &s.twoPC.shards[i]
-		sh.mu.Lock()
-		for _, p := range sh.prepared {
-			e.prepared = append(e.prepared, *p)
-		}
-		e.committed = append(e.committed, sh.committed...)
-		for id, at := range sh.aborted {
-			e.aborted[id] = at
-		}
-		for id, d := range sh.decided {
-			e.decided[id] = d
-		}
-		for id, at := range sh.done {
-			e.done[id] = at
-		}
-		sh.mu.Unlock()
+	for _, p := range t.prepared {
+		e.prepared = append(e.prepared, *p)
 	}
 	return e
 }
@@ -86,40 +78,26 @@ func (s *Server) ExportTwoPC() *TwoPCExport {
 // prepare. Recovered prepares are stamped older than any label (see
 // TwoPCExport).
 func (s *Server) importTwoPC(e *TwoPCExport) {
+	t := &s.twoPC
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for i := range e.prepared {
 		p := e.prepared[i] // copy; the export stays reusable
 		p.at = math.MinInt64
-		sh := s.twoPC.shard(p.id)
-		sh.mu.Lock()
-		sh.nPrepared.Add(1)
-		if !sh.insertPreparedLocked(&p) {
-			sh.nPrepared.Add(-1)
-		}
-		sh.mu.Unlock()
+		t.prepared[p.id] = &p
 	}
 	for _, c := range e.committed {
-		sh := s.twoPC.shard(c.id)
-		sh.mu.Lock()
-		sh.pushCommittedLocked(c)
-		sh.mu.Unlock()
+		t.pushCommittedLocked(c)
 		s.clock.Observe(c.ct)
 	}
-	for id, t := range e.aborted {
-		sh := s.twoPC.shard(id)
-		sh.mu.Lock()
-		sh.aborted[id] = t
-		sh.mu.Unlock()
+	for id, at := range e.aborted {
+		t.abortLocked(id, at)
 	}
 	for id, d := range e.decided {
-		sh := s.twoPC.shard(id)
-		sh.mu.Lock()
-		sh.decided[id] = d
-		sh.mu.Unlock()
+		t.decideLocked(id, d)
 	}
-	for id, t := range e.done {
-		sh := s.twoPC.shard(id)
-		sh.mu.Lock()
-		sh.done[id] = t
-		sh.mu.Unlock()
+	for id, at := range e.done {
+		t.doneLocked(id, at)
 	}
+	slices.SortFunc(t.expiry, func(a, b stamp) int { return cmp.Compare(a.at, b.at) })
 }

@@ -80,10 +80,10 @@ func testRecoveredPrepareResolves(t *testing.T, ttl time.Duration) {
 	// The coordinator decides commit — its decision memory now holds the
 	// fate — but the cohort crashes before any CohortCommit can arrive.
 	ct := pr.Proposed
-	sh := coord.twoPC.shard(id)
-	sh.mu.Lock()
-	sh.decided[id] = decidedTx{ct: ct, at: coord.label(), acked: []topology.NodeID{cohortID}}
-	sh.mu.Unlock()
+	tab := &coord.twoPC
+	tab.mu.Lock()
+	tab.decideLocked(id, decidedTx{ct: ct, at: coord.label(), acked: []topology.NodeID{cohortID}})
+	tab.mu.Unlock()
 
 	net.Deregister(cohortID)
 	cohort.Stop()

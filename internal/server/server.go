@@ -284,11 +284,11 @@ type txContext struct {
 //
 // State is split by role so the client-operation hot path never contends
 // with replication: ust/sold/vv are atomics (lock-free snapshot assignment
-// and stabilization reads), txCtx lives in a sharded table (per-shard locks,
-// keyed by TxID), and the 2PC decision state — prepared, committed, decided,
-// aborted, committing — lives in a second TxID-sharded table (twoPCTable)
-// whose per-shard locks keep prepares, cohort commits and the apply loop's
-// upper-bound computation from serializing on one mutex.
+// and stabilization reads), txCtx is the coordinator's context table, and
+// the 2PC decision state — prepared, committed, decided, aborted,
+// committing — is a second table (twoPCTable). Each table is one map set
+// under one mutex; the apply round's bound and drain are one critical
+// section of the 2PC table's.
 type Server struct {
 	cfg   Config
 	self  topology.NodeID
@@ -311,16 +311,13 @@ type Server struct {
 	vv     []atomicTS
 	vvLive []bool
 
-	// txCtx is the coordinator-side transaction-context table, sharded by
-	// TxID so StartTx/Read/Commit bookkeeping from independent sessions
-	// never serializes on one lock.
+	// txCtx is the coordinator-side transaction-context table.
 	txCtx txTable
 	txSeq atomic.Uint64
 
-	// twoPC is the sharded 2PC decision table: prepared, committed, aborted
-	// tombstones, decided and committing, co-located per TxID shard. Each
-	// entry's documentation lives on twoPCShard. Before PR 6 all of it sat
-	// under one Server.mu, which serialized the whole commit plane.
+	// twoPC is the 2PC decision table: prepared, committed, aborted
+	// tombstones, decided and committing. Each entry's documentation lives
+	// on twoPCTable.
 	twoPC twoPCTable
 
 	// inq holds the questions the server asks peers until they answer
@@ -534,13 +531,14 @@ func (s *Server) label() int64 { return s.labelNow.Load() }
 
 // sweepTick runs the round's periodic steps, each on every k-th round counted
 // from the server's first (see the Config fields for each k), and then the
-// inquiry table's step, which runs every round. applyTick calls
-// it last, so a sweep never delays the round's casts and push. GC, the one
-// step that walks the whole store, only starts there, on a goroutine of its
-// own, and not while the previous one still runs, so a large store does not
-// delay the rounds that follow; and its rounds are offset by the partition
-// index, so servers started together do not all walk their stores at once,
-// right behind a push, and slow the stabilization hops that follow it.
+// 2PC table's expiry and the inquiry table's step, which run every round.
+// applyTick calls it last, so a sweep never delays the round's casts and
+// push. GC, the one step that walks the whole store, only starts there, on a
+// goroutine of its own, and not while the previous one still runs, so a
+// large store does not delay the rounds that follow; and its rounds are
+// offset by the partition index, so servers started together do not all walk
+// their stores at once, right behind a push, and slow the stabilization hops
+// that follow it.
 func (s *Server) sweepTick(now int64) {
 	due := func(every time.Duration, offset int64) bool {
 		return (now-s.first+offset)%s.cfg.rounds(every) == 0
@@ -554,6 +552,7 @@ func (s *Server) sweepTick(now int64) {
 	if due(s.cfg.PreparedTTL/4, 0) {
 		s.reapTick()
 	}
+	s.twoPC.pruneDecisions(now - s.cfg.rounds(s.cfg.abortedRetention()))
 	s.inq.step(now)
 }
 
@@ -680,12 +679,10 @@ func (s *Server) gcTick() {
 // ctxCleanupTick drops transaction contexts abandoned by failed clients: the
 // TTL is measured from the context's last read/commit activity, so a session
 // that keeps operating is never reaped out from under an open transaction.
-// The tick also prunes the aborted-transaction tombstones once they are old
-// enough that no straggling decision for them can still be in flight.
+// (The 2PC table's tombstones and decision records expire every round, in
+// sweepTick, once no straggling decision for them can still be in flight.)
 func (s *Server) ctxCleanupTick() {
-	now := s.label()
-	s.txCtx.expire(now - s.cfg.rounds(s.cfg.TxContextTTL))
-	s.twoPC.pruneDecisions(now - s.cfg.rounds(s.cfg.abortedRetention()))
+	s.txCtx.expire(s.label() - s.cfg.rounds(s.cfg.TxContextTTL))
 }
 
 // reapTick resolves prepared transactions whose decision has been outstanding
@@ -732,46 +729,40 @@ func (s *Server) reapTick() {
 		floor = s.first - ttl - 1
 	}
 	var reaped, recovered int
-	for i := range s.twoPC.shards {
-		sh := &s.twoPC.shards[i]
-		if sh.nPrepared.Load() == 0 {
+	t := &s.twoPC
+	t.mu.Lock()
+	for id, p := range t.prepared {
+		at := max(p.at, floor)
+		if at >= softCutoff {
 			continue
 		}
-		sh.mu.Lock()
-		for id, p := range sh.prepared {
-			at := max(p.at, floor)
-			if at >= softCutoff {
-				continue
-			}
-			coord := id.Coordinator()
-			if coord == s.self {
-				// The decision, if any, is local — and on this very shard,
-				// since both tables key by the same id: no query needed.
-				if d, ok := sh.decided[id]; ok {
-					if nodeListed(d.acked, s.self) {
-						s.promoteLocked(sh, p, d.ct)
-						recovered++
-					} else {
-						// Superseded during failover; the commit lives on
-						// another replica.
-						s.reapLocked(sh, id, now)
-						reaped++
-					}
-				} else if !s.decidingLocked(sh, id) {
-					s.reapLocked(sh, id, now)
+		coord := id.Coordinator()
+		if coord == s.self {
+			// The decision, if any, is local: no query needed.
+			if d, ok := t.decided[id]; ok {
+				if nodeListed(d.acked, s.self) {
+					s.promoteLocked(p, d.ct)
+					recovered++
+				} else {
+					// Superseded during failover; the commit lives on
+					// another replica.
+					s.reapLocked(id, now)
 					reaped++
 				}
-				continue
-			}
-			if at < hardCutoff {
-				s.reapLocked(sh, id, now)
+			} else if !s.decidingLocked(id) {
+				s.reapLocked(id, now)
 				reaped++
-				continue
 			}
-			s.inq.askFate(id, now, every)
+			continue
 		}
-		sh.mu.Unlock()
+		if at < hardCutoff {
+			s.reapLocked(id, now)
+			reaped++
+			continue
+		}
+		s.inq.askFate(id, now, every)
 	}
+	t.mu.Unlock()
 	if reaped > 0 {
 		s.metrics.txReaped.Add(uint64(reaped))
 	}
@@ -781,17 +772,17 @@ func (s *Server) reapTick() {
 }
 
 // reapLocked releases a prepared entry and tombstones its id. Caller holds
-// sh.mu, where sh is id's twoPC shard.
-func (s *Server) reapLocked(sh *twoPCShard, id wire.TxID, now int64) {
-	sh.removePreparedLocked(id)
-	sh.aborted[id] = now
+// the 2PC table's lock.
+func (s *Server) reapLocked(id wire.TxID, now int64) {
+	delete(s.twoPC.prepared, id)
+	s.twoPC.abortLocked(id, now)
 }
 
 // decidingLocked reports whether this coordinator is still working toward a
-// decision for id. Caller holds sh.mu, id's twoPC shard (txCtx shard locks
-// are leaves below twoPC shard locks, so the context probe is safe here).
-func (s *Server) decidingLocked(sh *twoPCShard, id wire.TxID) bool {
-	if _, ok := sh.committing[id]; ok {
+// decision for id. Caller holds the 2PC table's lock (the context table's
+// lock is a leaf below it, so the context probe is safe here).
+func (s *Server) decidingLocked(id wire.TxID) bool {
+	if _, ok := s.twoPC.committing[id]; ok {
 		return true
 	}
 	return s.txCtx.contains(id)
@@ -808,14 +799,14 @@ func nodeListed(list []topology.NodeID, node topology.NodeID) bool {
 }
 
 // promoteLocked moves a prepared entry to the committed queue at ct — the
-// recovery path for a commit whose notification was lost. Caller holds sh.mu,
-// the entry's twoPC shard.
-func (s *Server) promoteLocked(sh *twoPCShard, p *preparedTx, ct hlc.Timestamp) {
+// recovery path for a commit whose notification was lost. Caller holds the
+// 2PC table's lock.
+func (s *Server) promoteLocked(p *preparedTx, ct hlc.Timestamp) {
 	s.clock.Observe(ct)
-	sh.commitPreparedLocked(p.id, ct)
+	s.twoPC.commitPreparedLocked(p.id, ct)
 	// Mark the recovery so a racing CommitRecover retry for the same id is
 	// acknowledged instead of installing the transaction a second time.
-	sh.done[p.id] = s.label()
+	s.twoPC.doneLocked(p.id, s.label())
 }
 
 // Compile-time interface compliance.

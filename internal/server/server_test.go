@@ -363,7 +363,7 @@ func TestApplyTickDoesNotApplyBeyondPreparedBound(t *testing.T) {
 
 func TestApplyTickCommitEqualToBoundIsApplied(t *testing.T) {
 	// Regression test for the ct == ub edge (see applyTick doc comment): a
-	// transaction whose commit timestamp equals minPrepared−1 must be
+	// transaction whose commit timestamp equals min{pt}−1 must be
 	// applied before VV[self] advances to that bound.
 	rig := newTestRig(t, ModeNonBlocking)
 	s := rig.srv
@@ -561,15 +561,13 @@ func TestCtxCleanupEvictsStaleContexts(t *testing.T) {
 	// Force-age the context's activity stamp an hour of rounds into the past
 	// (the TTL is measured from the last touch, not from transaction start).
 	age := func() {
-		for i := range s.txCtx.shards {
-			sh := &s.txCtx.shards[i]
-			sh.mu.Lock()
-			for id, ctx := range sh.m {
-				ctx.lastActive = s.label() - s.cfg.rounds(time.Hour)
-				sh.m[id] = ctx
-			}
-			sh.mu.Unlock()
+		tab := &s.txCtx
+		tab.mu.Lock()
+		for id, ctx := range tab.m {
+			ctx.lastActive = s.label() - s.cfg.rounds(time.Hour)
+			tab.m[id] = ctx
 		}
+		tab.mu.Unlock()
 	}
 	age()
 	// A read touch revives the context: an old-but-active transaction must

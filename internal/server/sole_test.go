@@ -15,8 +15,9 @@ import (
 )
 
 // These tests pin the sole-cohort commit — a transaction that writes one
-// partition commits in its one prepare call — and the twoPCTable ordering
-// rules its correctness, and that of every Prepared→Committed move, rest on.
+// partition commits in its one prepare call — and the twoPCTable critical
+// section its correctness, and that of every Prepared→Committed move, rests
+// on.
 
 // TestSoleCommitLocalIsOneCall: on the coordinator's own replica the sole
 // commit is one direct call that leaves the transaction on the Committed
@@ -33,10 +34,10 @@ func TestSoleCommitLocalIsOneCall(t *testing.T) {
 	if s.PendingPrepared() != 0 || s.PendingCommitted() != 1 {
 		t.Fatalf("%d prepared and %d committed, want 0 and 1", s.PendingPrepared(), s.PendingCommitted())
 	}
-	sh := s.twoPC.shard(cr.TxID)
-	sh.mu.Lock()
-	ct, decided, committing := sh.committed[0].ct, len(sh.decided), len(sh.committing)
-	sh.mu.Unlock()
+	tab := &s.twoPC
+	tab.mu.Lock()
+	ct, decided, committing := tab.committed[0].ct, len(tab.decided), len(tab.committing)
+	tab.mu.Unlock()
 	if ct != cr.CommitTS || decided != 0 || committing != 0 {
 		t.Fatalf("committed at %v (client told %v), %d decisions, %d in flight; want equal, 0, 0",
 			ct, cr.CommitTS, decided, committing)
@@ -120,7 +121,7 @@ func TestSoleCommitLostOnLinkDoesNotFailOver(t *testing.T) {
 
 // TestSolePrepareRefusesTombstonedID: a sole prepare for an id this cohort
 // already aborted is refused, and nothing is committed — not on the queue,
-// not in the store, not in the count the applier skips shards by.
+// not in the store.
 func TestSolePrepareRefusesTombstonedID(t *testing.T) {
 	rig := newTestRig(t, ModeNonBlocking)
 	s := rig.srv
@@ -141,20 +142,19 @@ func TestSolePrepareRefusesTombstonedID(t *testing.T) {
 	}
 }
 
-// TestScanNeverMissesMovedCommit races the apply round's two lock-free
-// passes (collectReady) against every way an entry reaches the Committed
-// queue, taken in turn by one mover: a prepare moved by CohortCommit, one
-// moved by CommitRecover, and a sole prepare committed in place. After each
-// scan, no entry at or below the bound it published may be left on the
-// Committed queue: the round would publish VV[self] = ub without having
-// applied it. A move that retired its prepared count before it published its
-// committed one would leave a window in which a scan sees neither; so would
-// a sole commit that counted itself after drawing its timestamp. Those
-// windows are a few instructions wide and show only when the mover is
-// descheduled inside one, so goroutines that burn the CPUs and a collector
-// that runs all the time keep descheduling it. There is one mover because a
-// second one's prepared entry would pin the bound below the first one's
-// commit and hide the miss.
+// TestScanNeverMissesMovedCommit races the apply round's bound and drain
+// (collectReady) against every way an entry reaches the Committed queue,
+// taken in turn by one mover: a prepare moved by CohortCommit, one moved by
+// CommitRecover, and a sole prepare committed in place. After each scan, no
+// entry at or below the bound it published may be left on the Committed
+// queue: the round would publish VV[self] = ub without having applied it. A
+// move, or a sole commit's timestamp, that fell outside the 2PC table's
+// critical section would leave a window in which a scan sees neither the pin
+// nor the entry. Such windows are a few instructions wide and show only when
+// the mover is descheduled inside one, so goroutines that burn the CPUs and
+// a collector that runs all the time keep descheduling it. There is one
+// mover because a second one's prepared entry would pin the bound below the
+// first one's commit and hide the miss.
 func TestScanNeverMissesMovedCommit(t *testing.T) {
 	rig := newTestRig(t, ModeNonBlocking)
 	s := rig.srv
@@ -197,16 +197,14 @@ func TestScanNeverMissesMovedCommit(t *testing.T) {
 	scans, missed := 0, 0
 	for deadline := time.Now().Add(200 * time.Millisecond); missed == 0 && time.Now().Before(deadline); scans++ {
 		ub, _ := s.collectReady()
-		for i := range s.twoPC.shards {
-			sh := &s.twoPC.shards[i]
-			sh.mu.Lock()
-			for _, c := range sh.committed {
-				if c.ct <= ub {
-					missed++
-				}
+		tab := &s.twoPC
+		tab.mu.Lock()
+		for _, c := range tab.committed {
+			if c.ct <= ub {
+				missed++
 			}
-			sh.mu.Unlock()
 		}
+		tab.mu.Unlock()
 	}
 	stop.Store(true)
 	wg.Wait()

@@ -298,8 +298,8 @@ func (st *stabilizer) pushUpLocked(out *stabSends, tick bool) {
 	st.up.pushed(complete)
 	s := st.srv
 	// Version-vector entries and the UST are atomics; the context table is
-	// visited shard by shard. The push never blocks — or is blocked by — the
-	// client-operation path.
+	// one short critical section, walked after the UST load (txTable.put).
+	// The push never blocks on the client-operation path.
 	low, oldest := s.installedLowerBound(), s.txCtx.minSnapshot(s.ust.Load())
 	for j := range st.children {
 		low, oldest = hlc.Min(low, st.childMin[j]), hlc.Min(oldest, st.childOldest[j])

@@ -74,7 +74,7 @@ func testSweepsRunOnTheirRounds(t *testing.T, id topology.NodeID) {
 		ut := hlc.New(uint64(2*r), 0)
 		s.store.Apply(wire.Item{Key: "g", Value: []byte("v"), UT: ut})
 		s.store.Apply(wire.Item{Key: "g", Value: []byte("v"), UT: ut + 1})
-		s.txCtx.put(wire.NewTxID(2, 2, uint64(r)), txContext{lastActive: s.label() - 100})
+		s.txCtx.put(wire.NewTxID(2, 2, uint64(r)), txContext{lastActive: s.label() - 100}, nil)
 		s.handlePrepare(wire.PrepareReq{TxID: wire.NewTxID(s.self.DC, s.self.Partition(), uint64(r)), HT: 100})
 		agePrepared(s, 100*dR)
 		gcBefore := s.Metrics().GCRemoved
@@ -208,5 +208,44 @@ func TestStartArmsOneLoop(t *testing.T) {
 	rig.srv.Start()
 	if got := loops() - before; got != 1 {
 		t.Fatalf("Start armed %d loops, want 1", got)
+	}
+}
+
+// TestDecisionsExpireInStampOrder: tombstones, decision records and recovery
+// receipts expire when their own stamp passes the cutoff, whatever the order
+// of their ids and maps, an id stamped again lives on under its later stamp,
+// and a restarted server's imported records expire the same way, stamps
+// unordered in the export or not.
+func TestDecisionsExpireInStampOrder(t *testing.T) {
+	rig := newTestRig(t, ModeNonBlocking)
+	s := rig.srv
+	tab := &s.twoPC
+	tab.mu.Lock()
+	tab.decideLocked(1, decidedTx{at: 10})
+	tab.abortLocked(2, 20)
+	tab.doneLocked(3, 30)
+	tab.abortLocked(1, 40) // id 1 again, in another map
+	tab.mu.Unlock()
+
+	snapshot := func(tab *twoPCTable) (decided, aborted, done int) {
+		tab.mu.Lock()
+		defer tab.mu.Unlock()
+		return len(tab.decided), len(tab.aborted), len(tab.done)
+	}
+	tab.pruneDecisions(25)
+	if d, a, n := snapshot(tab); d != 0 || a != 1 || n != 1 {
+		t.Fatalf("after cutoff 25: %d decided, %d aborted, %d done; want 0, 1 (id 1 at 40), 1", d, a, n)
+	}
+	export := s.ExportTwoPC()
+	tab.pruneDecisions(41)
+	if d, a, n := snapshot(tab); d != 0 || a != 0 || n != 0 || len(tab.expiry) != 0 {
+		t.Fatalf("after cutoff 41: %d decided, %d aborted, %d done, %d queued; want none", d, a, n, len(tab.expiry))
+	}
+
+	restarted := newTestRig(t, ModeNonBlocking, func(c *Config) { c.Recovered2PC = export }).srv
+	rtab := &restarted.twoPC
+	rtab.pruneDecisions(35)
+	if d, a, n := snapshot(rtab); d != 0 || a != 1 || n != 0 {
+		t.Fatalf("imported, after cutoff 35: %d decided, %d aborted, %d done; want 0, 1, 0", d, a, n)
 	}
 }
